@@ -89,15 +89,18 @@ fn bench_shared_scan_batch(c: &mut Criterion) {
                 let dicts = GroupDictCache::new();
                 // Warm the dictionaries once; the measured loop then
                 // only pays lookups, like the second refresh onward.
-                for result in engine.execute_batch_cached(cube, &batch, &view, Some((&dicts, 1))) {
+                for result in
+                    engine.execute_batch_observed(cube, &batch, &view, Some((&dicts, 1)), None)
+                {
                     result.expect("dashboard query executes");
                 }
                 b.iter(|| {
-                    for result in engine.execute_batch_cached(
+                    for result in engine.execute_batch_observed(
                         cube,
                         black_box(&batch),
                         &view,
                         Some((&dicts, 1)),
+                        None,
                     ) {
                         black_box(result.expect("dashboard query executes"));
                     }

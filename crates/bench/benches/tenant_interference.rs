@@ -15,9 +15,7 @@
 //! preemption instead — the admitted analyst's *caller* scans on its
 //! own thread, which the engine-level scheduler cannot deschedule — so
 //! there the ~2× target applies to the mean and the governed/open gap
-//! carries the story. A fourth group checks the pool against the
-//! per-query `thread::scope` executor solo: reusing warm workers must
-//! not cost single-query latency.
+//! carries the story.
 //!
 //! Criterion reports the mean; the `B19 summary` lines printed per
 //! regime carry the p50/p99 of the explicit sample loop that
@@ -259,32 +257,6 @@ fn bench_tenant_interference(c: &mut Criterion) {
             analyst.join().expect("analyst thread exits");
         }
     }
-    group.finish();
-
-    // -- pool vs per-query thread::scope, solo ---------------------------
-    // Reusing warm pool workers must not cost single-query latency
-    // against the executor that spawns a scope per query.
-    let mut group = c.benchmark_group("B19_tenant_interference/executor");
-    group.throughput(Throughput::Elements(FACT_ROWS as u64));
-    let view = InstanceView::unrestricted();
-    let query = dashboard_query();
-    let scoped = QueryEngine::with_config(config);
-    group.bench_function("thread-scope", |b| {
-        b.iter(|| {
-            scoped
-                .execute_with_view(&cube, black_box(&query), &view)
-                .expect("scoped roll-up executes")
-        })
-    });
-    let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(3)));
-    let pooled = QueryEngine::with_pool(config, Arc::clone(&pool));
-    group.bench_function("worker-pool", |b| {
-        b.iter(|| {
-            pooled
-                .execute_with_view(&cube, black_box(&query), &view)
-                .expect("pooled roll-up executes")
-        })
-    });
     group.finish();
 }
 

@@ -379,12 +379,12 @@ pub struct PersonalizationEngine {
     parameters: RwLock<BTreeMap<String, f64>>,
     layer_source: Arc<dyn LayerSource + Send + Sync>,
     sessions: Arc<SessionManager>,
+    /// The executor. Its [`QueryEngine::pool`] is the engine-lifetime
+    /// morsel worker pool parallel scans run on, with its tenant
+    /// scheduler and admission controller — `None` when the executor is
+    /// configured for a single worker (everything runs inline and there
+    /// is nothing to schedule).
     query_engine: QueryEngine,
-    /// The engine-lifetime morsel worker pool parallel scans run on,
-    /// with its tenant scheduler and admission controller. `None` when
-    /// the executor is configured for a single worker (everything runs
-    /// inline and there is nothing to schedule).
-    morsel_pool: Option<Arc<MorselPool>>,
     /// The streaming-ingestion pipeline, started lazily by
     /// [`PersonalizationEngine::start_ingest`]. Shut down (drained,
     /// final epoch published, worker joined) when the engine drops.
@@ -438,20 +438,20 @@ impl PersonalizationEngine {
         let original_schema = cube.schema().clone();
         let snapshot = VersionedSwap::from_pointee(cube.clone());
         let sessions = Arc::new(SessionManager::new());
-        // The shared worker pool replaces per-query `thread::scope`
-        // spawns: the querying thread always scans, so the pool only
-        // needs `workers - 1` long-lived helpers. A one-worker executor
-        // runs entirely inline and skips the pool.
+        // The querying thread always scans, so the pool only needs
+        // `workers - 1` long-lived helpers — built here rather than by
+        // `QueryEngine::with_config` so scheduler waits record into this
+        // engine's registry. A one-worker executor runs entirely inline
+        // and has no pool.
         let pool_workers = config.effective_workers().saturating_sub(1);
-        let morsel_pool = (pool_workers > 0).then(|| {
-            Arc::new(MorselPool::with_registry(
+        let query_engine = if pool_workers > 0 {
+            let pool = MorselPool::with_registry(
                 PoolConfig::default().with_workers(pool_workers),
                 Arc::clone(&metrics),
-            ))
-        });
-        let query_engine = match &morsel_pool {
-            Some(pool) => QueryEngine::with_pool(config, Arc::clone(pool)),
-            None => QueryEngine::with_config(config),
+            );
+            QueryEngine::with_pool(config, Arc::new(pool))
+        } else {
+            QueryEngine::with_config(config)
         };
         PersonalizationEngine {
             cube_state: Arc::new(CubeState {
@@ -473,7 +473,6 @@ impl PersonalizationEngine {
             layer_source,
             sessions,
             query_engine,
-            morsel_pool,
             ingest: Mutex::new(None),
             metrics,
         }
@@ -741,39 +740,44 @@ impl PersonalizationEngine {
         query: &Query,
         deadline: Option<std::time::Duration>,
     ) -> Result<QueryResult, CoreError> {
-        let (active, view, min_generation, class, _pin) =
-            self.sessions.with_session(session_id, |state| {
-                // Pin the view's fact-selection versions while still under
-                // the session shard lock (mutually exclusive with the
-                // compaction path's eager remap of this shard): the query
-                // keeps this clone of the view — possibly across a
-                // read-your-writes wait — and the remap-chain trimmer must
-                // not drop transitions the clone still needs. Released when
-                // the guard drops after execution.
-                let versions: BTreeMap<String, u64> = state
-                    .view
-                    .fact_selection_versions()
-                    .map(|(fact, version)| (fact.to_string(), version))
-                    .collect();
-                let pin = VersionPinGuard {
-                    state: Arc::clone(&self.cube_state),
-                    token: (!versions.is_empty())
-                        .then(|| self.cube_state.version_pins.pin(versions)),
-                };
-                (
-                    state.is_active(),
-                    Arc::clone(&state.view),
-                    state.min_generation,
-                    state.class,
-                    pin,
-                )
-            })?;
-        if !active {
-            return Err(CoreError::UnknownSession {
-                session: session_id,
-            });
-        }
+        let (view, min_generation, class, _pin) = self.pinned_session_view(session_id)?;
         self.query_snapshot(query, view, min_generation, class, deadline)
+    }
+
+    /// What both read paths copy out of an active session: its view, its
+    /// read-your-writes floor, its class, and a pin on the view's
+    /// fact-selection versions. The pin is taken while still under the
+    /// session shard lock (mutually exclusive with the compaction path's
+    /// eager remap of this shard): the query keeps this clone of the view
+    /// — possibly across a read-your-writes wait — and the remap-chain
+    /// trimmer must not drop transitions the clone still needs. Released
+    /// when the caller drops the guard after execution.
+    fn pinned_session_view(
+        &self,
+        session_id: SessionId,
+    ) -> Result<(Arc<InstanceView>, u64, ClassId, VersionPinGuard), CoreError> {
+        self.sessions.with_session(session_id, |state| {
+            if !state.is_active() {
+                return Err(CoreError::UnknownSession {
+                    session: session_id,
+                });
+            }
+            let versions: BTreeMap<String, u64> = state
+                .view
+                .fact_selection_versions()
+                .map(|(fact, version)| (fact.to_string(), version))
+                .collect();
+            let pin = VersionPinGuard {
+                state: Arc::clone(&self.cube_state),
+                token: (!versions.is_empty()).then(|| self.cube_state.version_pins.pin(versions)),
+            };
+            Ok((
+                Arc::clone(&state.view),
+                state.min_generation,
+                state.class,
+                pin,
+            ))
+        })?
     }
 
     /// Executes an OLAP query against the full, unpersonalized cube
@@ -903,31 +907,7 @@ impl PersonalizationEngine {
         queries: &[Query],
         deadline: Option<std::time::Duration>,
     ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-        let (active, view, min_generation, class, _pin) =
-            self.sessions.with_session(session_id, |state| {
-                let versions: BTreeMap<String, u64> = state
-                    .view
-                    .fact_selection_versions()
-                    .map(|(fact, version)| (fact.to_string(), version))
-                    .collect();
-                let pin = VersionPinGuard {
-                    state: Arc::clone(&self.cube_state),
-                    token: (!versions.is_empty())
-                        .then(|| self.cube_state.version_pins.pin(versions)),
-                };
-                (
-                    state.is_active(),
-                    Arc::clone(&state.view),
-                    state.min_generation,
-                    state.class,
-                    pin,
-                )
-            })?;
-        if !active {
-            return Err(CoreError::UnknownSession {
-                session: session_id,
-            });
-        }
+        let (view, min_generation, class, _pin) = self.pinned_session_view(session_id)?;
         self.query_batch_snapshot(queries, view, min_generation, class, deadline)
     }
 
@@ -988,6 +968,15 @@ impl PersonalizationEngine {
             .enumerate()
             .filter_map(|(i, hit)| hit.is_none().then_some(i))
             .collect();
+        // A warm refresh never reaches the executor: with every panel
+        // answered from the cache there is nothing to resolve, and the
+        // executor's stage counts keep meaning "batches executed".
+        if miss_indices.is_empty() {
+            return Ok(cached
+                .into_iter()
+                .map(|hit| Ok((*hit.expect("no panel missed")).clone()))
+                .collect());
+        }
         let misses: Vec<Query> = miss_indices.iter().map(|&i| queries[i].clone()).collect();
         let executed = self
             .query_engine
@@ -1074,7 +1063,7 @@ impl PersonalizationEngine {
         class: ClassId,
         deadline: Option<std::time::Instant>,
     ) -> Result<Option<AdmissionGuard>, CoreError> {
-        match &self.morsel_pool {
+        match self.morsel_pool() {
             None => Ok(None),
             Some(pool) => {
                 pool.admit_until(class, deadline)
@@ -1092,21 +1081,22 @@ impl PersonalizationEngine {
     }
 
     /// A backoff hint for a shed tenant: the class's recent end-to-end
-    /// p99 in µs (0 when nothing has been recorded yet) — roughly how
-    /// long one queued query takes to drain, so retrying after it has a
+    /// p99 in µs over both read paths — the larger of its single-query
+    /// and batch p99, so a class that only ever sends batches still gets
+    /// a hint (0 when nothing has been recorded yet) — roughly how long
+    /// one queued request takes to drain, so retrying after it has a
     /// fair chance of finding a free slot.
     pub fn retry_after_hint_micros(&self, class_name: &str) -> u64 {
         let class = self.metrics.register_class(class_name);
-        self.metrics
-            .stage_histogram(Stage::QueryTotal, class)
-            .quantile(0.99)
+        let p99 = |stage| self.metrics.stage_histogram(stage, class).quantile(0.99);
+        p99(Stage::QueryTotal).max(p99(Stage::BatchTotal))
     }
 
     /// The shared morsel worker pool, when the executor is parallel —
     /// its scheduler statistics are also folded into
     /// [`PersonalizationEngine::metrics_snapshot`].
     pub fn morsel_pool(&self) -> Option<&Arc<MorselPool>> {
-        self.morsel_pool.as_ref()
+        self.query_engine.pool()
     }
 
     /// Sets the scheduling and admission policy of a session class
@@ -1115,27 +1105,10 @@ impl PersonalizationEngine {
     /// budgets steer admission of subsequent queries.
     pub fn set_tenant_policy(&self, class_name: &str, policy: TenantPolicy) -> ClassId {
         let class = self.metrics.register_class(class_name);
-        if let Some(pool) = &self.morsel_pool {
+        if let Some(pool) = self.morsel_pool() {
             pool.set_policy(class, policy);
         }
         class
-    }
-
-    /// One step of the scheduler's latency-target feedback loop: reads
-    /// each tenant's windowed `query_total` p99 from the registry and
-    /// rebalances worker shares toward tenants missing their
-    /// [`TenantPolicy::target_p99_micros`]. Returns the class names
-    /// whose effective share changed. Call it from an operator loop, or
-    /// start the pool's autotune thread for a fixed cadence.
-    pub fn rebalance_worker_shares(&self) -> Vec<(String, u32)> {
-        match &self.morsel_pool {
-            None => Vec::new(),
-            Some(pool) => pool
-                .rebalance()
-                .into_iter()
-                .map(|(class, share)| (self.metrics.class_name(class), share))
-                .collect(),
-        }
     }
 
     /// One aggregate observability snapshot: per-stage latency summaries
@@ -1198,7 +1171,7 @@ impl PersonalizationEngine {
                 ("ingest_worker_down".to_string(), ingest.worker_down as i64),
             ]);
         }
-        if let Some(pool) = &self.morsel_pool {
+        if let Some(pool) = self.morsel_pool() {
             let stats = pool.stats();
             let names = self.metrics.class_names();
             snap.gauges
@@ -1220,7 +1193,7 @@ impl PersonalizationEngine {
                         format!("scheduler_in_flight_{name}"),
                         tenant.in_flight as i64,
                     ),
-                    (format!("scheduler_share_{name}"), tenant.share as i64),
+                    (format!("scheduler_share_{name}"), tenant.weight as i64),
                 ]);
                 if tenant.shed_total > 0 {
                     snap.counters

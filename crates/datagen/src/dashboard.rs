@@ -147,10 +147,11 @@ mod tests {
         let engine = sdwp_olap::QueryEngine::new();
         for regime in OverlapRegime::ALL {
             let batch = dashboard_batch(regime, 6, crate::ScenarioConfig::tiny().cities);
-            for (query, result) in batch
-                .iter()
-                .zip(engine.execute_batch(&scenario.cube, &batch))
-            {
+            for (query, result) in batch.iter().zip(engine.execute_batch_with_view(
+                &scenario.cube,
+                &batch,
+                &sdwp_olap::InstanceView::unrestricted(),
+            )) {
                 let result = result.unwrap();
                 assert_eq!(result, engine.execute(&scenario.cube, query).unwrap());
             }

@@ -3,12 +3,18 @@
 //!
 //! # Execution model
 //!
-//! Execution is a two-phase *morsel* pipeline in the style of
-//! morsel-driven parallelism: the fact table is split into fixed-size row
-//! chunks ("morsels"); scoped worker threads pull morsel indices from a
-//! shared atomic counter and run filter + partial aggregation per morsel
-//! into a private hash table; the partial [`Accumulator`] states are then
-//! merged **in morsel-index order** and finalised once.
+//! There is **one executor**. A request is a batch of queries over one
+//! snapshot and one personalized view — a single query is the batch of
+//! one — and it runs as a two-phase *morsel* pipeline in the style of
+//! morsel-driven parallelism: every query is resolved and planned up
+//! front, queries over the same fact share one pass over that fact's
+//! rows, and the fact table is split into fixed-size row chunks
+//! ("morsels"). The calling thread and up to `workers - 1` workers of
+//! the engine's [`MorselPool`] pull morsel indices from a shared atomic
+//! counter and run filter + partial aggregation per morsel; the partial
+//! [`Accumulator`] states are then merged **in morsel-index order** and
+//! finalised once. A one-worker configuration has no pool and runs the
+//! same loop inline.
 //!
 //! Because morsel boundaries and the merge order depend only on
 //! [`ExecutionConfig::morsel_rows`] — never on the worker count or on
@@ -60,11 +66,11 @@ use crate::dicts::{attr_key, GroupDictCache, GroupKeys, NULL_KEY};
 use crate::error::OlapError;
 use crate::hash::FxHashMap;
 use crate::kernels::NumericAgg;
-use crate::pool::MorselPool;
+use crate::pool::{MorselPool, PoolConfig};
 use crate::query::{AttributeRef, Query, QueryResult, ResultRow};
 use crate::table::Table;
 use crate::value::CellValue;
-use crate::view::{InstanceView, ResolvedViewCheck};
+use crate::view::InstanceView;
 use sdwp_model::AggregationFunction;
 use sdwp_obs::{ClassId, MetricsRegistry, SlowQueryRecord, Stage};
 use std::collections::hash_map::Entry;
@@ -331,9 +337,8 @@ struct FilterClass {
     /// would do — equal class keys imply equal selection semantics.
     rep: usize,
     /// No view restriction and no filters: the selection is exactly the
-    /// live-run structure of the morsel, with no per-row work at all
-    /// (the batch analogue of the vectorised path's unrestricted fast
-    /// path, here available to every execution path).
+    /// live-run structure of the morsel, with no per-row work at all,
+    /// whichever accumulation path the members take.
     unrestricted: bool,
     /// Every member runs the vectorised ungrouped path, which consumes
     /// contiguous runs directly — an unrestricted class then never
@@ -380,12 +385,12 @@ pub struct QueryObs<'a> {
     pub generation: u64,
 }
 
-/// Runs one query's morsel loop on the calling thread plus up to
-/// `helpers` shared-pool workers, collecting every participant's
-/// partials. Collection order across participants is arbitrary —
-/// [`merge_partials`] sorts by morsel index, which is what keeps pooled
-/// execution bit-identical to the scoped executor regardless of how
-/// many helpers the scheduler actually dispatched.
+/// Runs a fact group's morsel loop on the calling thread plus up to
+/// `helpers` pool workers, collecting every participant's partials.
+/// Collection order across participants is arbitrary —
+/// [`merge_partials`] sorts by morsel index, which is what keeps the
+/// result bit-identical regardless of how many helpers the scheduler
+/// actually dispatched.
 fn run_pooled<T: Send>(
     pool: &MorselPool,
     tenant: ClassId,
@@ -412,9 +417,10 @@ fn run_pooled<T: Send>(
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Runs the single-participant (`workers <= 1`) scan with the same
-/// containment contract as the pooled path: a panic poisons the token
-/// and returns no partials instead of unwinding into the caller.
+/// Runs the single-participant (`workers <= 1`, hence pool-less) scan
+/// with the same containment contract as the pooled path: a panic
+/// poisons the token and returns no partials instead of unwinding into
+/// the caller.
 fn run_contained<T>(cancel: &CancelToken, scan: &impl Fn() -> Vec<T>) -> Vec<T> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(scan)) {
         Ok(partials) => partials,
@@ -464,18 +470,77 @@ fn query_shape(query: &Query) -> String {
     )
 }
 
+/// Which public entry point an executor run reports as. The pipeline is
+/// the same either way; the label only picks the stage family samples
+/// are recorded under and the shape a fact group is journaled with, so
+/// dashboards keep telling a single aggregate from a panel refresh.
+#[derive(Clone, Copy)]
+enum ReportAs {
+    /// [`QueryEngine::execute_with_view_cancellable`]: a batch of one.
+    Single,
+    /// [`QueryEngine::execute_batch_cancellable`].
+    Batch,
+}
+
+impl ReportAs {
+    /// The resolve / scan / merge / finalize stages of this entry.
+    fn stages(self) -> [Stage; 4] {
+        match self {
+            ReportAs::Single => [
+                Stage::QueryResolve,
+                Stage::QueryScan,
+                Stage::QueryMerge,
+                Stage::QueryFinalize,
+            ],
+            ReportAs::Batch => [
+                Stage::BatchResolve,
+                Stage::BatchScan,
+                Stage::BatchMerge,
+                Stage::BatchFinalize,
+            ],
+        }
+    }
+
+    /// The slow-query journal's description of one fact group.
+    fn shape(self, group: &FactGroup<'_>) -> String {
+        match self {
+            ReportAs::Single => query_shape(group.queries[0].query),
+            ReportAs::Batch => format!("batch:{}×{}", group.fact, group.queries.len()),
+        }
+    }
+}
+
+/// Evaluates the error-injecting failpoint `site` (see [`crate::fault`]):
+/// `Ok` unless the point is armed with an `Error` action and due, in
+/// which case the injected message comes back as the typed error the
+/// executor reports for that query or morsel. Constant `Ok(())` without
+/// the `failpoints` feature.
+#[inline]
+fn injected(_site: &str) -> Result<(), OlapError> {
+    crate::fail_point!(_site, |message: String| Err(OlapError::InvalidQuery {
+        message: format!("injected: {message}"),
+    }));
+    Ok(())
+}
+
 /// Executes [`Query`]s against a [`Cube`], optionally through an
 /// [`InstanceView`] (the personalized selection produced by the
 /// `SelectInstance` action).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct QueryEngine {
     config: ExecutionConfig,
-    /// The shared morsel worker pool parallel scans run on. `None`
-    /// falls back to per-query `std::thread::scope` spawns (the
-    /// pre-pool executor, kept as the equivalence reference and for
-    /// standalone `QueryEngine` uses that never see enough queries to
-    /// amortise a pool).
+    /// The morsel worker pool parallel scans run on — shared with other
+    /// engines ([`QueryEngine::with_pool`]) or private to this one and
+    /// its clones ([`QueryEngine::with_config`]). `None` exactly when
+    /// the configuration resolves to one worker: everything then runs
+    /// inline on the calling thread.
     pool: Option<Arc<MorselPool>>,
+}
+
+impl Default for QueryEngine {
+    fn default() -> Self {
+        QueryEngine::with_config(ExecutionConfig::default())
+    }
 }
 
 impl QueryEngine {
@@ -485,16 +550,21 @@ impl QueryEngine {
     }
 
     /// Creates a query engine with an explicit execution configuration.
+    /// A configuration of N > 1 workers gets a private [`MorselPool`] of
+    /// N − 1 helpers (the calling thread is always the Nth participant),
+    /// shut down and joined when the last clone of the engine drops.
     pub fn with_config(config: ExecutionConfig) -> Self {
-        QueryEngine { config, pool: None }
+        let helpers = config.effective_workers().saturating_sub(1);
+        let pool = (helpers > 0)
+            .then(|| Arc::new(MorselPool::new(PoolConfig::default().with_workers(helpers))));
+        QueryEngine { config, pool }
     }
 
     /// Creates a query engine whose parallel scans run on a shared
-    /// [`MorselPool`] instead of per-query `thread::scope` spawns: the
-    /// calling thread always scans, and up to `workers - 1` pool
-    /// workers join it subject to the pool's per-tenant scheduling.
-    /// Results are bit-identical to the scoped executor (enforced by
-    /// the `pool_equivalence` property suite).
+    /// [`MorselPool`]: the calling thread always scans, and up to
+    /// `workers - 1` pool workers join it subject to the pool's
+    /// per-tenant scheduling. Results do not depend on which pool serves
+    /// the scan (enforced by the `pool_equivalence` property suite).
     pub fn with_pool(config: ExecutionConfig, pool: Arc<MorselPool>) -> Self {
         QueryEngine {
             config,
@@ -502,7 +572,8 @@ impl QueryEngine {
         }
     }
 
-    /// The shared morsel pool, when this engine executes on one.
+    /// The morsel pool this engine executes on (`None` for a one-worker
+    /// configuration).
     pub fn pool(&self) -> Option<&Arc<MorselPool>> {
         self.pool.as_ref()
     }
@@ -529,27 +600,16 @@ impl QueryEngine {
         query: &Query,
         view: &InstanceView,
     ) -> Result<QueryResult, OlapError> {
-        self.execute_with_view_cached(cube, query, view, None)
+        self.execute_with_view_observed(cube, query, view, None, None)
     }
 
     /// [`QueryEngine::execute_with_view`] with an optional group-key
-    /// dictionary cache: `dicts` names the cache and the snapshot
-    /// generation `cube` was published at, so group-by dictionaries are
-    /// reused across queries instead of being rebuilt O(dimension
-    /// members) each time. Pass `None` to build per query.
-    pub fn execute_with_view_cached(
-        &self,
-        cube: &Cube,
-        query: &Query,
-        view: &InstanceView,
-        dicts: Option<(&GroupDictCache, u64)>,
-    ) -> Result<QueryResult, OlapError> {
-        self.execute_with_view_observed(cube, query, view, dicts, None)
-    }
-
-    /// [`QueryEngine::execute_with_view_cached`] with optional stage
-    /// timing: when `obs` names an enabled registry, the resolve / scan /
-    /// merge / finalize phases are timed individually and recorded as
+    /// dictionary cache and optional stage timing. `dicts` names the
+    /// cache and the snapshot generation `cube` was published at, so
+    /// group-by dictionaries are reused across queries instead of being
+    /// rebuilt O(dimension members) each time (`None` builds per query).
+    /// When `obs` names an enabled registry, the resolve / scan / merge /
+    /// finalize phases are timed individually and recorded as
     /// [`Stage::QueryResolve`]..[`Stage::QueryFinalize`] keyed by the
     /// context's session class, and queries slower than the registry's
     /// journal threshold are journaled with their per-stage breakdown.
@@ -563,8 +623,7 @@ impl QueryEngine {
         dicts: Option<(&GroupDictCache, u64)>,
         obs: Option<QueryObs<'_>>,
     ) -> Result<QueryResult, OlapError> {
-        let cancel =
-            CancelToken::with_deadline(self.config.deadline.map(|budget| Instant::now() + budget));
+        let cancel = self.default_token();
         self.execute_with_view_cancellable(cube, query, view, dicts, obs, &cancel)
     }
 
@@ -575,8 +634,12 @@ impl QueryEngine {
     /// between morsels; a tripped token surfaces as the typed
     /// [`OlapError::DeadlineExceeded`] / [`OlapError::ExecutionPanicked`]
     /// with **no partial state**: nothing was merged, nothing reaches
-    /// any cache, and (on the pooled path) a participant panic is
-    /// contained to this query instead of unwinding into the caller.
+    /// any cache, and a participant panic is contained to this query
+    /// instead of unwinding into the caller.
+    ///
+    /// A single query is the batch of one: this is
+    /// [`QueryEngine::execute_batch_cancellable`] over
+    /// `slice::from_ref(query)`, reporting under the `Query*` stages.
     pub fn execute_with_view_cancellable(
         &self,
         cube: &Cube,
@@ -586,151 +649,10 @@ impl QueryEngine {
         obs: Option<QueryObs<'_>>,
         cancel: &CancelToken,
     ) -> Result<QueryResult, OlapError> {
-        // The tenant class keys pool scheduling even when the registry
-        // is disabled, so capture it before the enabled filter.
-        let tenant = obs.map(|o| o.class).unwrap_or_default();
-        let obs = obs.filter(|o| o.registry.is_enabled());
-        let mut clock = obs.map(|_| Instant::now());
-
-        crate::fail_point!("query.resolve", |message: String| Err(
-            OlapError::InvalidQuery {
-                message: format!("injected: {message}"),
-            }
-        ));
-        let resolved = resolve(cube, query)?;
-        let fact_table = &cube.fact_table(&query.fact)?.table;
-        let plan = if query.group_by.is_empty() {
-            GroupPlan::ungrouped()
-        } else {
-            let mut lookup = keys_lookup(dicts);
-            build_group_plan(
-                cube,
-                query,
-                fact_table,
-                &resolved,
-                self.config.group_slot_limit,
-                &mut lookup,
-            )
-        };
-        let resolve_micros = lap(&mut clock);
-        let total_rows = fact_table.len();
-        let morsel_rows = self.config.morsel_rows.max(1);
-        let morsel_count = total_rows.div_ceil(morsel_rows);
-        let workers = self
-            .config
-            .effective_workers()
-            .clamp(1, morsel_count.max(1));
-
-        let next_morsel = AtomicUsize::new(0);
-        let scan_morsels = || {
-            scan_assigned_morsels(
-                cube,
-                query,
-                view,
-                &resolved,
-                &plan,
-                fact_table,
-                &next_morsel,
-                morsel_count,
-                morsel_rows,
-                total_rows,
-                cancel,
-            )
-        };
-
-        let partials: Vec<(usize, Result<MorselPartial, OlapError>)> = if workers <= 1 {
-            run_contained(cancel, &scan_morsels)
-        } else if let Some(pool) = &self.pool {
-            run_pooled(pool, tenant, workers - 1, cancel, &scan_morsels)
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(scan_morsels)).collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().expect("morsel worker panicked"))
-                    .collect()
-            })
-        };
-        let scan_micros = lap(&mut clock);
-
-        // Terminal-state check, not a clock check: a deadline that
-        // expires *after* the last morsel was scanned no longer fails
-        // the query, but a tripped token means morsel indices were
-        // consumed without being scanned — merging would silently
-        // produce wrong results, so bail with the typed error. The
-        // abnormal exit is journaled unconditionally (slow or not) with
-        // its terminal stage marked, so cancelled and panicked queries
-        // never vanish from the operator's view.
-        if let Some(error) = cancel.terminal_error() {
-            if let Some(o) = obs {
-                o.registry
-                    .record_micros(Stage::QueryResolve, o.class, resolve_micros);
-                o.registry
-                    .record_micros(Stage::QueryScan, o.class, scan_micros);
-                o.registry.journal().record(SlowQueryRecord {
-                    shape: query_shape(query),
-                    class: o.registry.class_name(o.class),
-                    generation: o.generation,
-                    workers,
-                    resolve_micros,
-                    scan_micros,
-                    merge_micros: 0,
-                    finalize_micros: 0,
-                    total_micros: resolve_micros + scan_micros,
-                    outcome: journal_outcome(&error).to_string(),
-                });
-            }
-            return Err(error);
-        }
-
-        crate::fail_point!("query.merge", |message: String| Err(
-            OlapError::InvalidQuery {
-                message: format!("injected: {message}"),
-            }
-        ));
-        let (rows, facts_scanned, facts_matched) = merge_partials(&resolved, &plan, partials)?;
-        let merge_micros = lap(&mut clock);
-        let result = materialise(query, &resolved, rows, facts_scanned, facts_matched);
-        let finalize_micros = lap(&mut clock);
-
-        if let Some(o) = obs {
-            o.registry
-                .record_micros(Stage::QueryResolve, o.class, resolve_micros);
-            o.registry
-                .record_micros(Stage::QueryScan, o.class, scan_micros);
-            o.registry
-                .record_micros(Stage::QueryMerge, o.class, merge_micros);
-            o.registry
-                .record_micros(Stage::QueryFinalize, o.class, finalize_micros);
-            let total_micros = resolve_micros + scan_micros + merge_micros + finalize_micros;
-            let journal = o.registry.journal();
-            if journal.is_slow(total_micros) {
-                journal.record(SlowQueryRecord {
-                    shape: query_shape(query),
-                    class: o.registry.class_name(o.class),
-                    generation: o.generation,
-                    workers,
-                    resolve_micros,
-                    scan_micros,
-                    merge_micros,
-                    finalize_micros,
-                    total_micros,
-                    outcome: sdwp_obs::OUTCOME_COMPLETED.to_string(),
-                });
-            }
-        }
-        Ok(result)
-    }
-
-    /// Executes a batch of queries against one snapshot in a single
-    /// shared morsel pass, without personalization. See
-    /// [`QueryEngine::execute_batch_with_view`].
-    pub fn execute_batch(
-        &self,
-        cube: &Cube,
-        queries: &[Query],
-    ) -> Vec<Result<QueryResult, OlapError>> {
-        self.execute_batch_cached(cube, queries, &InstanceView::unrestricted(), None)
+        let queries = std::slice::from_ref(query);
+        self.run(ReportAs::Single, cube, queries, view, dicts, obs, cancel)
+            .pop()
+            .expect("one result per submitted query")
     }
 
     /// Executes a batch of queries through one personalized view in a
@@ -743,10 +665,9 @@ impl QueryEngine {
     /// within a morsel one selection vector is materialised per
     /// *filter class* — queries whose canonicalised filter sets coincide
     /// share it — then fed to every member query's own accumulation path
-    /// (vectorised / flat-slot / hashed, the same choice its standalone
-    /// execution makes). Per-query partials merge in morsel-index order,
-    /// so **every result is bit-identical to the query's standalone
-    /// [`QueryEngine::execute_with_view`] execution** — the
+    /// (vectorised / flat-slot / hashed). Per-query partials merge in
+    /// morsel-index order, so **every result is bit-identical to the
+    /// query's own [`QueryEngine::execute_with_view`] execution** — the
     /// `batch_equivalence` property suite enforces this.
     ///
     /// Per-query errors (resolution or scan) come back in the query's
@@ -757,26 +678,15 @@ impl QueryEngine {
         queries: &[Query],
         view: &InstanceView,
     ) -> Vec<Result<QueryResult, OlapError>> {
-        self.execute_batch_cached(cube, queries, view, None)
+        self.execute_batch_observed(cube, queries, view, None, None)
     }
 
     /// [`QueryEngine::execute_batch_with_view`] with an optional
     /// group-key dictionary cache (see
-    /// [`QueryEngine::execute_with_view_cached`]); within the batch,
-    /// dictionaries are shared per attribute even without a cache.
-    pub fn execute_batch_cached(
-        &self,
-        cube: &Cube,
-        queries: &[Query],
-        view: &InstanceView,
-        dicts: Option<(&GroupDictCache, u64)>,
-    ) -> Vec<Result<QueryResult, OlapError>> {
-        self.execute_batch_observed(cube, queries, view, dicts, None)
-    }
-
-    /// [`QueryEngine::execute_batch_cached`] with optional stage timing:
-    /// resolution of the whole batch records once as
-    /// [`Stage::BatchResolve`]; each fact group's shared morsel pass,
+    /// [`QueryEngine::execute_with_view_observed`]; within the batch,
+    /// dictionaries are shared per attribute even without a cache) and
+    /// optional stage timing: resolution of the whole batch records once
+    /// as [`Stage::BatchResolve`]; each fact group's shared morsel pass,
     /// per-query merges and materialisation record as
     /// [`Stage::BatchScan`] / [`Stage::BatchMerge`] /
     /// [`Stage::BatchFinalize`]; fact groups slower than the journal
@@ -789,8 +699,7 @@ impl QueryEngine {
         dicts: Option<(&GroupDictCache, u64)>,
         obs: Option<QueryObs<'_>>,
     ) -> Vec<Result<QueryResult, OlapError>> {
-        let cancel =
-            CancelToken::with_deadline(self.config.deadline.map(|budget| Instant::now() + budget));
+        let cancel = self.default_token();
         self.execute_batch_cancellable(cube, queries, view, dicts, obs, &cancel)
     }
 
@@ -810,8 +719,33 @@ impl QueryEngine {
         obs: Option<QueryObs<'_>>,
         cancel: &CancelToken,
     ) -> Vec<Result<QueryResult, OlapError>> {
+        self.run(ReportAs::Batch, cube, queries, view, dicts, obs, cancel)
+    }
+
+    /// A token carrying the configured default deadline, starting now.
+    fn default_token(&self) -> CancelToken {
+        CancelToken::with_deadline(self.config.deadline.map(|budget| Instant::now() + budget))
+    }
+
+    /// The one executor: resolve → filter classes → one morsel loop per
+    /// fact group → [`merge_partials`] → [`materialise`], one result per
+    /// submitted query, in input order.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &self,
+        report_as: ReportAs,
+        cube: &Cube,
+        queries: &[Query],
+        view: &InstanceView,
+        dicts: Option<(&GroupDictCache, u64)>,
+        obs: Option<QueryObs<'_>>,
+        cancel: &CancelToken,
+    ) -> Vec<Result<QueryResult, OlapError>> {
+        // The tenant class keys pool scheduling even when the registry
+        // is disabled, so capture it before the enabled filter.
         let tenant = obs.map(|o| o.class).unwrap_or_default();
         let obs = obs.filter(|o| o.registry.is_enabled());
+        let [resolve_stage, scan_stage, merge_stage, finalize_stage] = report_as.stages();
         let mut clock = obs.map(|_| Instant::now());
         let mut results: Vec<Option<Result<QueryResult, OlapError>>> =
             (0..queries.len()).map(|_| None).collect();
@@ -827,7 +761,7 @@ impl QueryEngine {
         let mut groups_by_fact: Vec<FactGroup<'_>> = Vec::new();
         let mut fact_index: HashMap<&str, usize> = HashMap::new();
         for (index, query) in queries.iter().enumerate() {
-            let resolved = match resolve(cube, query) {
+            let resolved = match injected("query.resolve").and_then(|()| resolve(cube, query)) {
                 Ok(resolved) => resolved,
                 Err(error) => {
                     results[index] = Some(Err(error));
@@ -911,12 +845,12 @@ impl QueryEngine {
         let resolve_micros = lap(&mut clock);
         if let Some(o) = obs {
             o.registry
-                .record_micros(Stage::BatchResolve, o.class, resolve_micros);
+                .record_micros(resolve_stage, o.class, resolve_micros);
         }
 
-        // Phase 3: one morsel-parallel pass per fact group, every worker
-        // producing all member queries' partials for its morsels; then
-        // per-query merges in morsel order (identical to standalone).
+        // Phase 3: one morsel-parallel pass per fact group, every
+        // participant producing all member queries' partials for its
+        // morsels; then per-query merges in morsel order.
         for group in &groups_by_fact {
             let fact_table = &cube
                 .fact_table(group.fact)
@@ -943,18 +877,14 @@ impl QueryEngine {
                     cancel,
                 )
             };
-            let collected: Vec<(usize, Vec<Result<MorselPartial, OlapError>>)> = if workers <= 1 {
-                run_contained(cancel, &scan_morsels)
-            } else if let Some(pool) = &self.pool {
-                run_pooled(pool, tenant, workers - 1, cancel, &scan_morsels)
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers).map(|_| scope.spawn(scan_morsels)).collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|handle| handle.join().expect("batch morsel worker panicked"))
-                        .collect()
-                })
+            // The one dispatch rule. Every constructor pairs a parallel
+            // configuration with a pool, so the inline arm is exactly
+            // the one-participant case.
+            let collected: Vec<(usize, Vec<Result<MorselPartial, OlapError>>)> = match &self.pool {
+                Some(pool) if workers > 1 => {
+                    run_pooled(pool, tenant, workers - 1, cancel, &scan_morsels)
+                }
+                _ => run_contained(cancel, &scan_morsels),
             };
             let mut per_query: Vec<Vec<(usize, Result<MorselPartial, OlapError>)>> = group
                 .queries
@@ -967,69 +897,58 @@ impl QueryEngine {
                 }
             }
             let scan_micros = lap(&mut clock);
-            // A token that tripped during this group's scan: its
-            // members (and every group not yet scanned) fail with the
-            // typed error; groups that already finished keep their
-            // results. Journaled unconditionally with the terminal
-            // stage marked, like the standalone path.
-            if let Some(error) = cancel.terminal_error() {
-                if let Some(o) = obs {
-                    o.registry
-                        .record_micros(Stage::BatchScan, o.class, scan_micros);
-                    o.registry.journal().record(SlowQueryRecord {
-                        shape: format!("batch:{}×{}", group.fact, group.queries.len()),
-                        class: o.registry.class_name(o.class),
-                        generation: o.generation,
-                        workers,
-                        resolve_micros,
-                        scan_micros,
-                        merge_micros: 0,
-                        finalize_micros: 0,
-                        total_micros: resolve_micros + scan_micros,
-                        outcome: journal_outcome(&error).to_string(),
-                    });
-                }
-                for slot in results.iter_mut().filter(|slot| slot.is_none()) {
-                    *slot = Some(Err(error.clone()));
-                }
-                break;
-            }
+            // Terminal-state check, not a clock check: a deadline that
+            // expires *after* the last morsel was scanned no longer fails
+            // the group, but a tripped token means morsel indices were
+            // consumed without being scanned — merging would silently
+            // produce wrong results. The group's members (and every
+            // group not yet scanned) fail with the typed error; groups
+            // that already finished keep their results. The abnormal
+            // exit is journaled unconditionally (slow or not) with its
+            // terminal stage marked, so cancelled and panicked queries
+            // never vanish from the operator's view.
+            let terminal = cancel.terminal_error();
             // Merge every member's partials first, materialise second, so
-            // the two phases time separately (the work is identical to
-            // the interleaved loop — merges and materialisations are
-            // independent per member).
-            let merged: Vec<_> = group
-                .queries
-                .iter()
-                .zip(per_query)
-                .map(|(member, partials)| merge_partials(&member.resolved, &member.plan, partials))
-                .collect();
-            let merge_micros = lap(&mut clock);
-            for (member, outcome) in group.queries.iter().zip(merged) {
-                results[member.index] =
-                    Some(outcome.map(|(rows, facts_scanned, facts_matched)| {
-                        materialise(
-                            member.query,
-                            &member.resolved,
-                            rows,
-                            facts_scanned,
-                            facts_matched,
-                        )
-                    }));
+            // the two phases time separately (merges and materialisations
+            // are independent per member).
+            let (mut merge_micros, mut finalize_micros) = (0, 0);
+            if terminal.is_none() {
+                let merged: Vec<_> = group
+                    .queries
+                    .iter()
+                    .zip(per_query)
+                    .map(|(member, partials)| {
+                        injected("query.merge")
+                            .and_then(|()| merge_partials(&member.resolved, &member.plan, partials))
+                    })
+                    .collect();
+                merge_micros = lap(&mut clock);
+                for (member, outcome) in group.queries.iter().zip(merged) {
+                    results[member.index] =
+                        Some(outcome.map(|(rows, facts_scanned, facts_matched)| {
+                            materialise(
+                                member.query,
+                                &member.resolved,
+                                rows,
+                                facts_scanned,
+                                facts_matched,
+                            )
+                        }));
+                }
+                finalize_micros = lap(&mut clock);
             }
-            let finalize_micros = lap(&mut clock);
             if let Some(o) = obs {
-                o.registry
-                    .record_micros(Stage::BatchScan, o.class, scan_micros);
-                o.registry
-                    .record_micros(Stage::BatchMerge, o.class, merge_micros);
-                o.registry
-                    .record_micros(Stage::BatchFinalize, o.class, finalize_micros);
+                o.registry.record_micros(scan_stage, o.class, scan_micros);
+                if terminal.is_none() {
+                    o.registry.record_micros(merge_stage, o.class, merge_micros);
+                    o.registry
+                        .record_micros(finalize_stage, o.class, finalize_micros);
+                }
                 let total_micros = resolve_micros + scan_micros + merge_micros + finalize_micros;
                 let journal = o.registry.journal();
-                if journal.is_slow(total_micros) {
+                if terminal.is_some() || journal.is_slow(total_micros) {
                     journal.record(SlowQueryRecord {
-                        shape: format!("batch:{}×{}", group.fact, group.queries.len()),
+                        shape: report_as.shape(group),
                         class: o.registry.class_name(o.class),
                         generation: o.generation,
                         workers,
@@ -1038,14 +957,23 @@ impl QueryEngine {
                         merge_micros,
                         finalize_micros,
                         total_micros,
-                        outcome: sdwp_obs::OUTCOME_COMPLETED.to_string(),
+                        outcome: terminal
+                            .as_ref()
+                            .map_or(sdwp_obs::OUTCOME_COMPLETED, journal_outcome)
+                            .to_string(),
                     });
                 }
+            }
+            if let Some(error) = terminal {
+                for slot in results.iter_mut().filter(|slot| slot.is_none()) {
+                    *slot = Some(Err(error.clone()));
+                }
+                break;
             }
         }
         results
             .into_iter()
-            .map(|result| result.expect("every batch query resolved or executed"))
+            .map(|result| result.expect("every query resolved or executed"))
             .collect()
     }
 
@@ -1291,7 +1219,7 @@ fn build_group_plan(
 /// Scans one contiguous row range, accumulating into `groups` — the
 /// row-at-a-time **serial reference**: every value goes through
 /// [`Table::get`]'s `CellValue` materialisation. The morsel pipeline's
-/// typed and vectorised scans ([`scan_morsel`]) must stay observably
+/// typed and vectorised scans ([`scan_batch_morsel`]) must stay observably
 /// equivalent to this loop — same groups, same counters, same error for
 /// the same first failing row — which the storage-equivalence and
 /// parallel-equivalence property suites enforce.
@@ -1387,111 +1315,6 @@ fn scan_range(
     Ok((facts_scanned, facts_matched))
 }
 
-/// One morsel of the parallel pipeline. Dispatches between the
-/// vectorised kernel path (no grouping, all measures numeric), the flat
-/// dense-slot grouped path, and the integer-keyed hashed path; all are
-/// equivalent to [`scan_range`] — the serial reference the property
-/// suites compare against — by the shared per-row selection semantics
-/// and, for floats, by summing in ascending row order within the morsel.
-#[allow(clippy::too_many_arguments)]
-fn scan_morsel(
-    cube: &Cube,
-    query: &Query,
-    view: &InstanceView,
-    resolved: &Resolved<'_>,
-    plan: &GroupPlan,
-    fact_table: &Table,
-    rows: Range<usize>,
-    sel: &mut Vec<u32>,
-    scratch: &mut Option<FlatScratch>,
-) -> Result<MorselPartial, OlapError> {
-    if resolved.vectorised {
-        let mut groups = Vec::new();
-        let (facts_scanned, facts_matched) =
-            scan_morsel_vectorised(cube, query, view, resolved, fact_table, rows, &mut groups)?;
-        Ok(MorselPartial {
-            groups: MorselGroups::Keyed(groups),
-            facts_scanned,
-            facts_matched,
-        })
-    } else {
-        // Selection first (shared with the batch executor), then the
-        // grouped accumulation path the plan chose.
-        let (facts_scanned, facts_matched) =
-            select_rows(cube, query, view, resolved, fact_table, rows, sel)?;
-        if let Some(scratch) = scratch {
-            accumulate_flat(
-                cube,
-                query,
-                resolved,
-                plan,
-                fact_table,
-                sel,
-                facts_scanned,
-                facts_matched,
-                scratch,
-            )
-        } else {
-            let mut groups = Vec::new();
-            accumulate_hashed(cube, query, resolved, plan, fact_table, sel, &mut groups)?;
-            Ok(MorselPartial {
-                groups: MorselGroups::Keyed(groups),
-                facts_scanned,
-                facts_matched,
-            })
-        }
-    }
-}
-
-/// Materialises one morsel's selection vector — the surviving row ids
-/// after liveness, view and filter checks, through the shared
-/// [`row_selected`] semantics — and returns the morsel's counters. One
-/// call serves every query of a batch filter class.
-fn select_rows(
-    cube: &Cube,
-    query: &Query,
-    view: &InstanceView,
-    resolved: &Resolved<'_>,
-    fact_table: &Table,
-    rows: Range<usize>,
-    sel: &mut Vec<u32>,
-) -> Result<(usize, usize), OlapError> {
-    let view_check = resolve_view_check(cube, query, view)?;
-    let mut facts_scanned = 0usize;
-    let mut facts_matched = 0usize;
-    sel.clear();
-    for fact_row in rows {
-        if row_selected(
-            cube,
-            query,
-            view_check.as_ref(),
-            resolved,
-            fact_table,
-            fact_row,
-            &mut facts_scanned,
-            &mut facts_matched,
-        )? {
-            sel.push(fact_row as u32);
-        }
-    }
-    Ok((facts_scanned, facts_matched))
-}
-
-/// Resolves a restricted view's per-row check once per scan (FK column
-/// indices and remap chain hoisted out of the row loop); `None` for an
-/// unrestricted view, which admits every live row.
-fn resolve_view_check<'a>(
-    cube: &'a Cube,
-    query: &Query,
-    view: &'a InstanceView,
-) -> Result<Option<ResolvedViewCheck<'a>>, OlapError> {
-    if view.is_unrestricted() {
-        Ok(None)
-    } else {
-        view.resolve_for_fact(cube, &query.fact).map(Some)
-    }
-}
-
 /// A single-row typed FK read: the member id a fact row points to,
 /// through a pre-resolved column index. Value-for-value identical to
 /// [`Cube::fact_member`] (float round trip, clamping, error wording)
@@ -1506,50 +1329,62 @@ fn member_at(column: &Column, fact_row: usize) -> Result<usize, OlapError> {
     }
 }
 
-/// One row's selection decision — liveness, view, dimension filters and
-/// fact filter, with the scanned/matched counters updated in exactly the
-/// serial reference's order. Shared by every morsel scan so their
-/// counter and error semantics cannot drift apart. Both the view check
-/// and the dimension filters go through pre-resolved FK column indices
-/// (typed reads) where available.
-#[allow(clippy::too_many_arguments)]
-fn row_selected(
+/// Materialises one morsel's selection vector — the surviving row ids
+/// after liveness, view, dimension-filter and fact-filter checks, with
+/// the scanned/matched counters updated in exactly the serial
+/// reference's order (so counter and error semantics cannot drift from
+/// [`scan_range`]) — and returns the morsel's counters. One call serves
+/// every query of a filter class. Both the view check and the dimension
+/// filters go through pre-resolved FK column indices (typed reads)
+/// where available.
+fn select_rows(
     cube: &Cube,
     query: &Query,
-    view_check: Option<&ResolvedViewCheck<'_>>,
+    view: &InstanceView,
     resolved: &Resolved<'_>,
     fact_table: &Table,
-    fact_row: usize,
-    facts_scanned: &mut usize,
-    facts_matched: &mut usize,
-) -> Result<bool, OlapError> {
-    if !fact_table.is_live(fact_row) {
-        return Ok(false);
-    }
-    // An unrestricted view (no check resolved) admits every live row, so
-    // skip the per-row selection/FK walk.
-    if let Some(check) = view_check {
-        if !check.allows(cube, &query.fact, fact_table, fact_row)? {
-            return Ok(false);
+    rows: Range<usize>,
+    sel: &mut Vec<u32>,
+) -> Result<(usize, usize), OlapError> {
+    // A restricted view's per-row check is resolved once per morsel (FK
+    // column indices and remap chain hoisted out of the row loop); an
+    // unrestricted view admits every live row and skips the walk.
+    let view_check = if view.is_unrestricted() {
+        None
+    } else {
+        Some(view.resolve_for_fact(cube, &query.fact)?)
+    };
+    let mut facts_scanned = 0usize;
+    let mut facts_matched = 0usize;
+    sel.clear();
+    'rows: for fact_row in rows {
+        if !fact_table.is_live(fact_row) {
+            continue;
         }
-    }
-    *facts_scanned += 1;
-    for (dimension, (fk, allowed)) in &resolved.allowed_members {
-        let member = match fk {
-            Some(index) => member_at(fact_table.column_at(*index), fact_row)?,
-            None => cube.fact_member(&query.fact, fact_row, dimension)?,
-        };
-        if !allowed.contains(&member) {
-            return Ok(false);
+        if let Some(check) = &view_check {
+            if !check.allows(cube, &query.fact, fact_table, fact_row)? {
+                continue;
+            }
         }
-    }
-    if let Some(filter) = &query.fact_filter {
-        if !filter.matches(fact_table, fact_row)? {
-            return Ok(false);
+        facts_scanned += 1;
+        for (dimension, (fk, allowed)) in &resolved.allowed_members {
+            let member = match fk {
+                Some(index) => member_at(fact_table.column_at(*index), fact_row)?,
+                None => cube.fact_member(&query.fact, fact_row, dimension)?,
+            };
+            if !allowed.contains(&member) {
+                continue 'rows;
+            }
         }
+        if let Some(filter) = &query.fact_filter {
+            if !filter.matches(fact_table, fact_row)? {
+                continue;
+            }
+        }
+        facts_matched += 1;
+        sel.push(fact_row as u32);
     }
-    *facts_matched += 1;
-    Ok(true)
+    Ok((facts_scanned, facts_matched))
 }
 
 /// The dense key id of one group-by attribute for one fact row: a typed
@@ -1673,8 +1508,8 @@ fn accumulate_hashed(
 /// O(cardinality) clear per morsel.
 struct FlatScratch {
     /// Group slot per selected row (parallel to the selection vector,
-    /// which lives outside the scratch: on the batch path one selection
-    /// is shared by a whole filter class).
+    /// which lives outside the scratch: one selection is shared by a
+    /// whole filter class).
     slots: Vec<u32>,
     /// FK gather buffer (member ids, parallel to the selection vector).
     members: Vec<u32>,
@@ -1838,73 +1673,6 @@ fn accumulate_run(
     }
 }
 
-/// The vectorised morsel scan for ungrouped all-numeric aggregates: the
-/// morsel's selected rows are gathered into maximal contiguous runs and
-/// each run is aggregated by the per-chunk slice kernels. When nothing
-/// restricts the scan (no view, no filters), tombstone gaps are the only
-/// run boundaries and no per-row work happens at all.
-fn scan_morsel_vectorised(
-    cube: &Cube,
-    query: &Query,
-    view: &InstanceView,
-    resolved: &Resolved<'_>,
-    fact_table: &Table,
-    rows: Range<usize>,
-    groups: &mut Vec<(GroupId, Vec<Accumulator>)>,
-) -> Result<(usize, usize), OlapError> {
-    let mut partials: Vec<NumericAgg> = vec![NumericAgg::default(); resolved.plans.len()];
-    let mut facts_scanned = 0usize;
-    let mut facts_matched = 0usize;
-
-    let unrestricted = view.is_unrestricted()
-        && resolved.allowed_members.is_empty()
-        && query.fact_filter.is_none();
-    if unrestricted {
-        for run in fact_table.live_runs(rows) {
-            facts_scanned += run.len();
-            facts_matched += run.len();
-            accumulate_run(fact_table, resolved, &mut partials, run);
-        }
-    } else {
-        // Per-row selection (the shared `row_selected` mirrors
-        // `scan_range`'s check order and error behaviour), gathering
-        // selected rows into runs.
-        let view_check = resolve_view_check(cube, query, view)?;
-        let end = rows.end;
-        let mut run_start: Option<usize> = None;
-        for fact_row in rows {
-            let selected = row_selected(
-                cube,
-                query,
-                view_check.as_ref(),
-                resolved,
-                fact_table,
-                fact_row,
-                &mut facts_scanned,
-                &mut facts_matched,
-            )?;
-            match (selected, run_start) {
-                (true, None) => run_start = Some(fact_row),
-                (false, Some(start)) => {
-                    accumulate_run(fact_table, resolved, &mut partials, start..fact_row);
-                    run_start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(start) = run_start {
-            accumulate_run(fact_table, resolved, &mut partials, start..end);
-        }
-    }
-
-    // Like the reference loop, the single (ungrouped) group exists only
-    // when at least one row matched.
-    if facts_matched > 0 {
-        groups.push((GroupId::Packed(0), absorb_partials(resolved, &partials)));
-    }
-    Ok((facts_scanned, facts_matched))
-}
-
 /// One accumulator per measure, seeded from the kernels' partial states.
 fn absorb_partials(resolved: &Resolved<'_>, partials: &[NumericAgg]) -> Vec<Accumulator> {
     resolved
@@ -1919,10 +1687,10 @@ fn absorb_partials(resolved: &Resolved<'_>, partials: &[NumericAgg]) -> Vec<Accu
         .collect()
 }
 
-/// Maximal contiguous runs of a sorted selection vector — the batch
-/// path's equivalent of [`scan_morsel_vectorised`]'s inline run
-/// detection, so both feed the slice kernels identical sub-slices (and
-/// therefore produce bit-identical float partials).
+/// Maximal contiguous runs of a sorted selection vector — the
+/// sub-slices the vectorised path feeds the slice kernels. A function of
+/// the selection alone, so float partials do not depend on which filter
+/// class (or batch) produced it.
 fn selection_runs(sel: &[u32]) -> Vec<Range<usize>> {
     let mut runs = Vec::new();
     let mut rows = sel.iter().map(|&row| row as usize);
@@ -1943,7 +1711,7 @@ fn selection_runs(sel: &[u32]) -> Vec<Range<usize>> {
 }
 
 /// The vectorised ungrouped partial over pre-computed selected-row runs
-/// (the batch path; counters come from the shared class selection).
+/// (counters come from the shared class selection).
 fn vectorised_partial(
     fact_table: &Table,
     resolved: &Resolved<'_>,
@@ -1966,79 +1734,14 @@ fn vectorised_partial(
     }
 }
 
-/// The per-worker loop of the parallel pipeline: pulls morsel indices
-/// from the shared counter until the table is exhausted, producing one
-/// partial aggregate per morsel. A morsel that errors records the error
-/// and the worker moves on, so the merge phase can always report the
-/// error of the *lowest-indexed* failing morsel — the same error the
-/// serial reference reports.
-#[allow(clippy::too_many_arguments)]
-fn scan_assigned_morsels(
-    cube: &Cube,
-    query: &Query,
-    view: &InstanceView,
-    resolved: &Resolved<'_>,
-    plan: &GroupPlan,
-    fact_table: &Table,
-    next_morsel: &AtomicUsize,
-    morsel_count: usize,
-    morsel_rows: usize,
-    total_rows: usize,
-    cancel: &CancelToken,
-) -> Vec<(usize, Result<MorselPartial, OlapError>)> {
-    let mut out = Vec::new();
-    // Worker-local selection and flat-slot buffers, sized once and
-    // reused across this worker's morsels (the slot state resets through
-    // the touched list, not by clearing whole slot vectors).
-    let mut sel: Vec<u32> = Vec::new();
-    let mut scratch = plan.flat.map(|slots| FlatScratch::new(resolved, slots));
-    loop {
-        let morsel = next_morsel.fetch_add(1, Ordering::Relaxed);
-        if morsel >= morsel_count {
-            break;
-        }
-        // Checked after the bounds check, so a trip observed here means
-        // a claimed morsel index goes unscanned — which is exactly what
-        // forces the executor's terminal-state bail-out. (A participant
-        // arriving after exhaustion must not trip the token: the query
-        // completed.)
-        if cancel.check().is_err() {
-            break;
-        }
-        #[cfg(feature = "failpoints")]
-        {
-            if let Some(message) = crate::fault::eval("query.scan.morsel") {
-                out.push((
-                    morsel,
-                    Err(OlapError::InvalidQuery {
-                        message: format!("injected: {message}"),
-                    }),
-                ));
-                continue;
-            }
-        }
-        let start = morsel * morsel_rows;
-        let end = (start + morsel_rows).min(total_rows);
-        let partial = scan_morsel(
-            cube,
-            query,
-            view,
-            resolved,
-            plan,
-            fact_table,
-            start..end,
-            &mut sel,
-            &mut scratch,
-        );
-        out.push((morsel, partial));
-    }
-    out
-}
-
-/// The per-worker loop of the batch pipeline: like
-/// [`scan_assigned_morsels`], but each pulled morsel is scanned once for
-/// the whole fact group — one selection per filter class, one partial
-/// per member query.
+/// The per-participant loop of the pipeline — the one place morsels are
+/// claimed: pulls morsel indices from the shared counter until the table
+/// is exhausted, scanning each pulled morsel once for the whole fact
+/// group (one selection per filter class, one partial per member query).
+/// A morsel that errors records the error and the participant moves on,
+/// so the merge phase can always report the error of the
+/// *lowest-indexed* failing morsel — the same error the serial reference
+/// reports.
 #[allow(clippy::too_many_arguments)]
 fn scan_assigned_batch_morsels(
     cube: &Cube,
@@ -2052,6 +1755,9 @@ fn scan_assigned_batch_morsels(
     cancel: &CancelToken,
 ) -> Vec<(usize, Vec<Result<MorselPartial, OlapError>>)> {
     let mut out = Vec::new();
+    // Participant-local selection and flat-slot buffers, sized once and
+    // reused across this participant's morsels (the slot state resets
+    // through the touched list, not by clearing whole slot vectors).
     let mut sels: Vec<Vec<u32>> = group.classes.iter().map(|_| Vec::new()).collect();
     let mut scratches: Vec<Option<FlatScratch>> = group
         .queries
@@ -2068,27 +1774,18 @@ fn scan_assigned_batch_morsels(
         if morsel >= morsel_count {
             break;
         }
-        // Same ordering discipline as `scan_assigned_morsels`.
+        // Checked after the bounds check, so a trip observed here means
+        // a claimed morsel index goes unscanned — which is exactly what
+        // forces the executor's terminal-state bail-out. (A participant
+        // arriving after exhaustion must not trip the token: the group
+        // completed.)
         if cancel.check().is_err() {
             break;
         }
-        #[cfg(feature = "failpoints")]
-        {
-            if let Some(message) = crate::fault::eval("query.batch.morsel") {
-                out.push((
-                    morsel,
-                    group
-                        .queries
-                        .iter()
-                        .map(|_| {
-                            Err(OlapError::InvalidQuery {
-                                message: format!("injected: {message}"),
-                            })
-                        })
-                        .collect(),
-                ));
-                continue;
-            }
+        if let Err(error) = injected("query.scan.morsel") {
+            let failed = group.queries.iter().map(|_| Err(error.clone()));
+            out.push((morsel, failed.collect()));
+            continue;
         }
         let start = morsel * morsel_rows;
         let end = (start + morsel_rows).min(total_rows);
@@ -2115,12 +1812,17 @@ struct ClassSelection {
     runs: Option<Vec<Range<usize>>>,
 }
 
-/// One morsel of the batch pipeline: selection once per filter class,
-/// then each member query's own accumulation path over its class's
-/// shared selection. Returns one partial per member query, in group
-/// order. A selection error is the whole class's error (each member
-/// would have hit it at the same row standalone); accumulation errors
-/// stay per query.
+/// One morsel of the pipeline: selection once per filter class, then
+/// each member query's own accumulation path — the vectorised kernels
+/// (no grouping, all measures numeric), the flat dense-slot grouped path
+/// or the integer-keyed hashed path — over its class's shared selection.
+/// All three are equivalent to [`scan_range`], the serial reference the
+/// property suites compare against, by the shared per-row selection
+/// semantics and, for floats, by summing in ascending row order within
+/// the morsel. Returns one partial per member query, in group order. A
+/// selection error is the whole class's error (each member would have
+/// hit it at the same row on its own); accumulation errors stay per
+/// query.
 fn scan_batch_morsel(
     cube: &Cube,
     view: &InstanceView,
@@ -2137,10 +1839,10 @@ fn scan_batch_morsel(
         let rep = &group.queries[class.rep];
         if class.unrestricted {
             // Tombstone gaps are the only boundaries: take the live-run
-            // structure directly — no per-row work. `row_selected` with
-            // no filters and an unrestricted view selects exactly the
-            // live rows (and cannot error), so expanding the runs yields
-            // the very vector `select_rows` would have built.
+            // structure directly — no per-row work. With no filters and
+            // an unrestricted view `select_rows` selects exactly the live
+            // rows (and cannot error), so expanding the runs yields the
+            // very vector it would have built.
             let runs = fact_table.live_runs(rows.clone());
             let live: usize = runs.iter().map(|run| run.len()).sum();
             if !class.runs_only {
@@ -2237,11 +1939,11 @@ fn scan_batch_morsel(
 }
 
 /// Merges per-morsel partials **in morsel-index order** into final group
-/// rows plus the query's counters — shared verbatim by the standalone
-/// and batch executors, so a batched query combines its accumulator
-/// state (and reports the lowest-indexed morsel's error) exactly as its
-/// standalone execution does. The merge works entirely on integer group
-/// ids; key cells are decoded only for the groups that survive.
+/// rows plus the query's counters, per member query — so a query
+/// combines its accumulator state (and reports the lowest-indexed
+/// morsel's error) the same way whatever batch it ran in. The merge
+/// works entirely on integer group ids; key cells are decoded only for
+/// the groups that survive.
 ///
 /// On the flat path the merge state is keyed by touched slot (a fast
 /// integer-hashed index into first-occurrence-ordered live-group
@@ -2339,7 +2041,7 @@ fn merge_partials(
 }
 
 /// Finalises the group rows — `(key cells, accumulators)` pairs from
-/// either executor — into a sorted, limited result.
+/// the executor or the serial reference — into a sorted, limited result.
 fn materialise(
     query: &Query,
     resolved: &Resolved<'_>,
@@ -2839,7 +2541,8 @@ mod tests {
                         .with_morsel_rows(4)
                         .with_group_slot_limit(slot_limit),
                 );
-                let batched = engine.execute_batch(&cube, &queries);
+                let batched =
+                    engine.execute_batch_with_view(&cube, &queries, &InstanceView::unrestricted());
                 assert_eq!(batched.len(), queries.len());
                 for (query, batched) in queries.iter().zip(&batched) {
                     let standalone = engine.execute(&cube, query).unwrap();
@@ -2891,7 +2594,7 @@ mod tests {
             .measure("UnitSales")
             .filter_fact(Filter::eq("ghost", "x"));
         let batch = vec![bad_resolution.clone(), good.clone(), bad_scan.clone()];
-        let results = engine.execute_batch(&cube, &batch);
+        let results = engine.execute_batch_with_view(&cube, &batch, &InstanceView::unrestricted());
         assert_eq!(
             format!("{}", results[0].as_ref().unwrap_err()),
             format!("{}", engine.execute(&cube, &bad_resolution).unwrap_err())
@@ -2909,7 +2612,9 @@ mod tests {
     #[test]
     fn empty_batch_returns_no_results() {
         let cube = sales_cube();
-        assert!(QueryEngine::new().execute_batch(&cube, &[]).is_empty());
+        assert!(QueryEngine::new()
+            .execute_batch_with_view(&cube, &[], &InstanceView::unrestricted())
+            .is_empty());
     }
 
     #[test]
@@ -2924,7 +2629,7 @@ mod tests {
         };
         let batch = vec![by_city("UnitSales"), by_city("StoreCost")];
         let view = InstanceView::unrestricted();
-        let first = engine.execute_batch_cached(&cube, &batch, &view, Some((&dicts, 1)));
+        let first = engine.execute_batch_observed(&cube, &batch, &view, Some((&dicts, 1)), None);
         assert!(first.iter().all(Result::is_ok));
         // One build for the whole batch: the second query's lookup hit
         // the batch-local memo, so the cache saw a single miss.
@@ -2932,13 +2637,13 @@ mod tests {
         assert_eq!((stats.misses, stats.entries), (1, 1));
         // A later batch at the same generation hits the cross-batch
         // cache instead of rebuilding.
-        let second = engine.execute_batch_cached(&cube, &batch, &view, Some((&dicts, 1)));
+        let second = engine.execute_batch_observed(&cube, &batch, &view, Some((&dicts, 1)), None);
         assert_eq!(first[0].as_ref().unwrap(), second[0].as_ref().unwrap());
         let stats = dicts.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // The standalone cached path shares the same dictionaries.
         let standalone = engine
-            .execute_with_view_cached(&cube, &batch[0], &view, Some((&dicts, 1)))
+            .execute_with_view_observed(&cube, &batch[0], &view, Some((&dicts, 1)), None)
             .unwrap();
         assert_eq!(&standalone, first[0].as_ref().unwrap());
         assert_eq!(dicts.stats().hits, 2);
@@ -2956,7 +2661,7 @@ mod tests {
         let expected = engine.execute(&cube, &query).unwrap();
         let run = |generation: u64| {
             engine
-                .execute_with_view_cached(&cube, &query, &view, Some((&dicts, generation)))
+                .execute_with_view_observed(&cube, &query, &view, Some((&dicts, generation)), None)
                 .unwrap()
         };
         assert_eq!(run(1), expected);

@@ -22,12 +22,13 @@
 //! * [`Filter`] — boolean and spatial predicates over dimension members and
 //!   facts;
 //! * [`Query`] / [`QueryEngine`] — morsel-parallel group-by aggregation
-//!   (roll-up, slice, dice) with optional [`InstanceView`] restriction:
-//!   fixed-size fact-row chunks are filtered and partially aggregated on
-//!   scoped worker threads ([`ExecutionConfig`] sets the worker count and
-//!   morsel size), then the partial [`aggregate::Accumulator`] states are
-//!   merged in morsel order, so results are identical for any worker
-//!   count;
+//!   (roll-up, slice, dice) with optional [`InstanceView`] restriction,
+//!   through one executor (a single query is a batch of one):
+//!   fixed-size fact-row chunks are filtered and partially aggregated by
+//!   the calling thread plus workers of a [`MorselPool`]
+//!   ([`ExecutionConfig`] sets the worker count and morsel size), then
+//!   the partial [`aggregate::Accumulator`] states are merged in morsel
+//!   order, so results are identical for any worker count;
 //! * [`QueryCache`] — a snapshot-generation-keyed result cache the serving
 //!   layer puts in front of the executor;
 //! * [`InstanceView`] — the personalized selection produced by the paper's

@@ -4,12 +4,12 @@
 //!
 //! # Why a pool
 //!
-//! Before this module, every parallel query paid to spin up its own
-//! `std::thread::scope` worker set and all queries contended for cores at
-//! equal priority — a heavy analytical tenant could starve a latency-bound
-//! dashboard tenant simply by keeping more scans in flight. The pool
-//! replaces per-query spawns with N long-lived workers (spawned once,
-//! joined on drop) and puts a *scheduler* between queries and workers:
+//! Spinning up a worker set per query costs a spawn/join round per scan
+//! and lets all queries contend for cores at equal priority — a heavy
+//! analytical tenant could starve a latency-bound dashboard tenant simply
+//! by keeping more scans in flight. The pool is the executor's only
+//! dispatcher: N long-lived workers (spawned once, joined on drop) with a
+//! *scheduler* between queries and workers:
 //! each tenant ([`ClassId`]) owns a queue of morsel task sets, and workers
 //! pull from the queues by **deficit round-robin** weighted by the
 //! tenant's [`TenantPolicy::weight`] — a tenant with weight 4 is served
@@ -21,14 +21,14 @@
 //! A query does not hand its whole scan to the pool and wait. The calling
 //! thread *always* scans (so a query makes progress even when every
 //! worker is busy with other tenants, and a `workers = 1` configuration
-//! never touches the pool), and [`MorselPool::scan`] enqueues up to
-//! `helpers` additional task items that let pool workers join the same
+//! never touches the pool), and [`MorselPool::scan_cancellable`] enqueues
+//! up to `helpers` additional task items that let pool workers join the same
 //! morsel loop. All participants pull morsel indices from the query's
 //! shared atomic counter, so how many helpers actually arrive — zero under
 //! saturation, all of them when idle — changes only latency, never
 //! results: partials still merge in morsel-index order
 //! (see [`crate::engine`]), which the `pool_equivalence` property suite
-//! enforces against the scoped executor.
+//! enforces against the serial reference.
 //!
 //! When the caller finishes its own loop the morsel counter is exhausted,
 //! so still-queued helper items can contribute nothing: they are removed
@@ -36,7 +36,10 @@
 //! helpers *already running* — which are scanning this query's morsels
 //! and must finish before the borrowed stack frames unwind. That wait is
 //! what makes the lifetime-erasing submission sound (see the safety
-//! comment in [`MorselPool::scan`]).
+//! comment in [`MorselPool::scan_cancellable`]). A participant that
+//! panics — helper or caller — poisons the query's [`CancelToken`]
+//! instead of unwinding anywhere: the other participants stop between
+//! morsels and the executor reports the typed error.
 //!
 //! # Admission control
 //!
@@ -48,17 +51,6 @@
 //! while a guaranteed tenant blocks until capacity frees (backpressure).
 //! The returned [`AdmissionGuard`] releases the slot on drop, so an
 //! execution error can never leak budget.
-//!
-//! # Feedback loop
-//!
-//! [`MorselPool::rebalance`] closes the loop with the observability
-//! layer: it reads each tenant's **windowed** `query_total` latency
-//! histogram delta since the previous call (bucket-exact, see
-//! `HistogramSnapshot::merge`) and doubles the tenant's effective
-//! scheduler share while its p99 misses [`TenantPolicy::target_p99_micros`],
-//! decaying back toward the configured weight once the tenant runs
-//! comfortably under target. Call it manually, or let
-//! [`MorselPool::start_autotune`] run it on an interval.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -66,22 +58,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::cancel::CancelToken;
-use sdwp_obs::{ClassId, HistogramSnapshot, MetricsRegistry, Stage, MAX_CLASSES};
+use sdwp_obs::{ClassId, MetricsRegistry, Stage, MAX_CLASSES};
 
 /// Number of tenant queues the pool schedules between — one per
 /// session class the metrics registry can name.
 pub const MAX_TENANTS: usize = MAX_CLASSES;
-
-/// Ceiling the rebalance feedback loop may raise a tenant's effective
-/// share to, as a multiple of its configured weight.
-const MAX_BOOST: u32 = 8;
-
-/// Minimum windowed sample count before `rebalance` trusts a tenant's
-/// p99 enough to move its share.
-const REBALANCE_MIN_SAMPLES: u64 = 8;
 
 /// Per-tenant scheduling and admission policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,10 +84,6 @@ pub struct TenantPolicy {
     /// [`ShedError`] (mirroring ingest `try_submit`), `false` blocks
     /// until capacity frees (backpressure).
     pub best_effort: bool,
-    /// Latency target for the rebalance feedback loop: while the
-    /// tenant's windowed `query_total` p99 exceeds this, its effective
-    /// share is raised. `0` opts out of rebalancing.
-    pub target_p99_micros: u64,
 }
 
 impl Default for TenantPolicy {
@@ -113,7 +93,6 @@ impl Default for TenantPolicy {
             max_in_flight: 0,
             max_queued: 0,
             best_effort: false,
-            target_p99_micros: 0,
         }
     }
 }
@@ -141,13 +120,6 @@ impl TenantPolicy {
     /// instead of blocking.
     pub fn best_effort(mut self) -> Self {
         self.best_effort = true;
-        self
-    }
-
-    /// Sets the p99 latency target the rebalance loop steers toward
-    /// (`0` opts out).
-    pub fn with_target_p99_micros(mut self, micros: u64) -> Self {
-        self.target_p99_micros = micros;
         self
     }
 }
@@ -283,9 +255,6 @@ pub struct TenantStats {
     pub in_flight: usize,
     /// Configured scheduling weight.
     pub weight: u32,
-    /// Effective share after rebalancing (equals `weight` until the
-    /// feedback loop boosts it).
-    pub share: u32,
     /// Task items dispatched to workers so far.
     pub dispatched_total: u64,
     /// Admissions shed so far.
@@ -306,38 +275,30 @@ pub struct PoolStats {
 /// `helpers` times; every dispatch runs the same closure (participants
 /// share the query's morsel counter).
 struct TaskSet {
-    /// The scan loop. Really borrows the submitting `scan` call's stack
-    /// frame; the `'static` is a lie made sound by `scan` not returning
-    /// until `outstanding` reaches zero.
+    /// The scan loop. Really borrows the submitting `scan_cancellable`
+    /// call's stack frame; the `'static` is a lie made sound by that call
+    /// not returning until `outstanding` reaches zero.
     work: &'static (dyn Fn() + Send + Sync),
-    /// The query's cancellation token, when it runs on the cancellable
-    /// path: a panicking helper poisons it so the other participants
-    /// stop scanning. Borrows the same stack frame as `work`, under the
-    /// same soundness argument.
-    cancel: Option<&'static CancelToken>,
+    /// The query's cancellation token: a panicking helper poisons it so
+    /// the other participants stop scanning. Borrows the same stack
+    /// frame as `work`, under the same soundness argument.
+    cancel: &'static CancelToken,
     tenant: usize,
     enqueued: Instant,
-    state: Mutex<TaskState>,
+    /// Queued-or-running items not yet finished; the submitter waits for
+    /// zero.
+    outstanding: Mutex<usize>,
     done: Condvar,
-}
-
-struct TaskState {
-    /// Queued-or-running items not yet finished. `scan` waits for zero.
-    outstanding: usize,
-    /// Whether any dispatched item panicked; re-raised by `scan` to
-    /// match the scoped executor's behaviour.
-    panicked: bool,
 }
 
 impl TaskSet {
     /// Marks one dispatched item finished and wakes the submitter when
     /// it was the last.
-    fn complete(&self, panicked: bool) {
-        let mut state = self.state.lock().expect("task latch poisoned");
-        state.panicked |= panicked;
-        state.outstanding -= 1;
-        if state.outstanding == 0 {
-            drop(state);
+    fn complete(&self) {
+        let mut outstanding = self.outstanding.lock().expect("task latch poisoned");
+        *outstanding -= 1;
+        if *outstanding == 0 {
+            drop(outstanding);
             self.done.notify_all();
         }
     }
@@ -348,17 +309,12 @@ impl TaskSet {
 /// never per morsel — so a single mutex does not contend.
 struct PoolInner {
     queues: Vec<VecDeque<Arc<TaskSet>>>,
-    /// Deficit round-robin credits; replenished from `shares` when the
-    /// cursor visits a backlogged tenant with no credit left.
+    /// Deficit round-robin credits; replenished from the tenant's
+    /// [`TenantPolicy::weight`] when the cursor visits a backlogged
+    /// tenant with no credit left.
     deficit: Vec<u32>,
-    /// Effective weights the scheduler serves by: the configured
-    /// [`TenantPolicy::weight`] times the rebalance boost.
-    shares: Vec<u32>,
     policies: Vec<TenantPolicy>,
     in_flight: Vec<usize>,
-    /// Cumulative `query_total` histogram at the last rebalance, per
-    /// tenant — the baseline the windowed delta is computed against.
-    rebalance_seen: Vec<HistogramSnapshot>,
     cursor: usize,
     shutdown: bool,
 }
@@ -370,8 +326,6 @@ struct Shared {
     /// Signalled when in-flight or queue capacity frees (blocking
     /// admissions wait here).
     admit_released: Condvar,
-    /// Signalled only at shutdown (the autotune thread sleeps here).
-    shutdown_cv: Condvar,
     registry: Option<Arc<MetricsRegistry>>,
     dispatched: Vec<AtomicU64>,
     shed: Vec<AtomicU64>,
@@ -389,9 +343,9 @@ impl Shared {
 
 /// Picks the next task item by weighted deficit round-robin. Visiting a
 /// backlogged tenant with no credit replenishes its deficit from its
-/// share, then items are served until the credit or the backlog runs
+/// weight, then items are served until the credit or the backlog runs
 /// out — so over any busy period tenants are served in proportion to
-/// their shares, and idle tenants are skipped for free.
+/// their weights, and idle tenants are skipped for free.
 fn next_item(inner: &mut PoolInner) -> Option<Arc<TaskSet>> {
     if inner.queues.iter().all(VecDeque::is_empty) {
         return None;
@@ -404,7 +358,7 @@ fn next_item(inner: &mut PoolInner) -> Option<Arc<TaskSet>> {
             continue;
         }
         if inner.deficit[t] == 0 {
-            inner.deficit[t] = inner.shares[t].max(1);
+            inner.deficit[t] = inner.policies[t].weight.max(1);
         }
         let set = inner.queues[t].pop_front().expect("backlog checked");
         inner.deficit[t] -= 1;
@@ -453,45 +407,32 @@ fn worker_loop(shared: Arc<Shared>) {
             (set.work)()
         }));
         if outcome.is_err() {
-            // Contain the panic to its query: poison the query's token
-            // (cancellable path) so surviving participants stop pulling
-            // morsels, and record it on the latch. The worker itself
-            // keeps serving other tenants either way.
-            if let Some(token) = set.cancel {
-                token.poison();
-            }
+            // Contain the panic to its query: poison the query's token so
+            // surviving participants stop pulling morsels. The worker
+            // itself keeps serving other tenants either way.
+            set.cancel.poison();
         }
-        set.complete(outcome.is_err());
+        set.complete();
     }
 }
 
-/// Runs the calling thread's side of a scan. On the cancellable path a
-/// caller panic is contained exactly like a helper panic: the token is
-/// poisoned (so helpers stop) and the unwind is swallowed — the
-/// executor turns the poisoned token into a typed error.
-fn run_participant(cancel: Option<&CancelToken>, work: &(dyn Fn() + Send + Sync)) {
-    match cancel {
-        None => work(),
-        Some(token) => {
-            if catch_unwind(AssertUnwindSafe(work)).is_err() {
-                token.poison();
-            }
-        }
+/// Runs the calling thread's side of a scan. A caller panic is contained
+/// exactly like a helper panic: the token is poisoned (so helpers stop)
+/// and the unwind is swallowed — the executor turns the poisoned token
+/// into a typed error.
+fn run_participant(cancel: &CancelToken, work: &(dyn Fn() + Send + Sync)) {
+    if catch_unwind(AssertUnwindSafe(work)).is_err() {
+        cancel.poison();
     }
 }
 
 /// Joins the caller's submission on every exit path: removes
-/// still-queued items under the scheduler lock, waits for running ones,
-/// and re-raises a helper panic. Being a `Drop` guard makes the wait
-/// unconditional even when the caller's own scan panics — without it
-/// the unwind would free stack frames helper threads still borrow.
+/// still-queued items under the scheduler lock and waits for running
+/// ones. Being a `Drop` guard makes the wait unconditional — without it
+/// an unwind would free stack frames helper threads still borrow.
 struct ScanJoin<'a> {
     shared: &'a Shared,
     set: &'a Arc<TaskSet>,
-    /// Legacy (`scan`) behaviour: re-raise a helper panic in the
-    /// submitting thread, matching `thread::scope`. The cancellable
-    /// path turns the panic into a poisoned token instead.
-    reraise: bool,
 }
 
 impl Drop for ScanJoin<'_> {
@@ -506,13 +447,14 @@ impl Drop for ScanJoin<'_> {
         if removed > 0 {
             self.shared.admit_released.notify_all();
         }
-        let mut state = self.set.state.lock().expect("task latch poisoned");
-        state.outstanding -= removed;
-        while state.outstanding > 0 {
-            state = self.set.done.wait(state).expect("task latch poisoned");
-        }
-        if state.panicked && self.reraise && !std::thread::panicking() {
-            panic!("morsel worker panicked");
+        let mut outstanding = self.set.outstanding.lock().expect("task latch poisoned");
+        *outstanding -= removed;
+        while *outstanding > 0 {
+            outstanding = self
+                .set
+                .done
+                .wait(outstanding)
+                .expect("task latch poisoned");
         }
     }
 }
@@ -523,7 +465,6 @@ impl Drop for ScanJoin<'_> {
 pub struct MorselPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    autotune: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl fmt::Debug for MorselPool {
@@ -542,9 +483,7 @@ impl MorselPool {
     }
 
     /// Creates a pool recording scheduler wait times into `registry`
-    /// (as [`Stage::SchedulerWait`] keyed by tenant class) and reading
-    /// per-tenant `query_total` latencies back out of it in
-    /// [`MorselPool::rebalance`].
+    /// (as [`Stage::SchedulerWait`] keyed by tenant class).
     pub fn with_registry(config: PoolConfig, registry: Arc<MetricsRegistry>) -> Self {
         Self::build(config, Some(registry))
     }
@@ -559,16 +498,13 @@ impl MorselPool {
             inner: Mutex::new(PoolInner {
                 queues: (0..MAX_TENANTS).map(|_| VecDeque::new()).collect(),
                 deficit: vec![0; MAX_TENANTS],
-                shares: vec![policy.weight; MAX_TENANTS],
                 policies: vec![policy; MAX_TENANTS],
                 in_flight: vec![0; MAX_TENANTS],
-                rebalance_seen: vec![HistogramSnapshot::empty(); MAX_TENANTS],
                 cursor: 0,
                 shutdown: false,
             }),
             work_available: Condvar::new(),
             admit_released: Condvar::new(),
-            shutdown_cv: Condvar::new(),
             registry,
             dispatched: (0..MAX_TENANTS).map(|_| AtomicU64::new(0)).collect(),
             shed: (0..MAX_TENANTS).map(|_| AtomicU64::new(0)).collect(),
@@ -586,7 +522,6 @@ impl MorselPool {
         MorselPool {
             shared,
             workers: handles,
-            autotune: Mutex::new(None),
         }
     }
 
@@ -595,8 +530,7 @@ impl MorselPool {
         self.shared.workers
     }
 
-    /// Replaces a tenant's policy. Resets the tenant's effective share
-    /// to the new weight (any rebalance boost is dropped).
+    /// Replaces a tenant's policy.
     pub fn set_policy(&self, class: ClassId, policy: TenantPolicy) {
         let t = tenant_index(class);
         let normalized = TenantPolicy {
@@ -605,7 +539,6 @@ impl MorselPool {
         };
         let mut inner = self.shared.lock_inner();
         inner.policies[t] = normalized;
-        inner.shares[t] = normalized.weight;
         drop(inner);
         // A raised budget may unblock a waiting guaranteed admission.
         self.shared.admit_released.notify_all();
@@ -695,18 +628,12 @@ impl MorselPool {
     /// the same atomic morsel counter, so extra invocations past
     /// exhaustion return immediately and the result is independent of
     /// how many helpers actually ran. Helper items still queued when
-    /// the caller's own loop completes are cancelled; a helper panic is
-    /// re-raised here, matching `thread::scope`.
-    pub fn scan(&self, class: ClassId, helpers: usize, work: &(dyn Fn() + Send + Sync)) {
-        self.scan_inner(class, helpers, None, work);
-    }
-
-    /// Like [`MorselPool::scan`], but with a shared [`CancelToken`]
-    /// instead of `thread::scope` panic semantics: a panicking
-    /// participant — helper *or* caller — **poisons the token** rather
-    /// than re-raising, the other participants observe it between
-    /// morsels and stop, and `scan_cancellable` returns normally. The
-    /// caller reads the typed outcome from
+    /// the caller's own loop completes are cancelled.
+    ///
+    /// A panicking participant — helper *or* caller — **poisons the
+    /// token** rather than unwinding: the other participants observe it
+    /// between morsels and stop, and `scan_cancellable` returns
+    /// normally. The caller reads the typed outcome from
     /// [`CancelToken::terminal_error`]; the pool, its scheduler lock
     /// and the tenant's admission slot all stay healthy.
     pub fn scan_cancellable(
@@ -716,38 +643,25 @@ impl MorselPool {
         cancel: &CancelToken,
         work: &(dyn Fn() + Send + Sync),
     ) {
-        self.scan_inner(class, helpers, Some(cancel), work);
-    }
-
-    fn scan_inner(
-        &self,
-        class: ClassId,
-        helpers: usize,
-        cancel: Option<&CancelToken>,
-        work: &(dyn Fn() + Send + Sync),
-    ) {
         if helpers == 0 || self.shared.workers == 0 {
             run_participant(cancel, work);
             return;
         }
         // SAFETY: the closure borrows the caller's stack frame, but
         // every queued item is either executed to completion or removed
-        // from the queue under the scheduler lock before `scan` returns
+        // from the queue under the scheduler lock before this returns
         // (`ScanJoin::drop` runs even when `work` unwinds), so no
         // worker can dereference `work` after this frame is gone. The
         // token borrows the same frame under the same argument.
         let work: &'static (dyn Fn() + Send + Sync) = unsafe { std::mem::transmute(work) };
-        let cancel: Option<&'static CancelToken> = unsafe { std::mem::transmute(cancel) };
+        let cancel: &'static CancelToken = unsafe { std::mem::transmute(cancel) };
         let t = tenant_index(class);
         let set = Arc::new(TaskSet {
             work,
             cancel,
             tenant: t,
             enqueued: Instant::now(),
-            state: Mutex::new(TaskState {
-                outstanding: 0,
-                panicked: false,
-            }),
+            outstanding: Mutex::new(0),
             done: Condvar::new(),
         });
         let queued = {
@@ -762,7 +676,7 @@ impl MorselPool {
                     .min(helpers)
             };
             if room > 0 {
-                set.state.lock().expect("task latch poisoned").outstanding = room;
+                *set.outstanding.lock().expect("task latch poisoned") = room;
                 for _ in 0..room {
                     inner.queues[t].push_back(Arc::clone(&set));
                 }
@@ -777,97 +691,9 @@ impl MorselPool {
         let join = ScanJoin {
             shared: &self.shared,
             set: &set,
-            reraise: cancel.is_none(),
         };
         run_participant(cancel, work);
         drop(join);
-    }
-
-    /// One step of the latency-target feedback loop. For every tenant
-    /// with a [`TenantPolicy::target_p99_micros`], reads the
-    /// `query_total` histogram delta since the previous call from the
-    /// attached registry and steers the tenant's effective share:
-    /// doubled (up to `weight × 8`) while the windowed p99 misses the
-    /// target, halved back toward the configured weight while it runs
-    /// under half the target. Returns the tenants whose share changed.
-    /// No-op without a registry.
-    pub fn rebalance(&self) -> Vec<(ClassId, u32)> {
-        let Some(registry) = &self.shared.registry else {
-            return Vec::new();
-        };
-        let mut changed = Vec::new();
-        let mut inner = self.shared.lock_inner();
-        for t in 0..MAX_TENANTS {
-            let policy = inner.policies[t];
-            if policy.target_p99_micros == 0 {
-                continue;
-            }
-            let class = ClassId(t as u8);
-            let current = registry.stage_histogram(Stage::QueryTotal, class);
-            let seen = &inner.rebalance_seen[t];
-            let window = HistogramSnapshot {
-                buckets: current
-                    .buckets
-                    .iter()
-                    .zip(seen.buckets.iter().chain(std::iter::repeat(&0)))
-                    .map(|(now, then)| now.saturating_sub(*then))
-                    .collect(),
-                count: current.count.saturating_sub(seen.count),
-                sum_micros: current.sum_micros.saturating_sub(seen.sum_micros),
-            };
-            if window.count < REBALANCE_MIN_SAMPLES {
-                continue; // keep accumulating the window
-            }
-            inner.rebalance_seen[t] = current;
-            let p99 = window.quantile(0.99);
-            let base = policy.weight.max(1);
-            let share = inner.shares[t].max(1);
-            let next = if p99 > policy.target_p99_micros {
-                (share * 2).min(base * MAX_BOOST)
-            } else if p99 * 2 < policy.target_p99_micros {
-                (share / 2).max(base)
-            } else {
-                share
-            };
-            if next != share {
-                inner.shares[t] = next;
-                changed.push((class, next));
-            }
-        }
-        changed
-    }
-
-    /// Spawns a background controller calling
-    /// [`MorselPool::rebalance`] every `interval` until the pool drops.
-    /// Idempotent: a second call keeps the first controller.
-    pub fn start_autotune(self: &Arc<Self>, interval: Duration) {
-        let mut slot = self.autotune.lock().expect("autotune slot poisoned");
-        if slot.is_some() {
-            return;
-        }
-        let pool = Arc::clone(self);
-        *slot = Some(
-            std::thread::Builder::new()
-                .name("sdwp-morsel-autotune".to_string())
-                .spawn(move || loop {
-                    {
-                        let inner = pool.shared.lock_inner();
-                        if inner.shutdown {
-                            return;
-                        }
-                        let (inner, _) = pool
-                            .shared
-                            .shutdown_cv
-                            .wait_timeout(inner, interval)
-                            .expect("morsel pool scheduler poisoned");
-                        if inner.shutdown {
-                            return;
-                        }
-                    }
-                    pool.rebalance();
-                })
-                .expect("spawn morsel pool autotune"),
-        );
     }
 
     /// Point-in-time scheduler statistics.
@@ -879,7 +705,6 @@ impl MorselPool {
                 queued: inner.queues[t].len(),
                 in_flight: inner.in_flight[t],
                 weight: inner.policies[t].weight,
-                share: inner.shares[t],
                 dispatched_total: self.shared.dispatched[t].load(Ordering::Relaxed),
                 shed_total: self.shared.shed[t].load(Ordering::Relaxed),
             })
@@ -895,12 +720,8 @@ impl Drop for MorselPool {
     fn drop(&mut self) {
         self.shared.lock_inner().shutdown = true;
         self.shared.work_available.notify_all();
-        self.shared.shutdown_cv.notify_all();
         self.shared.admit_released.notify_all();
         for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.autotune.lock().expect("autotune slot poisoned").take() {
             let _ = handle.join();
         }
     }
@@ -917,6 +738,7 @@ fn tenant_index(class: ClassId) -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::time::Duration;
 
     /// Tag appended by a pool *worker* (never by the submitting
     /// thread), so dispatch order is observable.
@@ -936,39 +758,11 @@ mod tests {
         let work = || {
             counter.fetch_add(1, Ordering::Relaxed);
         };
-        pool.scan(ClassId::DEFAULT, 3, &work);
+        pool.scan_cancellable(ClassId::DEFAULT, 3, &CancelToken::new(), &work);
         // The caller ran exactly once; helpers ran at most 3 times
         // (cancelled ones not at all).
         let ran = counter.load(Ordering::Relaxed);
         assert!((1..=4).contains(&ran), "ran {ran} times");
-    }
-
-    #[test]
-    fn helper_panic_is_reraised_like_thread_scope() {
-        let pool = MorselPool::new(PoolConfig::default().with_workers(2));
-        let armed = AtomicBool::new(true);
-        let work = || {
-            let is_worker = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("sdwp-morsel-"));
-            if is_worker && armed.swap(false, Ordering::Relaxed) {
-                panic!("boom");
-            }
-            if !is_worker {
-                // Give the idle workers time to dequeue the helper item
-                // before the join cancels it.
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // Keep submitting until a helper actually took the grenade
-            // (a queued helper may be cancelled before running); the
-            // scan that enqueued the panicking helper re-raises.
-            while armed.load(Ordering::Relaxed) {
-                pool.scan(ClassId::DEFAULT, 2, &work);
-            }
-        }));
-        assert!(outcome.is_err(), "helper panic must re-raise in scan()");
     }
 
     #[test]
@@ -1012,7 +806,7 @@ mod tests {
                         }
                     }
                 };
-                pool.scan(ClassId::DEFAULT, 1, &work);
+                pool.scan_cancellable(ClassId::DEFAULT, 1, &CancelToken::new(), &work);
             })
         };
         // Wait until the worker is actually parked inside the gate.
@@ -1047,7 +841,7 @@ mod tests {
                         }
                     }
                 };
-                pool.scan(class, items, &work);
+                pool.scan_cancellable(class, items, &CancelToken::new(), &work);
             })
         };
         let light_scan = submit(light, b'l', 6);
@@ -1145,42 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_boosts_missing_tenant_and_decays_back() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let pool =
-            MorselPool::with_registry(PoolConfig::default().with_workers(1), Arc::clone(&registry));
-        let class = ClassId(1);
-        pool.set_policy(
-            class,
-            TenantPolicy::default()
-                .with_weight(2)
-                .with_target_p99_micros(1_000),
-        );
-        // A window of slow queries: p99 far over the 1 ms target.
-        for _ in 0..16 {
-            registry.record_micros(Stage::QueryTotal, class, 50_000);
-        }
-        let changed = pool.rebalance();
-        assert_eq!(changed, vec![(class, 4)], "share doubles on a miss");
-        // Keep missing: boost saturates at weight × 8.
-        for _ in 0..4 {
-            for _ in 0..16 {
-                registry.record_micros(Stage::QueryTotal, class, 50_000);
-            }
-            pool.rebalance();
-        }
-        assert_eq!(pool.stats().tenants[1].share, 16);
-        // A fast window decays the share back toward the weight.
-        for _ in 0..5 {
-            for _ in 0..16 {
-                registry.record_micros(Stage::QueryTotal, class, 10);
-            }
-            pool.rebalance();
-        }
-        assert_eq!(pool.stats().tenants[1].share, 2, "decays to base weight");
-    }
-
-    #[test]
     fn stats_report_queue_and_worker_shape() {
         let pool = MorselPool::new(PoolConfig::default().with_workers(2));
         let stats = pool.stats();
@@ -1231,7 +989,7 @@ mod tests {
         );
         // The pool (and its scheduler mutex) keeps serving.
         let counter = AtomicUsize::new(0);
-        pool.scan(class, 2, &|| {
+        pool.scan_cancellable(class, 2, &CancelToken::new(), &|| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert!(counter.load(Ordering::Relaxed) >= 1);

@@ -319,11 +319,12 @@ proptest! {
             engine.execute_batch_with_view(&built_cube, &built_queries, &built_view);
         let dicts = GroupDictCache::new();
         for round in 0..2 {
-            let cached = engine.execute_batch_cached(
+            let cached = engine.execute_batch_observed(
                 &built_cube,
                 &built_queries,
                 &built_view,
                 Some((&dicts, 1)),
+                None,
             );
             for (uncached, cached) in uncached.iter().zip(cached) {
                 match (uncached, cached) {
@@ -359,7 +360,9 @@ proptest! {
             ExecutionConfig::default().with_workers(4).with_morsel_rows(7),
         );
         let standalone = engine.execute(&built_cube, &built_query);
-        for batched in engine.execute_batch(&built_cube, &batch) {
+        for batched in
+            engine.execute_batch_with_view(&built_cube, &batch, &InstanceView::unrestricted())
+        {
             match (&standalone, batched) {
                 (Ok(standalone), Ok(batched)) => prop_assert_eq!(standalone, &batched),
                 (Err(standalone), Err(batched)) => {

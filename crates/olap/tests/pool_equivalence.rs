@@ -1,6 +1,6 @@
-//! The pool-equivalence property suite: executing through the shared
+//! The pool-equivalence property suite: executing through a shared
 //! morsel worker pool ([`sdwp_olap::MorselPool`]) must be
-//! **indistinguishable** from the per-query `thread::scope` executor and
+//! **indistinguishable** from executing on an engine's private pool and
 //! from the serial row-at-a-time reference — same groups, same
 //! aggregates, same row order, same scan counters — for arbitrary
 //! generated cubes, queries and personalized views.
@@ -252,8 +252,9 @@ fn build_view(spec: &ViewSpec, cube_spec: &CubeSpec) -> InstanceView {
     view
 }
 
-/// Engine pairs under test: a scoped executor and a pooled executor with
-/// the **same** execution config, so any divergence is the pool's fault.
+/// Engine pairs under test: an executor on its own private pool and an
+/// executor on the shared pool, with the **same** execution config, so
+/// any divergence is down to which pool served the scan.
 fn engine_pair(
     pool: &Arc<MorselPool>,
     workers: usize,
@@ -277,9 +278,10 @@ proptest! {
     /// execution through the shared worker pool at several requested
     /// worker counts — including counts *above* the pool's worker
     /// population, where the caller scans alongside every helper — is
-    /// bit-identical to the scoped executor and the serial reference.
+    /// bit-identical to the private-pool executor and the serial
+    /// reference.
     #[test]
-    fn pooled_equals_scoped_and_serial(
+    fn shared_pool_equals_private_pool_and_serial(
         cube in cube_spec(),
         query in query_spec(),
         view in view_spec(),
@@ -293,20 +295,20 @@ proptest! {
         let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(3)));
         for workers in [2usize, 4, 8] {
             for slot_limit in [0usize, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT] {
-                let (scoped, pooled) = engine_pair(&pool, workers, slot_limit);
-                let scoped_result = scoped
+                let (private, shared) = engine_pair(&pool, workers, slot_limit);
+                let private_result = private
                     .execute_with_view(&built_cube, &built_query, &built_view)
-                    .expect("scoped execution succeeds where serial does");
-                let pooled_result = pooled
+                    .expect("private-pool execution succeeds where serial does");
+                let shared_result = shared
                     .execute_with_view(&built_cube, &built_query, &built_view)
-                    .expect("pooled execution succeeds where scoped does");
+                    .expect("shared-pool execution succeeds where serial does");
                 prop_assert_eq!(
-                    &scoped_result, &serial,
-                    "scoped vs serial, workers={} slot_limit={}", workers, slot_limit
+                    &private_result, &serial,
+                    "private pool vs serial, workers={} slot_limit={}", workers, slot_limit
                 );
                 prop_assert_eq!(
-                    &pooled_result, &serial,
-                    "pooled vs serial, workers={} slot_limit={}", workers, slot_limit
+                    &shared_result, &serial,
+                    "shared pool vs serial, workers={} slot_limit={}", workers, slot_limit
                 );
             }
         }
@@ -326,19 +328,20 @@ proptest! {
         let built_queries: Vec<Query> = queries.iter().map(build_query).collect();
         let built_view = build_view(&view, &cube);
         let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(2)));
-        let (scoped, pooled) = engine_pair(&pool, 4, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT);
-        let scoped_batch = scoped.execute_batch_with_view(&built_cube, &built_queries, &built_view);
+        let (private, pooled) = engine_pair(&pool, 4, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT);
+        let private_batch =
+            private.execute_batch_with_view(&built_cube, &built_queries, &built_view);
         let pooled_batch = pooled.execute_batch_with_view(&built_cube, &built_queries, &built_view);
-        prop_assert_eq!(scoped_batch.len(), pooled_batch.len());
-        for (slot, (scoped_entry, pooled_entry)) in
-            scoped_batch.iter().zip(pooled_batch.iter()).enumerate()
+        prop_assert_eq!(private_batch.len(), pooled_batch.len());
+        for (slot, (private_entry, pooled_entry)) in
+            private_batch.iter().zip(pooled_batch.iter()).enumerate()
         {
-            match (scoped_entry, pooled_entry) {
+            match (private_entry, pooled_entry) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "batch slot {}", slot),
                 (Err(_), Err(_)) => {}
                 _ => prop_assert!(false, "batch slot {} ok/err mismatch", slot),
             }
-            if let Ok(expected) = scoped_entry {
+            if let Ok(expected) = private_entry {
                 let standalone = pooled
                     .execute_with_view(&built_cube, &built_queries[slot], &built_view)
                     .expect("standalone pooled execution succeeds");

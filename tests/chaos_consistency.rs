@@ -28,7 +28,9 @@ use sdwp::datagen::{PaperScenario, RetailTicker, ScenarioConfig, TickerConfig};
 use sdwp::ingest::{EpochPolicy, IngestConfig};
 use sdwp::model::AggregationFunction;
 use sdwp::olap::fault::{self, FailAction};
-use sdwp::olap::{AttributeRef, ExecutionConfig, OlapError, Query, QueryResult};
+use sdwp::olap::{
+    AttributeRef, ExecutionConfig, InstanceView, OlapError, Query, QueryEngine, QueryResult,
+};
 use sdwp::user::LocationContext;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -170,13 +172,9 @@ fn injected_errors_leave_survivors_bit_identical() {
         .collect();
 
     // One failpoint per pipeline stage: plan resolution, the morsel scan
-    // loop (standalone and shared-scan batch), and the merge.
-    for site in [
-        "query.resolve",
-        "query.scan.morsel",
-        "query.batch.morsel",
-        "query.merge",
-    ] {
+    // loop and the merge — single queries and shared-scan batches run
+    // the same executor, so each site fires under both.
+    for site in ["query.resolve", "query.scan.morsel", "query.merge"] {
         for seed in SEEDS {
             fault::set_seed(seed);
             fault::arm(site, FailAction::Error("chaos".into()), 3, None);
@@ -248,8 +246,8 @@ fn injected_errors_leave_survivors_bit_identical() {
                 fault::hits(site) > 0,
                 "the {site} round never fired — the chaos was a no-op"
             );
-            // The scan sites fire per morsel inside whichever path owns
-            // them; the per-query sites must have failed queries.
+            // The scan site fires per morsel; the per-query sites must
+            // have failed queries.
             if site == "query.resolve" || site == "query.merge" {
                 assert!(failures > 0, "{site} fired but nothing surfaced");
             }
@@ -356,7 +354,6 @@ fn deadlines_cancel_degraded_queries_with_no_partial_state() {
 
     fault::set_seed(SEEDS[0]);
     fault::arm("query.scan.morsel", FailAction::SleepMs(10), 1, None);
-    fault::arm("query.batch.morsel", FailAction::SleepMs(10), 1, None);
     for _ in 0..3 {
         match engine.query_with_deadline(session, &query, budget) {
             Err(CoreError::DeadlineExceeded) => {}
@@ -376,8 +373,6 @@ fn deadlines_cancel_degraded_queries_with_no_partial_state() {
         Err(other) => panic!("untyped batch failure: {other:?}"),
     }
     assert!(fault::hits("query.scan.morsel") > 0);
-    assert!(fault::hits("query.batch.morsel") > 0);
-    fault::disarm("query.batch.morsel");
     assert_eq!(
         engine.cache_stats().entries,
         0,
@@ -395,6 +390,69 @@ fn deadlines_cancel_degraded_queries_with_no_partial_state() {
     assert_eq!(first, again);
     assert!(engine.cache_stats().hits >= 1);
     assert_pool_quiescent(&engine);
+}
+
+/// An engine built without a pool of its own choosing gets a private
+/// one, so a participant panic is contained there too: the victim — a
+/// single query, or every slot of a batch — comes back as the typed
+/// [`OlapError::ExecutionPanicked`] instead of unwinding into the
+/// caller, the next query after disarm is served correctly, and
+/// dropping the engine shuts its pool down and joins the workers.
+#[test]
+fn private_pool_engine_contains_scan_panics() {
+    let _serial = serial();
+    let _teardown = Teardown;
+    let _quiet = QuietPanics::install();
+    let scenario = PaperScenario::generate(ScenarioConfig::tiny());
+    let cube = &scenario.cube;
+    let view = InstanceView::unrestricted();
+    let engine = QueryEngine::with_config(
+        ExecutionConfig::default()
+            .with_workers(2)
+            .with_morsel_rows(16),
+    );
+    let queries = panel();
+    let expected: Vec<QueryResult> = queries
+        .iter()
+        .map(|q| {
+            engine
+                .execute_with_view(cube, q, &view)
+                .expect("reference runs")
+        })
+        .collect();
+
+    fault::arm(
+        "query.scan.morsel",
+        FailAction::Panic("chaos".into()),
+        1,
+        None,
+    );
+    assert_eq!(
+        engine.execute_with_view(cube, &queries[0], &view),
+        Err(OlapError::ExecutionPanicked)
+    );
+    let batch = engine.execute_batch_with_view(cube, &queries, &view);
+    assert_eq!(batch.len(), queries.len());
+    for entry in batch {
+        assert_eq!(entry, Err(OlapError::ExecutionPanicked));
+    }
+    assert!(fault::hits("query.scan.morsel") > 0);
+    fault::disarm("query.scan.morsel");
+
+    for (query, expected) in queries.iter().zip(&expected) {
+        assert_eq!(
+            &engine.execute_with_view(cube, query, &view).unwrap(),
+            expected
+        );
+    }
+    // `MorselPool`'s `Drop` joins every worker before it returns, so a
+    // dead weak handle right after the engine drops means they are gone.
+    let pool = Arc::downgrade(engine.pool().expect("two workers get a private pool"));
+    drop(engine);
+    assert!(
+        pool.upgrade().is_none(),
+        "the private pool outlived its engine"
+    );
 }
 
 /// The supervised ingest worker under an armed apply-phase panic:

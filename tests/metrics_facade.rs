@@ -65,17 +65,23 @@ fn stage_latencies_are_keyed_by_session_class() {
         WebResponse::Table { .. }
     ));
 
-    // A dashboard batch through the shared-scan pipeline.
+    // A dashboard batch through the shared-scan pipeline, twice: the
+    // warm refresh is answered entirely from the result cache.
     let by_city = Query::over("Sales")
         .measure("UnitSales")
         .group_by(AttributeRef::new("Store", "City", "name"));
     let total = Query::over("Sales").measure("StoreCost");
+    let batch = WebRequest::QueryBatch {
+        session,
+        queries: vec![by_city, total],
+        deadline_micros: None,
+    };
     assert!(matches!(
-        facade.handle(WebRequest::QueryBatch {
-            session,
-            queries: vec![by_city, total],
-            deadline_micros: None,
-        }),
+        facade.handle(batch.clone()),
+        WebResponse::BatchResult { .. }
+    ));
+    assert!(matches!(
+        facade.handle(batch),
         WebResponse::BatchResult { .. }
     ));
 
@@ -125,6 +131,11 @@ fn stage_latencies_are_keyed_by_session_class() {
     // execution stages only saw the miss.
     assert_eq!(snap.stage("query_total", "dashboard").unwrap().count, 2);
     assert_eq!(snap.stage("query_scan", "dashboard").unwrap().count, 1);
+    // Likewise for the batch: the all-hit repeat never reached the
+    // executor, so not even its resolve stage recorded a second sample.
+    assert_eq!(snap.stage("batch_total", "dashboard").unwrap().count, 2);
+    assert_eq!(snap.stage("batch_resolve", "dashboard").unwrap().count, 1);
+    assert_eq!(snap.stage("batch_scan", "dashboard").unwrap().count, 1);
 
     // Rule firing was timed per phase under the session's class.
     assert!(snap.stage("rule_condition", "dashboard").is_some());

@@ -362,39 +362,50 @@ fn shed_stays_typed_while_a_failpoint_is_armed() {
     ));
 }
 
+/// A class whose only history is `QueryBatch` still gets a backoff hint
+/// when shed: the hint reads the batch read path's end-to-end p99 as
+/// well as the single-query one, so a batch-only tenant is not told to
+/// retry immediately.
 #[test]
-fn rebalance_feedback_is_reachable_from_the_engine() {
+fn shed_batch_only_class_gets_a_nonzero_retry_hint() {
     let scenario = PaperScenario::generate(ScenarioConfig::tiny());
     let facade = facade(&scenario);
-    facade.engine().set_tenant_policy(
-        "dashboard",
-        TenantPolicy::default().with_target_p99_micros(1),
+    let class = facade.engine().set_tenant_policy(
+        "analyst",
+        TenantPolicy::default().best_effort().with_max_in_flight(1),
     );
-    let session = login(&facade, "dashboard");
-    // Enough samples to clear the rebalancer's minimum-window guard; an
-    // impossible 1µs target means the class is missing it.
-    for _ in 0..10 {
-        assert!(matches!(
-            facade.handle(WebRequest::QueryBatch {
-                session,
-                queries: vec![sdwp::olap::Query::over("Sales").measure("UnitSales")],
-                deadline_micros: None,
-            }),
-            WebResponse::BatchResult { .. }
-        ));
-    }
-    // QueryTotal only records on the standalone path; drive it too.
-    for _ in 0..10 {
-        assert!(matches!(
-            facade.handle(aggregate(session)),
-            WebResponse::Table { .. }
-        ));
-    }
-    let changed = facade.engine().rebalance_worker_shares();
-    assert!(
-        changed
-            .iter()
-            .any(|(name, share)| name == "dashboard" && *share > 1),
-        "a tenant missing its latency target gains worker share, got {changed:?}"
+    let session = login(&facade, "analyst");
+    let batch = || WebRequest::QueryBatch {
+        session,
+        queries: vec![sdwp::olap::Query::over("Sales").measure("UnitSales")],
+        deadline_micros: None,
+    };
+    // The class's whole latency history: one executed batch.
+    assert!(matches!(
+        facade.handle(batch()),
+        WebResponse::BatchResult { .. }
+    ));
+    assert!(metrics(&facade).stage("query_total", "analyst").is_none());
+
+    let pool = Arc::clone(
+        facade
+            .engine()
+            .morsel_pool()
+            .expect("parallel engine has a pool"),
     );
+    let _slot = pool.try_admit(class).expect("budget admits one");
+    match facade.handle(batch()) {
+        WebResponse::Overloaded {
+            class,
+            retry_after_hint_micros,
+            ..
+        } => {
+            assert_eq!(class, "analyst");
+            assert!(
+                retry_after_hint_micros > 0,
+                "a batch-only class must not be told to retry immediately"
+            );
+        }
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
 }
