@@ -1,10 +1,9 @@
 //! Shared fixtures for the benchmark harness.
 //!
-//! Every benchmark in `benches/` regenerates one experiment of
-//! `EXPERIMENTS.md` (the B-series quantitative experiments plus the
-//! pipeline benchmark for Fig. 1). The helpers here build scenarios and
-//! engines at the scales the experiments sweep so the individual bench
-//! files stay focused on the measurement itself.
+//! Every benchmark in `benches/` regenerates one recorded experiment of
+//! `EXPERIMENTS.md` (B10/B11, B13–B16, B18–B20). The helpers here build
+//! scenarios and engines at the scales the experiments sweep so the
+//! individual bench files stay focused on the measurement itself.
 
 #![warn(missing_docs)]
 
@@ -13,11 +12,6 @@ use sdwp_datagen::{PaperScenario, ScenarioConfig};
 use sdwp_prml::corpus::ALL_PAPER_RULES;
 use sdwp_user::LocationContext;
 use std::sync::Arc;
-
-/// The store-count scales swept by the personalization benchmarks
-/// (B1, B2, B8). Small enough to keep `cargo bench` minutes-scale while
-/// still showing the trend the paper's claims imply.
-pub const STORE_SCALES: [usize; 3] = [1, 4, 16];
 
 /// Builds a scenario whose store/customer/fact counts are `scale` times the
 /// tiny baseline (20 stores / 200 facts).
@@ -79,6 +73,5 @@ mod tests {
             .start_session("regional-manager", Some(manager_location(&scenario)))
             .unwrap();
         assert!(session.report.rules_matched > 0);
-        assert_eq!(STORE_SCALES.len(), 3);
     }
 }

@@ -19,10 +19,13 @@
 //!   schema, the master is cloned once and hot-swapped into the snapshot —
 //!   the additive-only personalization of the paper (layers and spatial
 //!   levels only grow) makes old snapshots remain valid for readers.
-//! * **Rules and parameters.** The rule set is itself an [`ArcSwap`]
-//!   snapshot (the Cerberus `ArcSwap<RuleSet>` hot-swap pattern), so rules
-//!   can be registered while sessions are live; designer parameters sit
-//!   behind a `RwLock`.
+//! * **Rules and parameters.** The in-service rule set is one
+//!   `ArcSwap<CompiledRuleSet>` (the Cerberus `ArcSwap<RuleSet>` hot-swap
+//!   pattern), so rules can be registered while sessions are live, and
+//!   the compiled set is the only evaluator events fire through — the
+//!   AST interpreter in `sdwp_prml::eval` is the reference the
+//!   equivalence suites compare it against, never a serving mode.
+//!   Designer parameters sit behind a `RwLock`.
 //!
 //! [`sdwp_user::ProfileStore`] was already thread-safe in the seed; this
 //! module makes the rest of the stack match it.
@@ -31,7 +34,7 @@ use crate::error::CoreError;
 use crate::report::PersonalizationReport;
 use crate::session::{SessionManager, SessionState};
 use crate::sync::{ArcSwap, VersionedSwap};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock};
 use sdwp_ingest::{
     BatchOutcome, CompactionOutcome, CompactionPolicy, CubeSink, DeltaBatch, IngestConfig,
     IngestHandle, IngestPipeline, IngestStats,
@@ -44,12 +47,11 @@ use sdwp_olap::{
     PoolConfig, Query, QueryCache, QueryEngine, QueryObs, QueryResult, TenantPolicy,
 };
 use sdwp_prml::{
-    CompiledRuleSet, EvalContext, FireReport, LayerSource, NoExternalLayers, PrmlError, Rule,
-    RuleClass, RuleEngine, RuntimeEvent,
+    CompiledRuleSet, EvalContext, FireReport, LayerSource, NoExternalLayers, Rule, RuleClass,
+    RuntimeEvent,
 };
 use sdwp_user::{LocationContext, ProfileStore, Session, SessionId, UserProfile};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The shared cube state: the mutex-guarded write master, the published
@@ -336,25 +338,6 @@ pub struct SessionHandle {
     pub report: PersonalizationReport,
 }
 
-/// The in-service rule set: the AST interpreter (the registration-time
-/// source of truth and the differential-testing oracle) paired with its
-/// compiled form. Published as *one* `ArcSwap` value so a firing that
-/// loaded the pair can never observe a half-swapped state where the
-/// interpreter and compiled rules disagree.
-struct ActiveRules {
-    engine: Arc<RuleEngine>,
-    compiled: Arc<CompiledRuleSet>,
-}
-
-impl ActiveRules {
-    fn empty() -> Self {
-        ActiveRules {
-            engine: Arc::new(RuleEngine::new()),
-            compiled: Arc::new(CompiledRuleSet::default()),
-        }
-    }
-}
-
 /// The personalization engine.
 ///
 /// Schema personalization mutates the engine's cube schema (additively —
@@ -368,14 +351,11 @@ pub struct PersonalizationEngine {
     cube_state: Arc<CubeState>,
     original_schema: Schema,
     profiles: ProfileStore,
-    /// Immutable rule-set snapshot (interpreter + compiled pair),
-    /// hot-swapped on registration and reload.
-    rules: ArcSwap<ActiveRules>,
+    /// The in-service compiled rule set — the one value every firing
+    /// loads, hot-swapped whole on registration and reload.
+    rules: ArcSwap<CompiledRuleSet>,
     /// Serialises rule registration (load → validate → store).
     rules_write: Mutex<()>,
-    /// Whether events fire through the compiled rule path (default) or
-    /// the AST interpreter (kept for benchmarking and as the oracle).
-    compiled_firing: AtomicBool,
     parameters: RwLock<BTreeMap<String, f64>>,
     layer_source: Arc<dyn LayerSource + Send + Sync>,
     sessions: Arc<SessionManager>,
@@ -466,9 +446,8 @@ impl PersonalizationEngine {
             }),
             original_schema,
             profiles: ProfileStore::new(),
-            rules: ArcSwap::from_pointee(ActiveRules::empty()),
+            rules: ArcSwap::from_pointee(CompiledRuleSet::default()),
             rules_write: Mutex::new(()),
-            compiled_firing: AtomicBool::new(true),
             parameters: RwLock::new(BTreeMap::new()),
             layer_source,
             sessions,
@@ -500,42 +479,34 @@ impl PersonalizationEngine {
     pub fn add_rules_text(&self, text: &str) -> Result<Vec<RuleClass>, CoreError> {
         let new_rules = sdwp_prml::parse_rules(text)?;
         let _guard = self.rules_write.lock();
-        let current = self.rules.load();
-        let existing = current.engine.rules().len();
-        let mut all: Vec<Rule> = current.engine.rules().to_vec();
-        all.extend(new_rules.iter().cloned());
-        let classes = self.install_rules(all)?;
+        let mut all: Vec<Rule> = self.rules.load().source().to_vec();
+        let existing = all.len();
+        all.extend(new_rules);
+        let classes = self.install_rules(&all)?;
         Ok(classes[existing..].to_vec())
     }
 
     /// Replaces the *entire* rule set with the rules parsed from `text`.
     ///
-    /// The swap is atomic: in-flight firings keep the interpreter+compiled
-    /// pair they loaded, new firings see the new pair, and any parse,
-    /// typecheck or compile failure leaves the in-service rule set
-    /// untouched and serving.
+    /// The swap is atomic: one `ArcSwap` store of the compiled set, so
+    /// in-flight firings keep the set they loaded, new firings see the
+    /// new one, and any parse, typecheck or compile failure leaves the
+    /// in-service rule set untouched and serving.
     pub fn reload_rules_text(&self, text: &str) -> Result<Vec<RuleClass>, CoreError> {
         let rules = sdwp_prml::parse_rules(text)?;
         let _guard = self.rules_write.lock();
-        self.install_rules(rules)
+        self.install_rules(&rules)
     }
 
     /// Validates, compiles and publishes a full rule set. Caller holds
-    /// `rules_write`; on any failure the in-service pair stays untouched.
-    fn install_rules(&self, rules: Vec<Rule>) -> Result<Vec<RuleClass>, CoreError> {
+    /// `rules_write`; on any failure the in-service set stays untouched.
+    fn install_rules(&self, rules: &[Rule]) -> Result<Vec<RuleClass>, CoreError> {
         let compiled = {
             let master = self.cube_state.master.lock();
-            CompiledRuleSet::compile(&rules, master.schema())?
+            CompiledRuleSet::compile(rules, master.schema())?
         };
         let classes = compiled.classes();
-        let mut engine = RuleEngine::new();
-        for rule in rules {
-            engine.add_rule(rule);
-        }
-        self.rules.store(Arc::new(ActiveRules {
-            engine: Arc::new(engine),
-            compiled: Arc::new(compiled),
-        }));
+        self.rules.store(Arc::new(compiled));
         Ok(classes)
     }
 
@@ -546,27 +517,10 @@ impl PersonalizationEngine {
             .insert(name.into().to_lowercase(), value);
     }
 
-    /// The current rule-set snapshot (the AST interpreter view).
-    pub fn rules(&self) -> Arc<RuleEngine> {
-        Arc::clone(&self.rules.load().engine)
-    }
-
-    /// The current compiled rule set (the form events fire through by
-    /// default).
+    /// The in-service compiled rule set — the form every event fires
+    /// through (its `source()` lists the parsed rules it was built from).
     pub fn compiled_rules(&self) -> Arc<CompiledRuleSet> {
-        Arc::clone(&self.rules.load().compiled)
-    }
-
-    /// Chooses between compiled (default) and interpreted rule firing.
-    /// The interpreter stays available as the differential-testing oracle
-    /// and for benchmark baselines.
-    pub fn set_compiled_firing(&self, enabled: bool) {
-        self.compiled_firing.store(enabled, Ordering::Release);
-    }
-
-    /// Whether events currently fire through the compiled rule path.
-    pub fn compiled_firing(&self) -> bool {
-        self.compiled_firing.load(Ordering::Acquire)
+        self.rules.load()
     }
 
     /// The current (possibly personalized) cube snapshot. The returned
@@ -909,21 +863,6 @@ impl PersonalizationEngine {
     ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
         let (view, min_generation, class, _pin) = self.pinned_session_view(session_id)?;
         self.query_batch_snapshot(queries, view, min_generation, class, deadline)
-    }
-
-    /// Executes a batch of OLAP queries against the full, unpersonalized
-    /// cube in one shared-scan pass.
-    pub fn query_batch_unpersonalized(
-        &self,
-        queries: &[Query],
-    ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-        self.query_batch_snapshot(
-            queries,
-            Arc::new(InstanceView::unrestricted()),
-            0,
-            ClassId::DEFAULT,
-            None,
-        )
     }
 
     /// The shared batched read path: one consistent `(generation, cube)`
@@ -1290,22 +1229,23 @@ impl PersonalizationEngine {
 
     // ----- internals ----------------------------------------------------
 
-    /// Fires an event for a user in two phases.
+    /// Fires an event for a user through the in-service
+    /// [`CompiledRuleSet`], in two phases. This is the only rule
+    /// evaluator the engine runs; the AST interpreter (`sdwp_prml::eval`)
+    /// is the reference `compiled_equivalence` checks it against.
     ///
-    /// **Condition phase** (compiled path, lock-free): matches the event
-    /// against the loaded ruleset snapshot without the master lock —
-    /// event matching in PRML is purely textual, so no cube state can be
-    /// observed. When no rule matches, the firing returns immediately
-    /// (after the unknown-user check) without ever locking the master.
+    /// **Condition phase** (lock-free): matches the event against the
+    /// loaded ruleset snapshot without the master lock — event matching
+    /// in PRML is purely textual, so no cube state can be observed. When
+    /// no rule matches, the firing returns immediately (after the
+    /// unknown-user check) without ever locking the master.
     ///
     /// **Effect phase**: for matched rules only, the master mutex is
     /// held across profile read → rule-body run → profile write, making
     /// the whole firing atomic with respect to other firing threads (so
     /// two concurrent `SetContent` increments cannot lose an update).
     /// When the firing actually changed the schema, the master is cloned
-    /// once and published for the read path. The interpreter fallback
-    /// (`set_compiled_firing(false)`) runs both matching and bodies
-    /// under the lock, as the engine always did before compilation.
+    /// once and published for the read path.
     ///
     /// Invariant: outside a firing, master and snapshot hold the same
     /// schema/layer/dimension state — successful schema changes publish,
@@ -1328,76 +1268,47 @@ impl PersonalizationEngine {
         event: &RuntimeEvent,
         class: ClassId,
     ) -> Result<(FireReport, BTreeMap<String, u64>, VersionPinGuard), CoreError> {
-        // One load of the interpreter+compiled pair: both phases (and the
-        // interpreter fallback) see the same ruleset however many
+        // One load: both phases see the same ruleset however many
         // hot-swaps land mid-firing.
-        let active = self.rules.load();
-        if self.compiled_firing() {
-            // Phase 1 — condition phase: pure precomputed-string matching
-            // against the loaded snapshot. No master lock, no cube access.
-            let condition = self.metrics.span(Stage::RuleCondition, class);
-            let matched = active.compiled.matched_rules(event);
-            condition.finish();
-            if matched.is_empty() {
-                // Nothing fires, so the firing cannot touch the cube or
-                // the profile: skip the master lock entirely. Unknown
-                // users must still error exactly like the locking path.
-                self.profiles.get(user_id)?;
-                return Ok((
-                    FireReport::default(),
-                    BTreeMap::new(),
-                    VersionPinGuard {
-                        state: Arc::clone(&self.cube_state),
-                        token: None,
-                    },
-                ));
-            }
-            // Phase 2 — effect application for the matched rules only,
-            // under the master lock. The span covers lock acquisition:
-            // waiting for the master *is* part of effect-phase latency.
-            let effect = self.metrics.span(Stage::RuleEffect, class);
-            let parameters = self.parameters.read().clone();
-            let mut master = self.cube_state.master.lock();
-            let mut profile = self.profiles.get(user_id)?;
-            let mut ctx = EvalContext::new(&mut master, &mut profile)
-                .with_session(session)
-                .with_layer_source(self.layer_source.as_ref());
-            for (name, value) in &parameters {
-                ctx = ctx.with_parameter(name.clone(), *value);
-            }
-            let fired = active.compiled.fire_matched(&matched, &mut ctx);
-            drop(ctx);
-            effect.finish();
-            self.finish_firing(master, profile, fired)
-        } else {
-            let span = self.metrics.span(Stage::RuleFireInterpreted, class);
-            let parameters = self.parameters.read().clone();
-            let mut master = self.cube_state.master.lock();
-            let mut profile = self.profiles.get(user_id)?;
-            let mut ctx = EvalContext::new(&mut master, &mut profile)
-                .with_session(session)
-                .with_layer_source(self.layer_source.as_ref());
-            for (name, value) in &parameters {
-                ctx = ctx.with_parameter(name.clone(), *value);
-            }
-            let fired = active.engine.fire(event, &mut ctx);
-            drop(ctx);
-            span.finish();
-            self.finish_firing(master, profile, fired)
+        let rules = self.rules.load();
+        // Phase 1 — condition phase: pure precomputed-string matching
+        // against the loaded snapshot. No master lock, no cube access.
+        let condition = self.metrics.span(Stage::RuleCondition, class);
+        let matched = rules.matched_rules(event);
+        condition.finish();
+        if matched.is_empty() {
+            // Nothing fires, so the firing cannot touch the cube or
+            // the profile: skip the master lock entirely. Unknown
+            // users must still error exactly like the locking path.
+            self.profiles.get(user_id)?;
+            return Ok((
+                FireReport::default(),
+                BTreeMap::new(),
+                VersionPinGuard {
+                    state: Arc::clone(&self.cube_state),
+                    token: None,
+                },
+            ));
         }
-    }
-
-    /// The shared tail of a firing that ran rule bodies under the master
-    /// lock: roll back on error, publish on a real schema change, write
-    /// the profile back, and pin compaction versions for fact-row
-    /// selections. See [`PersonalizationEngine::fire_event`] for the
-    /// invariants this maintains.
-    fn finish_firing(
-        &self,
-        mut master: MutexGuard<'_, Cube>,
-        profile: UserProfile,
-        fired: Result<FireReport, PrmlError>,
-    ) -> Result<(FireReport, BTreeMap<String, u64>, VersionPinGuard), CoreError> {
+        // Phase 2 — effect application for the matched rules only,
+        // under the master lock. The span covers lock acquisition:
+        // waiting for the master *is* part of effect-phase latency.
+        let effect = self.metrics.span(Stage::RuleEffect, class);
+        let parameters = self.parameters.read().clone();
+        let mut master = self.cube_state.master.lock();
+        let mut profile = self.profiles.get(user_id)?;
+        let mut ctx = EvalContext::new(&mut master, &mut profile)
+            .with_session(session)
+            .with_layer_source(self.layer_source.as_ref());
+        for (name, value) in &parameters {
+            ctx = ctx.with_parameter(name.clone(), *value);
+        }
+        let fired = rules.fire_matched(&matched, &mut ctx);
+        drop(ctx);
+        effect.finish();
+        // Still under the master lock: roll back on error, publish on a
+        // real schema change, write the profile back, and pin compaction
+        // versions for fact-row selections.
         let published = self.cube_state.snapshot.load();
         let report = match fired {
             Ok(report) => report,
@@ -1528,20 +1439,7 @@ impl PersonalizationEngine {
         state: &SessionState,
         fire: &FireReport,
     ) -> Result<PersonalizationReport, CoreError> {
-        let cube = self.cube_state.snapshot.load();
-        let mut visible_facts = BTreeMap::new();
-        let mut total_facts = BTreeMap::new();
-        for fact in &cube.schema().facts {
-            // Live rows only: a retracted (tombstoned) row is invisible to
-            // everyone, so counting it as "total" would make an
-            // unrestricted view look personalized.
-            let total = cube.fact_table(&fact.name)?.table.live_len();
-            let visible = state.view.visible_fact_count(&cube, &fact.name)?;
-            total_facts.insert(fact.name.clone(), total);
-            visible_facts.insert(fact.name.clone(), visible);
-        }
         Ok(PersonalizationReport {
-            user: user_id.to_string(),
             rules_matched: fire.rules_matched,
             rules_with_effects: fire
                 .effects
@@ -1549,13 +1447,40 @@ impl PersonalizationEngine {
                 .filter(|e| e.changed_schema() || e.selected_instances() || e.set_contents > 0)
                 .map(|e| e.rule.clone())
                 .collect(),
-            schema_diff: self.schema_diff(),
             selected_members: fire
                 .effects
                 .iter()
                 .flat_map(|e| e.selections.iter())
                 .map(|(dim, rows)| (dim.clone(), rows.len()))
                 .collect(),
+            ..self.view_report(user_id, &state.view)?
+        })
+    }
+
+    /// The report of what a view shows right now, with no firing behind
+    /// it: the schema delta plus, per fact, total and visible row counts,
+    /// all read off one cube snapshot. Live rows only — a retracted
+    /// (tombstoned) row is invisible to everyone, so counting it as
+    /// "total" would make an unrestricted view look personalized.
+    pub(crate) fn view_report(
+        &self,
+        user_id: &str,
+        view: &InstanceView,
+    ) -> Result<PersonalizationReport, CoreError> {
+        let cube = self.cube_state.snapshot.load();
+        let mut total_facts = BTreeMap::new();
+        let mut visible_facts = BTreeMap::new();
+        for fact in &cube.schema().facts {
+            let name = &fact.name;
+            total_facts.insert(name.clone(), cube.fact_table(name)?.table.live_len());
+            visible_facts.insert(name.clone(), view.visible_fact_count(&cube, name)?);
+        }
+        Ok(PersonalizationReport {
+            user: user_id.to_string(),
+            rules_matched: 0,
+            rules_with_effects: Vec::new(),
+            schema_diff: SchemaDiff::between(&self.original_schema, cube.schema()),
+            selected_members: BTreeMap::new(),
             visible_facts,
             total_facts,
         })
@@ -1676,7 +1601,32 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, CoreError::Rule(_)));
-        assert!(engine.rules().is_empty());
+        assert!(engine.compiled_rules().is_empty());
+    }
+
+    #[test]
+    fn adding_rules_after_a_reload_extends_the_reloaded_set() {
+        let (engine, _scenario) = engine();
+        // The reload replaces the paper's rules with one acquisition rule …
+        engine
+            .reload_rules_text(
+                "Rule:countLogins When SessionStart do \
+                 SetContent(SUS.DecisionMaker.logins, 1) endWhen",
+            )
+            .unwrap();
+        // … and a later add extends *that* set (read back through
+        // `source()`), in order, answering with the new rules' classes only.
+        let classes = engine.add_rules_text(EXAMPLE_5_1_ADD_SPATIALITY).unwrap();
+        assert_eq!(classes, vec![RuleClass::Schema]);
+        let rules = engine.compiled_rules();
+        let compiled: Vec<&str> = rules.rules().iter().map(|r| r.name.as_str()).collect();
+        let source: Vec<&str> = rules.source().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(compiled, ["countLogins", "addSpatiality"]);
+        assert_eq!(source, compiled);
+        assert_eq!(
+            rules.classes(),
+            vec![RuleClass::Acquisition, RuleClass::Schema]
+        );
     }
 
     #[test]

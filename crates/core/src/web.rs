@@ -456,29 +456,8 @@ impl WebFacade {
                 // against a consistent cube snapshot.
                 let view = self.engine.session_view(session)?;
                 let user = self.engine.session(session)?.user_id;
-                let cube = self.engine.cube();
-                let mut visible = std::collections::BTreeMap::new();
-                let mut totals = std::collections::BTreeMap::new();
-                for fact in &cube.schema().facts {
-                    // Live rows only, matching `visible_fact_count`.
-                    totals.insert(
-                        fact.name.clone(),
-                        cube.fact_table(&fact.name)?.table.live_len(),
-                    );
-                    visible.insert(
-                        fact.name.clone(),
-                        view.visible_fact_count(&cube, &fact.name)?,
-                    );
-                }
-                Ok(WebResponse::Report(Box::new(PersonalizationReport {
-                    user,
-                    rules_matched: 0,
-                    rules_with_effects: Vec::new(),
-                    schema_diff: self.engine.schema_diff(),
-                    selected_members: Default::default(),
-                    visible_facts: visible,
-                    total_facts: totals,
-                })))
+                let report = self.engine.view_report(&user, &view)?;
+                Ok(WebResponse::Report(Box::new(report)))
             }
             WebRequest::CacheStats => {
                 let stats = self.engine.cache_stats();
@@ -856,7 +835,10 @@ mod tests {
     #[test]
     fn reload_rules_swaps_the_whole_set() {
         let facade = facade();
-        assert_eq!(facade.engine().rules().rules().len(), ALL_PAPER_RULES.len());
+        assert_eq!(
+            facade.engine().compiled_rules().len(),
+            ALL_PAPER_RULES.len()
+        );
         // Replace everything with one acquisition rule.
         let replacement = "Rule:countLogins When SessionStart do \
              SetContent(SUS.DecisionMaker.logins, 1) \
@@ -869,7 +851,6 @@ mod tests {
             }
             other => panic!("unexpected response {other:?}"),
         }
-        assert_eq!(facade.engine().rules().rules().len(), 1);
         assert_eq!(facade.engine().compiled_rules().len(), 1);
         // New logins fire the new set: one acquisition rule, no schema
         // personalization any more.
@@ -886,8 +867,7 @@ mod tests {
     #[test]
     fn failed_reload_leaves_the_in_service_rules_untouched() {
         let facade = facade();
-        let before_interpreted = facade.engine().rules();
-        let before_compiled = facade.engine().compiled_rules();
+        let before = facade.engine().compiled_rules();
         // Three failure modes: parse error, typecheck error, and a rule
         // the compiler rejects up front (unknown model path).
         let attempts = [
@@ -905,12 +885,8 @@ mod tests {
                 WebResponse::Error { .. } => {}
                 other => panic!("reload of {attempt:?} should fail, got {other:?}"),
             }
-            // The in-service pair is byte-for-byte the one from before.
-            assert!(Arc::ptr_eq(&before_interpreted, &facade.engine().rules()));
-            assert!(Arc::ptr_eq(
-                &before_compiled,
-                &facade.engine().compiled_rules()
-            ));
+            // The in-service set is the very allocation from before.
+            assert!(Arc::ptr_eq(&before, &facade.engine().compiled_rules()));
         }
         // And it still serves logins exactly as before.
         let session = login(&facade);

@@ -33,7 +33,7 @@ impl GeneratedLayers {
         GeneratedLayers { airports, trains }
     }
 
-    /// Exposes the layers as a PRML [`LayerSource`] keyed by the layer
+    /// Exposes the layers as a PRML [`sdwp_prml::LayerSource`] keyed by the layer
     /// names used in the paper's rules (`Airport`, `Train`).
     pub fn as_layer_source(&self) -> StaticLayerSource {
         let mut source = StaticLayerSource::new();

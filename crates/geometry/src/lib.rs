@@ -10,7 +10,7 @@
 //! * the spatial operators the paper adds to PRML: the topological
 //!   predicates *Intersect*, *Disjoint*, *Cross*, *Inside* and *Equals*
 //!   (see [`predicates`]), the numeric *Distance* operator (see
-//!   [`distance`]) and the geometric *Intersection* operator (see
+//!   [`mod@distance`]) and the geometric *Intersection* operator (see
 //!   [`intersection`]);
 //! * supporting machinery: bounding boxes, WKT parsing/serialisation,
 //!   length/area/centroid measures, convex hulls and geodetic (haversine)

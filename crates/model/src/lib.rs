@@ -3,8 +3,8 @@
 //!
 //! This crate is the Rust rendering of the UML profiles the paper builds
 //! on: the multidimensional profile of Luján-Mora, Trujillo & Song
-//! (reference [16] of the paper) and its geographic extension (reference
-//! [10]). The profile stereotypes become Rust types:
+//! (reference \[16\] of the paper) and its geographic extension (reference
+//! \[10\]). The profile stereotypes become Rust types:
 //!
 //! | Paper stereotype | Type here |
 //! |---|---|

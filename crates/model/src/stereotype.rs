@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The stereotypes of the multidimensional UML profile (paper references
-/// [16] and [10]) that this library represents.
+/// \[16\] and \[10\]) that this library represents.
 ///
 /// Stereotypes are carried as metadata on model elements so that renderers
 /// (and the schema diff) can reproduce the class-diagram notation of the

@@ -40,7 +40,6 @@ pub enum Stage {
     // Rule firing.
     RuleCondition,
     RuleEffect,
-    RuleFireInterpreted,
     // Session / cache layer.
     SessionStart,
     SessionEnd,
@@ -51,8 +50,10 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in exposition order.
-    pub const ALL: [Stage; 21] = [
+    /// Every stage, in exposition order — which is declaration order:
+    /// `ALL[i] as usize == i` (unit-tested), so a stage's discriminant
+    /// is its histogram row.
+    pub const ALL: [Stage; 20] = [
         Stage::QueryResolve,
         Stage::QueryScan,
         Stage::QueryMerge,
@@ -69,7 +70,6 @@ impl Stage {
         Stage::IngestCompact,
         Stage::RuleCondition,
         Stage::RuleEffect,
-        Stage::RuleFireInterpreted,
         Stage::SessionStart,
         Stage::SessionEnd,
         Stage::CacheLookup,
@@ -95,7 +95,6 @@ impl Stage {
             Stage::IngestCompact => "ingest_compact",
             Stage::RuleCondition => "rule_condition",
             Stage::RuleEffect => "rule_effect",
-            Stage::RuleFireInterpreted => "rule_fire_interpreted",
             Stage::SessionStart => "session_start",
             Stage::SessionEnd => "session_end",
             Stage::CacheLookup => "cache_lookup",
@@ -105,7 +104,7 @@ impl Stage {
 
     #[inline]
     fn index(self) -> usize {
-        Self::ALL.iter().position(|s| *s == self).unwrap_or(0)
+        self as usize
     }
 }
 
@@ -393,6 +392,16 @@ impl Drop for StageSpan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stage_index_is_declaration_order_and_names_are_unique() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i, "{stage:?} is out of place in ALL");
+            assert_eq!(stage.index(), i);
+        }
+        let names: std::collections::BTreeSet<_> = Stage::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(names.len(), STAGE_COUNT, "two stages share a name");
+    }
 
     #[test]
     fn record_and_snapshot_roundtrip() {

@@ -82,7 +82,7 @@ pub use table::{RowRemap, Table};
 pub use value::CellValue;
 pub use view::{InstanceView, ResolvedViewCheck};
 
-/// Evaluates a named failpoint (see [`fault`]) — a zero-cost no-op
+/// Evaluates a named failpoint (see the `fault` module) — a zero-cost no-op
 /// unless the invoking crate's `failpoints` feature is enabled.
 ///
 /// Two forms:
@@ -95,7 +95,7 @@ pub use view::{InstanceView, ResolvedViewCheck};
 /// ```
 ///
 /// The second form `return`s the handler's value from the enclosing
-/// function when the armed action is [`fault::FailAction::Error`].
+/// function when the armed action is `fault::FailAction::Error`.
 ///
 /// The `#[cfg]` inside the expansion is evaluated in the **invoking**
 /// crate, so every crate placing failpoints must declare its own

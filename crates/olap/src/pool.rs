@@ -131,21 +131,12 @@ pub struct PoolConfig {
     /// available parallelism minus one (the calling thread always
     /// participates in its own scan), at least 1.
     pub workers: usize,
-    /// Policy applied to every tenant until
-    /// [`MorselPool::set_policy`] overrides it.
-    pub default_policy: TenantPolicy,
 }
 
 impl PoolConfig {
     /// Sets the worker-thread count (`0` = machine-sized).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the policy tenants start with.
-    pub fn with_default_policy(mut self, policy: TenantPolicy) -> Self {
-        self.default_policy = policy;
         self
     }
 
@@ -490,15 +481,11 @@ impl MorselPool {
 
     fn build(config: PoolConfig, registry: Option<Arc<MetricsRegistry>>) -> Self {
         let workers = config.effective_workers();
-        let policy = TenantPolicy {
-            weight: config.default_policy.weight.max(1),
-            ..config.default_policy
-        };
         let shared = Arc::new(Shared {
             inner: Mutex::new(PoolInner {
                 queues: (0..MAX_TENANTS).map(|_| VecDeque::new()).collect(),
                 deficit: vec![0; MAX_TENANTS],
-                policies: vec![policy; MAX_TENANTS],
+                policies: vec![TenantPolicy::default(); MAX_TENANTS],
                 in_flight: vec![0; MAX_TENANTS],
                 cursor: 0,
                 shutdown: false,
@@ -523,11 +510,6 @@ impl MorselPool {
             shared,
             workers: handles,
         }
-    }
-
-    /// Number of long-lived worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.shared.workers
     }
 
     /// Replaces a tenant's policy.

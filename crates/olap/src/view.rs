@@ -1,4 +1,9 @@
 //! Personalized instance views over a cube.
+//!
+//! [`InstanceView::resolve_for_fact`] + [`ResolvedViewCheck::allows`] is
+//! the check that serves (every scan, [`InstanceView::visible_fact_count`]);
+//! the name-based [`InstanceView::allows_fact_row`] is the reference the
+//! serial executor and the equivalence suites compare it against.
 
 use crate::cube::{fk_column, Cube};
 use crate::error::OlapError;
@@ -182,7 +187,7 @@ impl InstanceView {
 
     /// Returns `true` when a fact row is visible through the view: the row
     /// id is allowed for the fact and every foreign key points to an
-    /// allowed dimension member.
+    /// allowed dimension member. The reference decision (see module docs).
     pub fn allows_fact_row(
         &self,
         cube: &Cube,
@@ -286,12 +291,16 @@ impl InstanceView {
     }
 
     /// Counts the fact rows visible through the view (retracted rows are
-    /// invisible to everyone).
+    /// invisible to everyone), through the same resolved check scans use.
     pub fn visible_fact_count(&self, cube: &Cube, fact: &str) -> Result<usize, OlapError> {
         let table = &cube.fact_table(fact)?.table;
+        if self.is_unrestricted() {
+            return Ok(table.live_len());
+        }
+        let check = self.resolve_for_fact(cube, fact)?;
         let mut count = 0;
-        for row in 0..table.len() {
-            if table.is_live(row) && self.allows_fact_row(cube, fact, row)? {
+        for row in table.live_runs(0..table.len()).into_iter().flatten() {
+            if check.allows(cube, fact, table, row)? {
                 count += 1;
             }
         }

@@ -2,8 +2,8 @@
 //!
 //! [`CompiledRuleSet::compile`] turns a set of parsed rules into a compact
 //! instruction stream after an up-front validation pass (the same
-//! [`check_rules`](crate::typecheck::check_rules) set check the
-//! interpreter path uses — nothing the checker rejects ever compiles).
+//! [`check_rules`] set check the interpreter path uses — nothing the
+//! checker rejects ever compiles).
 //! Compilation pre-resolves everything that cannot change at runtime:
 //!
 //! * event matchers become precomputed strings ([`MatchSpec`]), so the
@@ -18,9 +18,10 @@
 //! * literal subtrees are constant-folded through the interpreter's own
 //!   semantic kernels, preserving error wording and evaluation order.
 //!
-//! The AST interpreter in [`crate::eval`] stays untouched as the oracle:
-//! `crates/prml/tests/compiled_equivalence.rs` asserts compiled ≡
-//! interpreted over generated rules and event streams.
+//! This compiled form is what serves every event; the AST interpreter in
+//! [`crate::eval`] is the reference it is tested against
+//! (`crates/prml/tests/compiled_equivalence.rs`: compiled ≡ interpreted
+//! over generated rules and event streams).
 
 mod exec;
 mod program;
@@ -40,6 +41,7 @@ use sdwp_model::Schema;
 #[derive(Debug, Clone, Default)]
 pub struct CompiledRuleSet {
     rules: Vec<CompiledRule>,
+    source: Vec<Rule>,
 }
 
 impl CompiledRuleSet {
@@ -58,7 +60,16 @@ impl CompiledRuleSet {
             .zip(classes)
             .map(|(rule, class)| program::compile_rule(rule, class, &effective))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(CompiledRuleSet { rules: compiled })
+        Ok(CompiledRuleSet {
+            rules: compiled,
+            source: rules.to_vec(),
+        })
+    }
+
+    /// The parsed rules this set was compiled from, in registration order
+    /// (what a caller extending the set recompiles with its additions).
+    pub fn source(&self) -> &[Rule] {
+        &self.source
     }
 
     /// The compiled rules, in registration order.

@@ -1,16 +1,15 @@
 //! Concurrency suite for hot-swappable compiled rulesets: an event storm
-//! races ruleset reloads, ingest epochs and compiled/interpreted mode
-//! flips, and no firing may ever observe a half-swapped ruleset or a torn
-//! warehouse snapshot.
+//! races ruleset reloads and ingest epochs, and no firing may ever observe
+//! a half-swapped ruleset or a torn warehouse snapshot.
 //!
 //! The two rulesets in rotation are distinguishable by construction: the
 //! *alpha* set fires exactly two named rules on `SessionStart`, the
 //! *beta* set exactly three. Every login therefore must report either the
 //! complete alpha effect set or the complete beta effect set — a mixed
 //! report would prove a firing saw rules from two different publications
-//! (exactly what publishing the interpreter + compiled pair as one
-//! `ArcSwap` value forbids). Broken reloads thrown into the storm must
-//! bounce without ever interrupting service.
+//! (exactly what publishing the compiled set as one `ArcSwap` value
+//! forbids). Broken reloads thrown into the storm must bounce without
+//! ever interrupting service.
 
 use sdwp::core::PersonalizationEngine;
 use sdwp::datagen::{PaperScenario, ScenarioConfig};
@@ -64,10 +63,10 @@ fn beta_names() -> BTreeSet<String> {
 
 /// ≥ 6 threads storm full session lifecycles while one thread hot-swaps
 /// the ruleset between the alpha and beta publications (with broken
-/// reloads mixed in), one thread streams ingest batches so snapshot
-/// generations race the firings, and one thread flips compiled firing on
-/// and off. Every observed firing must be whole-alpha or whole-beta, and
-/// every observed snapshot a whole number of ingest batches.
+/// reloads mixed in) and one thread streams ingest batches so snapshot
+/// generations race the firings. Every observed firing must be
+/// whole-alpha or whole-beta, and every observed snapshot a whole number
+/// of ingest batches.
 #[test]
 fn rule_storm_never_observes_a_half_swapped_ruleset() {
     let scenario = PaperScenario::generate(ScenarioConfig::tiny());
@@ -88,9 +87,9 @@ fn rule_storm_never_observes_a_half_swapped_ruleset() {
     let alpha = alpha_names();
     let beta = beta_names();
     let done = Arc::new(AtomicBool::new(false));
-    // Waiters: the storm threads, the swapper, the flipper, and this
-    // thread (which feeds the ingest rider below).
-    let barrier = Arc::new(Barrier::new(STORM_THREADS + 3));
+    // Waiters: the storm threads, the swapper, and this thread (which
+    // feeds the ingest rider below).
+    let barrier = Arc::new(Barrier::new(STORM_THREADS + 2));
 
     // Ingest rider: fixed-size append batches so storm threads can verify
     // whole-batch snapshot visibility while rules fire around them.
@@ -128,25 +127,6 @@ fn rule_storm_never_observes_a_half_swapped_ruleset() {
                 thread::yield_now();
             }
             swap
-        })
-    };
-
-    // The mode flipper: compiled and interpreted firing must be
-    // indistinguishable, so flipping between them mid-storm is invisible
-    // to every invariant below.
-    let flipper = {
-        let engine = Arc::clone(&engine);
-        let barrier = Arc::clone(&barrier);
-        let done = Arc::clone(&done);
-        thread::spawn(move || {
-            barrier.wait();
-            let mut compiled = false;
-            while !done.load(Ordering::Relaxed) {
-                engine.set_compiled_firing(compiled);
-                compiled = !compiled;
-                thread::yield_now();
-            }
-            engine.set_compiled_firing(true);
         })
     };
 
@@ -251,7 +231,6 @@ fn rule_storm_never_observes_a_half_swapped_ruleset() {
     }
     done.store(true, Ordering::Relaxed);
     let swaps = swapper.join().expect("swapper must not panic");
-    flipper.join().expect("flipper must not panic");
 
     // Both publications were actually observed under contention — every
     // storm thread kept running lifecycles until it personally saw alpha
@@ -266,19 +245,16 @@ fn rule_storm_never_observes_a_half_swapped_ruleset() {
         "the beta publication was never observed"
     );
 
-    // Whatever publication won the race, the in-service pair is coherent:
-    // the interpreter and its compiled form have the same rule count and
-    // both correspond to one whole publication.
-    let interpreter_rules: BTreeSet<String> = engine
-        .rules()
-        .rules()
-        .iter()
-        .map(|r| r.name.clone())
-        .collect();
-    assert_eq!(engine.rules().rules().len(), engine.compiled_rules().len());
+    // Whatever publication won the race, the in-service set is one whole
+    // publication, and the source it keeps is the source it compiled.
+    let in_service = engine.compiled_rules();
+    let compiled: Vec<&String> = in_service.rules().iter().map(|r| &r.name).collect();
+    let source: Vec<&String> = in_service.source().iter().map(|r| &r.name).collect();
+    assert_eq!(source, compiled);
+    let published: BTreeSet<String> = compiled.into_iter().cloned().collect();
     assert!(
-        interpreter_rules == alpha || interpreter_rules == beta,
-        "final publication is torn: {interpreter_rules:?}"
+        published == alpha || published == beta,
+        "final publication is torn: {published:?}"
     );
 
     // All ingested rows arrived; sessions all closed.
