@@ -1,7 +1,7 @@
 //! Shared fixtures for the benchmark harness.
 //!
 //! Every benchmark in `benches/` regenerates one recorded experiment of
-//! `EXPERIMENTS.md` (B10/B11, B13–B16, B18–B20). The helpers here build
+//! `EXPERIMENTS.md` (B10/B11, B14, B15, B18, B20). The helpers here build
 //! scenarios and engines at the scales the experiments sweep so the
 //! individual bench files stay focused on the measurement itself.
 

@@ -10,15 +10,16 @@
 //!
 //! * **Read path (lock-free-ish).** Queries and reports run against an
 //!   immutable cube snapshot published through [`ArcSwap`]; they never wait
-//!   for rule firing. Per-session state lives in a sharded
-//!   [`SessionManager`], so sessions only contend when they hash to the
-//!   same shard.
-//! * **Write master.** Rule firing needs `&mut Cube` (schema
-//!   personalization grows the cube), so a single `Mutex<Cube>` master
-//!   copy serialises rule firing. After an event whose effects changed the
-//!   schema, the master is cloned once and hot-swapped into the snapshot —
-//!   the additive-only personalization of the paper (layers and spatial
-//!   levels only grow) makes old snapshots remain valid for readers.
+//!   for rule firing. There is one read body — a query is a batch of one,
+//!   labelled [`ReportAs`] for the metrics — and per-session state lives in
+//!   a sharded [`SessionManager`], so sessions only contend when they hash
+//!   to the same shard.
+//! * **Write master.** Rule firing needs `&mut Cube` and ingestion applies
+//!   deltas, so a single `Mutex<Cube>` master copy serialises both. Every
+//!   snapshot leaves through one door, `CubeState::publish`, which
+//!   hot-swaps a master clone in and decides what the caches keep;
+//!   additive-only personalization (layers and spatial levels only grow)
+//!   keeps old snapshots valid for their readers.
 //! * **Rules and parameters.** The in-service rule set is one
 //!   `ArcSwap<CompiledRuleSet>` (the Cerberus `ArcSwap<RuleSet>` hot-swap
 //!   pattern), so rules can be registered while sessions are live, and
@@ -44,7 +45,7 @@ use sdwp_obs::{ClassId, MetricsRegistry, MetricsSnapshot, Stage};
 use sdwp_olap::{
     AdmissionGuard, AdmitError, CacheKey, CacheStats, CancelToken, Cube, DictCacheStats,
     ExecutionConfig, FactTableStats, GroupDictCache, InstanceView, MorselPool, OlapError,
-    PoolConfig, Query, QueryCache, QueryEngine, QueryObs, QueryResult, TenantPolicy,
+    PoolConfig, Query, QueryCache, QueryEngine, QueryObs, QueryResult, ReportAs, TenantPolicy,
 };
 use sdwp_prml::{
     CompiledRuleSet, EvalContext, FireReport, LayerSource, NoExternalLayers, Rule, RuleClass,
@@ -55,10 +56,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The shared cube state: the mutex-guarded write master, the published
-/// immutable snapshot and the generation-keyed result cache — everything
-/// both write paths (rule firing and streaming ingestion) coordinate
-/// through. Held in an `Arc` so the ingest worker thread can keep writing
-/// through it with a `'static` handle while the engine serves readers.
+/// immutable snapshot and the generation-keyed caches — everything both
+/// write paths (rule firing and streaming ingestion) coordinate through.
+/// Held in an `Arc` so the ingest worker thread can keep writing through
+/// it with a `'static` handle while the engine serves readers. Snapshots
+/// leave through one door, [`CubeState::publish`], which alone decides
+/// what a publication invalidates.
 pub(crate) struct CubeState {
     /// Write master; rule firing and delta application lock it.
     pub(crate) master: Mutex<Cube>,
@@ -68,10 +71,7 @@ pub(crate) struct CubeState {
     /// Snapshot-keyed result cache in front of the executor.
     pub(crate) result_cache: QueryCache,
     /// Generation-keyed group-key dictionary cache shared by every query
-    /// (and every member of a batch) against a snapshot. Publishes that
-    /// provably leave dimension tables untouched (ingest epochs, fact
-    /// compaction) advance its generation and keep the dictionaries;
-    /// schema-personalizing publishes flush it.
+    /// (and every member of a batch) against a snapshot.
     pub(crate) dict_cache: GroupDictCache,
     /// The session manager, shared with the engine: compaction remaps
     /// every open session's fact-row selections right after publishing a
@@ -97,6 +97,50 @@ pub(crate) struct CubeState {
     /// translate its stale row ids instead of failing with
     /// `ProducerLagged`.
     pub(crate) producer_floors: Mutex<BTreeMap<(String, String), u64>>,
+}
+
+/// What a publication may have changed since the previous snapshot, and
+/// therefore which cached state may outlive it.
+pub(crate) enum PublishScope<'a> {
+    /// Only the content of these fact tables (ingest epoch, compaction,
+    /// worker restart): dimension tables and the schema are untouched.
+    Facts(&'a BTreeSet<String>),
+    /// Anything: rule firing personalized the schema, which may have
+    /// grown dimension tables and layers.
+    Schema,
+}
+
+impl CubeState {
+    /// Publishes a clone of `master` as the next snapshot generation and
+    /// settles both caches against it — the only place a snapshot is
+    /// stored or a cache is told about one. [`PublishScope::Facts`] drops
+    /// results over the named facts, re-keys the rest (they keep hitting)
+    /// and keeps the group-key dictionaries, which are built from
+    /// dimension tables only; after [`PublishScope::Schema`] nothing
+    /// below the new generation survives in either cache.
+    ///
+    /// `master` is the caller's *held* lock guard, so publications never
+    /// interleave and none is overtaken by another's snapshot or cache
+    /// flush. Compaction goes on, still under that lock, to remap stored
+    /// session views and only then trims the remap chain. Publish, remap,
+    /// trim: a query pairs its view load with a *later* snapshot load, so
+    /// it sees (stale view, compacted snapshot), which the remap chain
+    /// resolves, or (remapped view, compacted snapshot), the aligned fast
+    /// path; never a remapped view against the pre-compaction snapshot.
+    pub(crate) fn publish(&self, master: &Cube, scope: PublishScope<'_>) -> u64 {
+        let generation = self.snapshot.store(Arc::new(master.clone()));
+        match scope {
+            PublishScope::Facts(changed) => {
+                self.result_cache.publish(generation, changed);
+                self.dict_cache.advance(generation);
+            }
+            PublishScope::Schema => {
+                self.result_cache.invalidate_generations_below(generation);
+                self.dict_cache.invalidate(generation);
+            }
+        }
+        generation
+    }
 }
 
 /// Number of independently locked pin shards. Matches the session
@@ -182,9 +226,10 @@ impl Drop for VersionPinGuard {
 }
 
 /// The ingest side of the engine: batches are applied to the master under
-/// its lock (atomically — validate first, then mutate), and epochs publish
-/// a master clone through the same [`VersionedSwap`] rule firing uses, so
-/// the generation-keyed cache and in-flight queries keep working unchanged.
+/// its lock (atomically — validate first, then mutate), and epochs,
+/// compactions and worker restarts go out through the same
+/// [`CubeState::publish`] rule firing uses, so the generation-keyed caches
+/// and in-flight queries keep working unchanged.
 impl CubeSink for CubeState {
     fn apply_batch(&self, batch: &DeltaBatch) -> Result<BatchOutcome, OlapError> {
         let mut master = self.master.lock();
@@ -197,20 +242,8 @@ impl CubeSink for CubeState {
 
     fn publish_epoch(&self, changed_facts: &BTreeSet<String>) -> u64 {
         let _publish = self.metrics.span(Stage::IngestPublish, ClassId::DEFAULT);
-        // Hold the master lock across clone, store and cache maintenance
-        // so an interleaved rule firing cannot publish in between and have
-        // its snapshot (or its cache flush) overtaken by this one.
         let master = self.master.lock();
-        let generation = self.snapshot.store(Arc::new(master.clone()));
-        // An ingest epoch only changed `changed_facts`' fact tables —
-        // dimension tables and the schema are untouched — so cached
-        // results over other facts stay valid and are re-keyed instead of
-        // flushed.
-        self.result_cache.publish(generation, changed_facts);
-        // Same proof covers the dictionaries: dimensions are untouched.
-        self.dict_cache.advance(generation);
-        drop(master);
-        generation
+        self.publish(&master, PublishScope::Facts(changed_facts))
     }
 
     fn maybe_compact(&self, policy: &CompactionPolicy) -> Vec<CompactionOutcome> {
@@ -231,23 +264,10 @@ impl CubeSink for CubeState {
             let remap = master
                 .compact_fact_table(&fact)
                 .expect("candidate fact exists");
-            // Publish the rewritten table, then remap stored session
-            // views — in that order, and all under the master lock. A
-            // query pairs its view load with a *later* snapshot load, so
-            // it either sees (stale view, compacted snapshot), which the
-            // remap chain resolves, or (remapped view, compacted
-            // snapshot), the aligned fast path; never a remapped view
-            // against the pre-compaction snapshot.
-            let generation = self.snapshot.store(Arc::new(master.clone()));
             // The rewrite preserves live-row content, but conservatively
-            // drop cached results over this fact with the same scoped
-            // invalidation an ingest epoch uses.
-            let mut changed = BTreeSet::new();
-            changed.insert(fact.clone());
-            self.result_cache.publish(generation, &changed);
-            // Compaction rewrites a fact table; dimension tables — and
-            // with them every group-key dictionary — are untouched.
-            self.dict_cache.advance(generation);
+            // drop cached results over this fact exactly as an epoch would.
+            let changed = BTreeSet::from([fact.clone()]);
+            let generation = self.publish(&master, PublishScope::Facts(&changed));
             self.sessions.remap_fact_rows(&fact, &remap, version_before);
             // Trim the remap chain down to what can still be referenced:
             // stored session views (just remapped to the current version),
@@ -257,7 +277,6 @@ impl CubeSink for CubeState {
             // latest transition. Everything below that floor is
             // unreachable and dropped, so the chain stays bounded under
             // steady compaction.
-            let current_version = version_before + 1;
             let producer_floor = self
                 .producer_floors
                 .lock()
@@ -268,7 +287,7 @@ impl CubeSink for CubeState {
                 self.sessions.min_fact_selection_version(&fact),
                 self.version_pins.min_for(&fact),
                 producer_floor,
-                Some(current_version.saturating_sub(1)),
+                Some(version_before),
             ]
             .into_iter()
             .flatten()
@@ -294,19 +313,16 @@ impl CubeSink for CubeState {
     /// Supervisor restart hook: the panicked worker may have applied
     /// batches it never published, and its epoch bookkeeping is gone —
     /// republish the master so nothing applied lingers master-only.
-    /// Which facts the lost epoch touched is unknowable, so cached
-    /// results over every fact are conservatively invalidated;
-    /// dimensions are untouched by ingest, so the dictionaries survive.
+    /// Which facts the lost epoch touched is unknowable, so every fact
+    /// counts as changed.
     fn on_worker_restart(&self) {
         let master = self.master.lock();
-        let generation = self.snapshot.store(Arc::new(master.clone()));
         let changed: BTreeSet<String> = master
             .fact_table_stats()
             .into_iter()
             .map(|stats| stats.fact)
             .collect();
-        self.result_cache.publish(generation, &changed);
-        self.dict_cache.advance(generation);
+        self.publish(&master, PublishScope::Facts(&changed));
     }
 
     fn set_producer_floor(&self, producer: &str, fact: &str, version: u64) {
@@ -583,10 +599,10 @@ impl PersonalizationEngine {
         // concurrent compaction could otherwise trim a remap transition
         // the view still needs.
         let (report, fact_versions, _pin) =
-            self.fire_event(user_id, &state.session, &RuntimeEvent::SessionStart, class)?;
+            self.fire_event(&state.session, &RuntimeEvent::SessionStart, class)?;
         self.apply_selection_effects(&report, &fact_versions, &mut state.view);
         state.effects.extend(report.effects.iter().cloned());
-        let personalization_report = self.build_report(user_id, &state, &report)?;
+        let personalization_report = self.build_report(&state, &report)?;
         self.sessions.insert(state);
         Ok(SessionHandle {
             id,
@@ -603,28 +619,14 @@ impl PersonalizationEngine {
         element: &str,
         expression: Option<&str>,
     ) -> Result<FireReport, CoreError> {
-        let (user_id, session_snapshot, class) =
-            self.sessions.with_session_mut(session_id, |state| {
-                if !state.is_active() {
-                    return Err(CoreError::UnknownSession {
-                        session: session_id,
-                    });
-                }
-                state
-                    .session
-                    .record_spatial_selection(element, expression.unwrap_or_default());
-                Ok((
-                    state.session.user_id.clone(),
-                    state.session.clone(),
-                    state.class,
-                ))
-            })??;
+        let (session, class) = self.update_active_session(session_id, |session| {
+            session.record_spatial_selection(element, expression.unwrap_or_default())
+        })?;
         let event = RuntimeEvent::SpatialSelection {
             element: element.to_string(),
             expression: expression.map(str::to_string),
         };
-        let (report, fact_versions, pin) =
-            self.fire_event(&user_id, &session_snapshot, &event, class)?;
+        let (report, fact_versions, pin) = self.fire_event(&session, &event, class)?;
         self.sessions.with_session_mut(session_id, |state| {
             self.apply_selection_effects(&report, &fact_versions, &mut state.view);
             state.effects.extend(report.effects.iter().cloned());
@@ -638,45 +640,53 @@ impl PersonalizationEngine {
     /// concurrently racing logout cannot re-fire the SessionEnd rules.
     ///
     /// The session's state (personalized view, effect log) is reclaimed
-    /// once the SessionEnd rules have fired: no later request can reach
-    /// an ended session anyway — they all answer `UnknownSession` — and
-    /// retaining the state would grow the session map without bound and
-    /// pin the compaction remap chain on views nobody can query.
+    /// once the SessionEnd rules have fired — **whether or not the firing
+    /// succeeded**: no later request can reach an ended session anyway —
+    /// they all answer `UnknownSession` — and retaining the state would
+    /// grow the session map without bound and pin the compaction remap
+    /// chain on views nobody can query.
     pub fn end_session(&self, session_id: SessionId) -> Result<FireReport, CoreError> {
-        let (user_id, session_snapshot, class) =
-            self.sessions.with_session_mut(session_id, |state| {
-                if !state.is_active() {
-                    return Err(CoreError::UnknownSession {
-                        session: session_id,
-                    });
-                }
-                state.session.end();
-                Ok((
-                    state.session.user_id.clone(),
-                    state.session.clone(),
-                    state.class,
-                ))
-            })??;
+        let (session, class) = self.update_active_session(session_id, Session::end)?;
         let _span = self.metrics.span(Stage::SessionEnd, class);
-        let (report, _, _pin) = self.fire_event(
-            &user_id,
-            &session_snapshot,
-            &RuntimeEvent::SessionEnd,
-            class,
-        )?;
+        let fired = self.fire_event(&session, &RuntimeEvent::SessionEnd, class);
         self.sessions.remove(session_id);
-        Ok(report)
+        Ok(fired?.0)
     }
 
-    /// Executes an OLAP query through a session's personalized view.
+    /// The session gate every per-session entry passes: an ended session
+    /// answers exactly like one that never existed.
+    fn ensure_active(state: &SessionState) -> Result<(), CoreError> {
+        if state.is_active() {
+            return Ok(());
+        }
+        let session = state.session.id;
+        Err(CoreError::UnknownSession { session })
+    }
+
+    /// Applies `update` to an active session's SUS object and copies out
+    /// what the firing that follows needs: the session and its class.
+    fn update_active_session(
+        &self,
+        session_id: SessionId,
+        update: impl FnOnce(&mut Session),
+    ) -> Result<(Session, ClassId), CoreError> {
+        self.sessions.with_session_mut(session_id, |state| {
+            Self::ensure_active(state)?;
+            update(&mut state.session);
+            Ok((state.session.clone(), state.class))
+        })?
+    }
+
+    /// Executes an OLAP query through a session's personalized view:
+    /// [`PersonalizationEngine::query_batch`] of one, under its own stages.
     ///
     /// Runs entirely on snapshots: the session's view is copied out under
     /// its shard lock, the cube is the published [`VersionedSwap`]
     /// snapshot — so queries from many sessions (or threads) run
     /// concurrently and never block rule firing. Results are served from
     /// the generation-keyed cache when the same `(snapshot, query, view)`
-    /// triple was executed before; a rule firing that publishes a new
-    /// cube bumps the generation and misses every stale entry.
+    /// triple was executed before; what a later publication leaves of the
+    /// cache is `CubeState::publish`'s decision.
     pub fn query(&self, session_id: SessionId, query: &Query) -> Result<QueryResult, CoreError> {
         self.query_with_deadline(session_id, query, None)
     }
@@ -694,28 +704,29 @@ impl PersonalizationEngine {
         query: &Query,
         deadline: Option<std::time::Duration>,
     ) -> Result<QueryResult, CoreError> {
-        let (view, min_generation, class, _pin) = self.pinned_session_view(session_id)?;
-        self.query_snapshot(query, view, min_generation, class, deadline)
+        let queries = std::slice::from_ref(query);
+        self.query_session(ReportAs::Single, session_id, queries, deadline)?
+            .pop()
+            .expect("one result per submitted query")
     }
 
-    /// What both read paths copy out of an active session: its view, its
-    /// read-your-writes floor, its class, and a pin on the view's
-    /// fact-selection versions. The pin is taken while still under the
-    /// session shard lock (mutually exclusive with the compaction path's
-    /// eager remap of this shard): the query keeps this clone of the view
-    /// — possibly across a read-your-writes wait — and the remap-chain
-    /// trimmer must not drop transitions the clone still needs. Released
-    /// when the caller drops the guard after execution.
-    fn pinned_session_view(
+    /// The read path of a session: copies out of the active session its
+    /// view, its read-your-writes floor, its class and a pin on the view's
+    /// fact-selection versions, then runs the one read body. The pin is
+    /// taken while still under the session shard lock (mutually exclusive
+    /// with the compaction path's eager remap of this shard): the body
+    /// keeps this clone of the view — possibly across a read-your-writes
+    /// wait — and the remap-chain trimmer must not drop transitions the
+    /// clone still needs. Released when execution returns.
+    fn query_session(
         &self,
+        report_as: ReportAs,
         session_id: SessionId,
-    ) -> Result<(Arc<InstanceView>, u64, ClassId, VersionPinGuard), CoreError> {
-        self.sessions.with_session(session_id, |state| {
-            if !state.is_active() {
-                return Err(CoreError::UnknownSession {
-                    session: session_id,
-                });
-            }
+        queries: &[Query],
+        deadline: Option<std::time::Duration>,
+    ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
+        let pinned = |state: &SessionState| {
+            Self::ensure_active(state)?;
             let versions: BTreeMap<String, u64> = state
                 .view
                 .fact_selection_versions()
@@ -725,25 +736,22 @@ impl PersonalizationEngine {
                 state: Arc::clone(&self.cube_state),
                 token: (!versions.is_empty()).then(|| self.cube_state.version_pins.pin(versions)),
             };
-            Ok((
-                Arc::clone(&state.view),
-                state.min_generation,
-                state.class,
-                pin,
-            ))
-        })?
+            let view = Arc::clone(&state.view);
+            Ok::<_, CoreError>((view, state.min_generation, state.class, pin))
+        };
+        let (view, min_generation, class, _pin) =
+            self.sessions.with_session(session_id, pinned)??;
+        self.query_batch_snapshot(report_as, queries, view, min_generation, class, deadline)
     }
 
     /// Executes an OLAP query against the full, unpersonalized cube
     /// (the baseline the paper's approach avoids exposing to users).
     pub fn query_unpersonalized(&self, query: &Query) -> Result<QueryResult, CoreError> {
-        self.query_snapshot(
-            query,
-            Arc::new(InstanceView::unrestricted()),
-            0,
-            ClassId::DEFAULT,
-            None,
-        )
+        let view = Arc::new(InstanceView::unrestricted());
+        let queries = std::slice::from_ref(query);
+        self.query_batch_snapshot(ReportAs::Single, queries, view, 0, ClassId::DEFAULT, None)?
+            .pop()
+            .expect("one result per submitted query")
     }
 
     /// Pins a session to a minimum snapshot generation: later queries of
@@ -758,79 +766,10 @@ impl PersonalizationEngine {
         generation: u64,
     ) -> Result<u64, CoreError> {
         self.sessions.with_session_mut(session_id, |state| {
-            if !state.is_active() {
-                return Err(CoreError::UnknownSession {
-                    session: session_id,
-                });
-            }
+            Self::ensure_active(state)?;
             state.min_generation = state.min_generation.max(generation);
             Ok(state.min_generation)
         })?
-    }
-
-    /// The shared cached read path: consistent `(generation, cube)` pair,
-    /// cache lookup, parallel execution, cache fill. Takes the view as an
-    /// `Arc` (sessions already hold one), so keying the cache is a
-    /// refcount bump rather than a deep clone of the selection sets.
-    ///
-    /// `min_generation` is the session's read-your-writes floor: when the
-    /// published snapshot is older, the query waits briefly for the epoch
-    /// worker to catch up and errors with [`CoreError::StaleSnapshot`] if
-    /// it does not.
-    fn query_snapshot(
-        &self,
-        query: &Query,
-        view: Arc<InstanceView>,
-        min_generation: u64,
-        class: ClassId,
-        deadline: Option<std::time::Duration>,
-    ) -> Result<QueryResult, CoreError> {
-        // End-to-end span: covers the admission gate, the
-        // read-your-writes wait, the cache lookup and (on a miss) the
-        // observed execution; records on every exit, including errors.
-        let _total = self.metrics.span(Stage::QueryTotal, class);
-        // The budget clock starts here, *before* admission: a query that
-        // spends its whole budget parked in the admission queue comes
-        // back DeadlineExceeded instead of running late.
-        let cancel = self.lifecycle_token(deadline);
-        // Admission first: a shed query does no work at all — not even a
-        // cache probe — and a guaranteed tenant over budget waits here
-        // (backpressure, bounded by the deadline) before touching any
-        // snapshot.
-        let _admission = self.admit_query(class, cancel.deadline())?;
-        let (generation, cube) = self.wait_for_generation(min_generation)?;
-        let dicts = Some((&self.cube_state.dict_cache, generation));
-        let obs = Some(QueryObs {
-            registry: &self.metrics,
-            class,
-            generation,
-        });
-        if !self.cube_state.result_cache.is_enabled() {
-            return Ok(self
-                .query_engine
-                .execute_with_view_cancellable(&cube, query, &view, dicts, obs, &cancel)?);
-        }
-        let key = CacheKey::new(generation, query, view);
-        let lookup = self.metrics.span(Stage::CacheLookup, class);
-        let hit = self.cube_state.result_cache.get(&key);
-        lookup.finish();
-        if let Some(hit) = hit {
-            return Ok((*hit).clone());
-        }
-        let result = self
-            .query_engine
-            .execute_with_view_cancellable(&cube, query, &key.view, dicts, obs, &cancel)?;
-        self.cube_state
-            .result_cache
-            .insert(key, Arc::new(result.clone()));
-        Ok(result)
-    }
-
-    /// The cancel token a read path runs under: the explicit per-query
-    /// budget wins, else the executor config's default, else no deadline.
-    fn lifecycle_token(&self, deadline: Option<std::time::Duration>) -> CancelToken {
-        let budget = deadline.or(self.query_engine.config().deadline);
-        CancelToken::with_deadline(budget.map(|budget| std::time::Instant::now() + budget))
     }
 
     /// Executes a batch of OLAP queries through a session's personalized
@@ -861,36 +800,53 @@ impl PersonalizationEngine {
         queries: &[Query],
         deadline: Option<std::time::Duration>,
     ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-        let (view, min_generation, class, _pin) = self.pinned_session_view(session_id)?;
-        self.query_batch_snapshot(queries, view, min_generation, class, deadline)
+        self.query_session(ReportAs::Batch, session_id, queries, deadline)
     }
 
-    /// The shared batched read path: one consistent `(generation, cube)`
-    /// pair for the whole batch, one locked batch lookup in the result
-    /// cache, one shared-scan execution over exactly the misses, then a
-    /// cache fill for every freshly computed result.
+    /// The one read body — a single query is the batch of one, and
+    /// `report_as` (data, never branched on here) names the stage family
+    /// it records under. In order: total span → deadline token →
+    /// admission → read-your-writes wait → cache keys → one locked probe →
+    /// one shared-scan execution over exactly the misses → cache fill.
+    /// The view comes as an `Arc` (sessions already hold one), so keying
+    /// the cache is a refcount bump, not a deep clone of selection sets.
+    /// Errors before the probe fail the request; later ones are per slot.
     fn query_batch_snapshot(
         &self,
+        report_as: ReportAs,
         queries: &[Query],
         view: Arc<InstanceView>,
         min_generation: u64,
         class: ClassId,
         deadline: Option<std::time::Duration>,
     ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-        let _total = self.metrics.span(Stage::BatchTotal, class);
-        let cancel = self.lifecycle_token(deadline);
+        // End-to-end span: records on every exit, including errors.
+        let _total = self.metrics.span(report_as.total_stage(), class);
+        // The explicit budget wins, else the executor config's default,
+        // else no deadline. The clock starts here, *before* admission: a
+        // request that spends its whole budget parked in the admission
+        // queue comes back DeadlineExceeded instead of running late.
+        let budget = deadline.or(self.query_engine.config().deadline);
+        let cancel =
+            CancelToken::with_deadline(budget.map(|budget| std::time::Instant::now() + budget));
+        // Admission first: a shed request does no work at all — not even
+        // a cache probe — and a guaranteed tenant over budget waits here
+        // (backpressure, bounded by the deadline) before touching any
+        // snapshot.
         let _admission = self.admit_query(class, cancel.deadline())?;
-        let (generation, cube) = self.wait_for_generation(min_generation)?;
+        let (generation, cube) = self.wait_for_generation(min_generation, &cancel)?;
         let dicts = Some((&self.cube_state.dict_cache, generation));
         let obs = Some(QueryObs {
             registry: &self.metrics,
             class,
             generation,
         });
+        let execute = |misses: &[Query]| {
+            self.query_engine
+                .execute_cancellable(report_as, &cube, misses, &view, dicts, obs, &cancel)
+        };
         if !self.cube_state.result_cache.is_enabled() {
-            return Ok(self
-                .query_engine
-                .execute_batch_cancellable(&cube, queries, &view, dicts, obs, &cancel)
+            return Ok(execute(queries)
                 .into_iter()
                 .map(|result| result.map_err(CoreError::from))
                 .collect());
@@ -902,64 +858,69 @@ impl PersonalizationEngine {
         let lookup = self.metrics.span(Stage::CacheLookup, class);
         let cached = self.cube_state.result_cache.get_batch(&keys);
         lookup.finish();
-        let miss_indices: Vec<usize> = cached
-            .iter()
-            .enumerate()
-            .filter_map(|(i, hit)| hit.is_none().then_some(i))
-            .collect();
-        // A warm refresh never reaches the executor: with every panel
+        let missed = cached.iter().filter(|hit| hit.is_none()).count();
+        // A warm refresh never reaches the executor: with every slot
         // answered from the cache there is nothing to resolve, and the
-        // executor's stage counts keep meaning "batches executed".
-        if miss_indices.is_empty() {
+        // executor's stage counts keep meaning "requests executed".
+        if missed == 0 {
             return Ok(cached
                 .into_iter()
-                .map(|hit| Ok((*hit.expect("no panel missed")).clone()))
+                .map(|hit| Ok((*hit.expect("no slot missed")).clone()))
                 .collect());
         }
-        let misses: Vec<Query> = miss_indices.iter().map(|&i| queries[i].clone()).collect();
-        let executed = self
-            .query_engine
-            .execute_batch_cancellable(&cube, &misses, &view, dicts, obs, &cancel);
-        let mut results: Vec<Option<Result<QueryResult, CoreError>>> = cached
+        // When every slot missed — always, for a single-query miss — the
+        // caller's slice is the miss list: no `Query` is cloned.
+        let subset: Vec<Query>;
+        let misses = if missed == queries.len() {
+            queries
+        } else {
+            let missing = queries.iter().zip(&cached).filter(|(_, hit)| hit.is_none());
+            subset = missing.map(|(query, _)| query.clone()).collect();
+            &subset
+        };
+        let mut executed = execute(misses).into_iter();
+        Ok(cached
             .into_iter()
-            .map(|hit| hit.map(|r| Ok((*r).clone())))
-            .collect();
-        for (&index, executed) in miss_indices.iter().zip(executed) {
-            if let Ok(result) = &executed {
-                self.cube_state
-                    .result_cache
-                    .insert(keys[index].clone(), Arc::new(result.clone()));
-            }
-            results[index] = Some(executed.map_err(CoreError::from));
-        }
-        Ok(results
-            .into_iter()
-            .map(|result| result.expect("every batch slot answered or executed"))
+            .zip(keys)
+            .map(|(hit, key)| match hit {
+                Some(hit) => Ok((*hit).clone()),
+                None => {
+                    let result = executed.next().expect("one result per miss")?;
+                    self.cube_state
+                        .result_cache
+                        .insert(key, Arc::new(result.clone()));
+                    Ok(result)
+                }
+            })
             .collect())
     }
 
     /// Loads a consistent `(generation, cube)` pair at or above
     /// `min_generation`, polling briefly when the published snapshot lags
     /// a read-your-writes pin (the epoch worker publishes within its
-    /// `max_interval`, typically tens of milliseconds).
-    fn wait_for_generation(&self, min_generation: u64) -> Result<(u64, Arc<Cube>), CoreError> {
-        let (generation, cube) = self.cube_state.snapshot.load_versioned();
-        if generation >= min_generation {
-            return Ok((generation, cube));
-        }
-        let deadline = std::time::Instant::now() + READ_YOUR_WRITES_WAIT;
+    /// `max_interval`, typically tens of milliseconds). The request's
+    /// token bounds the wait ([`CoreError::DeadlineExceeded`]), as does
+    /// the wait's own budget ([`CoreError::StaleSnapshot`]).
+    fn wait_for_generation(
+        &self,
+        min_generation: u64,
+        cancel: &CancelToken,
+    ) -> Result<(u64, Arc<Cube>), CoreError> {
+        let mut give_up = None;
         loop {
-            std::thread::sleep(std::time::Duration::from_millis(1));
             let (generation, cube) = self.cube_state.snapshot.load_versioned();
             if generation >= min_generation {
                 return Ok((generation, cube));
             }
-            if std::time::Instant::now() >= deadline {
+            cancel.check()?;
+            let now = std::time::Instant::now();
+            if now >= *give_up.get_or_insert(now + READ_YOUR_WRITES_WAIT) {
                 return Err(CoreError::StaleSnapshot {
                     published: generation,
                     required: min_generation,
                 });
             }
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
 
@@ -1229,7 +1190,7 @@ impl PersonalizationEngine {
 
     // ----- internals ----------------------------------------------------
 
-    /// Fires an event for a user through the in-service
+    /// Fires an event for a session's user through the in-service
     /// [`CompiledRuleSet`], in two phases. This is the only rule
     /// evaluator the engine runs; the AST interpreter (`sdwp_prml::eval`)
     /// is the reference `compiled_equivalence` checks it against.
@@ -1263,7 +1224,6 @@ impl PersonalizationEngine {
     /// then translates correctly instead of silently misreading ids).
     fn fire_event(
         &self,
-        user_id: &str,
         session: &Session,
         event: &RuntimeEvent,
         class: ClassId,
@@ -1280,7 +1240,7 @@ impl PersonalizationEngine {
             // Nothing fires, so the firing cannot touch the cube or
             // the profile: skip the master lock entirely. Unknown
             // users must still error exactly like the locking path.
-            self.profiles.get(user_id)?;
+            self.profiles.get(&session.user_id)?;
             return Ok((
                 FireReport::default(),
                 BTreeMap::new(),
@@ -1296,7 +1256,7 @@ impl PersonalizationEngine {
         let effect = self.metrics.span(Stage::RuleEffect, class);
         let parameters = self.parameters.read().clone();
         let mut master = self.cube_state.master.lock();
-        let mut profile = self.profiles.get(user_id)?;
+        let mut profile = self.profiles.get(&session.user_id)?;
         let mut ctx = EvalContext::new(&mut master, &mut profile)
             .with_session(session)
             .with_layer_source(self.layer_source.as_ref());
@@ -1327,17 +1287,9 @@ impl PersonalizationEngine {
         // Publish only on a real schema change — effects report AddLayer
         // even when it was an idempotent re-add, and cloning the whole
         // cube on every login would serialise logins behind an
-        // O(warehouse) copy. Publishing bumps the snapshot generation,
-        // which automatically invalidates every cached query result
-        // computed from the superseded cube.
+        // O(warehouse) copy.
         if master.schema() != published.schema() {
-            let generation = self.cube_state.snapshot.store(Arc::new(master.clone()));
-            self.cube_state
-                .result_cache
-                .invalidate_generations_below(generation);
-            // Schema personalization may have grown dimension tables, so
-            // the cached group-key dictionaries cannot be trusted either.
-            self.cube_state.dict_cache.invalidate(generation);
+            self.cube_state.publish(&master, PublishScope::Schema);
         }
         self.profiles.upsert(profile);
         // Only fact-row selections consume the version map; skip the
@@ -1435,7 +1387,6 @@ impl PersonalizationEngine {
 
     fn build_report(
         &self,
-        user_id: &str,
         state: &SessionState,
         fire: &FireReport,
     ) -> Result<PersonalizationReport, CoreError> {
@@ -1453,7 +1404,7 @@ impl PersonalizationEngine {
                 .flat_map(|e| e.selections.iter())
                 .map(|(dim, rows)| (dim.clone(), rows.len()))
                 .collect(),
-            ..self.view_report(user_id, &state.view)?
+            ..self.view_report(&state.session.user_id, &state.view)?
         })
     }
 
@@ -1982,6 +1933,207 @@ mod tests {
         ));
         // Unknown sessions cannot be pinned.
         assert!(engine.pin_session_generation(9_999, 1).is_err());
+    }
+
+    #[test]
+    fn a_query_deadline_bounds_the_read_your_writes_wait() {
+        let (engine, scenario) = engine();
+        let handle = engine
+            .start_session("regional-manager", Some(near_first_store(&scenario)))
+            .unwrap();
+        // Pinned far ahead of anything that will ever be published: with
+        // no deadline this polls for the full READ_YOUR_WRITES_WAIT.
+        engine
+            .pin_session_generation(handle.id, engine.cube_generation() + 100)
+            .unwrap();
+        let query = Query::over("Sales").measure("UnitSales");
+        let budget = Some(std::time::Duration::from_millis(5));
+        let started = std::time::Instant::now();
+        assert_eq!(
+            engine.query_with_deadline(handle.id, &query, budget),
+            Err(CoreError::DeadlineExceeded)
+        );
+        assert_eq!(
+            engine
+                .query_batch_with_deadline(handle.id, std::slice::from_ref(&query), budget)
+                .map(|_| ()),
+            Err(CoreError::DeadlineExceeded)
+        );
+        assert!(
+            started.elapsed() < std::time::Duration::from_millis(100),
+            "two 5 ms budgets took {:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_failing_session_end_rule_still_reclaims_the_session() {
+        let scenario = PaperScenario::generate(ScenarioConfig::tiny());
+        let engine = PersonalizationEngine::new(scenario.cube.clone());
+        engine.register_user(sdwp_user::UserProfile::new("u", "U"));
+        // `missingparam` passes static validation (it could be a designer
+        // parameter) and fails at firing time.
+        engine
+            .add_rules_text(
+                "Rule:boom When SessionEnd do \
+                 If (missingparam > 1) then AddLayer('Q', POINT) endIf endWhen",
+            )
+            .unwrap();
+        let gauge = |engine: &PersonalizationEngine, name: &str| {
+            let snap = engine.metrics_snapshot();
+            snap.gauges.iter().find(|(n, _)| n == name).map(|g| g.1)
+        };
+        let (sessions, active, reclaimed) = (
+            engine.sessions().len(),
+            gauge(&engine, "sessions_active"),
+            engine.sessions().sessions_reclaimed(),
+        );
+        let handle = engine.start_session("u", None).unwrap();
+        assert!(matches!(
+            engine.end_session(handle.id),
+            Err(CoreError::Rule(_))
+        ));
+        assert_eq!(engine.sessions().len(), sessions);
+        assert_eq!(gauge(&engine, "sessions_active"), active);
+        assert_eq!(engine.sessions().sessions_reclaimed(), reclaimed + 1);
+        assert!(matches!(
+            engine.end_session(handle.id),
+            Err(CoreError::UnknownSession { .. })
+        ));
+    }
+
+    #[test]
+    fn a_query_is_a_batch_of_one() {
+        let query = Query::over("Sales")
+            .group_by(AttributeRef::new("Store", "City", "name"))
+            .measure("UnitSales");
+        // Two identical engines, one asked through each entry: the same
+        // result, the same cache traffic, and each under its own stages.
+        let (single, scenario) = engine();
+        let (batched, _) = engine();
+        let location = near_first_store(&scenario);
+        let one = single
+            .start_session("regional-manager", Some(location.clone()))
+            .unwrap();
+        let other = batched
+            .start_session("regional-manager", Some(location))
+            .unwrap();
+        for _ in 0..2 {
+            let alone = single.query(one.id, &query);
+            let mut batch = batched
+                .query_batch(other.id, std::slice::from_ref(&query))
+                .unwrap();
+            assert_eq!(batch.len(), 1);
+            assert_eq!(alone, batch.remove(0));
+        }
+        // One miss, then one hit — on both.
+        let stats = single.cache_stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
+        assert_eq!(stats, batched.cache_stats());
+        let count = |engine: &PersonalizationEngine, stage| {
+            let histogram = engine.metrics().stage_histogram(stage, ClassId::DEFAULT);
+            histogram.count
+        };
+        assert_eq!(count(&single, Stage::QueryTotal), 2);
+        assert_eq!(count(&single, Stage::QueryScan), 1);
+        assert_eq!(count(&single, Stage::BatchTotal), 0);
+        assert_eq!(count(&single, Stage::BatchScan), 0);
+        assert_eq!(count(&batched, Stage::BatchTotal), 2);
+        assert_eq!(count(&batched, Stage::BatchScan), 1);
+        assert_eq!(count(&batched, Stage::QueryTotal), 0);
+        assert_eq!(count(&batched, Stage::QueryScan), 0);
+    }
+
+    #[test]
+    fn every_publication_settles_the_caches_through_one_scope() {
+        // (caller, what drives it, whether it publishes under the `Facts`
+        // scope: a result over an untouched fact and the group-key
+        // dictionaries survive that scope and nothing survives `Schema`)
+        type Drive = fn(&PersonalizationEngine, &PaperScenario);
+        let callers: [(&str, Drive, bool); 4] = [
+            (
+                "publish_epoch",
+                |engine, _| {
+                    let changed = BTreeSet::from(["Sales".to_string()]);
+                    engine.cube_state.publish_epoch(&changed);
+                },
+                true,
+            ),
+            (
+                "maybe_compact",
+                |engine, _| {
+                    let retract = DeltaBatch::new().retract("Sales", 0).retract("Sales", 1);
+                    engine.cube_state.apply_batch(&retract).unwrap();
+                    let policy = CompactionPolicy::disabled()
+                        .with_max_tombstone_ratio(0.0)
+                        .with_min_rows(1);
+                    let compacted = engine.cube_state.maybe_compact(&policy);
+                    assert_eq!(compacted.len(), 1);
+                    assert_eq!(compacted[0].fact, "Sales");
+                },
+                true,
+            ),
+            (
+                // Every fact of the cube counts as changed; the stand-in
+                // fact below is not one of them.
+                "on_worker_restart",
+                |engine, _| engine.cube_state.on_worker_restart(),
+                true,
+            ),
+            (
+                "fire_event",
+                |engine, scenario| {
+                    // The first login adds the Airport layer: a schema change.
+                    engine
+                        .start_session("regional-manager", Some(near_first_store(scenario)))
+                        .unwrap();
+                },
+                false,
+            ),
+        ];
+        for (caller, drive, facts_scope) in callers {
+            let (engine, scenario) = engine();
+            let state = &engine.cube_state;
+            // A real grouped Sales query fills both caches …
+            let query = Query::over("Sales")
+                .group_by(AttributeRef::new("Store", "City", "name"))
+                .measure("UnitSales");
+            let result = engine.query_unpersonalized(&query).unwrap();
+            // … and one entry stands for a result over another fact.
+            let mut other = CacheKey {
+                generation: engine.cube_generation(),
+                fact: "Inventory".to_string(),
+                query: query.canonical_key(),
+                view: Arc::new(InstanceView::unrestricted()),
+            };
+            state.result_cache.insert(other.clone(), Arc::new(result));
+            let dicts_before = engine.dict_cache_stats();
+            assert!(dicts_before.entries > 0, "{caller}");
+            let generation = engine.cube_generation();
+
+            drive(&engine, &scenario);
+
+            assert!(engine.cube_generation() > generation, "{caller}");
+            other.generation = engine.cube_generation();
+            assert_eq!(
+                state.result_cache.get(&other).is_some(),
+                facts_scope,
+                "{caller}: result over an untouched fact"
+            );
+            let dicts = engine.dict_cache_stats();
+            if facts_scope {
+                assert_eq!(dicts.entries, dicts_before.entries, "{caller}");
+                assert_eq!(dicts.invalidations, 0, "{caller}");
+            } else {
+                assert_eq!(dicts.entries, 0, "{caller}");
+                assert_eq!(engine.cache_stats().entries, 0, "{caller}");
+            }
+            // The Sales result itself never survives a publication that
+            // names Sales (or the schema).
+            let hits = engine.cache_stats().hits;
+            engine.query_unpersonalized(&query).unwrap();
+            assert_eq!(engine.cache_stats().hits, hits, "{caller}: Sales must miss");
+        }
     }
 
     #[test]

@@ -10,20 +10,18 @@
 //!   Sort-Tile-Recursive (STR) bulk loading, supporting bounding-box range
 //!   queries, distance (within-radius) queries and k-nearest-neighbour
 //!   search;
-//! * [`GridIndex`] — a uniform grid (fixed cell size) used as a simpler
-//!   baseline and as the ablation comparator in benchmark B2.
+//! * [`LinearScan`] — the plain scan every index is property-tested
+//!   against.
 //!
-//! Both implement the [`SpatialQuery`] trait so the OLAP layer can switch
-//! between them (and a plain linear scan) at runtime.
+//! Two flavours, one [`SpatialQuery`] trait: the OLAP layer is written
+//! against the trait and the equivalence suites run both through it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod grid;
 pub mod knn;
 pub mod rtree;
 pub mod traits;
 
-pub use grid::GridIndex;
 pub use rtree::RTree;
 pub use traits::{IndexEntry, LinearScan, SpatialQuery};

@@ -27,8 +27,8 @@ impl<T> IndexEntry<T> {
     }
 }
 
-/// The query interface shared by [`crate::RTree`], [`crate::GridIndex`] and
-/// the [`LinearScan`] baseline.
+/// The query interface shared by [`crate::RTree`] and the [`LinearScan`]
+/// baseline.
 pub trait SpatialQuery<T> {
     /// Number of indexed entries.
     fn len(&self) -> usize;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sdwp_geometry::{BoundingBox, Coord};
-use sdwp_index::{GridIndex, IndexEntry, LinearScan, RTree, SpatialQuery};
+use sdwp_index::{IndexEntry, LinearScan, RTree, SpatialQuery};
 
 fn entry_strategy() -> impl Strategy<Value = IndexEntry<u32>> {
     (
@@ -55,21 +55,6 @@ proptest! {
     }
 
     #[test]
-    fn grid_bbox_query_matches_linear_scan(
-        entries in prop::collection::vec(entry_strategy(), 0..200),
-        cell in 1.0f64..100.0,
-        qx in -600.0f64..600.0, qy in -600.0f64..600.0,
-        qw in 0.0f64..300.0, qh in 0.0f64..300.0,
-    ) {
-        let query = BoundingBox::new(qx, qy, qx + qw, qy + qh);
-        let scan = LinearScan::bulk_load(entries.clone());
-        let grid = GridIndex::bulk_load(cell, entries);
-        let expected = sorted(scan.query_bbox(&query).into_iter().copied().collect());
-        let actual = sorted(grid.query_bbox(&query).into_iter().copied().collect());
-        prop_assert_eq!(expected, actual);
-    }
-
-    #[test]
     fn within_distance_matches_linear_scan(
         entries in prop::collection::vec(entry_strategy(), 0..200),
         cx in -600.0f64..600.0, cy in -600.0f64..600.0,
@@ -77,13 +62,10 @@ proptest! {
     ) {
         let center = Coord::new(cx, cy);
         let scan = LinearScan::bulk_load(entries.clone());
-        let tree = RTree::bulk_load(entries.clone());
-        let grid = GridIndex::bulk_load(25.0, entries);
+        let tree = RTree::bulk_load(entries);
         let expected = sorted(scan.query_within_distance(&center, radius).into_iter().copied().collect());
         let tree_actual = sorted(tree.query_within_distance(&center, radius).into_iter().copied().collect());
-        let grid_actual = sorted(grid.query_within_distance(&center, radius).into_iter().copied().collect());
-        prop_assert_eq!(expected.clone(), tree_actual);
-        prop_assert_eq!(expected, grid_actual);
+        prop_assert_eq!(expected, tree_actual);
     }
 
     #[test]

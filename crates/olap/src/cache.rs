@@ -104,6 +104,25 @@ impl CacheInner {
         self.tick
     }
 
+    /// One lookup: counts the hit or miss, and a hit moves the entry to
+    /// the newest recency slot.
+    fn probe(&mut self, key: &CacheKey) -> Option<Arc<QueryResult>> {
+        let tick = self.next_tick();
+        let Some(entry) = self.map.get_mut(key) else {
+            self.misses += 1;
+            return None;
+        };
+        let previous = std::mem::replace(&mut entry.last_used, tick);
+        let result = Arc::clone(&entry.result);
+        // Move the already-stored key to its new recency slot — the hit
+        // path allocates nothing under the shared mutex.
+        if let Some(stored) = self.recency.remove(&previous) {
+            self.recency.insert(tick, stored);
+        }
+        self.hits += 1;
+        Some(result)
+    }
+
     /// Evicts least-recently-used entries until `len <= capacity`.
     fn evict_to(&mut self, capacity: usize) {
         while self.map.len() > capacity {
@@ -153,26 +172,7 @@ impl QueryCache {
     /// Looks a result up, counting the hit or miss. A hit refreshes the
     /// entry's LRU recency.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<QueryResult>> {
-        let mut inner = self.inner.lock().expect("query cache poisoned");
-        let tick = inner.next_tick();
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                let previous = entry.last_used;
-                entry.last_used = tick;
-                let result = Arc::clone(&entry.result);
-                // Move the already-stored key to its new recency slot —
-                // the hit path allocates nothing under the shared mutex.
-                if let Some(stored) = inner.recency.remove(&previous) {
-                    inner.recency.insert(tick, stored);
-                }
-                inner.hits += 1;
-                Some(result)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        self.inner.lock().expect("query cache poisoned").probe(key)
     }
 
     /// Looks up a whole batch of keys under one lock acquisition,
@@ -183,27 +183,7 @@ impl QueryCache {
     /// the first occurrence would.
     pub fn get_batch(&self, keys: &[CacheKey]) -> Vec<Option<Arc<QueryResult>>> {
         let mut inner = self.inner.lock().expect("query cache poisoned");
-        keys.iter()
-            .map(|key| {
-                let tick = inner.next_tick();
-                match inner.map.get_mut(key) {
-                    Some(entry) => {
-                        let previous = entry.last_used;
-                        entry.last_used = tick;
-                        let result = Arc::clone(&entry.result);
-                        if let Some(stored) = inner.recency.remove(&previous) {
-                            inner.recency.insert(tick, stored);
-                        }
-                        inner.hits += 1;
-                        Some(result)
-                    }
-                    None => {
-                        inner.misses += 1;
-                        None
-                    }
-                }
-            })
-            .collect()
+        keys.iter().map(|key| inner.probe(key)).collect()
     }
 
     /// Stores a result, evicting the least-recently-used entry when full.

@@ -3,11 +3,12 @@
 //!
 //! # Execution model
 //!
-//! There is **one executor**. A request is a batch of queries over one
-//! snapshot and one personalized view — a single query is the batch of
-//! one — and it runs as a two-phase *morsel* pipeline in the style of
-//! morsel-driven parallelism: every query is resolved and planned up
-//! front, queries over the same fact share one pass over that fact's
+//! There is **one executor**, [`QueryEngine::execute_cancellable`]. A
+//! request is a batch of queries over one snapshot and one personalized
+//! view — a single query is the batch of one, told apart only by its
+//! [`ReportAs`] label — and it runs as a two-phase *morsel* pipeline in
+//! the style of morsel-driven parallelism: every query is resolved and
+//! planned up front, queries over the same fact share one pass over its
 //! rows, and the fact table is split into fixed-size row chunks
 //! ("morsels"). The calling thread and up to `workers - 1` workers of
 //! the engine's [`MorselPool`] pull morsel indices from a shared atomic
@@ -470,20 +471,29 @@ fn query_shape(query: &Query) -> String {
     )
 }
 
-/// Which public entry point an executor run reports as. The pipeline is
-/// the same either way; the label only picks the stage family samples
-/// are recorded under and the shape a fact group is journaled with, so
-/// dashboards keep telling a single aggregate from a panel refresh.
-#[derive(Clone, Copy)]
-enum ReportAs {
-    /// [`QueryEngine::execute_with_view_cancellable`]: a batch of one.
+/// What a run of the executor reports as. The pipeline is the same
+/// either way — a single query is the batch of one — so the label is
+/// *data*: it picks the stage family samples are recorded under and the
+/// shape a fact group is journaled with, and no caller branches on which
+/// of the two it serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReportAs {
+    /// One query: the `Query*` stages, journaled as the query's shape.
     Single,
-    /// [`QueryEngine::execute_batch_cancellable`].
+    /// A batch: the `Batch*` stages, journaled `batch:{fact}×{queries}`.
     Batch,
 }
 
 impl ReportAs {
-    /// The resolve / scan / merge / finalize stages of this entry.
+    /// The end-to-end stage a caller wraps around the whole request.
+    pub fn total_stage(self) -> Stage {
+        match self {
+            ReportAs::Single => Stage::QueryTotal,
+            ReportAs::Batch => Stage::BatchTotal,
+        }
+    }
+
+    /// The resolve / scan / merge / finalize stages of this label.
     fn stages(self) -> [Stage; 4] {
         match self {
             ReportAs::Single => [
@@ -624,33 +634,8 @@ impl QueryEngine {
         obs: Option<QueryObs<'_>>,
     ) -> Result<QueryResult, OlapError> {
         let cancel = self.default_token();
-        self.execute_with_view_cancellable(cube, query, view, dicts, obs, &cancel)
-    }
-
-    /// [`QueryEngine::execute_with_view_observed`] against an explicit
-    /// [`CancelToken`] (typically carrying the query's deadline,
-    /// computed by the caller so it also covers admission waits). The
-    /// scan loop — caller and every pool helper — checks the token
-    /// between morsels; a tripped token surfaces as the typed
-    /// [`OlapError::DeadlineExceeded`] / [`OlapError::ExecutionPanicked`]
-    /// with **no partial state**: nothing was merged, nothing reaches
-    /// any cache, and a participant panic is contained to this query
-    /// instead of unwinding into the caller.
-    ///
-    /// A single query is the batch of one: this is
-    /// [`QueryEngine::execute_batch_cancellable`] over
-    /// `slice::from_ref(query)`, reporting under the `Query*` stages.
-    pub fn execute_with_view_cancellable(
-        &self,
-        cube: &Cube,
-        query: &Query,
-        view: &InstanceView,
-        dicts: Option<(&GroupDictCache, u64)>,
-        obs: Option<QueryObs<'_>>,
-        cancel: &CancelToken,
-    ) -> Result<QueryResult, OlapError> {
         let queries = std::slice::from_ref(query);
-        self.run(ReportAs::Single, cube, queries, view, dicts, obs, cancel)
+        self.execute_cancellable(ReportAs::Single, cube, queries, view, dicts, obs, &cancel)
             .pop()
             .expect("one result per submitted query")
     }
@@ -700,26 +685,7 @@ impl QueryEngine {
         obs: Option<QueryObs<'_>>,
     ) -> Vec<Result<QueryResult, OlapError>> {
         let cancel = self.default_token();
-        self.execute_batch_cancellable(cube, queries, view, dicts, obs, &cancel)
-    }
-
-    /// [`QueryEngine::execute_batch_observed`] against an explicit
-    /// [`CancelToken`]. Fact groups run in sequence, so a deadline that
-    /// trips (or a participant that panics) mid-batch fails the current
-    /// group and every not-yet-scanned group with the typed error,
-    /// while groups that already completed keep their results — the
-    /// positional contract (one result per submitted query) holds on
-    /// every exit path.
-    pub fn execute_batch_cancellable(
-        &self,
-        cube: &Cube,
-        queries: &[Query],
-        view: &InstanceView,
-        dicts: Option<(&GroupDictCache, u64)>,
-        obs: Option<QueryObs<'_>>,
-        cancel: &CancelToken,
-    ) -> Vec<Result<QueryResult, OlapError>> {
-        self.run(ReportAs::Batch, cube, queries, view, dicts, obs, cancel)
+        self.execute_cancellable(ReportAs::Batch, cube, queries, view, dicts, obs, &cancel)
     }
 
     /// A token carrying the configured default deadline, starting now.
@@ -727,11 +693,25 @@ impl QueryEngine {
         CancelToken::with_deadline(self.config.deadline.map(|budget| Instant::now() + budget))
     }
 
-    /// The one executor: resolve → filter classes → one morsel loop per
-    /// fact group → [`merge_partials`] → [`materialise`], one result per
-    /// submitted query, in input order.
+    /// The one executor, and the entry the serving layer calls: resolve
+    /// → filter classes → one morsel loop per fact group →
+    /// `merge_partials` → `materialise`, one result per submitted
+    /// query, in input order; `report_as` only labels the run. Every
+    /// other `execute_*` is this over a default token, a one-query slice
+    /// or an unrestricted view.
+    ///
+    /// `cancel` typically carries the request's deadline, computed by the
+    /// caller so it also covers admission waits. Every scan participant
+    /// checks it between morsels; a tripped token surfaces as the typed
+    /// [`OlapError::DeadlineExceeded`] / [`OlapError::ExecutionPanicked`]
+    /// with **no partial state**: nothing was merged, nothing reaches any
+    /// cache, and a participant panic is contained to this request
+    /// instead of unwinding into the caller. Fact groups run in sequence,
+    /// so a token that trips mid-batch fails the current and every
+    /// not-yet-scanned group, while completed groups keep their results —
+    /// one result per submitted query on every exit path.
     #[allow(clippy::too_many_arguments)]
-    fn run(
+    pub fn execute_cancellable(
         &self,
         report_as: ReportAs,
         cube: &Cube,

@@ -68,7 +68,7 @@ pub use column::{Column, ColumnType, Dictionary};
 pub use cube::{Cube, CubeBuilder, DimensionTable, FactTable, FactTableStats, LayerTable};
 pub use dicts::{DictCacheStats, GroupDictCache};
 pub use engine::{
-    ExecutionConfig, QueryEngine, QueryObs, DEFAULT_GROUP_SLOT_LIMIT, DEFAULT_MORSEL_ROWS,
+    ExecutionConfig, QueryEngine, QueryObs, ReportAs, DEFAULT_GROUP_SLOT_LIMIT, DEFAULT_MORSEL_ROWS,
 };
 pub use error::OlapError;
 pub use filter::{CompareOp, Filter, SpatialPredicateOp};

@@ -3,16 +3,15 @@
 //! These helpers implement the data-access side of the paper's spatial
 //! instance rules: "for every store, the distance to the user is
 //! calculated; if this value is less than 5 km, the store is selected".
-//! They come in three flavours — a plain scan, an R-tree-accelerated
-//! variant and a grid-accelerated variant — so benchmark B2 can compare
-//! them.
+//! They come in two flavours — a plain scan, which is the reference, and
+//! an R-tree-accelerated variant the equivalence suites hold to it.
 
 use crate::cube::{geometry_column, Cube};
 use crate::error::OlapError;
 use crate::filter::SpatialPredicateOp;
 use sdwp_geometry::distance::{distance, DistanceMetric};
 use sdwp_geometry::{Geometry, Point};
-use sdwp_index::{GridIndex, IndexEntry, RTree, SpatialQuery};
+use sdwp_index::{IndexEntry, RTree, SpatialQuery};
 
 /// Reads every non-null geometry of a dimension level, paired with its
 /// member row id.
@@ -61,24 +60,6 @@ pub fn build_level_rtree(
         }
     }
     Ok(RTree::bulk_load(entries))
-}
-
-/// Builds a uniform-grid index over a dimension level's geometries.
-pub fn build_level_grid(
-    cube: &Cube,
-    dimension: &str,
-    level: &str,
-    cell_size: f64,
-) -> Result<GridIndex<usize>, OlapError> {
-    let table = &cube.dimension_table(dimension)?.table;
-    let column = table.column(&geometry_column(level))?;
-    let mut entries = Vec::new();
-    for row in 0..table.len() {
-        if let Some(bbox) = column.get_geometry(row).and_then(Geometry::bbox) {
-            entries.push(IndexEntry::new(bbox, row));
-        }
-    }
-    Ok(GridIndex::bulk_load(cell_size, entries))
 }
 
 /// Scan variant: member row ids whose geometry lies strictly within
@@ -256,19 +237,7 @@ mod tests {
             DistanceMetric::Euclidean,
         )
         .unwrap();
-        let grid = build_level_grid(&cube, "Store", "Store", 5.0).unwrap();
-        let via_grid = members_within_distance_indexed(
-            &cube,
-            "Store",
-            "Store",
-            &grid,
-            &user,
-            5.0,
-            DistanceMetric::Euclidean,
-        )
-        .unwrap();
         assert_eq!(scan, via_rtree);
-        assert_eq!(scan, via_grid);
         // Stores 6..14 are strictly within 5 km of x=10.
         assert_eq!(scan, (6..=14).collect::<Vec<_>>());
     }

@@ -13,242 +13,11 @@
 //! query, a merge in the wrong order — fails hard instead of hiding in a
 //! rounding tolerance.
 
+mod common;
+
+use common::*;
 use proptest::prelude::*;
-use sdwp_model::{
-    AggregationFunction, Attribute, AttributeType, DimensionBuilder, FactBuilder, Schema,
-    SchemaBuilder,
-};
-use sdwp_olap::{
-    AttributeRef, CellValue, Cube, ExecutionConfig, Filter, GroupDictCache, InstanceView, Query,
-    QueryEngine,
-};
-
-/// Pool of attribute values; small so group keys collide often and
-/// independently generated queries often share (or split) filters.
-const POOL: [&str; 4] = ["x", "y", "z", "w"];
-const GROUP_KEYS: [(&str, &str, &str); 3] = [
-    ("D0", "A", "name"),
-    ("D0", "B", "name"),
-    ("D1", "T", "date"),
-];
-const MEASURES: [&str; 3] = ["M1", "M2", "M3"];
-const AGGREGATIONS: [AggregationFunction; 6] = [
-    AggregationFunction::Sum,
-    AggregationFunction::Avg,
-    AggregationFunction::Min,
-    AggregationFunction::Max,
-    AggregationFunction::Count,
-    AggregationFunction::CountDistinct,
-];
-
-fn schema() -> Schema {
-    SchemaBuilder::new("PropDW")
-        .dimension(
-            DimensionBuilder::new("D0")
-                .simple_level("A", "name")
-                .simple_level("B", "name")
-                .build(),
-        )
-        .dimension(
-            DimensionBuilder::new("D1")
-                .level(
-                    "T",
-                    vec![Attribute::descriptor("date", AttributeType::Date)],
-                )
-                .build(),
-        )
-        .fact(
-            FactBuilder::new("F")
-                .measure("M1", AttributeType::Float)
-                .measure_with("M2", AttributeType::Float, AggregationFunction::Avg)
-                .measure("M3", AttributeType::Integer)
-                .dimension("D0")
-                .dimension("D1")
-                .build(),
-        )
-        .build()
-        .expect("property schema is valid")
-}
-
-type FactSpec = (usize, usize, Option<i32>, Option<i32>, Option<i64>);
-
-#[derive(Debug, Clone)]
-struct CubeSpec {
-    d0_members: Vec<(usize, usize)>,
-    d1_members: usize,
-    facts: Vec<FactSpec>,
-}
-
-fn cube_spec() -> impl Strategy<Value = CubeSpec> {
-    (
-        prop::collection::vec((0usize..=POOL.len(), 0usize..=POOL.len()), 1..6),
-        1usize..5,
-        prop::collection::vec(
-            (
-                any::<usize>(),
-                any::<usize>(),
-                option_of(-64i32..65),
-                option_of(-64i32..65),
-                option_of(-9i32..10).prop_map(|v| v.map(i64::from)),
-            ),
-            0..60,
-        ),
-    )
-        .prop_map(|(d0_members, d1_members, facts)| CubeSpec {
-            d0_members,
-            d1_members,
-            facts,
-        })
-}
-
-fn option_of<S>(values: S) -> BoxedStrategy<Option<S::Value>>
-where
-    S: Strategy + 'static,
-    S::Value: Clone + 'static,
-{
-    let some = values.prop_map(Some).boxed();
-    prop_oneof![Just(None).boxed(), some.clone(), some].boxed()
-}
-
-fn pool_cell(index: usize) -> CellValue {
-    if index >= POOL.len() {
-        CellValue::Null
-    } else {
-        CellValue::from(POOL[index])
-    }
-}
-
-fn build_cube(spec: &CubeSpec) -> Cube {
-    let mut cube = Cube::new(schema());
-    for (a, b) in &spec.d0_members {
-        cube.add_dimension_member(
-            "D0",
-            vec![("A.name", pool_cell(*a)), ("B.name", pool_cell(*b))],
-        )
-        .expect("D0 member loads");
-    }
-    for day in 0..spec.d1_members {
-        cube.add_dimension_member("D1", vec![("T.date", CellValue::Date(day as i64 % 3))])
-            .expect("D1 member loads");
-    }
-    for (fk0, fk1, m1, m2, m3) in &spec.facts {
-        let mut measures: Vec<(&str, CellValue)> = Vec::new();
-        if let Some(v) = m1 {
-            measures.push(("M1", CellValue::Float(f64::from(*v) * 0.25)));
-        }
-        if let Some(v) = m2 {
-            measures.push(("M2", CellValue::Float(f64::from(*v) * 0.5)));
-        }
-        if let Some(v) = m3 {
-            measures.push(("M3", CellValue::Integer(*v)));
-        }
-        cube.add_fact_row(
-            "F",
-            vec![
-                ("D0", fk0 % spec.d0_members.len()),
-                ("D1", fk1 % spec.d1_members),
-            ],
-            measures,
-        )
-        .expect("fact row loads");
-    }
-    cube
-}
-
-#[derive(Debug, Clone)]
-struct QuerySpec {
-    group_by: Vec<usize>,
-    measures: Vec<(usize, Option<usize>)>,
-    dim_filter: Option<usize>,
-    fact_filter: Option<i32>,
-    limit: Option<usize>,
-}
-
-fn query_spec() -> impl Strategy<Value = QuerySpec> {
-    (
-        prop::collection::vec(0usize..GROUP_KEYS.len(), 0..3),
-        prop::collection::vec(
-            (
-                0usize..MEASURES.len(),
-                option_of(0usize..AGGREGATIONS.len()),
-            ),
-            1..4,
-        ),
-        option_of(0usize..POOL.len()),
-        option_of(-32i32..33),
-        option_of(0usize..6),
-    )
-        .prop_map(
-            |(group_by, measures, dim_filter, fact_filter, limit)| QuerySpec {
-                group_by,
-                measures,
-                dim_filter,
-                fact_filter,
-                limit,
-            },
-        )
-}
-
-fn build_query(spec: &QuerySpec) -> Query {
-    let mut query = Query::over("F");
-    for key in &spec.group_by {
-        let (dimension, level, attribute) = GROUP_KEYS[*key];
-        query = query.group_by(AttributeRef::new(dimension, level, attribute));
-    }
-    for (measure, aggregation) in &spec.measures {
-        query = match aggregation {
-            Some(agg) => query.measure_agg(MEASURES[*measure], AGGREGATIONS[*agg]),
-            None => query.measure(MEASURES[*measure]),
-        };
-    }
-    if let Some(value) = spec.dim_filter {
-        query = query.filter_dimension("D0", Filter::eq("A.name", POOL[value]));
-    }
-    if let Some(threshold) = spec.fact_filter {
-        query = query.filter_fact(Filter::Attribute {
-            column: "M1".into(),
-            op: sdwp_olap::CompareOp::Ge,
-            value: CellValue::Float(f64::from(threshold) * 0.25),
-        });
-    }
-    if let Some(limit) = spec.limit {
-        query = query.limit(limit);
-    }
-    query
-}
-
-#[derive(Debug, Clone)]
-struct ViewSpec {
-    d0_selection: Option<Vec<usize>>,
-    fact_selection: Option<Vec<usize>>,
-}
-
-fn view_spec() -> impl Strategy<Value = ViewSpec> {
-    (
-        option_of(prop::collection::vec(any::<usize>(), 0..6)),
-        option_of(prop::collection::vec(any::<usize>(), 0..40)),
-    )
-        .prop_map(|(d0_selection, fact_selection)| ViewSpec {
-            d0_selection,
-            fact_selection,
-        })
-}
-
-fn build_view(spec: &ViewSpec, cube_spec: &CubeSpec) -> InstanceView {
-    let mut view = InstanceView::unrestricted();
-    if let Some(members) = &spec.d0_selection {
-        view.select_dimension_members("D0", members.iter().map(|m| m % cube_spec.d0_members.len()));
-    }
-    if let Some(rows) = &spec.fact_selection {
-        let total = cube_spec.facts.len();
-        if total > 0 {
-            view.select_fact_rows("F", rows.iter().map(|r| r % total));
-        } else {
-            view.select_fact_rows("F", std::iter::empty());
-        }
-    }
-    view
-}
+use sdwp_olap::{ExecutionConfig, GroupDictCache, InstanceView, Query, QueryEngine};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -259,7 +28,7 @@ proptest! {
     /// at 1, 2 and 8 workers, on both grouped paths.
     #[test]
     fn batch_members_equal_standalone_execution(
-        cube in cube_spec(),
+        cube in cube_spec(60),
         queries in prop::collection::vec(query_spec(), 1..6),
         view in view_spec(),
     ) {
@@ -305,7 +74,7 @@ proptest! {
     /// freshly built one.
     #[test]
     fn dictionary_cache_is_transparent(
-        cube in cube_spec(),
+        cube in cube_spec(60),
         queries in prop::collection::vec(query_spec(), 1..5),
         view in view_spec(),
     ) {
@@ -349,7 +118,7 @@ proptest! {
     /// standalone result independently.
     #[test]
     fn duplicated_batch_members_all_match(
-        cube in cube_spec(),
+        cube in cube_spec(60),
         query in query_spec(),
         copies in 2usize..5,
     ) {

@@ -1,5 +1,5 @@
-//! Spatial selection equivalence on generated scenarios: the R-tree and
-//! grid accelerated `members_within_distance_indexed` must agree with the
+//! Spatial selection equivalence on generated scenarios: the R-tree
+//! accelerated `members_within_distance_indexed` must agree with the
 //! linear `members_within_distance` scan, and `nearest_members` must
 //! agree with brute-force kNN — across seeds, radii, metrics and query
 //! points drawn from `datagen` scenarios.
@@ -8,8 +8,8 @@ use sdwp::datagen::{PaperScenario, ScenarioConfig};
 use sdwp::geometry::distance::{distance, DistanceMetric};
 use sdwp::geometry::{Geometry, Point};
 use sdwp::olap::spatial::{
-    build_level_grid, build_level_rtree, level_geometries, members_within_distance,
-    members_within_distance_indexed, nearest_members,
+    build_level_rtree, level_geometries, members_within_distance, members_within_distance_indexed,
+    nearest_members,
 };
 use sdwp::olap::Cube;
 
@@ -38,46 +38,29 @@ fn indexed_within_distance_equals_linear_scan() {
     for scenario in scenarios() {
         let cube = &scenario.cube;
         let rtree = build_level_rtree(cube, "Store", "Store").unwrap();
-        for cell_size in [1.0, 10.0, 50.0] {
-            let grid = build_level_grid(cube, "Store", "Store", cell_size).unwrap();
-            for point in query_points(&scenario) {
-                let target: Geometry = point.into();
-                for radius in [0.5, 5.0, 25.0, 500.0] {
-                    let linear = members_within_distance(
-                        cube,
-                        "Store",
-                        "Store",
-                        &target,
-                        radius,
-                        DistanceMetric::Euclidean,
-                    )
-                    .unwrap();
-                    let via_rtree = members_within_distance_indexed(
-                        cube,
-                        "Store",
-                        "Store",
-                        &rtree,
-                        &target,
-                        radius,
-                        DistanceMetric::Euclidean,
-                    )
-                    .unwrap();
-                    let via_grid = members_within_distance_indexed(
-                        cube,
-                        "Store",
-                        "Store",
-                        &grid,
-                        &target,
-                        radius,
-                        DistanceMetric::Euclidean,
-                    )
-                    .unwrap();
-                    assert_eq!(via_rtree, linear, "rtree, r={radius}, p={point:?}");
-                    assert_eq!(
-                        via_grid, linear,
-                        "grid {cell_size}, r={radius}, p={point:?}"
-                    );
-                }
+        for point in query_points(&scenario) {
+            let target: Geometry = point.into();
+            for radius in [0.5, 5.0, 25.0, 500.0] {
+                let linear = members_within_distance(
+                    cube,
+                    "Store",
+                    "Store",
+                    &target,
+                    radius,
+                    DistanceMetric::Euclidean,
+                )
+                .unwrap();
+                let via_rtree = members_within_distance_indexed(
+                    cube,
+                    "Store",
+                    "Store",
+                    &rtree,
+                    &target,
+                    radius,
+                    DistanceMetric::Euclidean,
+                )
+                .unwrap();
+                assert_eq!(via_rtree, linear, "rtree, r={radius}, p={point:?}");
             }
         }
     }
@@ -89,7 +72,6 @@ fn indexed_within_distance_equals_linear_scan_haversine() {
     let scenario = PaperScenario::generate(ScenarioConfig::tiny().with_seed(99));
     let cube = &scenario.cube;
     let rtree = build_level_rtree(cube, "Store", "Store").unwrap();
-    let grid = build_level_grid(cube, "Store", "Store", 0.5).unwrap();
     let store0 = scenario.retail.stores[0].location;
     let target: Geometry = Point::new(store0.x() / 100.0, store0.y() / 100.0).into();
     for radius_km in [10.0, 150.0, 2_000.0] {
@@ -102,22 +84,17 @@ fn indexed_within_distance_equals_linear_scan_haversine() {
             DistanceMetric::HaversineKm,
         )
         .unwrap();
-        for (label, index) in [
-            ("rtree", &rtree as &dyn sdwp::index::SpatialQuery<usize>),
-            ("grid", &grid as &dyn sdwp::index::SpatialQuery<usize>),
-        ] {
-            let indexed = members_within_distance_indexed(
-                cube,
-                "Store",
-                "Store",
-                index,
-                &target,
-                radius_km,
-                DistanceMetric::HaversineKm,
-            )
-            .unwrap();
-            assert_eq!(indexed, linear, "{label}, r={radius_km}km");
-        }
+        let indexed = members_within_distance_indexed(
+            cube,
+            "Store",
+            "Store",
+            &rtree,
+            &target,
+            radius_km,
+            DistanceMetric::HaversineKm,
+        )
+        .unwrap();
+        assert_eq!(indexed, linear, "rtree, r={radius_km}km");
     }
 }
 
