@@ -44,8 +44,8 @@ use sdwp_model::{Schema, SchemaDiff};
 use sdwp_obs::{ClassId, MetricsRegistry, MetricsSnapshot, Stage};
 use sdwp_olap::{
     AdmissionGuard, AdmitError, CacheKey, CacheStats, CancelToken, Cube, DictCacheStats,
-    ExecutionConfig, FactTableStats, GroupDictCache, InstanceView, MorselPool, OlapError,
-    PoolConfig, Query, QueryCache, QueryEngine, QueryObs, QueryResult, ReportAs, TenantPolicy,
+    ExecutionConfig, FactTableStats, GroupDictCache, InstanceView, MorselPool, OlapError, Query,
+    QueryCache, QueryEngine, QueryObs, QueryResult, ReportAs, TenantPolicy,
 };
 use sdwp_prml::{
     CompiledRuleSet, EvalContext, FireReport, LayerSource, NoExternalLayers, Rule, RuleClass,
@@ -376,10 +376,10 @@ pub struct PersonalizationEngine {
     layer_source: Arc<dyn LayerSource + Send + Sync>,
     sessions: Arc<SessionManager>,
     /// The executor. Its [`QueryEngine::pool`] is the engine-lifetime
-    /// morsel worker pool parallel scans run on, with its tenant
-    /// scheduler and admission controller — `None` when the executor is
-    /// configured for a single worker (everything runs inline and there
-    /// is nothing to schedule).
+    /// morsel worker pool every scan is dispatched on, with its tenant
+    /// scheduler and admission controller — present at every worker
+    /// count (a single-worker executor's pool has zero helpers: scans run
+    /// inline, policies and admission budgets apply all the same).
     query_engine: QueryEngine,
     /// The streaming-ingestion pipeline, started lazily by
     /// [`PersonalizationEngine::start_ingest`]. Shut down (drained,
@@ -435,20 +435,13 @@ impl PersonalizationEngine {
         let snapshot = VersionedSwap::from_pointee(cube.clone());
         let sessions = Arc::new(SessionManager::new());
         // The querying thread always scans, so the pool only needs
-        // `workers - 1` long-lived helpers — built here rather than by
+        // `workers - 1` long-lived helpers (zero for a one-worker
+        // executor) — built here rather than by
         // `QueryEngine::with_config` so scheduler waits record into this
-        // engine's registry. A one-worker executor runs entirely inline
-        // and has no pool.
-        let pool_workers = config.effective_workers().saturating_sub(1);
-        let query_engine = if pool_workers > 0 {
-            let pool = MorselPool::with_registry(
-                PoolConfig::default().with_workers(pool_workers),
-                Arc::clone(&metrics),
-            );
-            QueryEngine::with_pool(config, Arc::new(pool))
-        } else {
-            QueryEngine::with_config(config)
-        };
+        // engine's registry.
+        let helpers = config.effective_workers().saturating_sub(1);
+        let pool = MorselPool::with_helpers(helpers, Some(Arc::clone(&metrics)));
+        let query_engine = QueryEngine::with_pool(config, Arc::new(pool));
         PersonalizationEngine {
             cube_state: Arc::new(CubeState {
                 master: Mutex::new(cube),
@@ -957,27 +950,23 @@ impl PersonalizationEngine {
     /// pool's controller for a slot under the session class's budgets.
     /// A best-effort tenant over budget is shed with a typed
     /// [`CoreError::Overloaded`]; a guaranteed tenant blocks until
-    /// capacity frees. Engines without a pool admit everything.
+    /// capacity frees — at every worker count.
     fn admit_query(
         &self,
         class: ClassId,
         deadline: Option<std::time::Instant>,
-    ) -> Result<Option<AdmissionGuard>, CoreError> {
-        match self.morsel_pool() {
-            None => Ok(None),
-            Some(pool) => {
-                pool.admit_until(class, deadline)
-                    .map(Some)
-                    .map_err(|error| match error {
-                        AdmitError::Shed(shed) => CoreError::Overloaded {
-                            class: self.metrics.class_name(shed.class),
-                            in_flight: shed.in_flight,
-                            limit: shed.max_in_flight,
-                        },
-                        AdmitError::DeadlineExceeded { .. } => CoreError::DeadlineExceeded,
-                    })
-            }
-        }
+    ) -> Result<AdmissionGuard, CoreError> {
+        self.query_engine
+            .pool()
+            .admit_until(class, deadline)
+            .map_err(|error| match error {
+                AdmitError::Shed(shed) => CoreError::Overloaded {
+                    class: self.metrics.class_name(shed.class),
+                    in_flight: shed.in_flight,
+                    limit: shed.max_in_flight,
+                },
+                AdmitError::DeadlineExceeded { .. } => CoreError::DeadlineExceeded,
+            })
     }
 
     /// A backoff hint for a shed tenant: the class's recent end-to-end
@@ -992,11 +981,13 @@ impl PersonalizationEngine {
         p99(Stage::QueryTotal).max(p99(Stage::BatchTotal))
     }
 
-    /// The shared morsel worker pool, when the executor is parallel —
-    /// its scheduler statistics are also folded into
-    /// [`PersonalizationEngine::metrics_snapshot`].
+    /// The shared morsel worker pool — its scheduler statistics are also
+    /// folded into [`PersonalizationEngine::metrics_snapshot`]. Always
+    /// `Some` (a one-worker executor's pool has zero helpers); the
+    /// `Option` stays only because `perfbench`'s shadow facade matches on
+    /// it, and goes with that facade (ROADMAP, per-request trace item).
     pub fn morsel_pool(&self) -> Option<&Arc<MorselPool>> {
-        self.query_engine.pool()
+        Some(self.query_engine.pool())
     }
 
     /// Sets the scheduling and admission policy of a session class
@@ -1005,9 +996,7 @@ impl PersonalizationEngine {
     /// budgets steer admission of subsequent queries.
     pub fn set_tenant_policy(&self, class_name: &str, policy: TenantPolicy) -> ClassId {
         let class = self.metrics.register_class(class_name);
-        if let Some(pool) = self.morsel_pool() {
-            pool.set_policy(class, policy);
-        }
+        self.query_engine.pool().set_policy(class, policy);
         class
     }
 
@@ -1071,38 +1060,36 @@ impl PersonalizationEngine {
                 ("ingest_worker_down".to_string(), ingest.worker_down as i64),
             ]);
         }
-        if let Some(pool) = self.morsel_pool() {
-            let stats = pool.stats();
-            let names = self.metrics.class_names();
-            snap.gauges
-                .push(("scheduler_workers".to_string(), stats.workers as i64));
-            let mut shed_total = 0u64;
-            for tenant in &stats.tenants {
-                shed_total += tenant.shed_total;
-                // Per-tenant series only for registered classes; the
-                // remaining slots are idle and would be noise.
-                let Some(name) = names.get(tenant.class.0 as usize) else {
-                    continue;
-                };
-                snap.gauges.extend([
-                    (
-                        format!("scheduler_queue_depth_{name}"),
-                        tenant.queued as i64,
-                    ),
-                    (
-                        format!("scheduler_in_flight_{name}"),
-                        tenant.in_flight as i64,
-                    ),
-                    (format!("scheduler_share_{name}"), tenant.weight as i64),
-                ]);
-                if tenant.shed_total > 0 {
-                    snap.counters
-                        .push((format!("scheduler_shed_{name}"), tenant.shed_total));
-                }
+        let stats = self.query_engine.pool().stats();
+        let names = self.metrics.class_names();
+        snap.gauges
+            .push(("scheduler_workers".to_string(), stats.workers as i64));
+        let mut shed_total = 0u64;
+        for tenant in &stats.tenants {
+            shed_total += tenant.shed_total;
+            // Per-tenant series only for registered classes; the
+            // remaining slots are idle and would be noise.
+            let Some(name) = names.get(tenant.class.0 as usize) else {
+                continue;
+            };
+            snap.gauges.extend([
+                (
+                    format!("scheduler_queue_depth_{name}"),
+                    tenant.queued as i64,
+                ),
+                (
+                    format!("scheduler_in_flight_{name}"),
+                    tenant.in_flight as i64,
+                ),
+                (format!("scheduler_share_{name}"), tenant.weight as i64),
+            ]);
+            if tenant.shed_total > 0 {
+                snap.counters
+                    .push((format!("scheduler_shed_{name}"), tenant.shed_total));
             }
-            snap.counters
-                .push(("scheduler_shed_total".to_string(), shed_total));
         }
+        snap.counters
+            .push(("scheduler_shed_total".to_string(), shed_total));
         snap
     }
 

@@ -1,12 +1,12 @@
 //! The star-schema cube binding instances to an MD/GeoMD schema.
 
 use crate::chunk::DEFAULT_CHUNK_ROWS;
-use crate::column::ColumnType;
+use crate::column::{Column, ColumnType};
 use crate::error::OlapError;
 use crate::table::{RowRemap, Table};
 use crate::value::CellValue;
-use sdwp_geometry::Geometry;
-use sdwp_model::{AttributeType, Schema};
+use sdwp_geometry::{GeometricType, Geometry};
+use sdwp_model::{AttributeType, ModelError, Schema};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -135,6 +135,21 @@ pub fn geometry_column(level: &str) -> String {
     format!("{level}.geometry")
 }
 
+/// The member id a fact row points to, read through a pre-resolved FK
+/// column — the one typed FK read of the executor (view check, dimension
+/// filters, group keys). Value-for-value identical to
+/// [`Cube::fact_member`] (float round trip, clamping, error wording)
+/// without the name lookup or the `CellValue` materialisation.
+pub(crate) fn member_at(column: &Column, fact_row: usize) -> Result<usize, OlapError> {
+    match column.get_number(fact_row) {
+        Some(member) => Ok(member as usize),
+        None => Err(OlapError::TypeMismatch {
+            expected: "integer foreign key",
+            found: column.get(fact_row).type_name().to_string(),
+        }),
+    }
+}
+
 /// A star-schema cube: one dimension table per dimension, one layer table
 /// per (materialised) layer and one fact table per fact, all bound to a
 /// conceptual [`Schema`].
@@ -191,24 +206,6 @@ impl Cube {
             );
         }
 
-        let mut layers = BTreeMap::new();
-        for layer in &schema.layers {
-            layers.insert(
-                layer.name.clone(),
-                LayerTable {
-                    layer: layer.name.clone(),
-                    table: Table::with_chunk_rows(
-                        layer.name.clone(),
-                        vec![
-                            ("name".to_string(), ColumnType::Text),
-                            ("geometry".to_string(), ColumnType::Geometry),
-                        ],
-                        chunk_rows,
-                    ),
-                },
-            );
-        }
-
         let mut facts = BTreeMap::new();
         for fact in &schema.facts {
             let mut columns: Vec<(String, ColumnType)> = fact
@@ -230,13 +227,18 @@ impl Cube {
             );
         }
 
-        Cube {
+        let layer_names: Vec<String> = schema.layers.iter().map(|l| l.name.clone()).collect();
+        let mut cube = Cube {
             schema,
             dimensions,
-            layers,
+            layers: BTreeMap::new(),
             facts,
             chunk_rows,
+        };
+        for layer in &layer_names {
+            cube.ensure_layer_table(layer);
         }
+        cube
     }
 
     /// The conceptual schema this cube instantiates.
@@ -244,11 +246,26 @@ impl Cube {
         &self.schema
     }
 
-    /// Mutable access to the schema, used by schema-personalization
-    /// actions. Callers adding layers should follow up with
-    /// [`Cube::ensure_layer_table`].
-    pub fn schema_mut(&mut self) -> &mut Schema {
-        &mut self.schema
+    /// The paper's `AddLayer` action: registers the layer in the schema
+    /// (see [`Schema::add_layer`]) and materialises its instance table in
+    /// the same call. With [`Cube::become_spatial`] this is the only way
+    /// the schema changes after construction, so every schema element
+    /// keeps its table and every measure, foreign key and level attribute
+    /// its column — what query resolution relies on.
+    pub fn add_layer(&mut self, layer: &str, geometry: GeometricType) -> Result<(), ModelError> {
+        self.schema.add_layer(layer, geometry)?;
+        self.ensure_layer_table(layer);
+        Ok(())
+    }
+
+    /// The paper's `BecomeSpatial` action (see [`Schema::become_spatial`]);
+    /// every level's geometry column exists since construction.
+    pub fn become_spatial(
+        &mut self,
+        level: &str,
+        geometry: GeometricType,
+    ) -> Result<(), ModelError> {
+        self.schema.become_spatial(level, geometry)
     }
 
     /// The dimension table for a dimension.
@@ -287,7 +304,7 @@ impl Cube {
     }
 
     /// Creates an (empty) instance table for a layer if it does not exist
-    /// yet. Called after an `AddLayer` schema-personalization action.
+    /// yet.
     pub fn ensure_layer_table(&mut self, layer: &str) -> &mut LayerTable {
         let chunk_rows = self.chunk_rows;
         self.layers
@@ -793,6 +810,44 @@ mod tests {
             .unwrap();
         cube.ensure_layer_table("Train");
         assert_eq!(cube.layer_table("Train").unwrap().table.len(), 1);
+    }
+
+    /// The invariant query resolution relies on: however the schema was
+    /// mutated, every schema element has its table and every measure,
+    /// foreign key and level attribute its column.
+    #[test]
+    fn tables_and_columns_stay_aligned_with_the_schema() {
+        let mut cube = Cube::new(schema());
+        cube.add_layer("Train", GeometricType::Line).unwrap();
+        cube.add_layer("Train", GeometricType::Line).unwrap();
+        assert!(cube.add_layer("Train", GeometricType::Point).is_err());
+        cube.become_spatial("City", GeometricType::Point).unwrap();
+        assert!(cube
+            .become_spatial("Warehouse", GeometricType::Point)
+            .is_err());
+        assert!(cube.schema().layer("Train").is_some());
+        for layer in &cube.schema().layers {
+            assert!(cube.layer_table(&layer.name).is_ok(), "{}", layer.name);
+        }
+        for dim in &cube.schema().dimensions {
+            let table = &cube.dimension_table(&dim.name).unwrap().table;
+            for level in &dim.levels {
+                assert!(table.column_index(&geometry_column(&level.name)).is_some());
+                for attr in &level.attributes {
+                    let column = attribute_column(&level.name, &attr.name);
+                    assert!(table.column_index(&column).is_some(), "{column}");
+                }
+            }
+        }
+        for fact in &cube.schema().facts {
+            let table = &cube.fact_table(&fact.name).unwrap().table;
+            for dimension in &fact.dimensions {
+                assert!(table.column_index(&fk_column(dimension)).is_some());
+            }
+            for measure in &fact.measures {
+                assert!(table.column_index(&measure.name).is_some());
+            }
+        }
     }
 
     #[test]

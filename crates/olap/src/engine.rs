@@ -14,8 +14,19 @@
 //! the engine's [`MorselPool`] pull morsel indices from a shared atomic
 //! counter and run filter + partial aggregation per morsel; the partial
 //! [`Accumulator`] states are then merged **in morsel-index order** and
-//! finalised once. A one-worker configuration has no pool and runs the
-//! same loop inline.
+//! finalised once. The pool is the only dispatcher at every worker count:
+//! a one-worker configuration gets a pool of zero helpers, on which the
+//! same loop runs inline with the same panic containment, tenant policy
+//! and admission gate.
+//!
+//! Everything that is fixed for the whole request is decided **once, at
+//! the door**: resolution turns every measure, foreign-key and attribute
+//! name into a plain column index (a cube whose tables lack one fails
+//! there, once, with a typed error — [`Cube`] keeps tables aligned with
+//! its schema by construction), and the personalized view is lowered to
+//! one [`ResolvedViewCheck`] per fact group at plan time. The morsel
+//! loop holds indices and that one check; it re-decides nothing per row
+//! or per morsel.
 //!
 //! Because morsel boundaries and the merge order depend only on
 //! [`ExecutionConfig::morsel_rows`] — never on the worker count or on
@@ -61,17 +72,17 @@
 
 use crate::aggregate::{Accumulator, SlotAccumulator};
 use crate::cancel::CancelToken;
-use crate::column::{Column, ColumnType};
-use crate::cube::{attribute_column, fk_column, Cube};
+use crate::column::ColumnType;
+use crate::cube::{attribute_column, fk_column, member_at, Cube};
 use crate::dicts::{attr_key, GroupDictCache, GroupKeys, NULL_KEY};
 use crate::error::OlapError;
 use crate::hash::FxHashMap;
 use crate::kernels::NumericAgg;
-use crate::pool::{MorselPool, PoolConfig};
+use crate::pool::MorselPool;
 use crate::query::{AttributeRef, Query, QueryResult, ResultRow};
 use crate::table::Table;
 use crate::value::CellValue;
-use crate::view::InstanceView;
+use crate::view::{InstanceView, ResolvedViewCheck};
 use sdwp_model::AggregationFunction;
 use sdwp_obs::{ClassId, MetricsRegistry, SlowQueryRecord, Stage};
 use std::collections::hash_map::Entry;
@@ -178,10 +189,10 @@ impl ExecutionConfig {
 
 /// How the morsel executor reads one measure.
 struct MeasurePlan {
-    /// The measure column's declaration index in the fact table, when it
-    /// exists there (resolved once, so the scan loop never does a
-    /// name lookup per row).
-    column: Option<usize>,
+    /// The measure column's declaration index in the fact table
+    /// (resolved once, so the scan loop never does a name lookup per
+    /// row).
+    column: usize,
     /// Whether the column is numeric (integer / float / date) and the
     /// aggregation can run on bare numbers — the typed fast path. COUNT
     /// DISTINCT needs the full value and always takes the `CellValue`
@@ -191,17 +202,17 @@ struct MeasurePlan {
 
 /// The resolved, validated parts of a query that every scan shares.
 struct Resolved<'q> {
+    /// The table of the queried fact.
+    fact_table: &'q Table,
     /// `(column name, aggregation)` per requested measure.
     measures: Vec<(String, AggregationFunction)>,
     /// Per-measure read plan for the morsel executor, index-aligned with
     /// `measures`.
     plans: Vec<MeasurePlan>,
-    /// Allowed member sets per filtered dimension, each with the
-    /// pre-resolved index of the fact table's FK column (`None` falls
-    /// back to the name-based read, which reports the serial reference's
-    /// error). A `BTreeMap` so the per-row check order is deterministic
-    /// across executions.
-    allowed_members: BTreeMap<&'q str, (Option<usize>, BTreeSet<usize>)>,
+    /// Allowed member sets per filtered dimension, each with the index
+    /// of the fact table's FK column. A `BTreeMap` so the per-row check
+    /// order is deterministic across executions.
+    allowed_members: BTreeMap<&'q str, (usize, BTreeSet<usize>)>,
     /// Whether the whole query can run on the vectorised per-chunk
     /// kernels: no grouping, and every measure on the numeric fast path.
     vectorised: bool,
@@ -220,9 +231,8 @@ type GroupMap = HashMap<String, (Vec<CellValue>, Vec<Accumulator>)>;
 /// [`GroupDictCache`]) across queries until the snapshot generation
 /// moves on; only the fact-side FK column index is per-query state.
 struct GroupKeyDict {
-    /// Index of the fact table's FK column for the attribute's dimension
-    /// (`None` falls back to the name-based `fact_member` read).
-    fk_column: Option<usize>,
+    /// Index of the fact table's FK column for the attribute's dimension.
+    fk_column: usize,
     /// The shared dimension-side dictionary.
     keys: Arc<GroupKeys>,
 }
@@ -230,14 +240,8 @@ struct GroupKeyDict {
 /// The grouped execution plan of one parallel query: per-attribute
 /// dictionaries plus the flat-vs-hashed path decision.
 struct GroupPlan {
-    /// Dictionaries in `query.group_by` order. Shorter than the query's
-    /// group-by list only when a build error occurred (see `error`).
+    /// Dictionaries in `query.group_by` order.
     dicts: Vec<GroupKeyDict>,
-    /// A dictionary build error, replayed with the serial reference's
-    /// per-row semantics: the scan reports it at the first row that
-    /// passes selection and reaches the failing attribute — so a query
-    /// that matches no rows succeeds exactly where the serial loop does.
-    error: Option<(usize, OlapError)>,
     /// Product of the dictionary sizes — the mixed-radix range of a
     /// packed group id. `None` when it overflows `u128` (keys fall back
     /// to [`GroupId::Wide`]).
@@ -249,16 +253,6 @@ struct GroupPlan {
 }
 
 impl GroupPlan {
-    /// An empty plan for ungrouped queries.
-    fn ungrouped() -> Self {
-        GroupPlan {
-            dicts: Vec::new(),
-            error: None,
-            cardinality: Some(1),
-            flat: None,
-        }
-    }
-
     /// Resolves a group id back to its key `CellValue`s — the only point
     /// where the parallel path materialises key cells, once per surviving
     /// group at finalisation.
@@ -351,6 +345,11 @@ struct FilterClass {
 /// fact's single morsel pass.
 struct FactGroup<'q> {
     fact: &'q str,
+    fact_table: &'q Table,
+    /// The request's view lowered for this fact, once, at plan time —
+    /// filter class zero of every morsel's selection, and the slot a
+    /// cached visible-row bitmap would fill.
+    view: ResolvedViewCheck<'q>,
     queries: Vec<BatchQuery<'q>>,
     classes: Vec<FilterClass>,
 }
@@ -416,20 +415,6 @@ fn run_pooled<T: Send>(
     collected
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Runs the single-participant (`workers <= 1`, hence pool-less) scan
-/// with the same containment contract as the pooled path: a panic
-/// poisons the token and returns no partials instead of unwinding into
-/// the caller.
-fn run_contained<T>(cancel: &CancelToken, scan: &impl Fn() -> Vec<T>) -> Vec<T> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(scan)) {
-        Ok(partials) => partials,
-        Err(_) => {
-            cancel.poison();
-            Vec::new()
-        }
-    }
 }
 
 /// The journal's outcome marker for an abnormal terminal state.
@@ -539,12 +524,12 @@ fn injected(_site: &str) -> Result<(), OlapError> {
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     config: ExecutionConfig,
-    /// The morsel worker pool parallel scans run on — shared with other
-    /// engines ([`QueryEngine::with_pool`]) or private to this one and
-    /// its clones ([`QueryEngine::with_config`]). `None` exactly when
-    /// the configuration resolves to one worker: everything then runs
-    /// inline on the calling thread.
-    pool: Option<Arc<MorselPool>>,
+    /// The morsel worker pool every scan is dispatched on — shared with
+    /// other engines ([`QueryEngine::with_pool`]) or private to this one
+    /// and its clones ([`QueryEngine::with_config`]). A configuration
+    /// that resolves to one worker has a pool of zero helpers, on which
+    /// everything runs inline on the calling thread.
+    pool: Arc<MorselPool>,
 }
 
 impl Default for QueryEngine {
@@ -560,14 +545,12 @@ impl QueryEngine {
     }
 
     /// Creates a query engine with an explicit execution configuration.
-    /// A configuration of N > 1 workers gets a private [`MorselPool`] of
+    /// A configuration of N workers gets a private [`MorselPool`] of
     /// N − 1 helpers (the calling thread is always the Nth participant),
     /// shut down and joined when the last clone of the engine drops.
     pub fn with_config(config: ExecutionConfig) -> Self {
         let helpers = config.effective_workers().saturating_sub(1);
-        let pool = (helpers > 0)
-            .then(|| Arc::new(MorselPool::new(PoolConfig::default().with_workers(helpers))));
-        QueryEngine { config, pool }
+        QueryEngine::with_pool(config, Arc::new(MorselPool::with_helpers(helpers, None)))
     }
 
     /// Creates a query engine whose parallel scans run on a shared
@@ -576,16 +559,12 @@ impl QueryEngine {
     /// per-tenant scheduling. Results do not depend on which pool serves
     /// the scan (enforced by the `pool_equivalence` property suite).
     pub fn with_pool(config: ExecutionConfig, pool: Arc<MorselPool>) -> Self {
-        QueryEngine {
-            config,
-            pool: Some(pool),
-        }
+        QueryEngine { config, pool }
     }
 
-    /// The morsel pool this engine executes on (`None` for a one-worker
-    /// configuration).
-    pub fn pool(&self) -> Option<&Arc<MorselPool>> {
-        self.pool.as_ref()
+    /// The morsel pool this engine executes on.
+    pub fn pool(&self) -> &Arc<MorselPool> {
+        &self.pool
     }
 
     /// The engine's execution configuration.
@@ -694,8 +673,9 @@ impl QueryEngine {
     }
 
     /// The one executor, and the entry the serving layer calls: resolve
-    /// → filter classes → one morsel loop per fact group →
-    /// `merge_partials` → `materialise`, one result per submitted
+    /// → view lowering and filter classes per fact group → one morsel
+    /// loop per fact group, dispatched on the pool whatever the worker
+    /// count → `merge_partials` → `materialise`, one result per submitted
     /// query, in input order; `report_as` only labels the run. Every
     /// other `execute_*` is this over a default token, a one-query slice
     /// or an unrestricted view.
@@ -734,53 +714,56 @@ impl QueryEngine {
         // errors land in their result slot immediately; the scan only
         // sees the survivors. Group-key dictionaries are memoised per
         // attribute across the whole batch (and served from `dicts`
-        // across batches, when given).
+        // across batches, when given), and the view is lowered once per
+        // fact, when the fact's group is opened.
         let mut base_lookup = keys_lookup(dicts);
         let mut shared_keys: FxHashMap<(String, String, String), Arc<GroupKeys>> =
             FxHashMap::default();
         let mut groups_by_fact: Vec<FactGroup<'_>> = Vec::new();
         let mut fact_index: HashMap<&str, usize> = HashMap::new();
         for (index, query) in queries.iter().enumerate() {
-            let resolved = match injected("query.resolve").and_then(|()| resolve(cube, query)) {
-                Ok(resolved) => resolved,
+            let mut lookup = |cube: &Cube, attr: &AttributeRef| {
+                let key = attr_key(attr);
+                if let Some(keys) = shared_keys.get(&key) {
+                    return Ok(Arc::clone(keys));
+                }
+                let keys = base_lookup(cube, attr)?;
+                shared_keys.insert(key, Arc::clone(&keys));
+                Ok(keys)
+            };
+            let planned = injected("query.resolve")
+                .and_then(|()| resolve(cube, query))
+                .and_then(|resolved| {
+                    let slot_limit = self.config.group_slot_limit;
+                    let plan = build_group_plan(cube, query, &resolved, slot_limit, &mut lookup)?;
+                    Ok((resolved, plan))
+                });
+            let (resolved, plan) = match planned {
+                Ok(planned) => planned,
                 Err(error) => {
                     results[index] = Some(Err(error));
                     continue;
                 }
             };
-            let fact_table = &cube
-                .fact_table(&query.fact)
-                .expect("resolve validated the fact")
-                .table;
-            let plan = if query.group_by.is_empty() {
-                GroupPlan::ungrouped()
-            } else {
-                let mut lookup = |cube: &Cube, attr: &AttributeRef| {
-                    let key = attr_key(attr);
-                    if let Some(keys) = shared_keys.get(&key) {
-                        return Ok(Arc::clone(keys));
+            let at = match fact_index.entry(query.fact.as_str()) {
+                Entry::Occupied(entry) => *entry.get(),
+                Entry::Vacant(entry) => match view.resolve_for_fact(cube, &query.fact) {
+                    Ok(lowered) => {
+                        groups_by_fact.push(FactGroup {
+                            fact: query.fact.as_str(),
+                            fact_table: resolved.fact_table,
+                            view: lowered,
+                            queries: Vec::new(),
+                            classes: Vec::new(),
+                        });
+                        *entry.insert(groups_by_fact.len() - 1)
                     }
-                    let keys = base_lookup(cube, attr)?;
-                    shared_keys.insert(key, Arc::clone(&keys));
-                    Ok(keys)
-                };
-                build_group_plan(
-                    cube,
-                    query,
-                    fact_table,
-                    &resolved,
-                    self.config.group_slot_limit,
-                    &mut lookup,
-                )
+                    Err(error) => {
+                        results[index] = Some(Err(error));
+                        continue;
+                    }
+                },
             };
-            let at = *fact_index.entry(query.fact.as_str()).or_insert_with(|| {
-                groups_by_fact.push(FactGroup {
-                    fact: query.fact.as_str(),
-                    queries: Vec::new(),
-                    classes: Vec::new(),
-                });
-                groups_by_fact.len() - 1
-            });
             groups_by_fact[at].queries.push(BatchQuery {
                 index,
                 query,
@@ -832,11 +815,7 @@ impl QueryEngine {
         // participant producing all member queries' partials for its
         // morsels; then per-query merges in morsel order.
         for group in &groups_by_fact {
-            let fact_table = &cube
-                .fact_table(group.fact)
-                .expect("resolve validated the fact")
-                .table;
-            let total_rows = fact_table.len();
+            let total_rows = group.fact_table.len();
             let morsel_rows = self.config.morsel_rows.max(1);
             let morsel_count = total_rows.div_ceil(morsel_rows);
             let workers = self
@@ -845,27 +824,10 @@ impl QueryEngine {
                 .clamp(1, morsel_count.max(1));
             let next_morsel = AtomicUsize::new(0);
             let scan_morsels = || {
-                scan_assigned_batch_morsels(
-                    cube,
-                    view,
-                    group,
-                    fact_table,
-                    &next_morsel,
-                    morsel_count,
-                    morsel_rows,
-                    total_rows,
-                    cancel,
-                )
+                scan_assigned_batch_morsels(group, &next_morsel, morsel_count, morsel_rows, cancel)
             };
-            // The one dispatch rule. Every constructor pairs a parallel
-            // configuration with a pool, so the inline arm is exactly
-            // the one-participant case.
-            let collected: Vec<(usize, Vec<Result<MorselPartial, OlapError>>)> = match &self.pool {
-                Some(pool) if workers > 1 => {
-                    run_pooled(pool, tenant, workers - 1, cancel, &scan_morsels)
-                }
-                _ => run_contained(cancel, &scan_morsels),
-            };
+            // The one dispatch: zero helpers is the pool's inline case.
+            let collected = run_pooled(&self.pool, tenant, workers - 1, cancel, &scan_morsels);
             let mut per_query: Vec<Vec<(usize, Result<MorselPartial, OlapError>)>> = group
                 .queries
                 .iter()
@@ -1022,7 +984,7 @@ impl QueryEngine {
 /// allowed member sets of every filtered dimension. Shared by the
 /// parallel pipeline and the serial reference so both report identical
 /// errors for invalid queries.
-fn resolve<'q>(cube: &Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError> {
+fn resolve<'q>(cube: &'q Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError> {
     let fact_def = cube
         .schema()
         .fact(&query.fact)
@@ -1037,10 +999,9 @@ fn resolve<'q>(cube: &Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError>
     }
 
     // Resolve measures: (column name, aggregation) plus the executor's
-    // read plan. A measure column missing from the fact table (it cannot
-    // happen for cubes built through `Cube::new`) keeps `column: None`
-    // and falls back to the name-based read, which reports the same
-    // error, in the same place, as the serial reference.
+    // read plan. `Cube` keeps its tables aligned with its schema, so a
+    // schema measure (or foreign key, below) without its column is a
+    // broken cube: one typed error here, never a per-row fallback.
     let fact_table = &cube.fact_table(&query.fact)?.table;
     let mut measures: Vec<(String, AggregationFunction)> = Vec::new();
     let mut plans: Vec<MeasurePlan> = Vec::new();
@@ -1052,16 +1013,12 @@ fn resolve<'q>(cube: &Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError>
                 name: m.measure.clone(),
             })?;
         let aggregation = m.aggregation.unwrap_or(def.aggregation);
-        let column = fact_table.column_index(&def.name);
+        let column = fact_table.index_of(&def.name)?;
         let numeric = aggregation != AggregationFunction::CountDistinct
-            && column
-                .map(|idx| {
-                    matches!(
-                        fact_table.column_at(idx).column_type(),
-                        ColumnType::Integer | ColumnType::Float | ColumnType::Date
-                    )
-                })
-                .unwrap_or(false);
+            && matches!(
+                fact_table.column_at(column).column_type(),
+                ColumnType::Integer | ColumnType::Float | ColumnType::Date
+            );
         measures.push((def.name.clone(), aggregation));
         plans.push(MeasurePlan { column, numeric });
     }
@@ -1098,9 +1055,8 @@ fn resolve<'q>(cube: &Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError>
     }
 
     // Pre-compute allowed member sets for every filtered dimension, with
-    // the FK column index pre-resolved for the parallel path's typed
-    // reads.
-    let mut allowed_members: BTreeMap<&str, (Option<usize>, BTreeSet<usize>)> = BTreeMap::new();
+    // the FK column index resolved for the parallel path's typed reads.
+    let mut allowed_members: BTreeMap<&str, (usize, BTreeSet<usize>)> = BTreeMap::new();
     for (dimension, filter) in &query.dimension_filters {
         if !fact_def.references_dimension(dimension) {
             return Err(OlapError::InvalidQuery {
@@ -1119,13 +1075,14 @@ fn resolve<'q>(cube: &Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError>
                 e.get_mut().1 = intersection;
             }
             std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert((fact_table.column_index(&fk_column(dimension)), matching));
+                e.insert((fact_table.index_of(&fk_column(dimension))?, matching));
             }
         }
     }
 
     let vectorised = query.group_by.is_empty() && plans.iter().all(|p| p.numeric);
     Ok(Resolved {
+        fact_table,
         measures,
         plans,
         allowed_members,
@@ -1151,49 +1108,41 @@ fn keys_lookup<'a>(
 
 /// Builds the grouped execution plan: one dense dictionary per group-by
 /// attribute (obtained through `lookup` — built, memoised within a
-/// batch, or served from the generation-keyed cache) plus the
-/// flat-vs-hashed decision. Never fails — a dictionary that cannot be
-/// built (a schema attribute with no backing column, impossible for cubes
-/// loaded through [`Cube`]'s constructors) is recorded and replayed with
-/// the serial reference's per-row error semantics.
+/// batch, or served from the generation-keyed cache) with its FK column
+/// index, plus the flat-vs-hashed decision. An ungrouped query gets the
+/// empty plan: no dictionaries, cardinality 1, never flat.
 fn build_group_plan(
     cube: &Cube,
     query: &Query,
-    fact_table: &Table,
     resolved: &Resolved<'_>,
     group_slot_limit: usize,
     lookup: &mut KeysLookup<'_>,
-) -> GroupPlan {
+) -> Result<GroupPlan, OlapError> {
     let mut dicts = Vec::with_capacity(query.group_by.len());
-    let mut error = None;
-    for (index, attr) in query.group_by.iter().enumerate() {
-        let fk_column = fact_table.column_index(&fk_column(&attr.dimension));
-        match lookup(cube, attr) {
-            Ok(keys) => dicts.push(GroupKeyDict { fk_column, keys }),
-            Err(e) => {
-                error = Some((index, e));
-                break;
-            }
-        }
+    for attr in &query.group_by {
+        dicts.push(GroupKeyDict {
+            fk_column: resolved.fact_table.index_of(&fk_column(&attr.dimension))?,
+            keys: lookup(cube, attr)?,
+        });
     }
     let cardinality = dicts.iter().try_fold(1u128, |product, dict| {
         product.checked_mul(dict.keys.key_values.len() as u128)
     });
-    let flat = match (&error, cardinality) {
-        (None, Some(slots))
-            if resolved.plans.iter().all(|p| p.numeric)
+    let flat = match cardinality {
+        Some(slots)
+            if !dicts.is_empty()
+                && resolved.plans.iter().all(|p| p.numeric)
                 && slots <= group_slot_limit.min(u32::MAX as usize) as u128 =>
         {
             Some(slots as usize)
         }
         _ => None,
     };
-    GroupPlan {
+    Ok(GroupPlan {
         dicts,
-        error,
         cardinality,
         flat,
-    }
+    })
 }
 
 /// Scans one contiguous row range, accumulating into `groups` — the
@@ -1295,68 +1244,35 @@ fn scan_range(
     Ok((facts_scanned, facts_matched))
 }
 
-/// A single-row typed FK read: the member id a fact row points to,
-/// through a pre-resolved column index. Value-for-value identical to
-/// [`Cube::fact_member`] (float round trip, clamping, error wording)
-/// without the name lookup or the `CellValue` materialisation.
-fn member_at(column: &Column, fact_row: usize) -> Result<usize, OlapError> {
-    match column.get_number(fact_row) {
-        Some(member) => Ok(member as usize),
-        None => Err(OlapError::TypeMismatch {
-            expected: "integer foreign key",
-            found: column.get(fact_row).type_name().to_string(),
-        }),
-    }
-}
-
 /// Materialises one morsel's selection vector — the surviving row ids
 /// after liveness, view, dimension-filter and fact-filter checks, with
 /// the scanned/matched counters updated in exactly the serial
 /// reference's order (so counter and error semantics cannot drift from
 /// [`scan_range`]) — and returns the morsel's counters. One call serves
-/// every query of a filter class. Both the view check and the dimension
-/// filters go through pre-resolved FK column indices (typed reads)
-/// where available.
+/// every query of a filter class (`rep` is its representative). The view
+/// check and the dimension filters read FKs the same way, through
+/// [`member_at`] over column indices resolved at plan time.
 fn select_rows(
-    cube: &Cube,
-    query: &Query,
-    view: &InstanceView,
-    resolved: &Resolved<'_>,
-    fact_table: &Table,
+    view: &ResolvedViewCheck<'_>,
+    rep: &BatchQuery<'_>,
     rows: Range<usize>,
     sel: &mut Vec<u32>,
 ) -> Result<(usize, usize), OlapError> {
-    // A restricted view's per-row check is resolved once per morsel (FK
-    // column indices and remap chain hoisted out of the row loop); an
-    // unrestricted view admits every live row and skips the walk.
-    let view_check = if view.is_unrestricted() {
-        None
-    } else {
-        Some(view.resolve_for_fact(cube, &query.fact)?)
-    };
+    let fact_table = rep.resolved.fact_table;
     let mut facts_scanned = 0usize;
     let mut facts_matched = 0usize;
     sel.clear();
     'rows: for fact_row in rows {
-        if !fact_table.is_live(fact_row) {
+        if !fact_table.is_live(fact_row) || !view.allows(fact_table, fact_row)? {
             continue;
         }
-        if let Some(check) = &view_check {
-            if !check.allows(cube, &query.fact, fact_table, fact_row)? {
-                continue;
-            }
-        }
         facts_scanned += 1;
-        for (dimension, (fk, allowed)) in &resolved.allowed_members {
-            let member = match fk {
-                Some(index) => member_at(fact_table.column_at(*index), fact_row)?,
-                None => cube.fact_member(&query.fact, fact_row, dimension)?,
-            };
-            if !allowed.contains(&member) {
+        for (fk, allowed) in rep.resolved.allowed_members.values() {
+            if !allowed.contains(&member_at(fact_table.column_at(*fk), fact_row)?) {
                 continue 'rows;
             }
         }
-        if let Some(filter) = &query.fact_filter {
+        if let Some(filter) = &rep.query.fact_filter {
             if !filter.matches(fact_table, fact_row)? {
                 continue;
             }
@@ -1367,37 +1283,13 @@ fn select_rows(
     Ok((facts_scanned, facts_matched))
 }
 
-/// The dense key id of one group-by attribute for one fact row: a typed
-/// FK read plus one dictionary index. Members outside the dictionary
-/// (impossible through validated loads) read as `Null`, exactly what the
-/// serial reference's out-of-range `Table::get` returns.
-fn dense_key(
-    cube: &Cube,
-    query: &Query,
-    dict: &GroupKeyDict,
-    dimension: &str,
-    fact_table: &Table,
-    fact_row: usize,
-) -> Result<u32, OlapError> {
-    let member = match dict.fk_column {
-        Some(index) => member_at(fact_table.column_at(index), fact_row)?,
-        None => cube.fact_member(&query.fact, fact_row, dimension)?,
-    };
-    Ok(dict
-        .keys
-        .member_to_key
-        .get(member)
-        .copied()
-        .unwrap_or(NULL_KEY))
-}
-
 /// The integer group id of one fact row, built attribute by attribute in
 /// query order (so FK-read errors surface in the serial reference's
-/// order, and a recorded dictionary-build error replays at the exact
-/// attribute the serial loop would have failed on).
+/// order): per attribute a typed FK read plus one dictionary index.
+/// Members outside the dictionary (impossible through validated loads)
+/// read as `Null`, exactly what the serial reference's out-of-range
+/// `Table::get` returns.
 fn row_group_id(
-    cube: &Cube,
-    query: &Query,
     plan: &GroupPlan,
     fact_table: &Table,
     fact_row: usize,
@@ -1405,14 +1297,16 @@ fn row_group_id(
     let mut packed: u128 = 0;
     let mut wide: Vec<u32> = Vec::new();
     if plan.cardinality.is_none() {
-        wide.reserve(query.group_by.len());
+        wide.reserve(plan.dicts.len());
     }
-    for (index, attr) in query.group_by.iter().enumerate() {
-        let Some(dict) = plan.dicts.get(index) else {
-            let (_, error) = plan.error.as_ref().expect("missing dict implies an error");
-            return Err(error.clone());
-        };
-        let dense = dense_key(cube, query, dict, &attr.dimension, fact_table, fact_row)?;
+    for dict in &plan.dicts {
+        let member = member_at(fact_table.column_at(dict.fk_column), fact_row)?;
+        let dense = dict
+            .keys
+            .member_to_key
+            .get(member)
+            .copied()
+            .unwrap_or(NULL_KEY);
         match plan.cardinality {
             Some(_) => packed = packed * dict.keys.key_values.len() as u128 + u128::from(dense),
             None => wide.push(dense),
@@ -1433,18 +1327,16 @@ fn row_group_id(
 /// measures are read as bare numbers through pre-resolved column
 /// indices.
 fn accumulate_hashed(
-    cube: &Cube,
-    query: &Query,
     resolved: &Resolved<'_>,
     plan: &GroupPlan,
-    fact_table: &Table,
     sel: &[u32],
     out: &mut Vec<(GroupId, Vec<Accumulator>)>,
 ) -> Result<(), OlapError> {
+    let fact_table = resolved.fact_table;
     let mut groups: FxHashMap<GroupId, usize> = FxHashMap::default();
     for &row in sel {
         let fact_row = row as usize;
-        let id = row_group_id(cube, query, plan, fact_table, fact_row)?;
+        let id = row_group_id(plan, fact_table, fact_row)?;
         let slot = match groups.entry(id) {
             Entry::Occupied(entry) => *entry.get(),
             Entry::Vacant(entry) => {
@@ -1462,20 +1354,12 @@ fn accumulate_hashed(
             }
         };
         let accumulators = &mut out[slot].1;
-        for (i, (measure_plan, acc)) in resolved
-            .plans
-            .iter()
-            .zip(accumulators.iter_mut())
-            .enumerate()
-        {
-            match measure_plan.column {
-                Some(index) if measure_plan.numeric => {
-                    if let Some(n) = fact_table.column_at(index).get_number(fact_row) {
-                        acc.update_number(n);
-                    }
-                }
-                Some(index) => acc.update(&fact_table.column_at(index).get(fact_row)),
-                None => acc.update(&fact_table.get(fact_row, &resolved.measures[i].0)?),
+        for (measure_plan, acc) in resolved.plans.iter().zip(accumulators.iter_mut()) {
+            let column = fact_table.column_at(measure_plan.column);
+            if !measure_plan.numeric {
+                acc.update(&column.get(fact_row));
+            } else if let Some(n) = column.get_number(fact_row) {
+                acc.update_number(n);
             }
         }
     }
@@ -1528,27 +1412,24 @@ impl FlatScratch {
 /// vector. Two passes, each vectorisable:
 ///
 /// 1. resolve the FK columns through typed chunk slices
-///    ([`Column::gather_members`]) and fold the per-attribute dense ids
-///    into one mixed-radix **slot vector**;
+///    ([`crate::Column::gather_members`]) and fold the per-attribute
+///    dense ids into one mixed-radix **slot vector**;
 /// 2. per measure, gather the column into a compacted null-free
-///    `(values, slots)` pair ([`Column::gather_numeric`]) and run the
-///    grouped slice kernel into the per-slot vectors.
+///    `(values, slots)` pair ([`crate::Column::gather_numeric`]) and run
+///    the grouped slice kernel into the per-slot vectors.
 ///
 /// The morsel's partial is then read out of the touched slots in
 /// first-occurrence order, as per-measure [`NumericAgg`] columns the
 /// merge phase adds slot-wise into live-group totals.
-#[allow(clippy::too_many_arguments)]
 fn accumulate_flat(
-    cube: &Cube,
-    query: &Query,
     resolved: &Resolved<'_>,
     plan: &GroupPlan,
-    fact_table: &Table,
     sel: &[u32],
     facts_scanned: usize,
     facts_matched: usize,
     scratch: &mut FlatScratch,
 ) -> Result<MorselPartial, OlapError> {
+    let fact_table = resolved.fact_table;
     if sel.is_empty() {
         return Ok(MorselPartial {
             groups: MorselGroups::Flat {
@@ -1563,19 +1444,11 @@ fn accumulate_flat(
     // Slot vector: one typed FK gather per attribute, folded mixed-radix.
     scratch.slots.clear();
     scratch.slots.resize(sel.len(), 0);
-    for (dict, attr) in plan.dicts.iter().zip(&query.group_by) {
+    for dict in &plan.dicts {
         scratch.members.clear();
-        match dict.fk_column {
-            Some(index) => fact_table
-                .column_at(index)
-                .gather_members(sel, &mut scratch.members)?,
-            None => {
-                for &row in sel {
-                    let member = cube.fact_member(&query.fact, row as usize, &attr.dimension)?;
-                    scratch.members.push(member.min(u32::MAX as usize) as u32);
-                }
-            }
-        }
+        fact_table
+            .column_at(dict.fk_column)
+            .gather_members(sel, &mut scratch.members)?;
         let radix = dict.keys.key_values.len() as u32;
         for (slot, &member) in scratch.slots.iter_mut().zip(&scratch.members) {
             let dense = dict
@@ -1599,12 +1472,9 @@ fn accumulate_flat(
 
     // One kernel pass per measure over the gathered null-free pairs.
     for (measure_plan, state) in resolved.plans.iter().zip(scratch.measures.iter_mut()) {
-        let index = measure_plan
-            .column
-            .expect("flat plans resolve every measure column");
         scratch.values.clear();
         scratch.value_slots.clear();
-        fact_table.column_at(index).gather_numeric(
+        fact_table.column_at(measure_plan.column).gather_numeric(
             sel,
             &scratch.slots,
             &mut scratch.values,
@@ -1637,16 +1507,11 @@ fn accumulate_flat(
 
 /// Merges each measure column's kernel partial over one run of selected
 /// rows.
-fn accumulate_run(
-    fact_table: &Table,
-    resolved: &Resolved<'_>,
-    partials: &mut [NumericAgg],
-    run: Range<usize>,
-) {
+fn accumulate_run(resolved: &Resolved<'_>, partials: &mut [NumericAgg], run: Range<usize>) {
     for (plan, partial) in resolved.plans.iter().zip(partials.iter_mut()) {
-        let index = plan.column.expect("vectorised plans resolve every column");
-        let part = fact_table
-            .column_at(index)
+        let part = resolved
+            .fact_table
+            .column_at(plan.column)
             .numeric_agg(run.clone())
             .expect("vectorised plans are numeric");
         partial.merge(&part);
@@ -1693,7 +1558,6 @@ fn selection_runs(sel: &[u32]) -> Vec<Range<usize>> {
 /// The vectorised ungrouped partial over pre-computed selected-row runs
 /// (counters come from the shared class selection).
 fn vectorised_partial(
-    fact_table: &Table,
     resolved: &Resolved<'_>,
     runs: &[Range<usize>],
     facts_scanned: usize,
@@ -1701,7 +1565,7 @@ fn vectorised_partial(
 ) -> MorselPartial {
     let mut partials: Vec<NumericAgg> = vec![NumericAgg::default(); resolved.plans.len()];
     for run in runs {
-        accumulate_run(fact_table, resolved, &mut partials, run.clone());
+        accumulate_run(resolved, &mut partials, run.clone());
     }
     let mut groups = Vec::new();
     if facts_matched > 0 {
@@ -1722,16 +1586,11 @@ fn vectorised_partial(
 /// so the merge phase can always report the error of the
 /// *lowest-indexed* failing morsel — the same error the serial reference
 /// reports.
-#[allow(clippy::too_many_arguments)]
 fn scan_assigned_batch_morsels(
-    cube: &Cube,
-    view: &InstanceView,
     group: &FactGroup<'_>,
-    fact_table: &Table,
     next_morsel: &AtomicUsize,
     morsel_count: usize,
     morsel_rows: usize,
-    total_rows: usize,
     cancel: &CancelToken,
 ) -> Vec<(usize, Vec<Result<MorselPartial, OlapError>>)> {
     let mut out = Vec::new();
@@ -1768,16 +1627,8 @@ fn scan_assigned_batch_morsels(
             continue;
         }
         let start = morsel * morsel_rows;
-        let end = (start + morsel_rows).min(total_rows);
-        let partials = scan_batch_morsel(
-            cube,
-            view,
-            group,
-            fact_table,
-            start..end,
-            &mut sels,
-            &mut scratches,
-        );
+        let end = (start + morsel_rows).min(group.fact_table.len());
+        let partials = scan_batch_morsel(group, start..end, &mut sels, &mut scratches);
         out.push((morsel, partials));
     }
     out
@@ -1804,10 +1655,7 @@ struct ClassSelection {
 /// hit it at the same row on its own); accumulation errors stay per
 /// query.
 fn scan_batch_morsel(
-    cube: &Cube,
-    view: &InstanceView,
     group: &FactGroup<'_>,
-    fact_table: &Table,
     rows: Range<usize>,
     sels: &mut [Vec<u32>],
     scratches: &mut [Option<FlatScratch>],
@@ -1823,7 +1671,7 @@ fn scan_batch_morsel(
             // an unrestricted view `select_rows` selects exactly the live
             // rows (and cannot error), so expanding the runs yields the
             // very vector it would have built.
-            let runs = fact_table.live_runs(rows.clone());
+            let runs = group.fact_table.live_runs(rows.clone());
             let live: usize = runs.iter().map(|run| run.len()).sum();
             if !class.runs_only {
                 let sel = &mut sels[c];
@@ -1839,20 +1687,13 @@ fn scan_batch_morsel(
             }));
         } else {
             selections.push(
-                select_rows(
-                    cube,
-                    rep.query,
-                    view,
-                    &rep.resolved,
-                    fact_table,
-                    rows.clone(),
-                    &mut sels[c],
-                )
-                .map(|(facts_scanned, facts_matched)| ClassSelection {
-                    facts_scanned,
-                    facts_matched,
-                    runs: None,
-                }),
+                select_rows(&group.view, rep, rows.clone(), &mut sels[c]).map(
+                    |(facts_scanned, facts_matched)| ClassSelection {
+                        facts_scanned,
+                        facts_matched,
+                        runs: None,
+                    },
+                ),
             );
         }
     }
@@ -1879,7 +1720,6 @@ fn scan_batch_morsel(
                     }
                 };
                 Ok(vectorised_partial(
-                    fact_table,
                     &member.resolved,
                     runs,
                     facts_scanned,
@@ -1887,11 +1727,8 @@ fn scan_batch_morsel(
                 ))
             } else if let Some(scratch) = scratch {
                 accumulate_flat(
-                    cube,
-                    member.query,
                     &member.resolved,
                     &member.plan,
-                    fact_table,
                     sel,
                     facts_scanned,
                     facts_matched,
@@ -1899,15 +1736,7 @@ fn scan_batch_morsel(
                 )
             } else {
                 let mut groups = Vec::new();
-                accumulate_hashed(
-                    cube,
-                    member.query,
-                    &member.resolved,
-                    &member.plan,
-                    fact_table,
-                    sel,
-                    &mut groups,
-                )?;
+                accumulate_hashed(&member.resolved, &member.plan, sel, &mut groups)?;
                 Ok(MorselPartial {
                     groups: MorselGroups::Keyed(groups),
                     facts_scanned,
@@ -2036,11 +1865,7 @@ fn materialise(
             values: accs.iter().map(Accumulator::finish).collect(),
         })
         .collect();
-    rows.sort_by(|a, b| {
-        let ka: Vec<String> = a.keys.iter().map(CellValue::group_key).collect();
-        let kb: Vec<String> = b.keys.iter().map(CellValue::group_key).collect();
-        ka.cmp(&kb)
-    });
+    rows.sort_by_cached_key(|r| r.keys.iter().map(CellValue::group_key).collect::<Vec<_>>());
     if let Some(limit) = query.limit {
         rows.truncate(limit);
     }

@@ -20,10 +20,11 @@
 //!
 //! A query does not hand its whole scan to the pool and wait. The calling
 //! thread *always* scans (so a query makes progress even when every
-//! worker is busy with other tenants, and a `workers = 1` configuration
-//! never touches the pool), and [`MorselPool::scan_cancellable`] enqueues
-//! up to `helpers` additional task items that let pool workers join the same
-//! morsel loop. All participants pull morsel indices from the query's
+//! worker is busy with other tenants, and a scan that asks for zero
+//! helpers — or runs on a pool built with none, the `workers = 1`
+//! executor's — is that loop run inline, queueing nothing), and
+//! [`MorselPool::scan_cancellable`] enqueues up to `helpers` additional
+//! task items that let pool workers join the same morsel loop. All participants pull morsel indices from the query's
 //! shared atomic counter, so how many helpers actually arrive — zero under
 //! saturation, all of them when idle — changes only latency, never
 //! results: partials still merge in morsel-index order
@@ -470,17 +471,18 @@ impl MorselPool {
     /// Creates a pool with no metrics attachment (wait times are not
     /// recorded; shedding is still counted in [`MorselPool::stats`]).
     pub fn new(config: PoolConfig) -> Self {
-        Self::build(config, None)
+        Self::with_helpers(config.effective_workers(), None)
     }
 
-    /// Creates a pool recording scheduler wait times into `registry`
-    /// (as [`Stage::SchedulerWait`] keyed by tenant class).
-    pub fn with_registry(config: PoolConfig, registry: Arc<MetricsRegistry>) -> Self {
-        Self::build(config, Some(registry))
-    }
-
-    fn build(config: PoolConfig, registry: Option<Arc<MetricsRegistry>>) -> Self {
-        let workers = config.effective_workers();
+    /// Creates a pool of exactly `workers` helper threads — **zero
+    /// included**: such a pool spawns nothing and every scan runs inline
+    /// on its caller, while tenant policies and admission work as on any
+    /// other pool. This is how an executor of N workers gets its N − 1
+    /// helpers, so a one-worker engine has the same scheduler and
+    /// admission gate as a parallel one. With a `registry`, scheduler
+    /// wait times are recorded into it (as [`Stage::SchedulerWait`]
+    /// keyed by tenant class).
+    pub fn with_helpers(workers: usize, registry: Option<Arc<MetricsRegistry>>) -> Self {
         let shared = Arc::new(Shared {
             inner: Mutex::new(PoolInner {
                 queues: (0..MAX_TENANTS).map(|_| VecDeque::new()).collect(),

@@ -221,16 +221,19 @@ impl Table {
         &self.columns[index].1
     }
 
-    /// Borrow a column by name.
-    pub fn column(&self, name: &str) -> Result<&Column, OlapError> {
-        self.columns
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| c)
+    /// Index of a column by name, or the typed error naming it — what
+    /// planners resolve once so scans hold plain indices.
+    pub fn index_of(&self, name: &str) -> Result<usize, OlapError> {
+        self.column_index(name)
             .ok_or_else(|| OlapError::UnknownColumn {
                 table: self.name.clone(),
                 column: name.to_string(),
             })
+    }
+
+    /// Borrow a column by name.
+    pub fn column(&self, name: &str) -> Result<&Column, OlapError> {
+        self.index_of(name).map(|index| self.column_at(index))
     }
 
     /// Appends a row given as `(column name, value)` pairs; missing columns

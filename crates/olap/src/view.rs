@@ -1,11 +1,14 @@
 //! Personalized instance views over a cube.
 //!
 //! [`InstanceView::resolve_for_fact`] + [`ResolvedViewCheck::allows`] is
-//! the check that serves (every scan, [`InstanceView::visible_fact_count`]);
-//! the name-based [`InstanceView::allows_fact_row`] is the reference the
+//! the check that serves: the executor lowers the view once per request
+//! and fact (at plan time — every morsel and filter class then tests rows
+//! against that one [`ResolvedViewCheck`]), and
+//! [`InstanceView::visible_fact_count`] lowers it once per count. The
+//! name-based [`InstanceView::allows_fact_row`] is the reference the
 //! serial executor and the equivalence suites compare it against.
 
-use crate::cube::{fk_column, Cube};
+use crate::cube::{fk_column, member_at, Cube};
 use crate::error::OlapError;
 use crate::table::{RowRemap, Table};
 use serde::{Deserialize, Serialize};
@@ -244,10 +247,11 @@ impl InstanceView {
     /// [`InstanceView::allows_fact_row`] out of a scan: the fact's row
     /// selection with its backward remap walk pre-fetched, and each
     /// view-restricted dimension the fact references with the fact
-    /// table's FK column index pre-resolved for typed per-row reads.
-    /// Row-for-row decision- and error-equivalent to `allows_fact_row`
-    /// against the same cube (the serial reference keeps calling that
-    /// name-based method directly, so the two paths stay comparable).
+    /// table's FK column index resolved (a cube whose table lacks the
+    /// column fails here, once, with the typed error). Row-for-row
+    /// decision-equivalent to `allows_fact_row` against the same cube
+    /// (the serial reference keeps calling that name-based method
+    /// directly, so the two paths stay comparable).
     pub fn resolve_for_fact<'a>(
         &'a self,
         cube: &'a Cube,
@@ -277,11 +281,8 @@ impl InstanceView {
         let mut dimensions = Vec::new();
         for dimension in &fact_def.dimensions {
             if let Some(selected) = self.dimension_selections.get(dimension) {
-                dimensions.push((
-                    dimension.as_str(),
-                    fact_table.table.column_index(&fk_column(dimension)),
-                    selected,
-                ));
+                let fk = fact_table.table.index_of(&fk_column(dimension))?;
+                dimensions.push((fk, selected));
             }
         }
         Ok(ResolvedViewCheck {
@@ -300,7 +301,7 @@ impl InstanceView {
         let check = self.resolve_for_fact(cube, fact)?;
         let mut count = 0;
         for row in table.live_runs(0..table.len()).into_iter().flatten() {
-            if check.allows(cube, fact, table, row)? {
+            if check.allows(table, row)? {
                 count += 1;
             }
         }
@@ -323,34 +324,26 @@ impl InstanceView {
     }
 }
 
-/// A view's per-fact row check with the name lookups resolved once, by
-/// [`InstanceView::resolve_for_fact`]: scans then test each row with
-/// [`ResolvedViewCheck::allows`] through typed FK column reads instead
-/// of per-row name-based `fact_member` lookups (and without re-fetching
-/// the fact table or its remap chain on every row).
+/// A view lowered for one fact, once per request, by
+/// [`InstanceView::resolve_for_fact`]: every name is resolved, so
+/// [`ResolvedViewCheck::allows`] tests a row through typed FK column
+/// reads alone (no `fact_member` lookup, no re-fetch of the fact table
+/// or its remap chain per row).
 pub struct ResolvedViewCheck<'a> {
     /// The fact's allowed row set plus the remap transitions a queried
     /// id must walk backwards through (newest first) to reach the
     /// selection's numbering. `None` when the fact is unrestricted.
     selection: Option<(&'a BTreeSet<usize>, Vec<&'a RowRemap>)>,
-    /// `(dimension, FK column index, allowed members)` per restricted
-    /// dimension the fact references. A `None` index falls back to the
-    /// name-based read, which reports the reference path's error.
-    dimensions: Vec<(&'a str, Option<usize>, &'a BTreeSet<usize>)>,
+    /// `(FK column index, allowed members)` per restricted dimension the
+    /// fact references.
+    dimensions: Vec<(usize, &'a BTreeSet<usize>)>,
 }
 
 impl ResolvedViewCheck<'_> {
     /// Returns `true` when the fact row is visible — the resolved form
-    /// of [`InstanceView::allows_fact_row`] on the cube this check was
-    /// built against (`fact_table` must be that cube's table for the
-    /// same fact).
-    pub fn allows(
-        &self,
-        cube: &Cube,
-        fact: &str,
-        fact_table: &Table,
-        fact_row: usize,
-    ) -> Result<bool, OlapError> {
+    /// of [`InstanceView::allows_fact_row`]. `fact_table` must be the
+    /// table of the fact, in the cube, this check was built against.
+    pub fn allows(&self, fact_table: &Table, fact_row: usize) -> Result<bool, OlapError> {
         if let Some((rows, remaps)) = &self.selection {
             let mut row = Some(fact_row);
             for remap in remaps {
@@ -361,23 +354,8 @@ impl ResolvedViewCheck<'_> {
                 _ => return Ok(false),
             }
         }
-        for (dimension, fk, allowed) in &self.dimensions {
-            let member = match fk {
-                Some(index) => {
-                    let column = fact_table.column_at(*index);
-                    match column.get_number(fact_row) {
-                        Some(member) => member as usize,
-                        None => {
-                            return Err(OlapError::TypeMismatch {
-                                expected: "integer foreign key",
-                                found: column.get(fact_row).type_name().to_string(),
-                            })
-                        }
-                    }
-                }
-                None => cube.fact_member(fact, fact_row, dimension)?,
-            };
-            if !allowed.contains(&member) {
+        for (fk, allowed) in &self.dimensions {
+            if !allowed.contains(&member_at(fact_table.column_at(*fk), fact_row)?) {
                 return Ok(false);
             }
         }

@@ -1,7 +1,8 @@
 //! The generators the executor-equivalence property suites share
 //! (`parallel_`, `batch_` and `pool_equivalence`): one two-dimension,
 //! three-measure schema, and strategies for arbitrary cubes over it,
-//! queries against them and personalized views through them.
+//! queries against them and personalized views through them — plus the
+//! three-way visible-row check `storage_equivalence` uses too.
 //!
 //! Measure values are dyadic rationals (multiples of 0.25 well inside
 //! `f64`'s 53-bit mantissa), so every partial sum is exact and
@@ -15,7 +16,9 @@ use sdwp_model::{
     AggregationFunction, Attribute, AttributeType, DimensionBuilder, FactBuilder, Schema,
     SchemaBuilder,
 };
-use sdwp_olap::{AttributeRef, CellValue, Cube, Filter, InstanceView, Query};
+use sdwp_olap::{
+    AttributeRef, CellValue, Cube, ExecutionConfig, Filter, InstanceView, Query, QueryEngine,
+};
 
 /// Pool of attribute values; small so group keys collide often.
 pub const POOL: [&str; 4] = ["x", "y", "z", "w"];
@@ -256,4 +259,27 @@ pub fn build_view(spec: &ViewSpec, cube_spec: &CubeSpec) -> InstanceView {
         }
     }
     view
+}
+
+/// A view's visible-row count over fact `F`, checked three ways:
+/// `visible_fact_count` (the resolved check every scan uses) must equal
+/// both the live rows the name-based `allows_fact_row` admits and what an
+/// unfiltered serial scan of `measure` through the view counts as
+/// scanned. Returns the agreed count.
+pub fn agreed_visible_count(cube: &Cube, view: &InstanceView, measure: &str) -> usize {
+    let table = &cube.fact_table("F").unwrap().table;
+    let by_name = (0..table.len())
+        .filter(|&row| table.is_live(row) && view.allows_fact_row(cube, "F", row).unwrap())
+        .count();
+    let scanned = QueryEngine::with_config(ExecutionConfig::serial())
+        .execute_serial_with_view(cube, &Query::over("F").measure(measure), view)
+        .unwrap()
+        .facts_scanned;
+    let visible = view.visible_fact_count(cube, "F").unwrap();
+    assert_eq!(
+        (visible, visible),
+        (by_name, scanned),
+        "visible_fact_count vs allows_fact_row vs serial facts_scanned"
+    );
+    visible
 }

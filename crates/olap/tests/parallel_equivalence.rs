@@ -21,28 +21,6 @@ use proptest::prelude::*;
 use sdwp_model::AggregationFunction;
 use sdwp_olap::{AttributeRef, CellValue, Cube, ExecutionConfig, InstanceView, Query, QueryEngine};
 
-/// A view's visible-row count, checked three ways: `visible_fact_count`
-/// (the resolved check every scan uses) must equal both the live rows the
-/// name-based `allows_fact_row` admits and what an unfiltered serial scan
-/// through the view counts as scanned. Returns the agreed count.
-fn agreed_visible_count(cube: &Cube, view: &InstanceView) -> usize {
-    let table = &cube.fact_table("F").unwrap().table;
-    let by_name = (0..table.len())
-        .filter(|&row| table.is_live(row) && view.allows_fact_row(cube, "F", row).unwrap())
-        .count();
-    let scanned = QueryEngine::with_config(ExecutionConfig::serial())
-        .execute_serial_with_view(cube, &Query::over("F").measure("M1"), view)
-        .unwrap()
-        .facts_scanned;
-    let visible = view.visible_fact_count(cube, "F").unwrap();
-    assert_eq!(
-        (visible, visible),
-        (by_name, scanned),
-        "visible_fact_count vs allows_fact_row vs serial facts_scanned"
-    );
-    visible
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -61,7 +39,7 @@ proptest! {
         let serial = QueryEngine::with_config(ExecutionConfig::serial())
             .execute_serial_with_view(&built_cube, &built_query, &built_view)
             .expect("generated queries are valid");
-        agreed_visible_count(&built_cube, &built_view);
+        agreed_visible_count(&built_cube, &built_view, "M1");
         for workers in [1usize, 2, 8] {
             // A small prime morsel size forces ragged chunks and many
             // merges; slot limit 0 forces every grouped query onto the
@@ -295,7 +273,10 @@ fn view_restricted_grouped_query_matches_serial_reference() {
         serial.rows.iter().len() > 1,
         "the restricted view should still leave several groups"
     );
-    assert_eq!(agreed_visible_count(&cube, &view), serial.facts_scanned);
+    assert_eq!(
+        agreed_visible_count(&cube, &view, "M1"),
+        serial.facts_scanned
+    );
     for workers in [1usize, 2, 4] {
         let parallel = QueryEngine::with_config(
             ExecutionConfig::default()

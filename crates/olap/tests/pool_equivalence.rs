@@ -28,7 +28,10 @@ use std::sync::Arc;
 
 /// Engine pairs under test: an executor on its own private pool and an
 /// executor on the shared pool, with the **same** execution config, so
-/// any divergence is down to which pool served the scan.
+/// any divergence is down to which pool served the scan. Either pool may
+/// have zero helpers (`workers == 1` privately, a
+/// [`MorselPool::with_helpers`]`(0, _)` shared one): the scan then runs
+/// inline through the same dispatcher.
 fn engine_pair(
     pool: &Arc<MorselPool>,
     workers: usize,
@@ -51,8 +54,9 @@ proptest! {
     /// The headline property: for every generated (cube, query, view),
     /// execution through the shared worker pool at several requested
     /// worker counts — including counts *above* the pool's worker
-    /// population, where the caller scans alongside every helper — is
-    /// bit-identical to the private-pool executor and the serial
+    /// population, where the caller scans alongside every helper, and
+    /// the inline cases (one requested worker, a pool of zero helpers) —
+    /// is bit-identical to the private-pool executor and the serial
     /// reference.
     #[test]
     fn shared_pool_equals_private_pool_and_serial(
@@ -66,10 +70,13 @@ proptest! {
         let serial = QueryEngine::with_config(ExecutionConfig::serial())
             .execute_serial_with_view(&built_cube, &built_query, &built_view)
             .expect("generated queries are valid");
-        let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(3)));
-        for workers in [2usize, 4, 8] {
+        let pools = [
+            Arc::new(MorselPool::new(PoolConfig::default().with_workers(3))),
+            Arc::new(MorselPool::with_helpers(0, None)),
+        ];
+        for (pool, workers) in pools.iter().flat_map(|pool| [1usize, 2, 4, 8].map(|w| (pool, w))) {
             for slot_limit in [0usize, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT] {
-                let (private, shared) = engine_pair(&pool, workers, slot_limit);
+                let (private, shared) = engine_pair(pool, workers, slot_limit);
                 let private_result = private
                     .execute_with_view(&built_cube, &built_query, &built_view)
                     .expect("private-pool execution succeeds where serial does");

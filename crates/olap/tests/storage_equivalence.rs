@@ -17,6 +17,9 @@
 //! Float measures are dyadic rationals (multiples of 0.25), so sums are
 //! exact and equality is bit-for-bit, not approximate.
 
+mod common;
+
+use common::agreed_visible_count;
 use proptest::prelude::*;
 use sdwp_model::{
     AggregationFunction, AttributeType, DimensionBuilder, FactBuilder, Schema, SchemaBuilder,
@@ -245,28 +248,6 @@ fn queries() -> Vec<Query> {
     ]
 }
 
-/// A view's visible-row count, checked three ways: `visible_fact_count`
-/// (the resolved check every scan uses) must equal both the live rows the
-/// name-based `allows_fact_row` admits and what an unfiltered serial scan
-/// through the view counts as scanned. Returns the agreed count.
-fn agreed_visible_count(cube: &Cube, view: &InstanceView) -> usize {
-    let table = &cube.fact_table("F").unwrap().table;
-    let by_name = (0..table.len())
-        .filter(|&row| table.is_live(row) && view.allows_fact_row(cube, "F", row).unwrap())
-        .count();
-    let scanned = QueryEngine::with_config(ExecutionConfig::serial())
-        .execute_serial_with_view(cube, &Query::over("F").measure("M"), view)
-        .unwrap()
-        .facts_scanned;
-    let visible = view.visible_fact_count(cube, "F").unwrap();
-    assert_eq!(
-        (visible, visible),
-        (by_name, scanned),
-        "visible_fact_count vs allows_fact_row vs serial facts_scanned"
-    );
-    visible
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -285,7 +266,7 @@ proptest! {
             let total = spec.facts.len().max(1);
             view.select_fact_rows("F", rows.iter().map(|r| r % total));
         }
-        agreed_visible_count(&cube, &view);
+        agreed_visible_count(&cube, &view, "M");
         let serial_engine = QueryEngine::with_config(ExecutionConfig::serial());
         for query in queries() {
             let serial = serial_engine
@@ -347,9 +328,9 @@ proptest! {
         remapped_view.remap_fact_rows("F", &remap, 0);
         // The count is compaction-invariant too: before, through the stale
         // view's remap walk, and through the eagerly remapped view.
-        let visible = agreed_visible_count(&cube, &view);
-        prop_assert_eq!(agreed_visible_count(&compacted, &view), visible);
-        prop_assert_eq!(agreed_visible_count(&compacted, &remapped_view), visible);
+        let visible = agreed_visible_count(&cube, &view, "M");
+        prop_assert_eq!(agreed_visible_count(&compacted, &view, "M"), visible);
+        prop_assert_eq!(agreed_visible_count(&compacted, &remapped_view, "M"), visible);
         let serial_engine = QueryEngine::with_config(ExecutionConfig::serial());
         let parallel_engine = QueryEngine::with_config(
             ExecutionConfig::default().with_workers(4).with_morsel_rows(5),

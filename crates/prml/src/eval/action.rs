@@ -16,21 +16,17 @@ pub fn execute_action(
 ) -> Result<(), PrmlError> {
     match action {
         Action::AddLayer { name, geometry } => {
-            // Schema side: register the layer (idempotent when the geometry
-            // matches).
+            // Registers the layer and materialises its table (idempotent
+            // when the geometry matches), then populates it from the
+            // external layer source the first time.
             ctx.cube
-                .schema_mut()
-                .add_layer(name.clone(), *geometry)
+                .add_layer(name, *geometry)
                 .map_err(|e| PrmlError::eval(&effect.rule, e.to_string()))?;
-            // Instance side: materialise the layer table and populate it
-            // from the external layer source the first time.
-            let already_loaded = ctx
+            let loaded = ctx
                 .cube
                 .layer_table(name)
-                .map(|t| !t.table.is_empty())
-                .unwrap_or(false);
-            ctx.cube.ensure_layer_table(name);
-            if !already_loaded {
+                .is_ok_and(|t| !t.table.is_empty());
+            if !loaded {
                 if let Some(instances) = ctx.layer_source.layer_instances(name) {
                     for (instance_name, geometry) in instances {
                         ctx.cube
@@ -47,7 +43,6 @@ pub fn execute_action(
                 PrmlError::eval(&effect.rule, "BecomeSpatial element must be a path")
             })?;
             ctx.cube
-                .schema_mut()
                 .become_spatial(&level, *geometry)
                 .map_err(|e| PrmlError::eval(&effect.rule, e.to_string()))?;
             effect.become_spatial.push((level, *geometry));

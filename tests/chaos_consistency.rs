@@ -447,7 +447,7 @@ fn private_pool_engine_contains_scan_panics() {
     }
     // `MorselPool`'s `Drop` joins every worker before it returns, so a
     // dead weak handle right after the engine drops means they are gone.
-    let pool = Arc::downgrade(engine.pool().expect("two workers get a private pool"));
+    let pool = Arc::downgrade(engine.pool());
     drop(engine);
     assert!(
         pool.upgrade().is_none(),

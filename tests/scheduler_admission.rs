@@ -12,14 +12,17 @@ use sdwp::prml::corpus::ALL_PAPER_RULES;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// An engine with an explicitly parallel executor, so the shared morsel
-/// pool (and with it the admission controller) always exists regardless
-/// of the host's core count.
+/// An engine with an explicit worker count, so the helper population the
+/// tests read back does not depend on the host's core count.
 fn facade(scenario: &PaperScenario) -> WebFacade {
+    facade_with_workers(scenario, 4)
+}
+
+fn facade_with_workers(scenario: &PaperScenario, workers: usize) -> WebFacade {
     let engine = PersonalizationEngine::with_execution_config(
         scenario.cube.clone(),
         Arc::new(scenario.layer_source()),
-        ExecutionConfig::default().with_workers(4),
+        ExecutionConfig::default().with_workers(workers),
     );
     engine.register_user(scenario.manager.clone());
     engine.set_parameter("threshold", 2.0);
@@ -131,6 +134,39 @@ fn best_effort_class_sheds_with_typed_response_and_no_partial_state() {
     let after = metrics(&facade);
     assert_eq!(after.stage("query_total", "dashboard").unwrap().count, 2);
     assert_eq!(after.stage("query_scan", "dashboard").unwrap().count, 1);
+}
+
+/// Tenant budgets do not depend on the worker count: a one-worker engine
+/// has the same admission gate (a pool of zero helpers), so its policy is
+/// stored and enforced rather than silently dropped.
+#[test]
+fn single_worker_engine_enforces_tenant_policy() {
+    let scenario = PaperScenario::generate(ScenarioConfig::tiny());
+    let facade = facade_with_workers(&scenario, 1);
+    let policy = TenantPolicy::default().best_effort().with_max_in_flight(1);
+    let class = facade.engine().set_tenant_policy("dashboard", policy);
+    let session = login(&facade, "dashboard");
+    let pool = Arc::clone(facade.engine().morsel_pool().unwrap());
+    assert_eq!(pool.policy(class), policy);
+    assert_eq!(metrics(&facade).gauge("scheduler_workers"), Some(0));
+
+    // One query of the class in flight: the second is shed, typed.
+    let slot = pool.try_admit(class).expect("budget admits one");
+    match facade.handle(aggregate(session)) {
+        WebResponse::Overloaded {
+            class,
+            in_flight,
+            limit,
+            ..
+        } => assert_eq!((class.as_str(), in_flight, limit), ("dashboard", 1, 1)),
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    drop(slot);
+    // Capacity frees: the same request runs, inline on the caller.
+    assert!(matches!(
+        facade.handle(aggregate(session)),
+        WebResponse::Table { .. }
+    ));
 }
 
 #[test]
