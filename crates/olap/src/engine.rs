@@ -13,20 +13,20 @@
 //! ("morsels"). The calling thread and up to `workers - 1` workers of
 //! the engine's [`MorselPool`] pull morsel indices from a shared atomic
 //! counter and run filter + partial aggregation per morsel; the partial
-//! [`Accumulator`] states are then merged **in morsel-index order** and
-//! finalised once. The pool is the only dispatcher at every worker count:
-//! a one-worker configuration gets a pool of zero helpers, on which the
-//! same loop runs inline with the same panic containment, tenant policy
-//! and admission gate.
+//! [`crate::aggregate::Accumulator`] states are then merged **in
+//! morsel-index order** and finalised once. The pool is the only
+//! dispatcher at every worker count: a one-worker configuration gets a
+//! pool of zero helpers, on which the same loop runs inline with the same
+//! panic containment, tenant policy and admission gate.
 //!
 //! Everything that is fixed for the whole request is decided **once, at
 //! the door**: resolution turns every measure, foreign-key and attribute
 //! name into a plain column index (a cube whose tables lack one fails
 //! there, once, with a typed error — [`Cube`] keeps tables aligned with
 //! its schema by construction), and the personalized view is lowered to
-//! one [`ResolvedViewCheck`] per fact group at plan time. The morsel
-//! loop holds indices and that one check; it re-decides nothing per row
-//! or per morsel.
+//! one [`crate::ResolvedViewCheck`] per fact group at plan time. The
+//! morsel loop holds indices and that one check; it re-decides nothing
+//! per row or per morsel.
 //!
 //! Because morsel boundaries and the merge order depend only on
 //! [`ExecutionConfig::morsel_rows`] — never on the worker count or on
@@ -188,34 +188,34 @@ impl ExecutionConfig {
 }
 
 /// How the morsel executor reads one measure.
-struct MeasurePlan {
+pub(super) struct MeasurePlan {
     /// The measure column's declaration index in the fact table
     /// (resolved once, so the scan loop never does a name lookup per
     /// row).
-    column: usize,
+    pub(super) column: usize,
     /// Whether the column is numeric (integer / float / date) and the
     /// aggregation can run on bare numbers — the typed fast path. COUNT
     /// DISTINCT needs the full value and always takes the `CellValue`
     /// path.
-    numeric: bool,
+    pub(super) numeric: bool,
 }
 
 /// The resolved, validated parts of a query that every scan shares.
-struct Resolved<'q> {
+pub(super) struct Resolved<'q> {
     /// The table of the queried fact.
-    fact_table: &'q Table,
+    pub(super) fact_table: &'q Table,
     /// `(column name, aggregation)` per requested measure.
-    measures: Vec<(String, AggregationFunction)>,
+    pub(super) measures: Vec<(String, AggregationFunction)>,
     /// Per-measure read plan for the morsel executor, index-aligned with
     /// `measures`.
-    plans: Vec<MeasurePlan>,
+    pub(super) plans: Vec<MeasurePlan>,
     /// Allowed member sets per filtered dimension, each with the index
     /// of the fact table's FK column. A `BTreeMap` so the per-row check
     /// order is deterministic across executions.
-    allowed_members: BTreeMap<&'q str, (usize, BTreeSet<usize>)>,
+    pub(super) allowed_members: BTreeMap<&'q str, (usize, BTreeSet<usize>)>,
     /// Whether the whole query can run on the vectorised per-chunk
     /// kernels: no grouping, and every measure on the numeric fast path.
-    vectorised: bool,
+    pub(super) vectorised: bool,
 }
 
 /// Group-by state of the **serial reference**: group key string →
@@ -230,33 +230,33 @@ type GroupMap = HashMap<String, (Vec<CellValue>, Vec<Accumulator>)>;
 /// dictionary is `Arc`-shared: within a batch, and (through
 /// [`GroupDictCache`]) across queries until the snapshot generation
 /// moves on; only the fact-side FK column index is per-query state.
-struct GroupKeyDict {
+pub(super) struct GroupKeyDict {
     /// Index of the fact table's FK column for the attribute's dimension.
-    fk_column: usize,
+    pub(super) fk_column: usize,
     /// The shared dimension-side dictionary.
-    keys: Arc<GroupKeys>,
+    pub(super) keys: Arc<GroupKeys>,
 }
 
 /// The grouped execution plan of one parallel query: per-attribute
 /// dictionaries plus the flat-vs-hashed path decision.
-struct GroupPlan {
+pub(super) struct GroupPlan {
     /// Dictionaries in `query.group_by` order.
-    dicts: Vec<GroupKeyDict>,
+    pub(super) dicts: Vec<GroupKeyDict>,
     /// Product of the dictionary sizes — the mixed-radix range of a
     /// packed group id. `None` when it overflows `u128` (keys fall back
     /// to [`GroupId::Wide`]).
-    cardinality: Option<u128>,
+    pub(super) cardinality: Option<u128>,
     /// `Some(total slots)` when the morsels accumulate into flat per-slot
     /// vectors (cardinality under the configured limit, every measure
     /// numeric); `None` uses the integer-keyed hash fallback.
-    flat: Option<usize>,
+    pub(super) flat: Option<usize>,
 }
 
 impl GroupPlan {
     /// Resolves a group id back to its key `CellValue`s — the only point
     /// where the parallel path materialises key cells, once per surviving
     /// group at finalisation.
-    fn decode(&self, id: &GroupId) -> Vec<CellValue> {
+    pub(super) fn decode(&self, id: &GroupId) -> Vec<CellValue> {
         match id {
             GroupId::Packed(value) => {
                 let mut value = *value;
@@ -282,7 +282,7 @@ impl GroupPlan {
 /// range would overflow `u128` (astronomical cardinalities only). Never a
 /// string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum GroupId {
+pub(super) enum GroupId {
     Packed(u128),
     Wide(Box<[u32]>),
 }
@@ -290,7 +290,7 @@ enum GroupId {
 /// The group state of one morsel's partial aggregate. Key cells are
 /// never materialised here — the merge phase works entirely on integers
 /// and decodes the surviving groups once at finalisation.
-enum MorselGroups {
+pub(super) enum MorselGroups {
     /// Integer group ids → accumulator states, in first-occurrence order
     /// (the vectorised-ungrouped and hashed paths).
     Keyed(Vec<(GroupId, Vec<Accumulator>)>),
@@ -305,53 +305,53 @@ enum MorselGroups {
 }
 
 /// The partial aggregate of one morsel.
-struct MorselPartial {
-    groups: MorselGroups,
-    facts_scanned: usize,
-    facts_matched: usize,
+pub(super) struct MorselPartial {
+    pub(super) groups: MorselGroups,
+    pub(super) facts_scanned: usize,
+    pub(super) facts_matched: usize,
 }
 
 /// One resolved member of a query batch.
-struct BatchQuery<'q> {
+pub(super) struct BatchQuery<'q> {
     /// Position in the caller's batch — results go back in input order.
-    index: usize,
-    query: &'q Query,
-    resolved: Resolved<'q>,
-    plan: GroupPlan,
+    pub(super) index: usize,
+    pub(super) query: &'q Query,
+    pub(super) resolved: Resolved<'q>,
+    pub(super) plan: GroupPlan,
     /// The query's filter class (index into its fact group's class
     /// list).
-    class: usize,
+    pub(super) class: usize,
 }
 
 /// One filter class of a fact group: the member queries whose canonical
 /// filter identity coincides, so each morsel materialises one selection
 /// vector for all of them.
-struct FilterClass {
+pub(super) struct FilterClass {
     /// Index (into the group's query list) of the representative whose
     /// resolved filter state drives the shared selection. Any member
     /// would do — equal class keys imply equal selection semantics.
-    rep: usize,
+    pub(super) rep: usize,
     /// No view restriction and no filters: the selection is exactly the
     /// live-run structure of the morsel, with no per-row work at all,
     /// whichever accumulation path the members take.
-    unrestricted: bool,
+    pub(super) unrestricted: bool,
     /// Every member runs the vectorised ungrouped path, which consumes
     /// contiguous runs directly — an unrestricted class then never
     /// materialises the selection vector itself.
-    runs_only: bool,
+    pub(super) runs_only: bool,
 }
 
 /// The queries of one batch that aggregate the same fact, sharing that
 /// fact's single morsel pass.
-struct FactGroup<'q> {
-    fact: &'q str,
-    fact_table: &'q Table,
+pub(super) struct FactGroup<'q> {
+    pub(super) fact: &'q str,
+    pub(super) fact_table: &'q Table,
     /// The request's view lowered for this fact, once, at plan time —
     /// filter class zero of every morsel's selection, and the slot a
     /// cached visible-row bitmap would fill.
-    view: ResolvedViewCheck<'q>,
-    queries: Vec<BatchQuery<'q>>,
-    classes: Vec<FilterClass>,
+    pub(super) view: ResolvedViewCheck<'q>,
+    pub(super) queries: Vec<BatchQuery<'q>>,
+    pub(super) classes: Vec<FilterClass>,
 }
 
 /// The canonical filter identity of a query: dimension filters sorted
@@ -360,7 +360,7 @@ struct FactGroup<'q> {
 /// fact filter. Queries with equal keys resolve to identical allowed
 /// member sets against the same snapshot, and therefore select
 /// identical rows with identical counters and per-row errors.
-fn filter_class_key(query: &Query) -> String {
+pub(super) fn filter_class_key(query: &Query) -> String {
     let mut filters: Vec<&(String, crate::filter::Filter)> =
         query.dimension_filters.iter().collect();
     filters.sort_by(|a, b| a.0.cmp(&b.0));
@@ -919,6 +919,27 @@ impl QueryEngine {
             .collect()
     }
 
+    /// Convenience: total of a single measure over the (possibly
+    /// personalized) cube, with no grouping.
+    pub fn total(
+        &self,
+        cube: &Cube,
+        fact: &str,
+        measure: &str,
+        view: &InstanceView,
+    ) -> Result<f64, OlapError> {
+        let query = Query::over(fact).measure(measure);
+        let result = self.execute_with_view(cube, &query, view)?;
+        Ok(result
+            .rows
+            .first()
+            .and_then(|r| r.values.first())
+            .and_then(CellValue::as_number)
+            .unwrap_or(0.0))
+    }
+}
+
+impl QueryEngine {
     /// Executes a query serially, without personalization — the
     /// row-at-a-time reference implementation.
     pub fn execute_serial(&self, cube: &Cube, query: &Query) -> Result<QueryResult, OlapError> {
@@ -959,32 +980,13 @@ impl QueryEngine {
             facts_matched,
         ))
     }
-
-    /// Convenience: total of a single measure over the (possibly
-    /// personalized) cube, with no grouping.
-    pub fn total(
-        &self,
-        cube: &Cube,
-        fact: &str,
-        measure: &str,
-        view: &InstanceView,
-    ) -> Result<f64, OlapError> {
-        let query = Query::over(fact).measure(measure);
-        let result = self.execute_with_view(cube, &query, view)?;
-        Ok(result
-            .rows
-            .first()
-            .and_then(|r| r.values.first())
-            .and_then(CellValue::as_number)
-            .unwrap_or(0.0))
-    }
 }
 
 /// Validates the query against the cube's schema and pre-computes the
 /// allowed member sets of every filtered dimension. Shared by the
 /// parallel pipeline and the serial reference so both report identical
 /// errors for invalid queries.
-fn resolve<'q>(cube: &'q Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError> {
+pub(super) fn resolve<'q>(cube: &'q Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError> {
     let fact_def = cube
         .schema()
         .fact(&query.fact)
@@ -1097,7 +1099,7 @@ fn resolve<'q>(cube: &'q Cube, query: &'q Query) -> Result<Resolved<'q>, OlapErr
 /// (and, for a broken attribute, the same error).
 type KeysLookup<'a> = dyn FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError> + 'a;
 
-fn keys_lookup<'a>(
+pub(super) fn keys_lookup<'a>(
     dicts: Option<(&'a GroupDictCache, u64)>,
 ) -> impl FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError> + 'a {
     move |cube, attr| match dicts {
@@ -1111,7 +1113,7 @@ fn keys_lookup<'a>(
 /// batch, or served from the generation-keyed cache) with its FK column
 /// index, plus the flat-vs-hashed decision. An ungrouped query gets the
 /// empty plan: no dictionaries, cardinality 1, never flat.
-fn build_group_plan(
+pub(super) fn build_group_plan(
     cube: &Cube,
     query: &Query,
     resolved: &Resolved<'_>,
@@ -1586,7 +1588,7 @@ fn vectorised_partial(
 /// so the merge phase can always report the error of the
 /// *lowest-indexed* failing morsel — the same error the serial reference
 /// reports.
-fn scan_assigned_batch_morsels(
+pub(super) fn scan_assigned_batch_morsels(
     group: &FactGroup<'_>,
     next_morsel: &AtomicUsize,
     morsel_count: usize,
@@ -1759,7 +1761,7 @@ fn scan_batch_morsel(
 /// columns), so its cost scales with the groups the morsels actually
 /// produced — not with the plan's slot-space cardinality.
 #[allow(clippy::type_complexity)]
-fn merge_partials(
+pub(super) fn merge_partials(
     resolved: &Resolved<'_>,
     plan: &GroupPlan,
     mut partials: Vec<(usize, Result<MorselPartial, OlapError>)>,
@@ -1851,7 +1853,7 @@ fn merge_partials(
 
 /// Finalises the group rows — `(key cells, accumulators)` pairs from
 /// the executor or the serial reference — into a sorted, limited result.
-fn materialise(
+pub(super) fn materialise(
     query: &Query,
     resolved: &Resolved<'_>,
     groups: Vec<(Vec<CellValue>, Vec<Accumulator>)>,
