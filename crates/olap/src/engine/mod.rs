@@ -70,25 +70,29 @@
 //! morsel falls back to an **integer-keyed** hash table. Dense ids are
 //! resolved back to `CellValue`s only once, at finalisation.
 
-use crate::aggregate::{Accumulator, SlotAccumulator};
+mod merge;
+mod plan;
+mod reference;
+mod scan;
+
+use self::merge::{materialise, merge_partials};
+use self::plan::{
+    build_group_plan, filter_class_key, keys_lookup, resolve, BatchQuery, FactGroup, FilterClass,
+};
+use self::scan::{scan_assigned_batch_morsels, MorselPartial};
 use crate::cancel::CancelToken;
-use crate::column::ColumnType;
-use crate::cube::{attribute_column, fk_column, member_at, Cube};
-use crate::dicts::{attr_key, GroupDictCache, GroupKeys, NULL_KEY};
+use crate::cube::Cube;
+use crate::dicts::{attr_key, GroupDictCache, GroupKeys};
 use crate::error::OlapError;
 use crate::hash::FxHashMap;
-use crate::kernels::NumericAgg;
 use crate::pool::MorselPool;
-use crate::query::{AttributeRef, Query, QueryResult, ResultRow};
-use crate::table::Table;
+use crate::query::{AttributeRef, Query, QueryResult};
 use crate::value::CellValue;
-use crate::view::{InstanceView, ResolvedViewCheck};
-use sdwp_model::AggregationFunction;
+use crate::view::InstanceView;
 use sdwp_obs::{ClassId, MetricsRegistry, SlowQueryRecord, Stage};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -185,186 +189,6 @@ impl ExecutionConfig {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         }
     }
-}
-
-/// How the morsel executor reads one measure.
-pub(super) struct MeasurePlan {
-    /// The measure column's declaration index in the fact table
-    /// (resolved once, so the scan loop never does a name lookup per
-    /// row).
-    pub(super) column: usize,
-    /// Whether the column is numeric (integer / float / date) and the
-    /// aggregation can run on bare numbers — the typed fast path. COUNT
-    /// DISTINCT needs the full value and always takes the `CellValue`
-    /// path.
-    pub(super) numeric: bool,
-}
-
-/// The resolved, validated parts of a query that every scan shares.
-pub(super) struct Resolved<'q> {
-    /// The table of the queried fact.
-    pub(super) fact_table: &'q Table,
-    /// `(column name, aggregation)` per requested measure.
-    pub(super) measures: Vec<(String, AggregationFunction)>,
-    /// Per-measure read plan for the morsel executor, index-aligned with
-    /// `measures`.
-    pub(super) plans: Vec<MeasurePlan>,
-    /// Allowed member sets per filtered dimension, each with the index
-    /// of the fact table's FK column. A `BTreeMap` so the per-row check
-    /// order is deterministic across executions.
-    pub(super) allowed_members: BTreeMap<&'q str, (usize, BTreeSet<usize>)>,
-    /// Whether the whole query can run on the vectorised per-chunk
-    /// kernels: no grouping, and every measure on the numeric fast path.
-    pub(super) vectorised: bool,
-}
-
-/// Group-by state of the **serial reference**: group key string →
-/// (key cells, accumulators). The parallel path never builds these
-/// strings; it keys by dense integer ids ([`GroupId`]).
-type GroupMap = HashMap<String, (Vec<CellValue>, Vec<Accumulator>)>;
-
-/// One group-by attribute pre-resolved for the parallel path: the
-/// dimension walked once into a dense dictionary ([`GroupKeys`]), so
-/// per-row key building is a single `u32` array index — no `HashMap`
-/// probe, no `CellValue` clone, no string append. The dimension-side
-/// dictionary is `Arc`-shared: within a batch, and (through
-/// [`GroupDictCache`]) across queries until the snapshot generation
-/// moves on; only the fact-side FK column index is per-query state.
-pub(super) struct GroupKeyDict {
-    /// Index of the fact table's FK column for the attribute's dimension.
-    pub(super) fk_column: usize,
-    /// The shared dimension-side dictionary.
-    pub(super) keys: Arc<GroupKeys>,
-}
-
-/// The grouped execution plan of one parallel query: per-attribute
-/// dictionaries plus the flat-vs-hashed path decision.
-pub(super) struct GroupPlan {
-    /// Dictionaries in `query.group_by` order.
-    pub(super) dicts: Vec<GroupKeyDict>,
-    /// Product of the dictionary sizes — the mixed-radix range of a
-    /// packed group id. `None` when it overflows `u128` (keys fall back
-    /// to [`GroupId::Wide`]).
-    pub(super) cardinality: Option<u128>,
-    /// `Some(total slots)` when the morsels accumulate into flat per-slot
-    /// vectors (cardinality under the configured limit, every measure
-    /// numeric); `None` uses the integer-keyed hash fallback.
-    pub(super) flat: Option<usize>,
-}
-
-impl GroupPlan {
-    /// Resolves a group id back to its key `CellValue`s — the only point
-    /// where the parallel path materialises key cells, once per surviving
-    /// group at finalisation.
-    pub(super) fn decode(&self, id: &GroupId) -> Vec<CellValue> {
-        match id {
-            GroupId::Packed(value) => {
-                let mut value = *value;
-                let mut cells = vec![CellValue::Null; self.dicts.len()];
-                for (cell, dict) in cells.iter_mut().zip(&self.dicts).rev() {
-                    let radix = dict.keys.key_values.len() as u128;
-                    *cell = dict.keys.key_values[(value % radix) as usize].clone();
-                    value /= radix;
-                }
-                cells
-            }
-            GroupId::Wide(ids) => ids
-                .iter()
-                .zip(&self.dicts)
-                .map(|(&dense, dict)| dict.keys.key_values[dense as usize].clone())
-                .collect(),
-        }
-    }
-}
-
-/// A group key on the parallel path: per-attribute dense ids packed into
-/// one mixed-radix integer, or the raw dense-id tuple when the packed
-/// range would overflow `u128` (astronomical cardinalities only). Never a
-/// string.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(super) enum GroupId {
-    Packed(u128),
-    Wide(Box<[u32]>),
-}
-
-/// The group state of one morsel's partial aggregate. Key cells are
-/// never materialised here — the merge phase works entirely on integers
-/// and decodes the surviving groups once at finalisation.
-pub(super) enum MorselGroups {
-    /// Integer group ids → accumulator states, in first-occurrence order
-    /// (the vectorised-ungrouped and hashed paths).
-    Keyed(Vec<(GroupId, Vec<Accumulator>)>),
-    /// The flat dense-slot path: the touched slots in first-occurrence
-    /// order plus, per measure, the slots' kernel partials (parallel to
-    /// `touched`). Merging is a slot-indexed [`NumericAgg::merge`] into
-    /// flat totals — no hashing, no per-group allocation.
-    Flat {
-        touched: Vec<u32>,
-        partials: Vec<Vec<NumericAgg>>,
-    },
-}
-
-/// The partial aggregate of one morsel.
-pub(super) struct MorselPartial {
-    pub(super) groups: MorselGroups,
-    pub(super) facts_scanned: usize,
-    pub(super) facts_matched: usize,
-}
-
-/// One resolved member of a query batch.
-pub(super) struct BatchQuery<'q> {
-    /// Position in the caller's batch — results go back in input order.
-    pub(super) index: usize,
-    pub(super) query: &'q Query,
-    pub(super) resolved: Resolved<'q>,
-    pub(super) plan: GroupPlan,
-    /// The query's filter class (index into its fact group's class
-    /// list).
-    pub(super) class: usize,
-}
-
-/// One filter class of a fact group: the member queries whose canonical
-/// filter identity coincides, so each morsel materialises one selection
-/// vector for all of them.
-pub(super) struct FilterClass {
-    /// Index (into the group's query list) of the representative whose
-    /// resolved filter state drives the shared selection. Any member
-    /// would do — equal class keys imply equal selection semantics.
-    pub(super) rep: usize,
-    /// No view restriction and no filters: the selection is exactly the
-    /// live-run structure of the morsel, with no per-row work at all,
-    /// whichever accumulation path the members take.
-    pub(super) unrestricted: bool,
-    /// Every member runs the vectorised ungrouped path, which consumes
-    /// contiguous runs directly — an unrestricted class then never
-    /// materialises the selection vector itself.
-    pub(super) runs_only: bool,
-}
-
-/// The queries of one batch that aggregate the same fact, sharing that
-/// fact's single morsel pass.
-pub(super) struct FactGroup<'q> {
-    pub(super) fact: &'q str,
-    pub(super) fact_table: &'q Table,
-    /// The request's view lowered for this fact, once, at plan time —
-    /// filter class zero of every morsel's selection, and the slot a
-    /// cached visible-row bitmap would fill.
-    pub(super) view: ResolvedViewCheck<'q>,
-    pub(super) queries: Vec<BatchQuery<'q>>,
-    pub(super) classes: Vec<FilterClass>,
-}
-
-/// The canonical filter identity of a query: dimension filters sorted
-/// by dimension name (they are conjunctive, so order is irrelevant —
-/// the same normalisation [`Query::canonical_key`] applies) plus the
-/// fact filter. Queries with equal keys resolve to identical allowed
-/// member sets against the same snapshot, and therefore select
-/// identical rows with identical counters and per-row errors.
-pub(super) fn filter_class_key(query: &Query) -> String {
-    let mut filters: Vec<&(String, crate::filter::Filter)> =
-        query.dimension_filters.iter().collect();
-    filters.sort_by(|a, b| a.0.cmp(&b.0));
-    format!("{filters:?}|{:?}", query.fact_filter)
 }
 
 /// Observability context for an observed execution: where to record
@@ -939,959 +763,15 @@ impl QueryEngine {
     }
 }
 
-impl QueryEngine {
-    /// Executes a query serially, without personalization — the
-    /// row-at-a-time reference implementation.
-    pub fn execute_serial(&self, cube: &Cube, query: &Query) -> Result<QueryResult, OlapError> {
-        self.execute_serial_with_view(cube, query, &InstanceView::unrestricted())
-    }
-
-    /// Executes a query through a view with the classic single-threaded
-    /// row-at-a-time loop. This is the reference implementation the
-    /// parallel-equivalence property suite compares
-    /// [`QueryEngine::execute_with_view`] against.
-    pub fn execute_serial_with_view(
-        &self,
-        cube: &Cube,
-        query: &Query,
-        view: &InstanceView,
-    ) -> Result<QueryResult, OlapError> {
-        let resolved = resolve(cube, query)?;
-        let fact_table = &cube.fact_table(&query.fact)?.table;
-        let mut key_cache: Vec<HashMap<usize, CellValue>> =
-            vec![HashMap::new(); query.group_by.len()];
-        let mut groups: GroupMap = HashMap::new();
-        let (facts_scanned, facts_matched) = scan_range(
-            cube,
-            query,
-            view,
-            &resolved,
-            fact_table,
-            0..fact_table.len(),
-            &mut key_cache,
-            &mut groups,
-        )?;
-        let rows = groups.into_values().collect();
-        Ok(materialise(
-            query,
-            &resolved,
-            rows,
-            facts_scanned,
-            facts_matched,
-        ))
-    }
-}
-
-/// Validates the query against the cube's schema and pre-computes the
-/// allowed member sets of every filtered dimension. Shared by the
-/// parallel pipeline and the serial reference so both report identical
-/// errors for invalid queries.
-pub(super) fn resolve<'q>(cube: &'q Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError> {
-    let fact_def = cube
-        .schema()
-        .fact(&query.fact)
-        .ok_or_else(|| OlapError::UnknownElement {
-            kind: "fact",
-            name: query.fact.clone(),
-        })?;
-    if query.measures.is_empty() {
-        return Err(OlapError::InvalidQuery {
-            message: "a query needs at least one measure".into(),
-        });
-    }
-
-    // Resolve measures: (column name, aggregation) plus the executor's
-    // read plan. `Cube` keeps its tables aligned with its schema, so a
-    // schema measure (or foreign key, below) without its column is a
-    // broken cube: one typed error here, never a per-row fallback.
-    let fact_table = &cube.fact_table(&query.fact)?.table;
-    let mut measures: Vec<(String, AggregationFunction)> = Vec::new();
-    let mut plans: Vec<MeasurePlan> = Vec::new();
-    for m in &query.measures {
-        let def = fact_def
-            .measure(&m.measure)
-            .ok_or_else(|| OlapError::UnknownElement {
-                kind: "measure",
-                name: m.measure.clone(),
-            })?;
-        let aggregation = m.aggregation.unwrap_or(def.aggregation);
-        let column = fact_table.index_of(&def.name)?;
-        let numeric = aggregation != AggregationFunction::CountDistinct
-            && matches!(
-                fact_table.column_at(column).column_type(),
-                ColumnType::Integer | ColumnType::Float | ColumnType::Date
-            );
-        measures.push((def.name.clone(), aggregation));
-        plans.push(MeasurePlan { column, numeric });
-    }
-
-    // Validate group-by references and check the dimensions are reachable.
-    for key in &query.group_by {
-        if !fact_def.references_dimension(&key.dimension) {
-            return Err(OlapError::InvalidQuery {
-                message: format!(
-                    "fact '{}' is not analysed by dimension '{}'",
-                    fact_def.name, key.dimension
-                ),
-            });
-        }
-        let dim =
-            cube.schema()
-                .dimension(&key.dimension)
-                .ok_or_else(|| OlapError::UnknownElement {
-                    kind: "dimension",
-                    name: key.dimension.clone(),
-                })?;
-        let level = dim
-            .level(&key.level)
-            .ok_or_else(|| OlapError::UnknownElement {
-                kind: "level",
-                name: key.level.clone(),
-            })?;
-        if level.attribute(&key.attribute).is_none() {
-            return Err(OlapError::UnknownElement {
-                kind: "attribute",
-                name: format!("{}.{}", key.level, key.attribute),
-            });
-        }
-    }
-
-    // Pre-compute allowed member sets for every filtered dimension, with
-    // the FK column index resolved for the parallel path's typed reads.
-    let mut allowed_members: BTreeMap<&str, (usize, BTreeSet<usize>)> = BTreeMap::new();
-    for (dimension, filter) in &query.dimension_filters {
-        if !fact_def.references_dimension(dimension) {
-            return Err(OlapError::InvalidQuery {
-                message: format!(
-                    "filtered dimension '{dimension}' is not referenced by fact '{}'",
-                    fact_def.name
-                ),
-            });
-        }
-        let table = &cube.dimension_table(dimension)?.table;
-        let matching: BTreeSet<usize> = filter.matching_rows(table)?.into_iter().collect();
-        match allowed_members.entry(dimension.as_str()) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let intersection: BTreeSet<usize> =
-                    e.get().1.intersection(&matching).copied().collect();
-                e.get_mut().1 = intersection;
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert((fact_table.index_of(&fk_column(dimension))?, matching));
-            }
-        }
-    }
-
-    let vectorised = query.group_by.is_empty() && plans.iter().all(|p| p.numeric);
-    Ok(Resolved {
-        fact_table,
-        measures,
-        plans,
-        allowed_members,
-        vectorised,
-    })
-}
-
-/// The group planner's source of dimension-side dictionaries: a plain
-/// per-query build, the generation-keyed [`GroupDictCache`], or a
-/// batch-local memo layered on top of either. [`GroupKeys::build`] is
-/// deterministic, so every source yields interchangeable dictionaries
-/// (and, for a broken attribute, the same error).
-type KeysLookup<'a> = dyn FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError> + 'a;
-
-pub(super) fn keys_lookup<'a>(
-    dicts: Option<(&'a GroupDictCache, u64)>,
-) -> impl FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError> + 'a {
-    move |cube, attr| match dicts {
-        Some((cache, generation)) => cache.get_or_build(generation, cube, attr),
-        None => GroupKeys::build(cube, attr).map(Arc::new),
-    }
-}
-
-/// Builds the grouped execution plan: one dense dictionary per group-by
-/// attribute (obtained through `lookup` — built, memoised within a
-/// batch, or served from the generation-keyed cache) with its FK column
-/// index, plus the flat-vs-hashed decision. An ungrouped query gets the
-/// empty plan: no dictionaries, cardinality 1, never flat.
-pub(super) fn build_group_plan(
-    cube: &Cube,
-    query: &Query,
-    resolved: &Resolved<'_>,
-    group_slot_limit: usize,
-    lookup: &mut KeysLookup<'_>,
-) -> Result<GroupPlan, OlapError> {
-    let mut dicts = Vec::with_capacity(query.group_by.len());
-    for attr in &query.group_by {
-        dicts.push(GroupKeyDict {
-            fk_column: resolved.fact_table.index_of(&fk_column(&attr.dimension))?,
-            keys: lookup(cube, attr)?,
-        });
-    }
-    let cardinality = dicts.iter().try_fold(1u128, |product, dict| {
-        product.checked_mul(dict.keys.key_values.len() as u128)
-    });
-    let flat = match cardinality {
-        Some(slots)
-            if !dicts.is_empty()
-                && resolved.plans.iter().all(|p| p.numeric)
-                && slots <= group_slot_limit.min(u32::MAX as usize) as u128 =>
-        {
-            Some(slots as usize)
-        }
-        _ => None,
-    };
-    Ok(GroupPlan {
-        dicts,
-        cardinality,
-        flat,
-    })
-}
-
-/// Scans one contiguous row range, accumulating into `groups` — the
-/// row-at-a-time **serial reference**: every value goes through
-/// [`Table::get`]'s `CellValue` materialisation. The morsel pipeline's
-/// typed and vectorised scans ([`scan_batch_morsel`]) must stay observably
-/// equivalent to this loop — same groups, same counters, same error for
-/// the same first failing row — which the storage-equivalence and
-/// parallel-equivalence property suites enforce.
-#[allow(clippy::too_many_arguments)]
-fn scan_range(
-    cube: &Cube,
-    query: &Query,
-    view: &InstanceView,
-    resolved: &Resolved<'_>,
-    fact_table: &Table,
-    rows: Range<usize>,
-    key_cache: &mut [HashMap<usize, CellValue>],
-    groups: &mut GroupMap,
-) -> Result<(usize, usize), OlapError> {
-    let mut facts_scanned = 0usize;
-    let mut facts_matched = 0usize;
-    for fact_row in rows {
-        // Retracted rows are invisible to every query (and not counted as
-        // scanned). Shared by the serial reference and each parallel
-        // morsel, so the two executors stay equivalent mid-ingest by
-        // construction.
-        if !fact_table.is_live(fact_row) {
-            continue;
-        }
-        if !view.allows_fact_row(cube, &query.fact, fact_row)? {
-            continue;
-        }
-        facts_scanned += 1;
-
-        // Dimension filters (the classic name-based member read — the
-        // reference the typed parallel path is measured against).
-        let mut passes = true;
-        for (dimension, (_, allowed)) in &resolved.allowed_members {
-            let member = cube.fact_member(&query.fact, fact_row, dimension)?;
-            if !allowed.contains(&member) {
-                passes = false;
-                break;
-            }
-        }
-        if !passes {
-            continue;
-        }
-        // Fact filter.
-        if let Some(filter) = &query.fact_filter {
-            if !filter.matches(fact_table, fact_row)? {
-                continue;
-            }
-        }
-        facts_matched += 1;
-
-        // Build the group key.
-        let mut key_cells = Vec::with_capacity(query.group_by.len());
-        let mut key_string = String::new();
-        for (i, attr) in query.group_by.iter().enumerate() {
-            let member = cube.fact_member(&query.fact, fact_row, &attr.dimension)?;
-            let cell = match key_cache[i].get(&member) {
-                Some(c) => c.clone(),
-                None => {
-                    let table = &cube.dimension_table(&attr.dimension)?.table;
-                    let cell =
-                        table.get(member, &attribute_column(&attr.level, &attr.attribute))?;
-                    key_cache[i].insert(member, cell.clone());
-                    cell
-                }
-            };
-            // Length-prefix each attribute's key so the concatenation is
-            // injective even when a text key itself contains the
-            // separator — keeping the serial reference's grouping
-            // identical to the dense-id parallel path, which keys each
-            // attribute independently.
-            let key = cell.group_key();
-            key_string.push_str(&key.len().to_string());
-            key_string.push('\u{1f}');
-            key_string.push_str(&key);
-            key_cells.push(cell);
-        }
-
-        let entry = groups.entry(key_string).or_insert_with(|| {
-            (
-                key_cells.clone(),
-                resolved
-                    .measures
-                    .iter()
-                    .map(|(_, agg)| Accumulator::new(*agg))
-                    .collect(),
-            )
-        });
-        for ((column, _), acc) in resolved.measures.iter().zip(entry.1.iter_mut()) {
-            let value = fact_table.get(fact_row, column)?;
-            acc.update(&value);
-        }
-    }
-    Ok((facts_scanned, facts_matched))
-}
-
-/// Materialises one morsel's selection vector — the surviving row ids
-/// after liveness, view, dimension-filter and fact-filter checks, with
-/// the scanned/matched counters updated in exactly the serial
-/// reference's order (so counter and error semantics cannot drift from
-/// [`scan_range`]) — and returns the morsel's counters. One call serves
-/// every query of a filter class (`rep` is its representative). The view
-/// check and the dimension filters read FKs the same way, through
-/// [`member_at`] over column indices resolved at plan time.
-fn select_rows(
-    view: &ResolvedViewCheck<'_>,
-    rep: &BatchQuery<'_>,
-    rows: Range<usize>,
-    sel: &mut Vec<u32>,
-) -> Result<(usize, usize), OlapError> {
-    let fact_table = rep.resolved.fact_table;
-    let mut facts_scanned = 0usize;
-    let mut facts_matched = 0usize;
-    sel.clear();
-    'rows: for fact_row in rows {
-        if !fact_table.is_live(fact_row) || !view.allows(fact_table, fact_row)? {
-            continue;
-        }
-        facts_scanned += 1;
-        for (fk, allowed) in rep.resolved.allowed_members.values() {
-            if !allowed.contains(&member_at(fact_table.column_at(*fk), fact_row)?) {
-                continue 'rows;
-            }
-        }
-        if let Some(filter) = &rep.query.fact_filter {
-            if !filter.matches(fact_table, fact_row)? {
-                continue;
-            }
-        }
-        facts_matched += 1;
-        sel.push(fact_row as u32);
-    }
-    Ok((facts_scanned, facts_matched))
-}
-
-/// The integer group id of one fact row, built attribute by attribute in
-/// query order (so FK-read errors surface in the serial reference's
-/// order): per attribute a typed FK read plus one dictionary index.
-/// Members outside the dictionary (impossible through validated loads)
-/// read as `Null`, exactly what the serial reference's out-of-range
-/// `Table::get` returns.
-fn row_group_id(
-    plan: &GroupPlan,
-    fact_table: &Table,
-    fact_row: usize,
-) -> Result<GroupId, OlapError> {
-    let mut packed: u128 = 0;
-    let mut wide: Vec<u32> = Vec::new();
-    if plan.cardinality.is_none() {
-        wide.reserve(plan.dicts.len());
-    }
-    for dict in &plan.dicts {
-        let member = member_at(fact_table.column_at(dict.fk_column), fact_row)?;
-        let dense = dict
-            .keys
-            .member_to_key
-            .get(member)
-            .copied()
-            .unwrap_or(NULL_KEY);
-        match plan.cardinality {
-            Some(_) => packed = packed * dict.keys.key_values.len() as u128 + u128::from(dense),
-            None => wide.push(dense),
-        }
-    }
-    Ok(match plan.cardinality {
-        Some(_) => GroupId::Packed(packed),
-        None => GroupId::Wide(wide.into_boxed_slice()),
-    })
-}
-
-/// The integer-keyed hashed accumulation over a morsel's selection
-/// vector: the fallback for group cardinalities above the flat-slot
-/// limit and for measures that need full values (COUNT DISTINCT, text
-/// columns). Accumulation order is the selection's ascending row order —
-/// identical to [`scan_range`]'s — but group keys are dense integer ids
-/// fed through the fast integer hasher ([`FxHashMap`]), and numeric
-/// measures are read as bare numbers through pre-resolved column
-/// indices.
-fn accumulate_hashed(
-    resolved: &Resolved<'_>,
-    plan: &GroupPlan,
-    sel: &[u32],
-    out: &mut Vec<(GroupId, Vec<Accumulator>)>,
-) -> Result<(), OlapError> {
-    let fact_table = resolved.fact_table;
-    let mut groups: FxHashMap<GroupId, usize> = FxHashMap::default();
-    for &row in sel {
-        let fact_row = row as usize;
-        let id = row_group_id(plan, fact_table, fact_row)?;
-        let slot = match groups.entry(id) {
-            Entry::Occupied(entry) => *entry.get(),
-            Entry::Vacant(entry) => {
-                let slot = out.len();
-                out.push((
-                    entry.key().clone(),
-                    resolved
-                        .measures
-                        .iter()
-                        .map(|(_, agg)| Accumulator::new(*agg))
-                        .collect(),
-                ));
-                entry.insert(slot);
-                slot
-            }
-        };
-        let accumulators = &mut out[slot].1;
-        for (measure_plan, acc) in resolved.plans.iter().zip(accumulators.iter_mut()) {
-            let column = fact_table.column_at(measure_plan.column);
-            if !measure_plan.numeric {
-                acc.update(&column.get(fact_row));
-            } else if let Some(n) = column.get_number(fact_row) {
-                acc.update_number(n);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Reusable per-worker buffers of the flat grouped scan, sized once per
-/// query (the slot vectors to the plan's total cardinality) and reset
-/// between morsels through the touched-slot list — never an
-/// O(cardinality) clear per morsel.
-struct FlatScratch {
-    /// Group slot per selected row (parallel to the selection vector,
-    /// which lives outside the scratch: one selection is shared by a
-    /// whole filter class).
-    slots: Vec<u32>,
-    /// FK gather buffer (member ids, parallel to the selection vector).
-    members: Vec<u32>,
-    /// Gathered non-null measure values and their slots.
-    values: Vec<f64>,
-    value_slots: Vec<u32>,
-    /// Per-slot group-existence flags for the current morsel (a group
-    /// exists once a row matches, even if every measure value is null —
-    /// the serial reference's semantics).
-    slot_seen: Vec<bool>,
-    /// Slots touched by the current morsel, in first-occurrence order.
-    touched: Vec<u32>,
-    /// Per-measure slot-backed accumulator state.
-    measures: Vec<SlotAccumulator>,
-}
-
-impl FlatScratch {
-    fn new(resolved: &Resolved<'_>, slots: usize) -> Self {
-        FlatScratch {
-            slots: Vec::new(),
-            members: Vec::new(),
-            values: Vec::new(),
-            value_slots: Vec::new(),
-            slot_seen: vec![false; slots],
-            touched: Vec::new(),
-            measures: resolved
-                .measures
-                .iter()
-                .map(|(_, agg)| SlotAccumulator::new(*agg, slots))
-                .collect(),
-        }
-    }
-}
-
-/// The flat dense-slot grouped accumulation over a morsel's selection
-/// vector. Two passes, each vectorisable:
-///
-/// 1. resolve the FK columns through typed chunk slices
-///    ([`crate::Column::gather_members`]) and fold the per-attribute
-///    dense ids into one mixed-radix **slot vector**;
-/// 2. per measure, gather the column into a compacted null-free
-///    `(values, slots)` pair ([`crate::Column::gather_numeric`]) and run
-///    the grouped slice kernel into the per-slot vectors.
-///
-/// The morsel's partial is then read out of the touched slots in
-/// first-occurrence order, as per-measure [`NumericAgg`] columns the
-/// merge phase adds slot-wise into live-group totals.
-fn accumulate_flat(
-    resolved: &Resolved<'_>,
-    plan: &GroupPlan,
-    sel: &[u32],
-    facts_scanned: usize,
-    facts_matched: usize,
-    scratch: &mut FlatScratch,
-) -> Result<MorselPartial, OlapError> {
-    let fact_table = resolved.fact_table;
-    if sel.is_empty() {
-        return Ok(MorselPartial {
-            groups: MorselGroups::Flat {
-                touched: Vec::new(),
-                partials: Vec::new(),
-            },
-            facts_scanned,
-            facts_matched,
-        });
-    }
-
-    // Slot vector: one typed FK gather per attribute, folded mixed-radix.
-    scratch.slots.clear();
-    scratch.slots.resize(sel.len(), 0);
-    for dict in &plan.dicts {
-        scratch.members.clear();
-        fact_table
-            .column_at(dict.fk_column)
-            .gather_members(sel, &mut scratch.members)?;
-        let radix = dict.keys.key_values.len() as u32;
-        for (slot, &member) in scratch.slots.iter_mut().zip(&scratch.members) {
-            let dense = dict
-                .keys
-                .member_to_key
-                .get(member as usize)
-                .copied()
-                .unwrap_or(NULL_KEY);
-            *slot = *slot * radix + dense;
-        }
-    }
-
-    // Group existence: a slot is born when its first row matches.
-    for &slot in &scratch.slots {
-        let seen = &mut scratch.slot_seen[slot as usize];
-        if !*seen {
-            scratch.touched.push(slot);
-            *seen = true;
-        }
-    }
-
-    // One kernel pass per measure over the gathered null-free pairs.
-    for (measure_plan, state) in resolved.plans.iter().zip(scratch.measures.iter_mut()) {
-        scratch.values.clear();
-        scratch.value_slots.clear();
-        fact_table.column_at(measure_plan.column).gather_numeric(
-            sel,
-            &scratch.slots,
-            &mut scratch.values,
-            &mut scratch.value_slots,
-        );
-        state.accumulate(&scratch.values, &scratch.value_slots);
-    }
-
-    // Drain the touched slots into the morsel partial (per-measure
-    // `NumericAgg` columns parallel to the touched list), resetting the
-    // slot state for the next morsel.
-    let mut partials: Vec<Vec<NumericAgg>> = resolved
-        .measures
-        .iter()
-        .map(|_| Vec::with_capacity(scratch.touched.len()))
-        .collect();
-    for &slot in &scratch.touched {
-        scratch.slot_seen[slot as usize] = false;
-        for (state, column) in scratch.measures.iter_mut().zip(partials.iter_mut()) {
-            column.push(state.take_slot(slot as usize));
-        }
-    }
-    let touched = std::mem::take(&mut scratch.touched);
-    Ok(MorselPartial {
-        groups: MorselGroups::Flat { touched, partials },
-        facts_scanned,
-        facts_matched,
-    })
-}
-
-/// Merges each measure column's kernel partial over one run of selected
-/// rows.
-fn accumulate_run(resolved: &Resolved<'_>, partials: &mut [NumericAgg], run: Range<usize>) {
-    for (plan, partial) in resolved.plans.iter().zip(partials.iter_mut()) {
-        let part = resolved
-            .fact_table
-            .column_at(plan.column)
-            .numeric_agg(run.clone())
-            .expect("vectorised plans are numeric");
-        partial.merge(&part);
-    }
-}
-
-/// One accumulator per measure, seeded from the kernels' partial states.
-fn absorb_partials(resolved: &Resolved<'_>, partials: &[NumericAgg]) -> Vec<Accumulator> {
-    resolved
-        .measures
-        .iter()
-        .zip(partials)
-        .map(|((_, agg), partial)| {
-            let mut acc = Accumulator::new(*agg);
-            acc.absorb(partial);
-            acc
-        })
-        .collect()
-}
-
-/// Maximal contiguous runs of a sorted selection vector — the
-/// sub-slices the vectorised path feeds the slice kernels. A function of
-/// the selection alone, so float partials do not depend on which filter
-/// class (or batch) produced it.
-fn selection_runs(sel: &[u32]) -> Vec<Range<usize>> {
-    let mut runs = Vec::new();
-    let mut rows = sel.iter().map(|&row| row as usize);
-    let Some(first) = rows.next() else {
-        return runs;
-    };
-    let mut start = first;
-    let mut prev = first;
-    for row in rows {
-        if row != prev + 1 {
-            runs.push(start..prev + 1);
-            start = row;
-        }
-        prev = row;
-    }
-    runs.push(start..prev + 1);
-    runs
-}
-
-/// The vectorised ungrouped partial over pre-computed selected-row runs
-/// (counters come from the shared class selection).
-fn vectorised_partial(
-    resolved: &Resolved<'_>,
-    runs: &[Range<usize>],
-    facts_scanned: usize,
-    facts_matched: usize,
-) -> MorselPartial {
-    let mut partials: Vec<NumericAgg> = vec![NumericAgg::default(); resolved.plans.len()];
-    for run in runs {
-        accumulate_run(resolved, &mut partials, run.clone());
-    }
-    let mut groups = Vec::new();
-    if facts_matched > 0 {
-        groups.push((GroupId::Packed(0), absorb_partials(resolved, &partials)));
-    }
-    MorselPartial {
-        groups: MorselGroups::Keyed(groups),
-        facts_scanned,
-        facts_matched,
-    }
-}
-
-/// The per-participant loop of the pipeline — the one place morsels are
-/// claimed: pulls morsel indices from the shared counter until the table
-/// is exhausted, scanning each pulled morsel once for the whole fact
-/// group (one selection per filter class, one partial per member query).
-/// A morsel that errors records the error and the participant moves on,
-/// so the merge phase can always report the error of the
-/// *lowest-indexed* failing morsel — the same error the serial reference
-/// reports.
-pub(super) fn scan_assigned_batch_morsels(
-    group: &FactGroup<'_>,
-    next_morsel: &AtomicUsize,
-    morsel_count: usize,
-    morsel_rows: usize,
-    cancel: &CancelToken,
-) -> Vec<(usize, Vec<Result<MorselPartial, OlapError>>)> {
-    let mut out = Vec::new();
-    // Participant-local selection and flat-slot buffers, sized once and
-    // reused across this participant's morsels (the slot state resets
-    // through the touched list, not by clearing whole slot vectors).
-    let mut sels: Vec<Vec<u32>> = group.classes.iter().map(|_| Vec::new()).collect();
-    let mut scratches: Vec<Option<FlatScratch>> = group
-        .queries
-        .iter()
-        .map(|member| {
-            member
-                .plan
-                .flat
-                .map(|slots| FlatScratch::new(&member.resolved, slots))
-        })
-        .collect();
-    loop {
-        let morsel = next_morsel.fetch_add(1, Ordering::Relaxed);
-        if morsel >= morsel_count {
-            break;
-        }
-        // Checked after the bounds check, so a trip observed here means
-        // a claimed morsel index goes unscanned — which is exactly what
-        // forces the executor's terminal-state bail-out. (A participant
-        // arriving after exhaustion must not trip the token: the group
-        // completed.)
-        if cancel.check().is_err() {
-            break;
-        }
-        if let Err(error) = injected("query.scan.morsel") {
-            let failed = group.queries.iter().map(|_| Err(error.clone()));
-            out.push((morsel, failed.collect()));
-            continue;
-        }
-        let start = morsel * morsel_rows;
-        let end = (start + morsel_rows).min(group.fact_table.len());
-        let partials = scan_batch_morsel(group, start..end, &mut sels, &mut scratches);
-        out.push((morsel, partials));
-    }
-    out
-}
-
-/// One class's shared selection outcome for one morsel.
-struct ClassSelection {
-    facts_scanned: usize,
-    facts_matched: usize,
-    /// Pre-computed live runs, present only for unrestricted classes
-    /// (where they double as the selection).
-    runs: Option<Vec<Range<usize>>>,
-}
-
-/// One morsel of the pipeline: selection once per filter class, then
-/// each member query's own accumulation path — the vectorised kernels
-/// (no grouping, all measures numeric), the flat dense-slot grouped path
-/// or the integer-keyed hashed path — over its class's shared selection.
-/// All three are equivalent to [`scan_range`], the serial reference the
-/// property suites compare against, by the shared per-row selection
-/// semantics and, for floats, by summing in ascending row order within
-/// the morsel. Returns one partial per member query, in group order. A
-/// selection error is the whole class's error (each member would have
-/// hit it at the same row on its own); accumulation errors stay per
-/// query.
-fn scan_batch_morsel(
-    group: &FactGroup<'_>,
-    rows: Range<usize>,
-    sels: &mut [Vec<u32>],
-    scratches: &mut [Option<FlatScratch>],
-) -> Vec<Result<MorselPartial, OlapError>> {
-    // Phase 1: one selection per filter class.
-    let mut selections: Vec<Result<ClassSelection, OlapError>> =
-        Vec::with_capacity(group.classes.len());
-    for (c, class) in group.classes.iter().enumerate() {
-        let rep = &group.queries[class.rep];
-        if class.unrestricted {
-            // Tombstone gaps are the only boundaries: take the live-run
-            // structure directly — no per-row work. With no filters and
-            // an unrestricted view `select_rows` selects exactly the live
-            // rows (and cannot error), so expanding the runs yields the
-            // very vector it would have built.
-            let runs = group.fact_table.live_runs(rows.clone());
-            let live: usize = runs.iter().map(|run| run.len()).sum();
-            if !class.runs_only {
-                let sel = &mut sels[c];
-                sel.clear();
-                for run in &runs {
-                    sel.extend(run.clone().map(|row| row as u32));
-                }
-            }
-            selections.push(Ok(ClassSelection {
-                facts_scanned: live,
-                facts_matched: live,
-                runs: Some(runs),
-            }));
-        } else {
-            selections.push(
-                select_rows(&group.view, rep, rows.clone(), &mut sels[c]).map(
-                    |(facts_scanned, facts_matched)| ClassSelection {
-                        facts_scanned,
-                        facts_matched,
-                        runs: None,
-                    },
-                ),
-            );
-        }
-    }
-
-    // Phase 2: per-query accumulation over the shared selections.
-    group
-        .queries
-        .iter()
-        .zip(scratches.iter_mut())
-        .map(|(member, scratch)| {
-            let selection = match &selections[member.class] {
-                Ok(selection) => selection,
-                Err(error) => return Err(error.clone()),
-            };
-            let (facts_scanned, facts_matched) = (selection.facts_scanned, selection.facts_matched);
-            let sel = sels[member.class].as_slice();
-            if member.resolved.vectorised {
-                let derived;
-                let runs: &[Range<usize>] = match &selection.runs {
-                    Some(runs) => runs,
-                    None => {
-                        derived = selection_runs(sel);
-                        &derived
-                    }
-                };
-                Ok(vectorised_partial(
-                    &member.resolved,
-                    runs,
-                    facts_scanned,
-                    facts_matched,
-                ))
-            } else if let Some(scratch) = scratch {
-                accumulate_flat(
-                    &member.resolved,
-                    &member.plan,
-                    sel,
-                    facts_scanned,
-                    facts_matched,
-                    scratch,
-                )
-            } else {
-                let mut groups = Vec::new();
-                accumulate_hashed(&member.resolved, &member.plan, sel, &mut groups)?;
-                Ok(MorselPartial {
-                    groups: MorselGroups::Keyed(groups),
-                    facts_scanned,
-                    facts_matched,
-                })
-            }
-        })
-        .collect()
-}
-
-/// Merges per-morsel partials **in morsel-index order** into final group
-/// rows plus the query's counters, per member query — so a query
-/// combines its accumulator state (and reports the lowest-indexed
-/// morsel's error) the same way whatever batch it ran in. The merge
-/// works entirely on integer group ids; key cells are decoded only for
-/// the groups that survive.
-///
-/// On the flat path the merge state is keyed by touched slot (a fast
-/// integer-hashed index into first-occurrence-ordered live-group
-/// columns), so its cost scales with the groups the morsels actually
-/// produced — not with the plan's slot-space cardinality.
-#[allow(clippy::type_complexity)]
-pub(super) fn merge_partials(
-    resolved: &Resolved<'_>,
-    plan: &GroupPlan,
-    mut partials: Vec<(usize, Result<MorselPartial, OlapError>)>,
-) -> Result<(Vec<(Vec<CellValue>, Vec<Accumulator>)>, usize, usize), OlapError> {
-    partials.sort_by_key(|(morsel, _)| *morsel);
-    let mut facts_scanned = 0usize;
-    let mut facts_matched = 0usize;
-    let rows: Vec<(Vec<CellValue>, Vec<Accumulator>)> = if plan.flat.is_some() {
-        let mut slot_index: FxHashMap<u32, usize> = FxHashMap::default();
-        let mut live_slots: Vec<u32> = Vec::new();
-        let mut totals: Vec<Vec<NumericAgg>> = vec![Vec::new(); resolved.measures.len()];
-        for (_, partial) in partials {
-            let partial = partial?;
-            facts_scanned += partial.facts_scanned;
-            facts_matched += partial.facts_matched;
-            let MorselGroups::Flat { touched, partials } = partial.groups else {
-                unreachable!("flat plans produce flat partials");
-            };
-            for (index, &slot) in touched.iter().enumerate() {
-                let at = match slot_index.entry(slot) {
-                    Entry::Occupied(entry) => *entry.get(),
-                    Entry::Vacant(entry) => {
-                        let at = live_slots.len();
-                        live_slots.push(slot);
-                        for total in totals.iter_mut() {
-                            total.push(NumericAgg::default());
-                        }
-                        entry.insert(at);
-                        at
-                    }
-                };
-                for (total, partial) in totals.iter_mut().zip(&partials) {
-                    total[at].merge(&partial[index]);
-                }
-            }
-        }
-        let mut order: Vec<usize> = (0..live_slots.len()).collect();
-        order.sort_unstable_by_key(|&at| live_slots[at]);
-        order
-            .into_iter()
-            .map(|at| {
-                let accumulators = resolved
-                    .measures
-                    .iter()
-                    .zip(&totals)
-                    .map(|((_, agg), total)| {
-                        let mut acc = Accumulator::new(*agg);
-                        acc.absorb(&total[at]);
-                        acc
-                    })
-                    .collect();
-                (
-                    plan.decode(&GroupId::Packed(live_slots[at] as u128)),
-                    accumulators,
-                )
-            })
-            .collect()
-    } else {
-        let mut groups: FxHashMap<GroupId, Vec<Accumulator>> = FxHashMap::default();
-        for (_, partial) in partials {
-            let partial = partial?;
-            facts_scanned += partial.facts_scanned;
-            facts_matched += partial.facts_matched;
-            let MorselGroups::Keyed(keyed) = partial.groups else {
-                unreachable!("non-flat plans produce keyed partials");
-            };
-            for (key, accumulators) in keyed {
-                match groups.entry(key) {
-                    Entry::Vacant(entry) => {
-                        entry.insert(accumulators);
-                    }
-                    Entry::Occupied(mut entry) => {
-                        for (merged, partial_acc) in
-                            entry.get_mut().iter_mut().zip(accumulators.iter())
-                        {
-                            merged.merge(partial_acc);
-                        }
-                    }
-                }
-            }
-        }
-        groups
-            .into_iter()
-            .map(|(id, accumulators)| (plan.decode(&id), accumulators))
-            .collect()
-    };
-    Ok((rows, facts_scanned, facts_matched))
-}
-
-/// Finalises the group rows — `(key cells, accumulators)` pairs from
-/// the executor or the serial reference — into a sorted, limited result.
-pub(super) fn materialise(
-    query: &Query,
-    resolved: &Resolved<'_>,
-    groups: Vec<(Vec<CellValue>, Vec<Accumulator>)>,
-    facts_scanned: usize,
-    facts_matched: usize,
-) -> QueryResult {
-    let mut rows: Vec<ResultRow> = groups
-        .into_iter()
-        .map(|(keys, accs)| ResultRow {
-            keys,
-            values: accs.iter().map(Accumulator::finish).collect(),
-        })
-        .collect();
-    rows.sort_by_cached_key(|r| r.keys.iter().map(CellValue::group_key).collect::<Vec<_>>());
-    if let Some(limit) = query.limit {
-        rows.truncate(limit);
-    }
-
-    QueryResult {
-        key_names: query.group_by.iter().map(|a| a.label()).collect(),
-        value_names: resolved
-            .measures
-            .iter()
-            .map(|(name, agg)| format!("{agg}({name})"))
-            .collect(),
-        rows,
-        facts_scanned,
-        facts_matched,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::Filter;
     use crate::query::AttributeRef;
     use sdwp_geometry::Point;
-    use sdwp_model::{AttributeType, DimensionBuilder, FactBuilder, SchemaBuilder};
+    use sdwp_model::{
+        AggregationFunction, AttributeType, DimensionBuilder, FactBuilder, SchemaBuilder,
+    };
 
     /// Builds a small sales cube: 4 stores in 2 cities, 3 days, one fact
     /// row per (store, day) with UnitSales = store index + 1.

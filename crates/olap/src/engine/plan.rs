@@ -1,0 +1,333 @@
+//! Plan time — everything decided once per request, at the door:
+//! [`resolve`] validates a query and turns every name into a plain column
+//! index, [`build_group_plan`] adds the dense group-key dictionaries, and
+//! a [`FactGroup`] carries the queries of one fact with their filter
+//! classes and the request's view lowered for that fact.
+
+use crate::column::ColumnType;
+use crate::cube::{fk_column, Cube};
+use crate::dicts::{GroupDictCache, GroupKeys};
+use crate::error::OlapError;
+use crate::query::{AttributeRef, Query};
+use crate::table::Table;
+use crate::value::CellValue;
+use crate::view::ResolvedViewCheck;
+use sdwp_model::AggregationFunction;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// How the morsel executor reads one measure.
+pub(super) struct MeasurePlan {
+    /// The measure column's declaration index in the fact table
+    /// (resolved once, so the scan loop never does a name lookup per
+    /// row).
+    pub(super) column: usize,
+    /// Whether the column is numeric (integer / float / date) and the
+    /// aggregation can run on bare numbers — the typed fast path. COUNT
+    /// DISTINCT needs the full value and always takes the `CellValue`
+    /// path.
+    pub(super) numeric: bool,
+}
+
+/// The resolved, validated parts of a query that every scan shares.
+pub(super) struct Resolved<'q> {
+    /// The table of the queried fact.
+    pub(super) fact_table: &'q Table,
+    /// `(column name, aggregation)` per requested measure.
+    pub(super) measures: Vec<(String, AggregationFunction)>,
+    /// Per-measure read plan for the morsel executor, index-aligned with
+    /// `measures`.
+    pub(super) plans: Vec<MeasurePlan>,
+    /// Allowed member sets per filtered dimension, each with the index
+    /// of the fact table's FK column. A `BTreeMap` so the per-row check
+    /// order is deterministic across executions.
+    pub(super) allowed_members: BTreeMap<&'q str, (usize, BTreeSet<usize>)>,
+    /// Whether the whole query can run on the vectorised per-chunk
+    /// kernels: no grouping, and every measure on the numeric fast path.
+    pub(super) vectorised: bool,
+}
+
+/// One group-by attribute pre-resolved for the parallel path: the
+/// dimension walked once into a dense dictionary ([`GroupKeys`]), so
+/// per-row key building is a single `u32` array index — no `HashMap`
+/// probe, no `CellValue` clone, no string append. The dimension-side
+/// dictionary is `Arc`-shared: within a batch, and (through
+/// [`GroupDictCache`]) across queries until the snapshot generation
+/// moves on; only the fact-side FK column index is per-query state.
+pub(super) struct GroupKeyDict {
+    /// Index of the fact table's FK column for the attribute's dimension.
+    pub(super) fk_column: usize,
+    /// The shared dimension-side dictionary.
+    pub(super) keys: Arc<GroupKeys>,
+}
+
+/// The grouped execution plan of one parallel query: per-attribute
+/// dictionaries plus the flat-vs-hashed path decision.
+pub(super) struct GroupPlan {
+    /// Dictionaries in `query.group_by` order.
+    pub(super) dicts: Vec<GroupKeyDict>,
+    /// Product of the dictionary sizes — the mixed-radix range of a
+    /// packed group id. `None` when it overflows `u128` (keys fall back
+    /// to [`GroupId::Wide`]).
+    pub(super) cardinality: Option<u128>,
+    /// `Some(total slots)` when the morsels accumulate into flat per-slot
+    /// vectors (cardinality under the configured limit, every measure
+    /// numeric); `None` uses the integer-keyed hash fallback.
+    pub(super) flat: Option<usize>,
+}
+
+impl GroupPlan {
+    /// Resolves a group id back to its key `CellValue`s — the only point
+    /// where the parallel path materialises key cells, once per surviving
+    /// group at finalisation.
+    pub(super) fn decode(&self, id: &GroupId) -> Vec<CellValue> {
+        match id {
+            GroupId::Packed(value) => {
+                let mut value = *value;
+                let mut cells = vec![CellValue::Null; self.dicts.len()];
+                for (cell, dict) in cells.iter_mut().zip(&self.dicts).rev() {
+                    let radix = dict.keys.key_values.len() as u128;
+                    *cell = dict.keys.key_values[(value % radix) as usize].clone();
+                    value /= radix;
+                }
+                cells
+            }
+            GroupId::Wide(ids) => ids
+                .iter()
+                .zip(&self.dicts)
+                .map(|(&dense, dict)| dict.keys.key_values[dense as usize].clone())
+                .collect(),
+        }
+    }
+}
+
+/// A group key on the parallel path: per-attribute dense ids packed into
+/// one mixed-radix integer, or the raw dense-id tuple when the packed
+/// range would overflow `u128` (astronomical cardinalities only). Never a
+/// string.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(super) enum GroupId {
+    Packed(u128),
+    Wide(Box<[u32]>),
+}
+
+/// One resolved member of a query batch.
+pub(super) struct BatchQuery<'q> {
+    /// Position in the caller's batch — results go back in input order.
+    pub(super) index: usize,
+    pub(super) query: &'q Query,
+    pub(super) resolved: Resolved<'q>,
+    pub(super) plan: GroupPlan,
+    /// The query's filter class (index into its fact group's class
+    /// list).
+    pub(super) class: usize,
+}
+
+/// One filter class of a fact group: the member queries whose canonical
+/// filter identity coincides, so each morsel materialises one selection
+/// vector for all of them.
+pub(super) struct FilterClass {
+    /// Index (into the group's query list) of the representative whose
+    /// resolved filter state drives the shared selection. Any member
+    /// would do — equal class keys imply equal selection semantics.
+    pub(super) rep: usize,
+    /// No view restriction and no filters: the selection is exactly the
+    /// live-run structure of the morsel, with no per-row work at all,
+    /// whichever accumulation path the members take.
+    pub(super) unrestricted: bool,
+    /// Every member runs the vectorised ungrouped path, which consumes
+    /// contiguous runs directly — an unrestricted class then never
+    /// materialises the selection vector itself.
+    pub(super) runs_only: bool,
+}
+
+/// The queries of one batch that aggregate the same fact, sharing that
+/// fact's single morsel pass.
+pub(super) struct FactGroup<'q> {
+    pub(super) fact: &'q str,
+    pub(super) fact_table: &'q Table,
+    /// The request's view lowered for this fact, once, at plan time —
+    /// filter class zero of every morsel's selection, and the slot a
+    /// cached visible-row bitmap would fill.
+    pub(super) view: ResolvedViewCheck<'q>,
+    pub(super) queries: Vec<BatchQuery<'q>>,
+    pub(super) classes: Vec<FilterClass>,
+}
+
+/// The canonical filter identity of a query: dimension filters sorted
+/// by dimension name (they are conjunctive, so order is irrelevant —
+/// the same normalisation [`Query::canonical_key`] applies) plus the
+/// fact filter. Queries with equal keys resolve to identical allowed
+/// member sets against the same snapshot, and therefore select
+/// identical rows with identical counters and per-row errors.
+pub(super) fn filter_class_key(query: &Query) -> String {
+    let mut filters: Vec<&(String, crate::filter::Filter)> =
+        query.dimension_filters.iter().collect();
+    filters.sort_by(|a, b| a.0.cmp(&b.0));
+    format!("{filters:?}|{:?}", query.fact_filter)
+}
+
+/// Validates the query against the cube's schema and pre-computes the
+/// allowed member sets of every filtered dimension. Shared by the
+/// parallel pipeline and the serial reference so both report identical
+/// errors for invalid queries.
+pub(super) fn resolve<'q>(cube: &'q Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError> {
+    let fact_def = cube
+        .schema()
+        .fact(&query.fact)
+        .ok_or_else(|| OlapError::UnknownElement {
+            kind: "fact",
+            name: query.fact.clone(),
+        })?;
+    if query.measures.is_empty() {
+        return Err(OlapError::InvalidQuery {
+            message: "a query needs at least one measure".into(),
+        });
+    }
+
+    // Resolve measures: (column name, aggregation) plus the executor's
+    // read plan. `Cube` keeps its tables aligned with its schema, so a
+    // schema measure (or foreign key, below) without its column is a
+    // broken cube: one typed error here, never a per-row fallback.
+    let fact_table = &cube.fact_table(&query.fact)?.table;
+    let mut measures: Vec<(String, AggregationFunction)> = Vec::new();
+    let mut plans: Vec<MeasurePlan> = Vec::new();
+    for m in &query.measures {
+        let def = fact_def
+            .measure(&m.measure)
+            .ok_or_else(|| OlapError::UnknownElement {
+                kind: "measure",
+                name: m.measure.clone(),
+            })?;
+        let aggregation = m.aggregation.unwrap_or(def.aggregation);
+        let column = fact_table.index_of(&def.name)?;
+        let numeric = aggregation != AggregationFunction::CountDistinct
+            && matches!(
+                fact_table.column_at(column).column_type(),
+                ColumnType::Integer | ColumnType::Float | ColumnType::Date
+            );
+        measures.push((def.name.clone(), aggregation));
+        plans.push(MeasurePlan { column, numeric });
+    }
+
+    // Validate group-by references and check the dimensions are reachable.
+    for key in &query.group_by {
+        if !fact_def.references_dimension(&key.dimension) {
+            return Err(OlapError::InvalidQuery {
+                message: format!(
+                    "fact '{}' is not analysed by dimension '{}'",
+                    fact_def.name, key.dimension
+                ),
+            });
+        }
+        let dim =
+            cube.schema()
+                .dimension(&key.dimension)
+                .ok_or_else(|| OlapError::UnknownElement {
+                    kind: "dimension",
+                    name: key.dimension.clone(),
+                })?;
+        let level = dim
+            .level(&key.level)
+            .ok_or_else(|| OlapError::UnknownElement {
+                kind: "level",
+                name: key.level.clone(),
+            })?;
+        if level.attribute(&key.attribute).is_none() {
+            return Err(OlapError::UnknownElement {
+                kind: "attribute",
+                name: format!("{}.{}", key.level, key.attribute),
+            });
+        }
+    }
+
+    // Pre-compute allowed member sets for every filtered dimension, with
+    // the FK column index resolved for the parallel path's typed reads.
+    let mut allowed_members: BTreeMap<&str, (usize, BTreeSet<usize>)> = BTreeMap::new();
+    for (dimension, filter) in &query.dimension_filters {
+        if !fact_def.references_dimension(dimension) {
+            return Err(OlapError::InvalidQuery {
+                message: format!(
+                    "filtered dimension '{dimension}' is not referenced by fact '{}'",
+                    fact_def.name
+                ),
+            });
+        }
+        let table = &cube.dimension_table(dimension)?.table;
+        let matching: BTreeSet<usize> = filter.matching_rows(table)?.into_iter().collect();
+        match allowed_members.entry(dimension.as_str()) {
+            std::collections::btree_map::Entry::Occupied(mut e) => {
+                let intersection: BTreeSet<usize> =
+                    e.get().1.intersection(&matching).copied().collect();
+                e.get_mut().1 = intersection;
+            }
+            std::collections::btree_map::Entry::Vacant(e) => {
+                e.insert((fact_table.index_of(&fk_column(dimension))?, matching));
+            }
+        }
+    }
+
+    let vectorised = query.group_by.is_empty() && plans.iter().all(|p| p.numeric);
+    Ok(Resolved {
+        fact_table,
+        measures,
+        plans,
+        allowed_members,
+        vectorised,
+    })
+}
+
+/// The group planner's source of dimension-side dictionaries: a plain
+/// per-query build, the generation-keyed [`GroupDictCache`], or a
+/// batch-local memo layered on top of either. [`GroupKeys::build`] is
+/// deterministic, so every source yields interchangeable dictionaries
+/// (and, for a broken attribute, the same error).
+type KeysLookup<'a> = dyn FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError> + 'a;
+
+pub(super) fn keys_lookup<'a>(
+    dicts: Option<(&'a GroupDictCache, u64)>,
+) -> impl FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError> + 'a {
+    move |cube, attr| match dicts {
+        Some((cache, generation)) => cache.get_or_build(generation, cube, attr),
+        None => GroupKeys::build(cube, attr).map(Arc::new),
+    }
+}
+
+/// Builds the grouped execution plan: one dense dictionary per group-by
+/// attribute (obtained through `lookup` — built, memoised within a
+/// batch, or served from the generation-keyed cache) with its FK column
+/// index, plus the flat-vs-hashed decision. An ungrouped query gets the
+/// empty plan: no dictionaries, cardinality 1, never flat.
+pub(super) fn build_group_plan(
+    cube: &Cube,
+    query: &Query,
+    resolved: &Resolved<'_>,
+    group_slot_limit: usize,
+    lookup: &mut KeysLookup<'_>,
+) -> Result<GroupPlan, OlapError> {
+    let mut dicts = Vec::with_capacity(query.group_by.len());
+    for attr in &query.group_by {
+        dicts.push(GroupKeyDict {
+            fk_column: resolved.fact_table.index_of(&fk_column(&attr.dimension))?,
+            keys: lookup(cube, attr)?,
+        });
+    }
+    let cardinality = dicts.iter().try_fold(1u128, |product, dict| {
+        product.checked_mul(dict.keys.key_values.len() as u128)
+    });
+    let flat = match cardinality {
+        Some(slots)
+            if !dicts.is_empty()
+                && resolved.plans.iter().all(|p| p.numeric)
+                && slots <= group_slot_limit.min(u32::MAX as usize) as u128 =>
+        {
+            Some(slots as usize)
+        }
+        _ => None,
+    };
+    Ok(GroupPlan {
+        dicts,
+        cardinality,
+        flat,
+    })
+}
