@@ -12,6 +12,7 @@ use crate::kernels::{self, NumericAgg};
 use crate::value::CellValue;
 use sdwp_geometry::Geometry;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -318,6 +319,27 @@ impl Column {
         }
     }
 
+    /// Orders the cell at `row` against a constant — exactly
+    /// `self.get(row).compare(other)` (same ordering, same incomparable
+    /// cases), but a text cell is compared as a `&str` through the
+    /// dictionary instead of being cloned into a `CellValue` first. What
+    /// attribute filters evaluate per row.
+    pub fn compare_at(&self, row: usize, other: &CellValue) -> Option<Ordering> {
+        match self {
+            Column::Text { codes, dictionary } => {
+                match codes.get(row).and_then(|code| dictionary.resolve(code)) {
+                    Some(text) => match other {
+                        CellValue::Null => Some(Ordering::Greater),
+                        CellValue::Text(constant) => Some(text.cmp(constant.as_str())),
+                        _ => None,
+                    },
+                    None => CellValue::Null.compare(other),
+                }
+            }
+            _ => self.get(row).compare(other),
+        }
+    }
+
     /// Fast numeric accessor used by aggregation.
     pub fn get_number(&self, row: usize) -> Option<f64> {
         match self {
@@ -343,25 +365,39 @@ impl Column {
     /// ids, and the error on a null or non-integer cell — but touches each
     /// storage chunk once instead of doing a name lookup and a `CellValue`
     /// materialisation per row.
+    ///
+    /// On an error `out` has gained exactly the ids of the rows *before*
+    /// the first unreadable one — its growth says which row failed, and
+    /// the readable prefix stays usable (the selection stages of a scan
+    /// carry on below the failing row).
     pub fn gather_members(&self, rows: &[u32], out: &mut Vec<u32>) -> Result<(), OlapError> {
         // The serial reference widens through f64 and casts to usize; the
         // closures keep the exact same clamping for negative or oversized
         // keys (negative → member 0), so a pathological key resolves to
         // the same member on both executors.
         let clamp = |member: f64| (member as usize).min(u32::MAX as usize) as u32;
+        let before = out.len();
         out.reserve(rows.len());
-        let mut null_row = false;
+        // Position in `rows` of the first null; nulls gather as a
+        // placeholder the truncation below drops again.
+        let mut first_null: Option<usize> = None;
         match self {
             Column::Integer(column) | Column::Date(column) => {
-                for_each_gathered(column, rows, |_, value| match value {
+                for_each_gathered(column, rows, |index, value| match value {
                     Some(member) => out.push(clamp(member as f64)),
-                    None => null_row = true,
+                    None => {
+                        first_null.get_or_insert(index);
+                        out.push(0);
+                    }
                 });
             }
             Column::Float(column) => {
-                for_each_gathered(column, rows, |_, value| match value {
+                for_each_gathered(column, rows, |index, value| match value {
                     Some(member) => out.push(clamp(member)),
-                    None => null_row = true,
+                    None => {
+                        first_null.get_or_insert(index);
+                        out.push(0);
+                    }
                 });
             }
             other => {
@@ -377,7 +413,8 @@ impl Column {
                 })
             }
         }
-        if null_row {
+        if let Some(index) = first_null {
+            out.truncate(before + index);
             return Err(OlapError::TypeMismatch {
                 expected: "integer foreign key",
                 found: "null".to_string(),
@@ -656,15 +693,67 @@ mod tests {
         let mut out = Vec::new();
         weird.gather_members(&[0], &mut out).unwrap();
         assert_eq!(out, vec![0]);
-        // Null keys error like `Cube::fact_member`.
-        let mut nullable = Column::new(ColumnType::Integer);
-        nullable.push(CellValue::Null).unwrap();
-        let err = nullable.gather_members(&[0], &mut Vec::new()).unwrap_err();
+        // Null keys error like `Cube::fact_member`, leaving the ids of
+        // the rows before the first null in `out`.
+        let mut nullable = Column::with_chunk_rows(ColumnType::Integer, 2);
+        for v in [Some(4), Some(1), None, Some(3), None] {
+            nullable
+                .push(v.map_or(CellValue::Null, CellValue::Integer))
+                .unwrap();
+        }
+        let mut out = vec![9];
+        let err = nullable
+            .gather_members(&[0, 1, 2, 3, 4], &mut out)
+            .unwrap_err();
         assert!(err.to_string().contains("integer foreign key"));
+        assert_eq!(out, vec![9, 4, 1]);
+        out.clear();
+        nullable.gather_members(&[0, 1, 3], &mut out).unwrap();
+        assert_eq!(out, vec![4, 1, 3]);
         // Non-numeric columns error with the serial reference's wording.
         let mut text = Column::new(ColumnType::Text);
         text.push(CellValue::from("x")).unwrap();
         assert!(text.gather_members(&[0], &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn compare_at_is_get_then_compare() {
+        let geometry: Geometry = Point::new(1.0, 2.0).into();
+        let cells = [
+            CellValue::Integer(3),
+            CellValue::Float(2.5),
+            CellValue::from("Alicante"),
+            CellValue::from(""),
+            CellValue::Boolean(true),
+            CellValue::Date(3),
+            CellValue::Geometry(geometry),
+            CellValue::Null,
+        ];
+        for column_type in [
+            ColumnType::Integer,
+            ColumnType::Float,
+            ColumnType::Text,
+            ColumnType::Boolean,
+            ColumnType::Date,
+            ColumnType::Geometry,
+        ] {
+            let mut column = Column::new(column_type);
+            for cell in &cells {
+                if column.accepts(cell) {
+                    column.push(cell.clone()).unwrap();
+                }
+            }
+            // One row past the end reads as null, like `get`.
+            for row in 0..=column.len() {
+                for constant in &cells {
+                    assert_eq!(
+                        column.compare_at(row, constant),
+                        column.get(row).compare(constant),
+                        "{column_type:?} row {row} vs {constant:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,10 +23,29 @@
 //! the door**: resolution turns every measure, foreign-key and attribute
 //! name into a plain column index (a cube whose tables lack one fails
 //! there, once, with a typed error — [`Cube`] keeps tables aligned with
-//! its schema by construction), and the personalized view is lowered to
-//! one [`crate::ResolvedViewCheck`] per fact group at plan time. The
-//! morsel loop holds indices and that one check; it re-decides nothing
-//! per row or per morsel.
+//! its schema by construction), and every member set becomes a dense
+//! bitset indexed by member id — the personalized view lowered to one
+//! [`crate::ResolvedViewCheck`] per fact group, each dimension filter
+//! evaluated once per distinct `(dimension, filter)` of the request. The
+//! morsel loop holds indices and bitsets; it re-decides nothing per row
+//! or per morsel.
+//!
+//! # Selection: the view is filter class zero
+//!
+//! Within a morsel, selection is bit operations over a shrinking
+//! selection vector. The view's selection runs **once per morsel** for
+//! the whole fact group — the table's live runs, a bit test per row for
+//! the fact's row selection, then per restricted dimension one typed FK
+//! gather ([`crate::Column::gather_members`]) and a bit test — and every
+//! filter class starts from its survivors (what a query counts as
+//! *scanned*), applies its own dimension bitsets by the same
+//! gather-and-test, then its fact filter row by row. Stages run in the
+//! serial reference's per-row order, so a row an earlier stage rejects
+//! never has a later key read; a stage that cannot read a row cuts the
+//! selection off at that row and the later stages carry on below it, so
+//! the morsel reports the error of its lowest failing row. A class with
+//! no filters under a view that leaves its fact alone skips all of this:
+//! the live runs are its selection.
 //!
 //! Because morsel boundaries and the merge order depend only on
 //! [`ExecutionConfig::morsel_rows`] — never on the worker count or on
@@ -57,8 +76,8 @@
 //! keys pack the per-attribute dense ids into a single mixed-radix
 //! integer.
 //!
-//! Per morsel the grouped scan first materialises a **selection vector**
-//! (the surviving row indices after liveness, view and filter checks),
+//! Per morsel the grouped scan takes its class's **selection vector**
+//! (the surviving row indices after liveness, view and filter stages),
 //! batch-resolves the foreign-key columns through typed chunk slices
 //! ([`crate::Column::gather_members`]) into a parallel slot vector, and
 //! then accumulates one measure at a time: when the product of the
@@ -76,22 +95,17 @@ mod reference;
 mod scan;
 
 use self::merge::{materialise, merge_partials};
-use self::plan::{
-    build_group_plan, filter_class_key, keys_lookup, resolve, BatchQuery, FactGroup, FilterClass,
-};
+use self::plan::{plan_groups, FactGroup};
 use self::scan::{scan_assigned_batch_morsels, MorselPartial};
 use crate::cancel::CancelToken;
 use crate::cube::Cube;
-use crate::dicts::{attr_key, GroupDictCache, GroupKeys};
+use crate::dicts::GroupDictCache;
 use crate::error::OlapError;
-use crate::hash::FxHashMap;
 use crate::pool::MorselPool;
-use crate::query::{AttributeRef, Query, QueryResult};
+use crate::query::{Query, QueryResult};
 use crate::value::CellValue;
 use crate::view::InstanceView;
 use sdwp_obs::{ClassId, MetricsRegistry, SlowQueryRecord, Stage};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Instant;
@@ -534,101 +548,10 @@ impl QueryEngine {
         let mut results: Vec<Option<Result<QueryResult, OlapError>>> =
             (0..queries.len()).map(|_| None).collect();
 
-        // Phase 1: resolve and plan every query up front. Resolution
-        // errors land in their result slot immediately; the scan only
-        // sees the survivors. Group-key dictionaries are memoised per
-        // attribute across the whole batch (and served from `dicts`
-        // across batches, when given), and the view is lowered once per
-        // fact, when the fact's group is opened.
-        let mut base_lookup = keys_lookup(dicts);
-        let mut shared_keys: FxHashMap<(String, String, String), Arc<GroupKeys>> =
-            FxHashMap::default();
-        let mut groups_by_fact: Vec<FactGroup<'_>> = Vec::new();
-        let mut fact_index: HashMap<&str, usize> = HashMap::new();
-        for (index, query) in queries.iter().enumerate() {
-            let mut lookup = |cube: &Cube, attr: &AttributeRef| {
-                let key = attr_key(attr);
-                if let Some(keys) = shared_keys.get(&key) {
-                    return Ok(Arc::clone(keys));
-                }
-                let keys = base_lookup(cube, attr)?;
-                shared_keys.insert(key, Arc::clone(&keys));
-                Ok(keys)
-            };
-            let planned = injected("query.resolve")
-                .and_then(|()| resolve(cube, query))
-                .and_then(|resolved| {
-                    let slot_limit = self.config.group_slot_limit;
-                    let plan = build_group_plan(cube, query, &resolved, slot_limit, &mut lookup)?;
-                    Ok((resolved, plan))
-                });
-            let (resolved, plan) = match planned {
-                Ok(planned) => planned,
-                Err(error) => {
-                    results[index] = Some(Err(error));
-                    continue;
-                }
-            };
-            let at = match fact_index.entry(query.fact.as_str()) {
-                Entry::Occupied(entry) => *entry.get(),
-                Entry::Vacant(entry) => match view.resolve_for_fact(cube, &query.fact) {
-                    Ok(lowered) => {
-                        groups_by_fact.push(FactGroup {
-                            fact: query.fact.as_str(),
-                            fact_table: resolved.fact_table,
-                            view: lowered,
-                            queries: Vec::new(),
-                            classes: Vec::new(),
-                        });
-                        *entry.insert(groups_by_fact.len() - 1)
-                    }
-                    Err(error) => {
-                        results[index] = Some(Err(error));
-                        continue;
-                    }
-                },
-            };
-            groups_by_fact[at].queries.push(BatchQuery {
-                index,
-                query,
-                resolved,
-                plan,
-                class: 0,
-            });
-        }
-
-        // Phase 2: assign filter classes within each fact group. Two
-        // queries land in the same class exactly when their canonical
-        // filter identity coincides — identical allowed member sets,
-        // identical counters, identical per-row selection errors — so one
-        // selection vector per morsel serves the whole class.
-        for group in &mut groups_by_fact {
-            let mut class_ids: HashMap<String, usize> = HashMap::new();
-            for j in 0..group.queries.len() {
-                let key = filter_class_key(group.queries[j].query);
-                let class = match class_ids.entry(key) {
-                    Entry::Occupied(entry) => {
-                        let class = *entry.get();
-                        group.classes[class].runs_only &= group.queries[j].resolved.vectorised;
-                        class
-                    }
-                    Entry::Vacant(entry) => {
-                        let class = group.classes.len();
-                        let member = &group.queries[j];
-                        group.classes.push(FilterClass {
-                            rep: j,
-                            unrestricted: view.is_unrestricted()
-                                && member.resolved.allowed_members.is_empty()
-                                && member.query.fact_filter.is_none(),
-                            runs_only: member.resolved.vectorised,
-                        });
-                        entry.insert(class);
-                        class
-                    }
-                };
-                group.queries[j].class = class;
-            }
-        }
+        // Phases 1 and 2: resolve and plan every query, lower the view
+        // per fact, assign filter classes — everything decided once.
+        let slot_limit = self.config.group_slot_limit;
+        let groups_by_fact = plan_groups(cube, queries, view, dicts, slot_limit, &mut results);
         let resolve_micros = lap(&mut clock);
         if let Some(o) = obs {
             o.registry
@@ -774,7 +697,8 @@ mod tests {
     };
 
     /// Builds a small sales cube: 4 stores in 2 cities, 3 days, one fact
-    /// row per (store, day) with UnitSales = store index + 1.
+    /// row per (store, day) with UnitSales = store index + 1 — and a
+    /// second fact, Stock, analysed by store alone (one row per store).
     fn sales_cube() -> Cube {
         let schema = SchemaBuilder::new("SalesDW")
             .dimension(
@@ -800,6 +724,12 @@ mod tests {
                     .measure_with("StoreCost", AttributeType::Float, AggregationFunction::Avg)
                     .dimension("Store")
                     .dimension("Time")
+                    .build(),
+            )
+            .fact(
+                FactBuilder::new("Stock")
+                    .measure("OnHand", AttributeType::Float)
+                    .dimension("Store")
                     .build(),
             )
             .build()
@@ -836,6 +766,9 @@ mod tests {
                 )
                 .unwrap();
             }
+            let on_hand = CellValue::Float(0.5 + s as f64);
+            cube.add_fact_row("Stock", vec![("Store", s)], vec![("OnHand", on_hand)])
+                .unwrap();
         }
         cube
     }
@@ -1216,6 +1149,34 @@ mod tests {
         ]
     }
 
+    /// One walk of the dimension table per distinct `(dimension,
+    /// filter)` of a request: the two Alicante panels hold the very same
+    /// lowered set, the Madrid panel its own.
+    #[test]
+    fn a_batch_lowers_each_distinct_dimension_filter_once() {
+        let cube = sales_cube();
+        let (queries, view) = (dashboard_batch(), InstanceView::unrestricted());
+        let mut results: Vec<_> = queries.iter().map(|_| None).collect();
+        let groups = plan_groups(
+            &cube,
+            &queries,
+            &view,
+            None,
+            DEFAULT_GROUP_SLOT_LIMIT,
+            &mut results,
+        );
+        let lowered: Vec<_> = groups[0]
+            .queries
+            .iter()
+            .filter_map(|member| member.resolved.allowed_members.get("Store"))
+            .map(|(_, allowed)| allowed)
+            .collect();
+        assert_eq!(lowered.len(), 3);
+        assert!(Arc::ptr_eq(lowered[0], lowered[1]));
+        assert!(!Arc::ptr_eq(lowered[0], lowered[2]));
+        assert!(lowered[0].contains(0) && lowered[0].contains(1) && !lowered[0].contains(2));
+    }
+
     #[test]
     fn batch_matches_standalone_execution() {
         let cube = sales_cube();
@@ -1263,6 +1224,62 @@ mod tests {
                 engine.execute_with_view(&cube, query, &view).unwrap()
             );
         }
+    }
+
+    /// A view that restricts only what the queried fact does not touch —
+    /// a dimension it is not analysed by, another fact's rows — lowers to
+    /// nothing for that fact, so its filterless classes keep the
+    /// zero-work live-run path and answer exactly as without a view.
+    #[test]
+    fn a_view_restricting_elsewhere_keeps_the_live_run_path() {
+        let mut cube = sales_cube();
+        cube.retract_fact_row("Stock", 1).unwrap();
+        let mut view = InstanceView::unrestricted();
+        view.select_dimension_members("Time", vec![0]);
+        view.select_fact_rows("Sales", vec![3, 4]);
+        assert!(!view.is_unrestricted());
+        let queries = [
+            Query::over("Stock").measure("OnHand"),
+            Query::over("Stock")
+                .group_by(AttributeRef::new("Store", "City", "name"))
+                .measure("OnHand"),
+            Query::over("Sales").measure("UnitSales"),
+        ];
+
+        let mut results: Vec<_> = queries.iter().map(|_| None).collect();
+        let groups = plan_groups(
+            &cube,
+            &queries,
+            &view,
+            None,
+            DEFAULT_GROUP_SLOT_LIMIT,
+            &mut results,
+        );
+        let planned: Vec<(&str, Vec<bool>)> = groups
+            .iter()
+            .map(|g| (g.fact, g.classes.iter().map(|c| c.unrestricted).collect()))
+            .collect();
+        assert_eq!(planned, [("Stock", vec![true]), ("Sales", vec![false])]);
+
+        let engine = QueryEngine::with_config(
+            ExecutionConfig::default()
+                .with_workers(2)
+                .with_morsel_rows(2),
+        );
+        let open = InstanceView::unrestricted();
+        for query in &queries[..2] {
+            let seen = engine.execute_with_view(&cube, query, &view).unwrap();
+            assert_eq!(seen, engine.execute_with_view(&cube, query, &open).unwrap());
+            assert_eq!(
+                seen,
+                engine
+                    .execute_serial_with_view(&cube, query, &view)
+                    .unwrap()
+            );
+            assert_eq!((seen.facts_scanned, seen.facts_matched), (3, 3));
+        }
+        assert_eq!(view.visible_fact_count(&cube, "Stock").unwrap(), 3);
+        assert_eq!(view.visible_fact_count(&cube, "Sales").unwrap(), 1);
     }
 
     #[test]

@@ -1,19 +1,27 @@
 //! Plan time — everything decided once per request, at the door:
-//! [`resolve`] validates a query and turns every name into a plain column
-//! index, [`build_group_plan`] adds the dense group-key dictionaries, and
-//! a [`FactGroup`] carries the queries of one fact with their filter
-//! classes and the request's view lowered for that fact.
+//! [`resolve`] validates a query, turns every name into a plain column
+//! index and lowers each dimension filter to a dense member bitset
+//! ([`MemberBits`], one evaluation per distinct `(dimension, filter)` of
+//! the request — [`FilterMemo`]), [`build_group_plan`] adds the dense
+//! group-key dictionaries, and [`plan_groups`] gathers the queries of one
+//! fact into a [`FactGroup`] with their filter classes and the request's
+//! view lowered for that fact.
 
+use super::injected;
+use crate::bits::MemberBits;
 use crate::column::ColumnType;
 use crate::cube::{fk_column, Cube};
-use crate::dicts::{GroupDictCache, GroupKeys};
+use crate::dicts::{attr_key, GroupDictCache, GroupKeys};
 use crate::error::OlapError;
-use crate::query::{AttributeRef, Query};
+use crate::filter::Filter;
+use crate::hash::FxHashMap;
+use crate::query::{AttributeRef, Query, QueryResult};
 use crate::table::Table;
 use crate::value::CellValue;
-use crate::view::ResolvedViewCheck;
+use crate::view::{InstanceView, ResolvedViewCheck};
 use sdwp_model::AggregationFunction;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// How the morsel executor reads one measure.
@@ -39,9 +47,9 @@ pub(super) struct Resolved<'q> {
     /// `measures`.
     pub(super) plans: Vec<MeasurePlan>,
     /// Allowed member sets per filtered dimension, each with the index
-    /// of the fact table's FK column. A `BTreeMap` so the per-row check
-    /// order is deterministic across executions.
-    pub(super) allowed_members: BTreeMap<&'q str, (usize, BTreeSet<usize>)>,
+    /// of the fact table's FK column. A `BTreeMap` so the order the
+    /// dimensions are checked in is deterministic across executions.
+    pub(super) allowed_members: BTreeMap<&'q str, (usize, Arc<MemberBits>)>,
     /// Whether the whole query can run on the vectorised per-chunk
     /// kernels: no grouping, and every measure on the numeric fast path.
     pub(super) vectorised: bool,
@@ -131,9 +139,10 @@ pub(super) struct FilterClass {
     /// resolved filter state drives the shared selection. Any member
     /// would do — equal class keys imply equal selection semantics.
     pub(super) rep: usize,
-    /// No view restriction and no filters: the selection is exactly the
-    /// live-run structure of the morsel, with no per-row work at all,
-    /// whichever accumulation path the members take.
+    /// The lowered view leaves the fact alone and the class has no
+    /// filters: the selection is exactly the live-run structure of the
+    /// morsel, with no per-row work at all, whichever accumulation path
+    /// the members take.
     pub(super) unrestricted: bool,
     /// Every member runs the vectorised ungrouped path, which consumes
     /// contiguous runs directly — an unrestricted class then never
@@ -147,8 +156,8 @@ pub(super) struct FactGroup<'q> {
     pub(super) fact: &'q str,
     pub(super) fact_table: &'q Table,
     /// The request's view lowered for this fact, once, at plan time —
-    /// filter class zero of every morsel's selection, and the slot a
-    /// cached visible-row bitmap would fill.
+    /// filter class zero of every morsel: its selection runs once per
+    /// morsel and every restricted class starts from the survivors.
     pub(super) view: ResolvedViewCheck<'q>,
     pub(super) queries: Vec<BatchQuery<'q>>,
     pub(super) classes: Vec<FilterClass>,
@@ -160,18 +169,54 @@ pub(super) struct FactGroup<'q> {
 /// fact filter. Queries with equal keys resolve to identical allowed
 /// member sets against the same snapshot, and therefore select
 /// identical rows with identical counters and per-row errors.
-pub(super) fn filter_class_key(query: &Query) -> String {
+fn filter_class_key(query: &Query) -> String {
     let mut filters: Vec<&(String, crate::filter::Filter)> =
         query.dimension_filters.iter().collect();
     filters.sort_by(|a, b| a.0.cmp(&b.0));
     format!("{filters:?}|{:?}", query.fact_filter)
 }
 
+/// The dimension filters a request has lowered so far, each with its
+/// outcome: a dashboard's panels repeat a handful of slices, and one walk
+/// of the dimension table per distinct `(dimension, filter)` serves them
+/// all. A short list compared by value — `Filter` has no hash, and the
+/// walk a hit saves dwarfs the comparisons.
+pub(super) type FilterMemo<'q> = Vec<(&'q str, &'q Filter, Result<Arc<MemberBits>, OlapError>)>;
+
+/// The members of `dimension` matching `filter`, as a bitset over the
+/// dimension table's rows — from `memo` when the request has already
+/// evaluated the pair.
+fn lower_filter<'q>(
+    cube: &Cube,
+    dimension: &'q str,
+    filter: &'q Filter,
+    memo: &mut FilterMemo<'q>,
+) -> Result<Arc<MemberBits>, OlapError> {
+    if let Some((_, _, lowered)) = memo
+        .iter()
+        .find(|(d, f, _)| *d == dimension && *f == filter)
+    {
+        return lowered.clone();
+    }
+    let lowered = cube.dimension_table(dimension).and_then(|dimension| {
+        let table = &dimension.table;
+        let matching = filter.matching_rows(table)?;
+        Ok(Arc::new(MemberBits::from_members(table.len(), matching)))
+    });
+    memo.push((dimension, filter, lowered.clone()));
+    lowered
+}
+
 /// Validates the query against the cube's schema and pre-computes the
-/// allowed member sets of every filtered dimension. Shared by the
-/// parallel pipeline and the serial reference so both report identical
-/// errors for invalid queries.
-pub(super) fn resolve<'q>(cube: &'q Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError> {
+/// allowed member sets of every filtered dimension (through `memo`, which
+/// a batch shares across its queries). Shared by the parallel pipeline
+/// and the serial reference so both report identical errors for invalid
+/// queries.
+pub(super) fn resolve<'q>(
+    cube: &'q Cube,
+    query: &'q Query,
+    memo: &mut FilterMemo<'q>,
+) -> Result<Resolved<'q>, OlapError> {
     let fact_def = cube
         .schema()
         .fact(&query.fact)
@@ -243,7 +288,7 @@ pub(super) fn resolve<'q>(cube: &'q Cube, query: &'q Query) -> Result<Resolved<'
 
     // Pre-compute allowed member sets for every filtered dimension, with
     // the FK column index resolved for the parallel path's typed reads.
-    let mut allowed_members: BTreeMap<&str, (usize, BTreeSet<usize>)> = BTreeMap::new();
+    let mut allowed_members: BTreeMap<&str, (usize, Arc<MemberBits>)> = BTreeMap::new();
     for (dimension, filter) in &query.dimension_filters {
         if !fact_def.references_dimension(dimension) {
             return Err(OlapError::InvalidQuery {
@@ -253,13 +298,10 @@ pub(super) fn resolve<'q>(cube: &'q Cube, query: &'q Query) -> Result<Resolved<'
                 ),
             });
         }
-        let table = &cube.dimension_table(dimension)?.table;
-        let matching: BTreeSet<usize> = filter.matching_rows(table)?.into_iter().collect();
+        let matching = lower_filter(cube, dimension, filter, memo)?;
         match allowed_members.entry(dimension.as_str()) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
-                let intersection: BTreeSet<usize> =
-                    e.get().1.intersection(&matching).copied().collect();
-                e.get_mut().1 = intersection;
+                Arc::make_mut(&mut e.get_mut().1).intersect(&matching);
             }
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert((fact_table.index_of(&fk_column(dimension))?, matching));
@@ -284,7 +326,7 @@ pub(super) fn resolve<'q>(cube: &'q Cube, query: &'q Query) -> Result<Resolved<'
 /// (and, for a broken attribute, the same error).
 type KeysLookup<'a> = dyn FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError> + 'a;
 
-pub(super) fn keys_lookup<'a>(
+fn keys_lookup<'a>(
     dicts: Option<(&'a GroupDictCache, u64)>,
 ) -> impl FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError> + 'a {
     move |cube, attr| match dicts {
@@ -298,7 +340,7 @@ pub(super) fn keys_lookup<'a>(
 /// batch, or served from the generation-keyed cache) with its FK column
 /// index, plus the flat-vs-hashed decision. An ungrouped query gets the
 /// empty plan: no dictionaries, cardinality 1, never flat.
-pub(super) fn build_group_plan(
+fn build_group_plan(
     cube: &Cube,
     query: &Query,
     resolved: &Resolved<'_>,
@@ -330,4 +372,110 @@ pub(super) fn build_group_plan(
         cardinality,
         flat,
     })
+}
+
+/// Plans a request — phase 1 and 2 of the executor. Every query is
+/// resolved and planned up front: resolution errors land in their
+/// `results` slot immediately and the scan only sees the survivors;
+/// group-key dictionaries are memoised per attribute across the whole
+/// batch (and served from `dicts` across batches, when given), lowered
+/// dimension filters per `(dimension, filter)`, and the view is lowered
+/// once per fact, when the fact's group is opened. Filter classes are
+/// then assigned within each fact group: two queries land in the same
+/// class exactly when their canonical filter identity coincides —
+/// identical allowed member sets, identical counters, identical per-row
+/// selection errors — so one selection vector per morsel serves the
+/// whole class.
+pub(super) fn plan_groups<'q>(
+    cube: &'q Cube,
+    queries: &'q [Query],
+    view: &'q InstanceView,
+    dicts: Option<(&GroupDictCache, u64)>,
+    group_slot_limit: usize,
+    results: &mut [Option<Result<QueryResult, OlapError>>],
+) -> Vec<FactGroup<'q>> {
+    let mut base_lookup = keys_lookup(dicts);
+    let mut shared_keys: FxHashMap<(String, String, String), Arc<GroupKeys>> = FxHashMap::default();
+    let mut shared_filters = FilterMemo::new();
+    let mut groups_by_fact: Vec<FactGroup<'_>> = Vec::new();
+    let mut fact_index: HashMap<&str, usize> = HashMap::new();
+    for (index, query) in queries.iter().enumerate() {
+        let mut lookup = |cube: &Cube, attr: &AttributeRef| {
+            let key = attr_key(attr);
+            if let Some(keys) = shared_keys.get(&key) {
+                return Ok(Arc::clone(keys));
+            }
+            let keys = base_lookup(cube, attr)?;
+            shared_keys.insert(key, Arc::clone(&keys));
+            Ok(keys)
+        };
+        let planned = injected("query.resolve")
+            .and_then(|()| resolve(cube, query, &mut shared_filters))
+            .and_then(|resolved| {
+                let plan = build_group_plan(cube, query, &resolved, group_slot_limit, &mut lookup)?;
+                Ok((resolved, plan))
+            });
+        let (resolved, plan) = match planned {
+            Ok(planned) => planned,
+            Err(error) => {
+                results[index] = Some(Err(error));
+                continue;
+            }
+        };
+        let at = match fact_index.entry(query.fact.as_str()) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => match view.resolve_for_fact(cube, &query.fact) {
+                Ok(lowered) => {
+                    groups_by_fact.push(FactGroup {
+                        fact: query.fact.as_str(),
+                        fact_table: resolved.fact_table,
+                        view: lowered,
+                        queries: Vec::new(),
+                        classes: Vec::new(),
+                    });
+                    *entry.insert(groups_by_fact.len() - 1)
+                }
+                Err(error) => {
+                    results[index] = Some(Err(error));
+                    continue;
+                }
+            },
+        };
+        groups_by_fact[at].queries.push(BatchQuery {
+            index,
+            query,
+            resolved,
+            plan,
+            class: 0,
+        });
+    }
+
+    for group in &mut groups_by_fact {
+        let mut class_ids: HashMap<String, usize> = HashMap::new();
+        for j in 0..group.queries.len() {
+            let key = filter_class_key(group.queries[j].query);
+            let class = match class_ids.entry(key) {
+                Entry::Occupied(entry) => {
+                    let class = *entry.get();
+                    group.classes[class].runs_only &= group.queries[j].resolved.vectorised;
+                    class
+                }
+                Entry::Vacant(entry) => {
+                    let class = group.classes.len();
+                    let member = &group.queries[j];
+                    group.classes.push(FilterClass {
+                        rep: j,
+                        unrestricted: group.view.is_unrestricted()
+                            && member.resolved.allowed_members.is_empty()
+                            && member.query.fact_filter.is_none(),
+                        runs_only: member.resolved.vectorised,
+                    });
+                    entry.insert(class);
+                    class
+                }
+            };
+            group.queries[j].class = class;
+        }
+    }
+    groups_by_fact
 }

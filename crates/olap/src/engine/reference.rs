@@ -4,7 +4,7 @@
 //! kept apart from what serves.
 
 use super::merge::materialise;
-use super::plan::{resolve, Resolved};
+use super::plan::{resolve, FilterMemo, Resolved};
 use super::QueryEngine;
 use crate::aggregate::Accumulator;
 use crate::cube::{attribute_column, Cube};
@@ -38,7 +38,7 @@ impl QueryEngine {
         query: &Query,
         view: &InstanceView,
     ) -> Result<QueryResult, OlapError> {
-        let resolved = resolve(cube, query)?;
+        let resolved = resolve(cube, query, &mut FilterMemo::new())?;
         let fact_table = &cube.fact_table(&query.fact)?.table;
         let mut key_cache: Vec<HashMap<usize, CellValue>> =
             vec![HashMap::new(); query.group_by.len()];
@@ -102,7 +102,7 @@ fn scan_range(
         let mut passes = true;
         for (dimension, (_, allowed)) in &resolved.allowed_members {
             let member = cube.fact_member(&query.fact, fact_row, dimension)?;
-            if !allowed.contains(&member) {
+            if !allowed.contains(member) {
                 passes = false;
                 break;
             }

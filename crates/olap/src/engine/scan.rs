@@ -1,7 +1,12 @@
-//! The morsel loop: one selection per filter class
-//! ([`select_rows`]), then each member query's accumulation path —
-//! vectorised, flat dense-slot or integer-keyed hashed — over plain
-//! column indices and the fact group's lowered view.
+//! The morsel loop. Selection is bit operations over a shrinking
+//! selection vector: the fact group's lowered view runs **once per
+//! morsel** as filter class zero (`ResolvedViewCheck::select_visible`),
+//! and each filter class narrows a copy of its survivors — one typed FK
+//! gather plus bit test per filtered dimension
+//! (`MemberBits::retain_allowed`), then the fact filter row by row. Each
+//! member query then takes its own accumulation path — vectorised, flat
+//! dense-slot or integer-keyed hashed — over its class's selection,
+//! through plain column indices.
 
 use super::injected;
 use super::plan::{BatchQuery, FactGroup, GroupId, GroupPlan, Resolved};
@@ -13,7 +18,6 @@ use crate::error::OlapError;
 use crate::hash::FxHashMap;
 use crate::kernels::NumericAgg;
 use crate::table::Table;
-use crate::view::ResolvedViewCheck;
 use std::collections::hash_map::Entry;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,43 +46,40 @@ pub(super) struct MorselPartial {
     pub(super) facts_matched: usize,
 }
 
-/// Materialises one morsel's selection vector — the surviving row ids
-/// after liveness, view, dimension-filter and fact-filter checks, with
-/// the scanned/matched counters updated in exactly the serial
-/// reference's order (so counter and error semantics cannot drift from
-/// [`scan_range`]) — and returns the morsel's counters. One call serves
-/// every query of a filter class (`rep` is its representative). The view
-/// check and the dimension filters read FKs the same way, through
-/// [`member_at`] over column indices resolved at plan time.
-fn select_rows(
-    view: &ResolvedViewCheck<'_>,
+/// Narrows `sel` — the morsel's view survivors — to one filter class's
+/// selection: the class's dimension filters in dimension order, then its
+/// fact filter, over a shrinking selection, so the checks a row meets
+/// and their order are the serial reference's ([`scan_range`]). Returns
+/// the lowest failing row's error, if any stage (the view's included:
+/// `error` comes in as what `select_visible` returned) could not read a
+/// row — a failing stage cuts the selection off at that row and the
+/// later stages carry on below it, where only a lower row can fail.
+fn select_class(
     rep: &BatchQuery<'_>,
-    rows: Range<usize>,
     sel: &mut Vec<u32>,
-) -> Result<(usize, usize), OlapError> {
+    members: &mut Vec<u32>,
+    mut error: Option<OlapError>,
+) -> Option<OlapError> {
     let fact_table = rep.resolved.fact_table;
-    let mut facts_scanned = 0usize;
-    let mut facts_matched = 0usize;
-    sel.clear();
-    'rows: for fact_row in rows {
-        if !fact_table.is_live(fact_row) || !view.allows(fact_table, fact_row)? {
-            continue;
-        }
-        facts_scanned += 1;
-        for (fk, allowed) in rep.resolved.allowed_members.values() {
-            if !allowed.contains(&member_at(fact_table.column_at(*fk), fact_row)?) {
-                continue 'rows;
-            }
-        }
-        if let Some(filter) = &rep.query.fact_filter {
-            if !filter.matches(fact_table, fact_row)? {
-                continue;
-            }
-        }
-        facts_matched += 1;
-        sel.push(fact_row as u32);
+    for (fk, allowed) in rep.resolved.allowed_members.values() {
+        error = allowed
+            .retain_allowed(fact_table.column_at(*fk), sel, members)
+            .or(error);
     }
-    Ok((facts_scanned, facts_matched))
+    if let Some(filter) = &rep.query.fact_filter {
+        let mut unreadable = None;
+        sel.retain(|&row| {
+            unreadable.is_none()
+                && filter
+                    .matches(fact_table, row as usize)
+                    .unwrap_or_else(|error| {
+                        unreadable = Some(error);
+                        false
+                    })
+        });
+        error = unreadable.or(error);
+    }
+    error
 }
 
 /// The integer group id of one fact row, built attribute by attribute in
@@ -392,20 +393,7 @@ pub(super) fn scan_assigned_batch_morsels(
     cancel: &CancelToken,
 ) -> Vec<(usize, Vec<Result<MorselPartial, OlapError>>)> {
     let mut out = Vec::new();
-    // Participant-local selection and flat-slot buffers, sized once and
-    // reused across this participant's morsels (the slot state resets
-    // through the touched list, not by clearing whole slot vectors).
-    let mut sels: Vec<Vec<u32>> = group.classes.iter().map(|_| Vec::new()).collect();
-    let mut scratches: Vec<Option<FlatScratch>> = group
-        .queries
-        .iter()
-        .map(|member| {
-            member
-                .plan
-                .flat
-                .map(|slots| FlatScratch::new(&member.resolved, slots))
-        })
-        .collect();
+    let mut scratch = MorselScratch::new(group);
     loop {
         let morsel = next_morsel.fetch_add(1, Ordering::Relaxed);
         if morsel >= morsel_count {
@@ -426,10 +414,45 @@ pub(super) fn scan_assigned_batch_morsels(
         }
         let start = morsel * morsel_rows;
         let end = (start + morsel_rows).min(group.fact_table.len());
-        let partials = scan_batch_morsel(group, start..end, &mut sels, &mut scratches);
+        let partials = scan_batch_morsel(group, start..end, &mut scratch);
         out.push((morsel, partials));
     }
     out
+}
+
+/// Participant-local selection and flat-slot buffers, sized once and
+/// reused across the participant's morsels (the slot state resets
+/// through the touched list, not by clearing whole slot vectors).
+struct MorselScratch {
+    /// The morsel's view survivors — the selection of filter class zero,
+    /// which every restricted class's selection starts as a copy of.
+    visible: Vec<u32>,
+    /// FK gather buffer of the selection stages.
+    members: Vec<u32>,
+    /// One selection vector per filter class.
+    sels: Vec<Vec<u32>>,
+    /// Flat-slot state per member query on the flat grouped path.
+    flats: Vec<Option<FlatScratch>>,
+}
+
+impl MorselScratch {
+    fn new(group: &FactGroup<'_>) -> Self {
+        MorselScratch {
+            visible: Vec::new(),
+            members: Vec::new(),
+            sels: group.classes.iter().map(|_| Vec::new()).collect(),
+            flats: group
+                .queries
+                .iter()
+                .map(|member| {
+                    member
+                        .plan
+                        .flat
+                        .map(|slots| FlatScratch::new(&member.resolved, slots))
+                })
+                .collect(),
+        }
+    }
 }
 
 /// One class's shared selection outcome for one morsel.
@@ -441,7 +464,8 @@ struct ClassSelection {
     runs: Option<Vec<Range<usize>>>,
 }
 
-/// One morsel of the pipeline: selection once per filter class, then
+/// One morsel of the pipeline: the view's selection once for the whole
+/// fact group, each filter class's selection over its survivors, then
 /// each member query's own accumulation path — the vectorised kernels
 /// (no grouping, all measures numeric), the flat dense-slot grouped path
 /// or the integer-keyed hashed path — over its class's shared selection.
@@ -455,24 +479,37 @@ struct ClassSelection {
 fn scan_batch_morsel(
     group: &FactGroup<'_>,
     rows: Range<usize>,
-    sels: &mut [Vec<u32>],
-    scratches: &mut [Option<FlatScratch>],
+    scratch: &mut MorselScratch,
 ) -> Vec<Result<MorselPartial, OlapError>> {
-    // Phase 1: one selection per filter class.
+    let MorselScratch {
+        visible,
+        members,
+        sels,
+        flats,
+    } = scratch;
+
+    // Phase 1: the view once — filter class zero — then one selection
+    // per filter class. Rows the view admits are what a class counts as
+    // scanned.
+    let view_error = if group.classes.iter().all(|class| class.unrestricted) {
+        None
+    } else {
+        group
+            .view
+            .select_visible(group.fact_table, rows.clone(), visible, members)
+    };
     let mut selections: Vec<Result<ClassSelection, OlapError>> =
         Vec::with_capacity(group.classes.len());
-    for (c, class) in group.classes.iter().enumerate() {
-        let rep = &group.queries[class.rep];
+    for (class, sel) in group.classes.iter().zip(sels.iter_mut()) {
         if class.unrestricted {
             // Tombstone gaps are the only boundaries: take the live-run
             // structure directly — no per-row work. With no filters and
-            // an unrestricted view `select_rows` selects exactly the live
-            // rows (and cannot error), so expanding the runs yields the
-            // very vector it would have built.
+            // a view that leaves the fact alone the selection is exactly
+            // the live rows (and cannot error), so expanding the runs
+            // yields the very vector the stages would have built.
             let runs = group.fact_table.live_runs(rows.clone());
             let live: usize = runs.iter().map(|run| run.len()).sum();
             if !class.runs_only {
-                let sel = &mut sels[c];
                 sel.clear();
                 for run in &runs {
                     sel.extend(run.clone().map(|row| row as u32));
@@ -484,15 +521,17 @@ fn scan_batch_morsel(
                 runs: Some(runs),
             }));
         } else {
-            selections.push(
-                select_rows(&group.view, rep, rows.clone(), &mut sels[c]).map(
-                    |(facts_scanned, facts_matched)| ClassSelection {
-                        facts_scanned,
-                        facts_matched,
-                        runs: None,
-                    },
-                ),
-            );
+            sel.clear();
+            sel.extend_from_slice(visible);
+            let rep = &group.queries[class.rep];
+            selections.push(match select_class(rep, sel, members, view_error.clone()) {
+                Some(error) => Err(error),
+                None => Ok(ClassSelection {
+                    facts_scanned: visible.len(),
+                    facts_matched: sel.len(),
+                    runs: None,
+                }),
+            });
         }
     }
 
@@ -500,8 +539,8 @@ fn scan_batch_morsel(
     group
         .queries
         .iter()
-        .zip(scratches.iter_mut())
-        .map(|(member, scratch)| {
+        .zip(flats.iter_mut())
+        .map(|(member, flat)| {
             let selection = match &selections[member.class] {
                 Ok(selection) => selection,
                 Err(error) => return Err(error.clone()),
@@ -523,14 +562,14 @@ fn scan_batch_morsel(
                     facts_scanned,
                     facts_matched,
                 ))
-            } else if let Some(scratch) = scratch {
+            } else if let Some(flat) = flat {
                 accumulate_flat(
                     &member.resolved,
                     &member.plan,
                     sel,
                     facts_scanned,
                     facts_matched,
-                    scratch,
+                    flat,
                 )
             } else {
                 let mut groups = Vec::new();

@@ -38,6 +38,15 @@ impl CompareOp {
             CompareOp::Ge => ordering != Less,
         }
     }
+
+    /// The operator over [`crate::Column::compare_at`]'s outcome:
+    /// incomparable values only satisfy "not equal".
+    fn accepts(self, ordering: Option<std::cmp::Ordering>) -> bool {
+        match ordering {
+            Some(ordering) => self.eval(ordering),
+            None => self == CompareOp::Ne,
+        }
+    }
 }
 
 /// The topological predicates usable in spatial filters — the operators the
@@ -151,12 +160,7 @@ impl Filter {
             Filter::All => Ok(true),
             Filter::None => Ok(false),
             Filter::Attribute { column, op, value } => {
-                let cell = table.get(row, column)?;
-                Ok(match cell.compare(value) {
-                    Some(ordering) => op.eval(ordering),
-                    // Incomparable values only satisfy "not equal".
-                    None => *op == CompareOp::Ne,
-                })
+                Ok(op.accepts(table.column(column)?.compare_at(row, value)))
             }
             Filter::WithinDistance {
                 column,
@@ -199,15 +203,29 @@ impl Filter {
     }
 
     /// Evaluates the filter against every row of a table, returning the
-    /// matching row ids.
+    /// matching row ids. A bare attribute comparison — the usual
+    /// dimension slice — resolves its column once for the whole walk;
+    /// every other shape goes row by row through [`Filter::matches`]
+    /// (whose short-circuits decide which columns are ever looked up, so
+    /// nothing can be resolved ahead of it without changing its errors).
     pub fn matching_rows(&self, table: &Table) -> Result<Vec<usize>, OlapError> {
-        let mut out = Vec::new();
-        for row in 0..table.len() {
-            if self.matches(table, row)? {
-                out.push(row);
+        match self {
+            Filter::Attribute { column, op, value } if !table.is_empty() => {
+                let column = table.column(column)?;
+                Ok((0..table.len())
+                    .filter(|&row| op.accepts(column.compare_at(row, value)))
+                    .collect())
+            }
+            _ => {
+                let mut out = Vec::new();
+                for row in 0..table.len() {
+                    if self.matches(table, row)? {
+                        out.push(row);
+                    }
+                }
+                Ok(out)
             }
         }
-        Ok(out)
     }
 }
 
@@ -363,6 +381,10 @@ mod tests {
         let t = stores();
         let f = Filter::eq("ghost", "x");
         assert!(f.matching_rows(&t).is_err());
+        assert!(f.matches(&t, 0).is_err());
+        // A column is only ever looked up for a row: no rows, no error.
+        let empty = Table::new("Store", vec![]);
+        assert!(f.matching_rows(&empty).unwrap().is_empty());
     }
 
     #[test]

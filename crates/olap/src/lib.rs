@@ -41,6 +41,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod aggregate;
+mod bits;
 pub mod cache;
 pub mod cancel;
 pub mod chunk;

@@ -338,3 +338,142 @@ fn all_null_measures_keep_groups_alive_on_every_path() {
         assert_eq!(parallel, serial, "slot_limit={slot_limit}");
     }
 }
+
+/// Null foreign keys — `Cube::add_fact_row` with a dimension left out
+/// stores one — are read errors, and the selection stages must raise
+/// exactly the serial reference's: only for a row every earlier stage
+/// admits, and of all failing rows the lowest. Every case runs at 1, 2
+/// and 8 workers with the null alone in its morsel, sharing one with its
+/// neighbours, and inside a single morsel covering the table.
+#[test]
+fn null_foreign_keys_fail_like_the_serial_reference() {
+    // Fact rows as (D0 key, D1 key); `None` leaves the key null.
+    let cube_of = |rows: &[(Option<usize>, Option<usize>)]| {
+        let mut cube = Cube::new(schema());
+        for name in [0usize, 1] {
+            cube.add_dimension_member(
+                "D0",
+                vec![("A.name", pool_cell(name)), ("B.name", pool_cell(name))],
+            )
+            .unwrap();
+        }
+        for day in 0..2 {
+            cube.add_dimension_member("D1", vec![("T.date", CellValue::Date(day))])
+                .unwrap();
+        }
+        for (row, (d0, d1)) in rows.iter().enumerate() {
+            let keys = [("D0", *d0), ("D1", *d1)];
+            cube.add_fact_row(
+                "F",
+                keys.iter()
+                    .filter_map(|(d, k)| k.map(|k| (*d, k)))
+                    .collect(),
+                vec![("M1", CellValue::Float(row as f64 * 0.25))],
+            )
+            .unwrap();
+        }
+        cube
+    };
+    let sliced = Query::over("F")
+        .group_by(AttributeRef::new("D1", "T", "date"))
+        .measure("M1")
+        .filter_dimension("D0", sdwp_olap::Filter::eq("A.name", POOL[0]));
+    let ghost_filtered = sliced
+        .clone()
+        .filter_fact(sdwp_olap::Filter::eq("ghost", 1i64));
+    let first_day = {
+        let mut view = InstanceView::unrestricted();
+        view.select_dimension_members("D1", [0usize]);
+        view
+    };
+    let odd_rows = {
+        let mut view = InstanceView::unrestricted();
+        view.select_dimension_members("D0", [0usize, 1]);
+        view.select_fact_rows("F", [1usize, 3, 5]);
+        view
+    };
+    let null_key = "integer foreign key";
+
+    // (what, rows, query, view, the error's wording — `None`: succeeds)
+    let keyed = (Some(0), Some(0));
+    let cases = [
+        (
+            "a null filter key on a row the view rejects is never read",
+            vec![keyed, (None, Some(1)), keyed, (Some(1), Some(0))],
+            &sliced,
+            &first_day,
+            None,
+        ),
+        (
+            "a null view key on a row the fact selection rejects is never read",
+            vec![keyed, keyed, (None, Some(0)), keyed, (None, Some(1)), keyed],
+            &sliced,
+            &odd_rows,
+            None,
+        ),
+        (
+            "a null filter key on a visible row is the reference's error",
+            vec![keyed, (Some(1), Some(0)), (None, Some(0)), keyed],
+            &sliced,
+            &first_day,
+            Some(null_key),
+        ),
+        (
+            "a null view key on a visible row is the reference's error",
+            vec![keyed, (Some(0), None), keyed],
+            &sliced,
+            &first_day,
+            Some(null_key),
+        ),
+        (
+            "a fact-filter error below a null key wins",
+            vec![(Some(1), Some(0)), keyed, keyed, (None, Some(0)), keyed],
+            &ghost_filtered,
+            &first_day,
+            Some("ghost"),
+        ),
+        (
+            "a null key below every row the fact filter sees wins",
+            vec![(Some(1), Some(0)), (None, Some(0)), keyed, keyed],
+            &ghost_filtered,
+            &first_day,
+            Some(null_key),
+        ),
+    ];
+    for (what, rows, query, view, wording) in cases {
+        let cube = cube_of(&rows);
+        let serial = QueryEngine::with_config(ExecutionConfig::serial())
+            .execute_serial_with_view(&cube, query, view);
+        match (wording, &serial) {
+            (None, Ok(result)) => assert!(result.facts_matched > 0, "{what}"),
+            (Some(wording), Err(error)) => {
+                assert!(error.to_string().contains(wording), "{what}: {error}")
+            }
+            _ => panic!("{what}: the reference answered {serial:?}"),
+        }
+        for workers in [1usize, 2, 8] {
+            for morsel_rows in [1usize, 3, 64] {
+                let parallel = QueryEngine::with_config(
+                    ExecutionConfig::default()
+                        .with_workers(workers)
+                        .with_morsel_rows(morsel_rows),
+                )
+                .execute_with_view(&cube, query, view);
+                assert_eq!(
+                    parallel, serial,
+                    "{what}: workers={workers} morsel_rows={morsel_rows}"
+                );
+            }
+        }
+        // The visible-row count runs the view's stages alone.
+        let count = view.visible_fact_count(&cube, "F");
+        let by_name: Result<Vec<bool>, _> = (0..rows.len())
+            .map(|row| view.allows_fact_row(&cube, "F", row))
+            .collect();
+        assert_eq!(
+            count,
+            by_name.map(|seen| seen.iter().filter(|&&s| s).count()),
+            "{what}: visible_fact_count"
+        );
+    }
+}

@@ -271,7 +271,11 @@ fn contained_panics_poison_only_their_own_query() {
     let _serial = serial();
     let _teardown = Teardown;
     let _quiet = QuietPanics::install();
-    let scenario = PaperScenario::generate(ScenarioConfig::tiny());
+    // Enough fact rows that a scan outlasts a helper's wake-up:
+    // `pool.helper.start` is only reached by a helper that joins before
+    // the caller has drained the morsels, and a 200-row scan is over
+    // first.
+    let scenario = PaperScenario::generate(ScenarioConfig::tiny().scaled(40));
     let engine = chaos_engine(&scenario, 0);
     let queries = panel();
     let reference_session = login(&engine, &scenario);
