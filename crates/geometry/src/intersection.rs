@@ -65,7 +65,10 @@ fn point_with(p: &Point, other: &Geometry) -> GeometryCollection {
 /// whose length the rule thresholds.
 fn line_with_point(l: &LineString, p: &Point) -> GeometryCollection {
     let c = p.coord();
-    if !crate::predicates::intersects(&Geometry::Line(l.clone()), &Geometry::Point(*p)) {
+    // `point_on_line` is `intersects(LINE, POINT)` without the envelope
+    // pre-test (which never rejects a point the segment test accepts), so
+    // the line is tested in place rather than wrapped in a `Geometry`.
+    if !predicates::point_on_line(&c, l) {
         return GeometryCollection::empty();
     }
     let mut before: Vec<crate::coord::Coord> = Vec::new();
@@ -413,5 +416,59 @@ mod tests {
             .map(LineString::length)
             .sum();
         assert!((total_len - 30.0).abs() < 1e-9);
+    }
+
+    mod point_on_line_is_intersects {
+        use crate::coord::{Coord, EPSILON};
+        use crate::geometry::Geometry;
+        use crate::linestring::LineString;
+        use crate::point::Point;
+        use crate::predicates::{intersects, point_on_line};
+        use proptest::prelude::*;
+
+        /// Where the probe point sits relative to the line: anywhere, near
+        /// a vertex, or near a segment's interior — the last two within a
+        /// couple of `EPSILON`s, on both sides of the tolerance.
+        fn probe(line: &LineString, kind: usize, pick: usize, t: f64, off: (f64, f64)) -> Coord {
+            let coords = line.coords();
+            let (dx, dy) = (off.0 * EPSILON, off.1 * EPSILON);
+            match kind {
+                0 => Coord::new(off.0 * 250.0, off.1 * 250.0),
+                1 => {
+                    let v = coords[pick % coords.len()];
+                    Coord::new(v.x + dx, v.y + dy)
+                }
+                _ => {
+                    let i = pick % (coords.len() - 1);
+                    let (a, b) = (coords[i], coords[i + 1]);
+                    let (ux, uy) = (b.x - a.x, b.y - a.y);
+                    let len = (ux * ux + uy * uy).sqrt();
+                    // Along the segment at `t`, then `dx` across it.
+                    Coord::new(a.x + ux * t - uy / len * dx, a.y + uy * t + ux / len * dx)
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            /// `line_with_point` tests with `point_on_line` alone, so it
+            /// must decide exactly what `intersects(LINE, POINT)` decides.
+            #[test]
+            fn for_random_lines_and_near_points(
+                tuples in prop::collection::vec((-500.0f64..500.0, -500.0f64..500.0), 2..10),
+                kind in 0usize..3,
+                pick in 0usize..64,
+                t in 0.0f64..1.0,
+                off in (-2.0f64..2.0, -2.0f64..2.0),
+            ) {
+                let line = LineString::from_tuples(&tuples).unwrap();
+                let c = probe(&line, kind, pick, t, off);
+                prop_assert_eq!(
+                    point_on_line(&c, &line),
+                    intersects(&Geometry::Line(line.clone()), &Point::from_coord(c).into())
+                );
+            }
+        }
     }
 }

@@ -5,34 +5,122 @@
 //! [`access_properties`], [`evaluate_model_path`], [`execute_action`],
 //! [`select_value`]) — only the dispatch differs: a postfix value stack
 //! with slot-indexed variable reads instead of tree walking with a
-//! name-scanned scope.
+//! name-scanned scope, hoisted loop invariants evaluated once per outer
+//! binding, and the exact-emptiness guard skipping innermost loops whose
+//! condition cannot hold.
 
 use crate::compile::program::{Binding, CStmt, ModelPlan, Op, Prog};
 use crate::error::PrmlError;
 use crate::eval::action::{execute_action, rename, select_value};
 use crate::eval::context::{EvalContext, RuleEffect};
 use crate::eval::expr::{
-    access_properties, binary_values, call_values, evaluate_model_path, unary_value,
+    access_properties, binary_values, call_values, evaluate_model_path, geometry_read_is_total,
+    unary_value,
 };
 use crate::eval::value::{InstanceRef, InstanceSource, Value};
+use sdwp_geometry::Geometry;
 use sdwp_user::{assign_sus_path, resolve_sus_path};
+
+/// The mutable state of one rule firing: loop-variable slots, a per-slot
+/// binding epoch, and the hoisted values with the key epoch each was
+/// computed under.
+pub(crate) struct Frame {
+    slots: Vec<Value>,
+    epochs: Vec<u64>,
+    memos: Vec<Option<(u64, Value)>>,
+}
+
+impl Frame {
+    pub(crate) fn new(slot_count: usize, memo_count: usize) -> Frame {
+        Frame {
+            slots: vec![Value::Null; slot_count],
+            epochs: vec![0; slot_count],
+            memos: vec![None; memo_count],
+        }
+    }
+
+    /// Binds a slot outside any loop (what `Nest::iterate` does per item).
+    #[cfg(test)]
+    pub(crate) fn bind(&mut self, slot: usize, value: Value) {
+        self.slots[slot] = value;
+        self.epochs[slot] += 1;
+    }
+
+    fn slot(&self, slot: u16) -> Result<&Value, PrmlError> {
+        self.slots
+            .get(usize::from(slot))
+            .ok_or_else(|| internal("slot out of range"))
+    }
+}
+
+/// An internal error: a compiled program broke an invariant the compiler
+/// guarantees. Raised as a typed evaluation error, never a panic.
+fn internal(what: &str) -> PrmlError {
+    PrmlError::eval("", format!("internal error: {what}"))
+}
 
 /// Runs a compiled expression program, returning the single value it
 /// leaves on the stack.
 pub(crate) fn run_prog(
     prog: &Prog,
-    slots: &[Value],
+    frame: &mut Frame,
     ctx: &EvalContext<'_>,
 ) -> Result<Value, PrmlError> {
+    eval_ops(&prog.ops, frame, ctx)
+}
+
+fn eval_ops(ops: &[Op], frame: &mut Frame, ctx: &EvalContext<'_>) -> Result<Value, PrmlError> {
     let mut stack: Vec<Value> = Vec::with_capacity(4);
-    for op in &prog.ops {
+    run_ops(ops, frame, ctx, &mut stack)?;
+    match (stack.pop(), stack.is_empty()) {
+        (Some(value), true) => Ok(value),
+        _ => Err(internal("program must leave exactly one value")),
+    }
+}
+
+/// The value of a hoisted subprogram: computed when the memo is empty or
+/// was filled under an older epoch of its key slot, reused otherwise.
+fn memo<'f>(
+    id: usize,
+    key_slot: Option<u16>,
+    ops: &[Op],
+    frame: &'f mut Frame,
+    ctx: &EvalContext<'_>,
+) -> Result<&'f Value, PrmlError> {
+    let epoch = match key_slot {
+        Some(slot) => *frame
+            .epochs
+            .get(usize::from(slot))
+            .ok_or_else(|| internal("memo key out of range"))?,
+        None => 0,
+    };
+    let cached = frame
+        .memos
+        .get(id)
+        .ok_or_else(|| internal("memo id out of range"))?;
+    if !matches!(cached, Some((at, _)) if *at == epoch) {
+        let value = eval_ops(ops, frame, ctx)?;
+        frame.memos[id] = Some((epoch, value));
+    }
+    match &frame.memos[id] {
+        Some((_, value)) => Ok(value),
+        None => Err(internal("memo left empty")),
+    }
+}
+
+fn run_ops(
+    ops: &[Op],
+    frame: &mut Frame,
+    ctx: &EvalContext<'_>,
+    stack: &mut Vec<Value>,
+) -> Result<(), PrmlError> {
+    for op in ops {
         match op {
             Op::Const(value) => stack.push(value.clone()),
             Op::Fail(message) => return Err(PrmlError::eval("", message.clone())),
-            Op::Slot(slot) => stack.push(slots[usize::from(*slot)].clone()),
+            Op::Slot(slot) => stack.push(frame.slot(*slot)?.clone()),
             Op::SlotProps { slot, props } => {
-                let base = &slots[usize::from(*slot)];
-                stack.push(access_properties(base, props, ctx)?);
+                stack.push(access_properties(frame.slot(*slot)?, props, ctx)?);
             }
             Op::Param { key, display } => {
                 let value = ctx.parameter(key).ok_or_else(|| {
@@ -50,21 +138,36 @@ pub(crate) fn run_prog(
             }
             Op::Model(plan) => stack.push(run_model_plan(plan, ctx)?),
             Op::Unary(op) => {
-                let value = stack.pop().expect("unary operand on stack");
+                let value = stack
+                    .pop()
+                    .ok_or_else(|| internal("unary operand missing"))?;
                 stack.push(unary_value(*op, &value)?);
             }
             Op::Binary(op) => {
-                let rhs = stack.pop().expect("binary rhs on stack");
-                let lhs = stack.pop().expect("binary lhs on stack");
+                let (Some(rhs), Some(lhs)) = (stack.pop(), stack.pop()) else {
+                    return Err(internal("binary operand missing"));
+                };
                 stack.push(binary_values(*op, &lhs, &rhs)?);
             }
-            Op::Call { function, argc } => {
-                let args = stack.split_off(stack.len() - argc);
-                stack.push(call_values(function, args, ctx)?);
+            Op::Call {
+                name,
+                display,
+                argc,
+            } => {
+                let start = stack
+                    .len()
+                    .checked_sub(*argc)
+                    .ok_or_else(|| internal("call arguments missing"))?;
+                let value = call_values(name, display, &stack[start..], ctx)?;
+                stack.truncate(start);
+                stack.push(value);
+            }
+            Op::Memo { id, key_slot, ops } => {
+                stack.push(memo(*id, *key_slot, ops, frame, ctx)?.clone());
             }
         }
     }
-    Ok(stack.pop().expect("program leaves exactly one value"))
+    Ok(())
 }
 
 fn run_model_plan(plan: &ModelPlan, ctx: &EvalContext<'_>) -> Result<Value, PrmlError> {
@@ -98,7 +201,7 @@ fn run_model_plan(plan: &ModelPlan, ctx: &EvalContext<'_>) -> Result<Value, Prml
 /// Runs a compiled statement block.
 pub(crate) fn run_statements(
     statements: &[CStmt],
-    slots: &mut Vec<Value>,
+    frame: &mut Frame,
     ctx: &mut EvalContext<'_>,
     effect: &mut RuleEffect,
 ) -> Result<(), PrmlError> {
@@ -109,7 +212,7 @@ pub(crate) fn run_statements(
                 then_branch,
                 else_branch,
             } => {
-                let value = run_prog(condition, slots, ctx)?;
+                let value = run_prog(condition, frame, ctx)?;
                 let holds = value.as_bool().ok_or_else(|| {
                     PrmlError::eval(
                         "",
@@ -120,19 +223,20 @@ pub(crate) fn run_statements(
                     )
                 })?;
                 if holds {
-                    run_statements(then_branch, slots, ctx, effect)?;
+                    run_statements(then_branch, frame, ctx, effect)?;
                 } else {
-                    run_statements(else_branch, slots, ctx, effect)?;
+                    run_statements(else_branch, frame, ctx, effect)?;
                 }
             }
             CStmt::Foreach {
                 bindings,
                 sources,
                 body,
+                guarded,
             } => {
                 let mut collections: Vec<Vec<Value>> = Vec::with_capacity(sources.len());
                 for source in sources {
-                    match run_prog(source, slots, ctx)? {
+                    match run_prog(source, frame, ctx)? {
                         Value::Collection(items) => collections.push(items),
                         other => {
                             return Err(PrmlError::eval(
@@ -157,17 +261,23 @@ pub(crate) fn run_statements(
                         }
                     }
                 }
-                iterate(0, bindings, &collections, body, slots, ctx, effect)?;
+                let mut nest = Nest {
+                    bindings,
+                    body,
+                    guarded: *guarded,
+                    innermost_total: None,
+                };
+                nest.iterate(0, &mut collections, frame, ctx, effect)?;
             }
             CStmt::Direct(action) => execute_action(action, ctx, effect)?,
             CStmt::Select { target } => {
                 let rule = effect.rule.clone();
-                let value = run_prog(target, slots, ctx).map_err(|e| rename(e, &rule))?;
+                let value = run_prog(target, frame, ctx).map_err(|e| rename(e, &rule))?;
                 select_value(&value, effect, &rule)?;
             }
             CStmt::SetContent { value, path } => {
                 let rule = effect.rule.clone();
-                let new_value = run_prog(value, slots, ctx).map_err(|e| rename(e, &rule))?;
+                let new_value = run_prog(value, frame, ctx).map_err(|e| rename(e, &rule))?;
                 let path = path
                     .as_ref()
                     .map_err(|message| PrmlError::eval(&rule, message.clone()))?;
@@ -183,22 +293,81 @@ pub(crate) fn run_statements(
     Ok(())
 }
 
-fn iterate(
-    depth: usize,
-    bindings: &[Binding],
-    collections: &[Vec<Value>],
-    body: &[CStmt],
-    slots: &mut Vec<Value>,
-    ctx: &mut EvalContext<'_>,
-    effect: &mut RuleEffect,
-) -> Result<(), PrmlError> {
-    if depth == bindings.len() {
-        return run_statements(body, slots, ctx, effect);
+/// One execution of a compiled `Foreach`: the cartesian product of its
+/// collections, innermost binding last.
+struct Nest<'s> {
+    bindings: &'s [Binding],
+    body: &'s [CStmt],
+    guarded: bool,
+    /// Whether every innermost item's `.geometry` reads without error —
+    /// the guard's runtime precondition, checked once, on first need.
+    innermost_total: Option<bool>,
+}
+
+impl Nest<'_> {
+    /// Binds `bindings[depth]` to each of its items in turn — moved into
+    /// its slot and back, never cloned — and recurses; runs the body once
+    /// every binding is bound.
+    fn iterate(
+        &mut self,
+        depth: usize,
+        collections: &mut [Vec<Value>],
+        frame: &mut Frame,
+        ctx: &mut EvalContext<'_>,
+        effect: &mut RuleEffect,
+    ) -> Result<(), PrmlError> {
+        let Some(binding) = self.bindings.get(depth) else {
+            return run_statements(self.body, frame, ctx, effect);
+        };
+        let slot = usize::from(binding.slot);
+        let (items, inner) = collections
+            .split_first_mut()
+            .ok_or_else(|| internal("Foreach source missing"))?;
+        if slot >= frame.slots.len() {
+            return Err(internal("slot out of range"));
+        }
+        if depth + 1 == self.bindings.len() && self.skips(items, frame, ctx)? {
+            return Ok(());
+        }
+        for item in items.iter_mut() {
+            std::mem::swap(&mut frame.slots[slot], item);
+            frame.epochs[slot] += 1;
+            let result = self.iterate(depth + 1, inner, frame, ctx, effect);
+            std::mem::swap(&mut frame.slots[slot], item);
+            result?;
+        }
+        Ok(())
     }
-    let slot = usize::from(bindings[depth].slot);
-    for item in &collections[depth] {
-        slots[slot] = item.clone();
-        iterate(depth + 1, bindings, collections, body, slots, ctx, effect)?;
+
+    /// The exact-emptiness guard: whether the innermost loop over `items`
+    /// can be skipped because its hoisted operand is empty. The operand
+    /// is the condition's first op, so evaluating it here raises exactly
+    /// the error (if any) the first iteration would, and it is evaluated
+    /// only when that first iteration exists.
+    fn skips(
+        &mut self,
+        items: &[Value],
+        frame: &mut Frame,
+        ctx: &EvalContext<'_>,
+    ) -> Result<bool, PrmlError> {
+        if !self.guarded || items.is_empty() {
+            return Ok(false);
+        }
+        let Some(CStmt::If { condition, .. }) = self.body.first() else {
+            return Ok(false);
+        };
+        let Some(Op::Memo { id, key_slot, ops }) = condition.ops.first() else {
+            return Ok(false);
+        };
+        let empty = match memo(*id, *key_slot, ops, frame, ctx)? {
+            Value::Null => true,
+            Value::Geometry(Geometry::Collection(c)) => c.is_empty(),
+            Value::Collection(members) => members.is_empty(),
+            _ => false,
+        };
+        Ok(empty
+            && *self
+                .innermost_total
+                .get_or_insert_with(|| items.iter().all(|item| geometry_read_is_total(item, ctx))))
     }
-    Ok(())
 }

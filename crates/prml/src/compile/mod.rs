@@ -18,6 +18,54 @@
 //! * literal subtrees are constant-folded through the interpreter's own
 //!   semantic kernels, preserving error wording and evaluation order.
 //!
+//! # Planning `Foreach`
+//!
+//! A `Foreach` is the cartesian product of its sources, so a body
+//! expression runs once per tuple — 60 000 times for Example 5.3's
+//! `TrainAirportCity` over 3 trains, 4 000 store-level cities and 5
+//! airports. Two compile-time moves keep it from recomputing what does not
+//! change; anything they do not recognise runs the plain nested loop.
+//!
+//! **Loop-invariant hoisting.** A maximal subtree that reads no binding of
+//! the innermost loop and does real work (a call or a SUS read) becomes an
+//! `Op::Memo`: it is evaluated at its own position in the
+//! postfix program, the first time execution reaches it, and reused until
+//! the binding just outside the innermost one (its *key slot*) is bound
+//! again — tracked by a per-slot epoch in the execution frame. Every
+//! binding further out changes only together with the key slot, so that
+//! one epoch decides validity; a loop with no enclosing binding keys on
+//! the firing itself. Because the memo runs where the interpreter would
+//! run the subtree, the first evaluation raises exactly the interpreter's
+//! error, and later reuses cannot fail. `TrainAirportCity` computes
+//! `Intersection(t.geometry, c.geometry)` once per `(t, c)` instead of
+//! once per airport.
+//!
+//! Hoistable subtrees hold only `Const`, slot reads, property reads,
+//! unary and binary operators and calls: deterministic in the slots they
+//! read and in cube data no rule action rewrites (`AddLayer` loads only
+//! empty layer tables, `BecomeSpatial` touches the schema alone). SUS
+//! paths and designer parameters may join them only when the loop body is
+//! **read-only** — it holds nothing but `If`, `Foreach` and
+//! `SelectInstance` — because a `SetContent` in the body could change what
+//! a SUS path reads between two iterations. That is what lets Example
+//! 5.2's `5kmStores` resolve the session location once per firing.
+//!
+//! **The exact emptiness guard.** When a read-only innermost body is a
+//! single else-less `If (Distance(Intersection(E, v.geometry)) < k)` (or
+//! `<=`), with `E` hoisted, `v` the innermost binding and `k` a finite
+//! constant, an empty `E` decides the whole innermost loop:
+//! `Intersection(∅, g)` is ∅ (and so is an intersection with null),
+//! one-argument `Distance(∅)` is +∞, and +∞ is neither `<` nor `<=` a
+//! finite `k` — every iteration's condition is false, and with no `else`
+//! nothing runs. The executor skips the loop only when that reasoning
+//! cannot be undone by an error: `E` is evaluated only if the innermost
+//! collection is non-empty (exactly when the interpreter's first iteration
+//! would evaluate it, as the condition's first operand), and every
+//! innermost item must read `.geometry` as a geometry or null. A text
+//! item, whose `.geometry` is an error, runs the loop and raises it. For
+//! `TrainAirportCity`, 9 601 of the 12 000 `(t, c)` pairs on the benchmark
+//! data are empty and skip their airports.
+//!
 //! This compiled form is what serves every event; the AST interpreter in
 //! [`crate::eval`] is the reference it is tested against
 //! (`crates/prml/tests/compiled_equivalence.rs`: compiled ≡ interpreted
@@ -32,7 +80,6 @@ use crate::ast::Rule;
 use crate::error::PrmlError;
 use crate::eval::context::{EvalContext, RuleEffect};
 use crate::eval::engine::{attach_rule, FireReport, RuntimeEvent};
-use crate::eval::value::Value;
 use crate::typecheck::{augmented_schema, check_rules, RuleClass};
 use sdwp_model::Schema;
 
@@ -123,8 +170,8 @@ impl CompiledRuleSet {
         for &index in matched {
             let rule = &self.rules[index];
             let mut effect = RuleEffect::new(rule.name.clone());
-            let mut slots = vec![Value::Null; rule.slot_count];
-            exec::run_statements(&rule.body, &mut slots, ctx, &mut effect)
+            let mut frame = exec::Frame::new(rule.slot_count, rule.memo_count);
+            exec::run_statements(&rule.body, &mut frame, ctx, &mut effect)
                 .map_err(|e| attach_rule(e, &rule.name))?;
             report.effects.push(effect);
         }
@@ -146,9 +193,11 @@ impl CompiledRuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::BinaryOp;
     use crate::corpus::*;
     use crate::eval::context::StaticLayerSource;
     use crate::eval::engine::RuleEngine;
+    use crate::eval::value::Value;
     use crate::parser::parse_rules;
     use sdwp_geometry::{LineString, Point};
     use sdwp_model::{AttributeType, DimensionBuilder, FactBuilder, SchemaBuilder};
@@ -368,6 +417,211 @@ mod tests {
             .fire(&RuntimeEvent::SessionStart, &mut ctx)
             .unwrap();
         assert_eq!(report.effects[0].set_contents, 1);
+    }
+
+    /// The compiled `Foreach` statements of a rule body, outermost first.
+    fn loops(body: &[program::CStmt]) -> Vec<&program::CStmt> {
+        let mut found = Vec::new();
+        for statement in body {
+            match statement {
+                program::CStmt::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    found.extend(loops(then_branch));
+                    found.extend(loops(else_branch));
+                }
+                program::CStmt::Foreach { body, .. } => {
+                    found.push(statement);
+                    found.extend(loops(body));
+                }
+                _ => {}
+            }
+        }
+        found
+    }
+
+    /// The compiled loop of a single-loop rule (compiled after Example
+    /// 5.1, which adds the Airport layer): its condition's ops and whether
+    /// the emptiness guard applies.
+    fn planned_loop(text: &str) -> (Vec<program::Op>, bool) {
+        let mut rules = parse_rules(EXAMPLE_5_1_ADD_SPATIALITY).unwrap();
+        rules.extend(parse_rules(text).unwrap());
+        let compiled = CompiledRuleSet::compile(&rules, &sales_schema()).unwrap();
+        let [program::CStmt::Foreach { body, guarded, .. }] = loops(&compiled.rules()[1].body)[..]
+        else {
+            panic!("expected exactly one loop");
+        };
+        let [program::CStmt::If { condition, .. }] = &body[..] else {
+            panic!("expected a single If in the loop body");
+        };
+        (condition.ops.clone(), *guarded)
+    }
+
+    #[test]
+    fn train_airport_city_hoists_the_train_city_intersection_and_is_guarded() {
+        use program::Op;
+        let (ops, guarded) = planned_loop(EXAMPLE_5_3_TRAIN_AIRPORT_CITY);
+        assert!(guarded);
+        // t, c, a bind slots 0, 1, 2: `Intersection(t.geometry,
+        // c.geometry)` reads no `a`, so it is computed once per (t, c) —
+        // keyed on c's slot — and the rest runs per airport.
+        let [Op::Memo {
+            key_slot: Some(1),
+            ops: hoisted,
+            ..
+        }, Op::SlotProps { slot: 2, .. }, Op::Call { name: inner, .. }, Op::Call { name: outer, .. }, Op::Const(_), Op::Binary(BinaryOp::Lt)] =
+            &ops[..]
+        else {
+            panic!("unexpected plan: {ops:?}");
+        };
+        assert_eq!(
+            (inner.as_str(), outer.as_str()),
+            ("intersection", "distance")
+        );
+        assert!(matches!(
+            &hoisted[..],
+            [
+                Op::SlotProps { slot: 0, .. },
+                Op::SlotProps { slot: 1, .. },
+                Op::Call { name, argc: 2, .. },
+            ] if name == "intersection"
+        ));
+    }
+
+    #[test]
+    fn five_km_stores_resolves_the_session_location_once() {
+        use program::Op;
+        let (ops, guarded) = planned_loop(EXAMPLE_5_2_5KM_STORES);
+        assert!(!guarded);
+        // The SUS location reads no loop variable and the body only
+        // selects: it is hoisted with no key slot — once per firing.
+        assert!(
+            matches!(
+                &ops[..],
+                [
+                    Op::SlotProps { slot: 0, .. },
+                    Op::Memo { key_slot: None, ops: hoisted, .. },
+                    Op::Call { .. },
+                    Op::Const(_),
+                    Op::Binary(BinaryOp::Lt),
+                ] if matches!(&hoisted[..], [Op::Sus(_)])
+            ),
+            "unexpected plan: {ops:?}"
+        );
+    }
+
+    #[test]
+    fn loops_that_write_keep_the_generic_path() {
+        use program::Op;
+        // The same shape with a SetContent (or an AddLayer) in the body:
+        // the SUS read is not hoisted and the loop is not guarded.
+        for action in [
+            "SetContent(SUS.DecisionMaker.theme, 'x')",
+            "AddLayer('Airport', POINT)",
+        ] {
+            let (ops, guarded) = planned_loop(&format!(
+                "Rule:w When SessionStart do Foreach t, c in (GeoMD.Store, GeoMD.Store.City) \
+                 If (Distance(Intersection(SUS.DecisionMaker.dm2session.s2location.geometry, \
+                 t.geometry), c.geometry) < 5) then {action} endIf endForeach endWhen"
+            ));
+            assert!(!guarded, "{action}");
+            assert!(
+                !ops.iter().any(|op| matches!(op, Op::Memo { .. })),
+                "{action}: {ops:?}"
+            );
+        }
+    }
+
+    /// Guarded loops whose skip would change the outcome if the guard were
+    /// looser: the interpreter's result (or error) must stand.
+    #[test]
+    fn the_guard_keeps_the_interpreters_errors() {
+        let location = "SUS.DecisionMaker.dm2session.s2location.geometry";
+        for rule in [
+            // An empty (null-location) operand, but the innermost items
+            // are texts: the first `n.geometry` read is an error.
+            format!(
+                "Rule:texts When SessionStart do Foreach c, n in (GeoMD.Store.City, \
+                 MD.Sales.Store.City.name) If (Distance(Intersection(Intersection({location}, \
+                 c.geometry), n.geometry)) < 50) then SelectInstance(c) endIf endForeach endWhen"
+            ),
+            // The operand fails (`t.geometry` on a text), but the innermost
+            // loop is empty (a layer the layer source does not know): the
+            // operand is never evaluated, so nothing fails.
+            "Rule:empty When SessionStart do AddLayer('Depot', POINT) \
+             Foreach t, d in (MD.Sales.Store.City.name, GeoMD.Depot) \
+             If (Distance(Intersection(Intersection(t.geometry, t.geometry), d.geometry)) < 50) \
+             then SelectInstance(d) endIf endForeach endWhen"
+                .to_string(),
+        ] {
+            assert_equivalent(&[&rule], &RuntimeEvent::SessionStart, None);
+        }
+    }
+
+    #[test]
+    fn malformed_programs_fail_typed_instead_of_panicking() {
+        use program::{Op, Prog};
+        let mut cube = sales_cube();
+        let mut profile = manager_profile();
+        let ctx = EvalContext::new(&mut cube, &mut profile);
+        let call = |argc| Op::Call {
+            name: "distance".into(),
+            display: "Distance".into(),
+            argc,
+        };
+        let memo = |id, key_slot, ops| Op::Memo { id, key_slot, ops };
+        let malformed = [
+            vec![Op::Unary(crate::ast::UnaryOp::Neg)],
+            vec![Op::Const(Value::Number(1.0)), Op::Binary(BinaryOp::Add)],
+            vec![call(2)],
+            vec![],
+            vec![Op::Const(Value::Number(1.0)), Op::Const(Value::Number(2.0))],
+            vec![Op::Slot(9)],
+            vec![memo(0, None, vec![])],
+            vec![memo(
+                0,
+                None,
+                vec![Op::Const(Value::Null), Op::Const(Value::Null)],
+            )],
+            vec![memo(5, None, vec![Op::Const(Value::Null)])],
+            vec![memo(0, Some(9), vec![Op::Const(Value::Null)])],
+        ];
+        for ops in malformed {
+            let mut frame = exec::Frame::new(1, 1);
+            let err = exec::run_prog(&Prog { ops: ops.clone() }, &mut frame, &ctx).unwrap_err();
+            assert!(
+                matches!(&err, PrmlError::Eval { message, .. } if message.starts_with("internal error")),
+                "{ops:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_memo_is_reused_until_its_key_slot_rebinds() {
+        use program::{Op, Prog};
+        let mut cube = sales_cube();
+        let mut profile = manager_profile();
+        let ctx = EvalContext::new(&mut cube, &mut profile);
+        // A memo reading slot 1, keyed on slot 0: rebinding slot 1 alone
+        // reuses the cached value; rebinding slot 0 recomputes it.
+        let prog = Prog {
+            ops: vec![Op::Memo {
+                id: 0,
+                key_slot: Some(0),
+                ops: vec![Op::Slot(1)],
+            }],
+        };
+        let mut frame = exec::Frame::new(2, 1);
+        let run = |frame: &mut exec::Frame| exec::run_prog(&prog, frame, &ctx).unwrap();
+        frame.bind(0, Value::Null);
+        frame.bind(1, Value::Number(1.0));
+        assert_eq!(run(&mut frame), Value::Number(1.0));
+        frame.bind(1, Value::Number(2.0));
+        assert_eq!(run(&mut frame), Value::Number(1.0));
+        frame.bind(0, Value::Null);
+        assert_eq!(run(&mut frame), Value::Number(2.0));
     }
 
     // ----- negative paths: every rejection leaves nothing compiled -----

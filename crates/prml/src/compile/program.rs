@@ -57,10 +57,23 @@ pub(crate) enum Op {
     Binary(BinaryOp),
     /// Pop `argc` values and apply a named operator.
     Call {
-        /// Operator name as written.
-        function: String,
+        /// Operator name ASCII-lowercased (the dispatch key).
+        name: String,
+        /// Operator name as written (for error messages).
+        display: String,
         /// Number of arguments to pop.
         argc: usize,
+    },
+    /// A hoisted loop invariant: run `ops` (a subprogram leaving one
+    /// value) where the interpreter would, and reuse its value until the
+    /// binding in `key_slot` changes (`None`: for the whole firing).
+    Memo {
+        /// Index into the execution frame's memo table.
+        id: usize,
+        /// The slot whose rebinding invalidates the value.
+        key_slot: Option<u16>,
+        /// The invariant subprogram.
+        ops: Vec<Op>,
     },
 }
 
@@ -124,6 +137,10 @@ pub(crate) enum CStmt {
         bindings: Vec<Binding>,
         sources: Vec<Prog>,
         body: Vec<CStmt>,
+        /// The body has the exact-emptiness guard's shape (see
+        /// [`empty_guard`]): an empty hoisted operand skips the innermost
+        /// loop.
+        guarded: bool,
     },
     /// A schema action (`AddLayer` / `BecomeSpatial`), executed through
     /// the interpreter's own action executor so the two paths share one
@@ -200,6 +217,7 @@ pub struct CompiledRule {
     pub matcher: MatchSpec,
     pub(crate) body: Vec<CStmt>,
     pub(crate) slot_count: usize,
+    pub(crate) memo_count: usize,
 }
 
 /// Lowers one type-checked rule against the effective (augmented) schema.
@@ -221,6 +239,8 @@ pub(crate) fn compile_rule(
         schema,
         scope: Vec::new(),
         max_slots: 0,
+        loops: Vec::new(),
+        memo_count: 0,
     };
     let body = compiler.compile_statements(&rule.body)?;
     Ok(CompiledRule {
@@ -229,6 +249,7 @@ pub(crate) fn compile_rule(
         matcher,
         body,
         slot_count: compiler.max_slots,
+        memo_count: compiler.memo_count,
     })
 }
 
@@ -241,6 +262,19 @@ struct Compiler<'a> {
     /// lookup).
     scope: Vec<String>,
     max_slots: usize,
+    /// The enclosing loops, innermost last.
+    loops: Vec<LoopScope>,
+    /// Memos allocated so far (the next [`Op::Memo`] id).
+    memo_count: usize,
+}
+
+/// The innermost loop an expression is compiled in.
+#[derive(Debug, Clone, Copy)]
+struct LoopScope {
+    /// The slot of the loop's innermost binding.
+    innermost: u16,
+    /// The loop body only reads: see [`is_read_only`].
+    read_only: bool,
 }
 
 /// Where the folder landed for a subtree.
@@ -317,12 +351,23 @@ impl Compiler<'_> {
                     self.scope.push(variable.clone());
                     self.max_slots = self.max_slots.max(self.scope.len());
                 }
+                let scope = bindings.last().map(|innermost| LoopScope {
+                    innermost: innermost.slot,
+                    read_only: is_read_only(body),
+                });
+                self.loops.extend(scope);
                 let compiled_body = self.compile_statements(body);
+                if scope.is_some() {
+                    self.loops.pop();
+                }
                 self.scope.truncate(self.scope.len() - variables.len());
+                let body = compiled_body?;
+                let guarded = scope.is_some_and(|s| s.read_only && empty_guard(&body, s.innermost));
                 Ok(CStmt::Foreach {
                     bindings,
                     sources,
-                    body: compiled_body?,
+                    body,
+                    guarded,
                 })
             }
             Statement::Action(action) => Ok(self.compile_action(action)),
@@ -358,9 +403,12 @@ impl Compiler<'_> {
     }
 
     fn compile_expr(&mut self, expr: &Expr) -> Prog {
-        Prog {
-            ops: self.fold(expr).into_ops(),
-        }
+        let ops = self.fold(expr).into_ops();
+        let ops = match self.loops.last() {
+            Some(&scope) => hoist(ops, scope, &mut self.memo_count),
+            None => ops,
+        };
+        Prog { ops }
     }
 
     fn fold(&mut self, expr: &Expr) -> Folded {
@@ -415,7 +463,8 @@ impl Compiler<'_> {
                     ops.extend(self.fold(arg).into_ops());
                 }
                 ops.push(Op::Call {
-                    function: function.clone(),
+                    name: function.to_ascii_lowercase(),
+                    display: function.clone(),
                     argc: args.len(),
                 });
                 Folded::Dyn(ops)
@@ -494,4 +543,130 @@ impl Compiler<'_> {
         };
         Folded::Dyn(vec![Op::Model(plan)])
     }
+}
+
+/// Whether a loop body only reads: it holds nothing but `If`, `Foreach`
+/// and `SelectInstance`, so running it changes neither the user model nor
+/// the schema, and a SUS path or parameter reads the same in every
+/// iteration.
+fn is_read_only(statements: &[Statement]) -> bool {
+    statements.iter().all(|statement| match statement {
+        Statement::If {
+            then_branch,
+            else_branch,
+            ..
+        } => is_read_only(then_branch) && is_read_only(else_branch),
+        Statement::Foreach { body, .. } => is_read_only(body),
+        Statement::Action(action) => matches!(action, Action::SelectInstance { .. }),
+    })
+}
+
+/// Wraps every maximal loop-invariant subtree of a postfix program that
+/// does real work (a call or a SUS read) in an [`Op::Memo`] keyed on the
+/// binding just outside the innermost one.
+///
+/// A subtree is invariant when it reads no binding of the innermost loop
+/// and holds only `Const`, `Slot`, `SlotProps`, `Unary`, `Binary` and
+/// `Call` — plus `Sus` and `Param` when the loop body is read-only. Those
+/// ops are deterministic in the slots they read and in cube data no rule
+/// action rewrites, so the value stays valid until an outer binding
+/// changes; and every binding outside the innermost one changes only
+/// together with (or before) the key slot's rebinding.
+fn hoist(ops: Vec<Op>, scope: LoopScope, next_id: &mut usize) -> Vec<Op> {
+    // Per op: the subtree it closes, as (first op, invariant, costly).
+    let mut trees: Vec<(usize, bool, bool)> = Vec::with_capacity(ops.len());
+    let mut under_hoistable = vec![false; ops.len()];
+    let mut open: Vec<usize> = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let (arity, invariant, costly) = match op {
+            Op::Const(_) => (0, true, false),
+            Op::Slot(slot) | Op::SlotProps { slot, .. } => (0, *slot != scope.innermost, false),
+            Op::Sus(_) => (0, scope.read_only, true),
+            Op::Param { .. } => (0, scope.read_only, false),
+            Op::Fail(_) | Op::Model(_) | Op::Memo { .. } => (0, false, false),
+            Op::Unary(_) => (1, true, false),
+            Op::Binary(_) => (2, true, false),
+            Op::Call { argc, .. } => (*argc, true, true),
+        };
+        let Some(first_child) = open.len().checked_sub(arity) else {
+            return ops;
+        };
+        let children = open.split_off(first_child);
+        let start = children.first().map_or(i, |&c| trees[c].0);
+        let invariant = invariant && children.iter().all(|&c| trees[c].1);
+        let costly = costly || children.iter().any(|&c| trees[c].2);
+        if invariant && costly {
+            for &c in &children {
+                under_hoistable[c] = true;
+            }
+        }
+        trees.push((start, invariant, costly));
+        open.push(i);
+    }
+    if open.len() != 1 {
+        return ops;
+    }
+    // The maximal hoistable subtrees are disjoint: map each one's first op
+    // to its last.
+    let mut memo_end = vec![None; ops.len()];
+    for (end, &(start, invariant, costly)) in trees.iter().enumerate() {
+        if invariant && costly && !under_hoistable[end] {
+            memo_end[start] = Some(end);
+        }
+    }
+    let mut out = Vec::with_capacity(ops.len());
+    let mut rest = ops.into_iter().enumerate();
+    while let Some((i, op)) = rest.next() {
+        match memo_end[i] {
+            Some(end) => {
+                let mut inner = vec![op];
+                inner.extend(rest.by_ref().take(end - i).map(|(_, op)| op));
+                out.push(Op::Memo {
+                    id: *next_id,
+                    key_slot: scope.innermost.checked_sub(1),
+                    ops: inner,
+                });
+                *next_id += 1;
+            }
+            None => out.push(op),
+        }
+    }
+    out
+}
+
+/// Whether a read-only loop body is exactly one else-less
+/// `If (Distance(Intersection(E, v.geometry)) < k)` (or `<= k`), with `E`
+/// hoisted, `v` the innermost binding and `k` a finite constant.
+///
+/// Then an empty `E` decides the whole innermost loop: `Intersection(∅, g)`
+/// is ∅, one-argument `Distance(∅)` is +∞, and +∞ is neither `<` nor `<=`
+/// a finite `k`, so every iteration's condition is false and nothing runs.
+/// The executor still checks at runtime that every innermost item's
+/// `.geometry` reads without error, the one step of the skipped iterations
+/// that could fail.
+fn empty_guard(body: &[CStmt], innermost: u16) -> bool {
+    let [CStmt::If {
+        condition,
+        else_branch,
+        ..
+    }] = body
+    else {
+        return false;
+    };
+    else_branch.is_empty()
+        && matches!(
+            condition.ops.as_slice(),
+            [
+                Op::Memo { .. },
+                Op::SlotProps { slot, props },
+                Op::Call { name: intersection, argc: 2, .. },
+                Op::Call { name: distance, argc: 1, .. },
+                Op::Const(Value::Number(k)),
+                Op::Binary(BinaryOp::Lt | BinaryOp::Le),
+            ] if *slot == innermost
+                && matches!(props.as_slice(), [p] if p.eq_ignore_ascii_case("geometry"))
+                && intersection == "intersection"
+                && distance == "distance"
+                && k.is_finite()
+        )
 }

@@ -8,6 +8,7 @@ use sdwp_geometry::{distance, intersection, measures, predicates, Geometry, Geom
 use sdwp_model::{PathExpr, PathPrefix, PathResolver, PathTarget};
 use sdwp_olap::cube::{attribute_column, geometry_column};
 use sdwp_user::{resolve_sus_path, SusPath};
+use std::borrow::Cow;
 
 /// Evaluates an expression in the given context.
 pub fn evaluate(expr: &Expr, ctx: &EvalContext<'_>) -> Result<Value, PrmlError> {
@@ -315,11 +316,50 @@ pub(crate) fn access_properties(
     properties: &[String],
     ctx: &EvalContext<'_>,
 ) -> Result<Value, PrmlError> {
-    let mut current = value.clone();
-    for property in properties {
+    let Some((first, rest)) = properties.split_first() else {
+        return Ok(value.clone());
+    };
+    let mut current = access_property(value, first, ctx)?;
+    for property in rest {
         current = access_property(&current, property, ctx)?;
     }
     Ok(current)
+}
+
+/// The cell `.geometry` reads for an instance, borrowed from its table:
+/// `Some(Ok(None))` for a null cell, `Some(Err(..))` when the table or its
+/// geometry column is missing, and `None` for fact rows, whose `.geometry`
+/// is an ordinary column read.
+fn geometry_cell<'c>(
+    instance: &InstanceRef,
+    ctx: &'c EvalContext<'_>,
+) -> Option<Result<Option<&'c Geometry>, PrmlError>> {
+    let column = match &instance.source {
+        InstanceSource::Level { dimension, level } => ctx
+            .cube
+            .dimension_table(dimension)
+            .and_then(|t| t.table.column(&geometry_column(level))),
+        InstanceSource::Layer { layer } => ctx
+            .cube
+            .layer_table(layer)
+            .and_then(|t| t.table.column("geometry")),
+        InstanceSource::Fact { .. } => return None,
+    };
+    Some(
+        column
+            .map(|column| column.get_geometry(instance.row))
+            .map_err(|e| PrmlError::eval("", e.to_string())),
+    )
+}
+
+/// Whether reading `.geometry` off this value yields a geometry or null
+/// and cannot fail — what lets a planner skip evaluating it.
+pub(crate) fn geometry_read_is_total(value: &Value, ctx: &EvalContext<'_>) -> bool {
+    match value {
+        Value::Geometry(_) => true,
+        Value::Instance(instance) => matches!(geometry_cell(instance, ctx), Some(Ok(_))),
+        _ => false,
+    }
 }
 
 fn access_property(
@@ -328,18 +368,17 @@ fn access_property(
     ctx: &EvalContext<'_>,
 ) -> Result<Value, PrmlError> {
     let olap_err = |e: sdwp_olap::OlapError| PrmlError::eval("", e.to_string());
+    if property.eq_ignore_ascii_case("geometry") {
+        if let Value::Instance(instance) = value {
+            if let Some(cell) = geometry_cell(instance, ctx) {
+                return Ok(cell?.cloned().map(Value::Geometry).unwrap_or(Value::Null));
+            }
+        }
+    }
     match value {
         Value::Instance(instance) => match &instance.source {
             InstanceSource::Level { dimension, level } => {
                 let table = &ctx.cube.dimension_table(dimension).map_err(olap_err)?.table;
-                if property.eq_ignore_ascii_case("geometry") {
-                    let column = table.column(&geometry_column(level)).map_err(olap_err)?;
-                    return Ok(column
-                        .get_geometry(instance.row)
-                        .cloned()
-                        .map(Value::Geometry)
-                        .unwrap_or(Value::Null));
-                }
                 // Attribute of the instance's level, falling back to any
                 // level of the dimension that declares the attribute.
                 let direct = attribute_column(level, property);
@@ -366,14 +405,6 @@ fn access_property(
             }
             InstanceSource::Layer { layer } => {
                 let table = &ctx.cube.layer_table(layer).map_err(olap_err)?.table;
-                if property.eq_ignore_ascii_case("geometry") {
-                    let column = table.column("geometry").map_err(olap_err)?;
-                    return Ok(column
-                        .get_geometry(instance.row)
-                        .cloned()
-                        .map(Value::Geometry)
-                        .unwrap_or(Value::Null));
-                }
                 if property.eq_ignore_ascii_case("name") {
                     return Ok(Value::from_cell(
                         table.get(instance.row, "name").map_err(olap_err)?,
@@ -399,26 +430,31 @@ fn access_property(
     }
 }
 
-/// Materialises any value into a geometry: geometries pass through,
-/// instances look up their geometry in the cube, collections become
+/// Materialises any value into a geometry: geometries pass through and
+/// instances read their geometry cell, both borrowed; collections become
 /// geometry collections of their members' geometries.
-pub fn geometry_of(value: &Value, ctx: &EvalContext<'_>) -> Result<Geometry, PrmlError> {
+pub fn geometry_of<'a>(
+    value: &'a Value,
+    ctx: &'a EvalContext<'_>,
+) -> Result<Cow<'a, Geometry>, PrmlError> {
     match value {
-        Value::Geometry(g) => Ok(g.clone()),
-        Value::Instance(_) => {
-            let geometry = access_property(value, "geometry", ctx)?;
-            match geometry {
-                Value::Geometry(g) => Ok(g),
+        Value::Geometry(g) => Ok(Cow::Borrowed(g)),
+        Value::Instance(instance) => match geometry_cell(instance, ctx) {
+            Some(cell) => cell?
+                .map(Cow::Borrowed)
+                .ok_or_else(|| PrmlError::eval("", "instance has no geometry value")),
+            None => match access_property(value, "geometry", ctx)? {
+                Value::Geometry(g) => Ok(Cow::Owned(g)),
                 Value::Null => Err(PrmlError::eval("", "instance has no geometry value")),
                 other => Err(type_error("geometry", &other)),
-            }
-        }
+            },
+        },
         Value::Collection(members) => {
             let mut collection = GeometryCollection::empty();
             for member in members {
-                collection.push(geometry_of(member, ctx)?);
+                collection.push(geometry_of(member, ctx)?.into_owned());
             }
-            Ok(Geometry::Collection(collection))
+            Ok(Cow::Owned(Geometry::Collection(collection)))
         }
         other => Err(type_error("geometry", other)),
     }
@@ -429,18 +465,20 @@ fn evaluate_call(function: &str, args: &[Expr], ctx: &EvalContext<'_>) -> Result
         .iter()
         .map(|a| evaluate(a, ctx))
         .collect::<Result<_, _>>()?;
-    call_values(function, values, ctx)
+    call_values(&function.to_ascii_lowercase(), function, &values, ctx)
 }
 
 /// Applies an operator to already-evaluated arguments — shared by the
-/// interpreter and the compiled executor.
+/// interpreter and the compiled executor. `name` is the operator name
+/// ASCII-lowercased (the dispatch key); `display` is the name as written,
+/// for error messages.
 pub(crate) fn call_values(
-    function: &str,
-    values: Vec<Value>,
+    name: &str,
+    display: &str,
+    values: &[Value],
     ctx: &EvalContext<'_>,
 ) -> Result<Value, PrmlError> {
-    let lower = function.to_ascii_lowercase();
-    match lower.as_str() {
+    match name {
         "distance" => match values.len() {
             // One argument: the length of "the corresponding segment"
             // (paper, Example 5.3) — for a collection produced by nested
@@ -448,7 +486,7 @@ pub(crate) fn call_values(
             // (an empty collection yields +∞ so threshold conditions fail).
             1 => {
                 let g = geometry_of(&values[0], ctx)?;
-                let length = match &g {
+                let length = match g.as_ref() {
                     Geometry::Collection(members) if members.is_empty() => f64::INFINITY,
                     Geometry::Collection(members) => members
                         .iter()
@@ -511,7 +549,7 @@ pub(crate) fn call_values(
                 return Err(PrmlError::eval(
                     "",
                     format!(
-                        "operator '{function}' expects 2 arguments, got {}",
+                        "operator '{display}' expects 2 arguments, got {}",
                         values.len()
                     ),
                 ));
@@ -521,9 +559,9 @@ pub(crate) fn call_values(
             }
             let a = geometry_of(&values[0], ctx)?;
             let b = geometry_of(&values[1], ctx)?;
-            predicates::evaluate_named(function, &a, &b)
+            predicates::evaluate_named(name, &a, &b)
                 .map(Value::Boolean)
-                .ok_or_else(|| PrmlError::eval("", format!("unknown operator '{function}'")))
+                .ok_or_else(|| PrmlError::eval("", format!("unknown operator '{display}'")))
         }
     }
 }

@@ -13,6 +13,16 @@
 //! with the identical message, and erroring firings must error
 //! identically, mutating both worlds identically up to the error point.
 //!
+//! The generator also builds loops in the shape the compiler plans —
+//! Example 5.3's `Foreach t, c, a … If (Distance(Intersection(E,
+//! a.geometry)) < k)` — and every variation that must fall back to the
+//! plain nested loop: operands that read the innermost binding, SUS reads
+//! in bodies that write, a `then` branch with `SetContent` or `AddLayer`,
+//! an `else` branch, non-constant or `>` thresholds, and innermost items
+//! whose `.geometry` is an error (text values) or null (a level no rule
+//! made spatial). Hoisted invariants and the emptiness guard are
+//! therefore held to the interpreter too.
+//!
 //! Each stream also exercises the engine-level lifecycle: an erroring
 //! round *rolls back* both worlds to their pre-fire state (what the
 //! engine's master-rollback does), and every other round *re-publishes*
@@ -94,20 +104,28 @@ fn manager_profile() -> UserProfile {
         .with_interest(SpatialSelectionInterest::new("AirportCity"))
 }
 
+/// Two airports and two train lines: the coastal line runs through every
+/// city (y = 1, x = 0…50) and the inland line zigzags through only cities
+/// 1 and 4, so a train and a city can intersect or not.
 fn layers() -> StaticLayerSource {
     let mut source = StaticLayerSource::new();
     source.insert(
         "Airport",
-        vec![("ALC".to_string(), Point::new(0.0, 1.0).into())],
+        vec![
+            ("ALC".to_string(), Point::new(0.0, 1.0).into()),
+            ("VLC".to_string(), Point::new(25.0, 1.0).into()),
+        ],
     );
+    let line = |coords: &[(f64, f64)]| LineString::from_tuples(coords).unwrap().into();
     source.insert(
         "Train",
-        vec![(
-            "coastal line".to_string(),
-            LineString::from_tuples(&[(0.0, 1.0), (50.0, 1.0)])
-                .unwrap()
-                .into(),
-        )],
+        vec![
+            ("coastal line".to_string(), line(&[(0.0, 1.0), (50.0, 1.0)])),
+            (
+                "inland line".to_string(),
+                line(&[(10.0, 1.0), (25.0, 9.0), (40.0, 1.0)]),
+            ),
+        ],
     );
     source
 }
@@ -117,8 +135,9 @@ fn layers() -> StaticLayerSource {
 /// Model/user/parameter paths a generated expression may reference. Most
 /// resolve; `SUS.DecisionMaker.visits` may be unset (runtime error),
 /// `MD.Sales.UnitSales` is a measure (rejected in rule expressions) and
-/// `s.name` references a loop variable that may not be in scope.
-const PATH_POOL: [&str; 10] = [
+/// `s.name`, `s.geometry` and `c.geometry` reference loop variables that
+/// may not be in scope.
+const PATH_POOL: [&str; 12] = [
     "SUS.DecisionMaker.dm2role.name",
     "SUS.DecisionMaker.name",
     "SUS.DecisionMaker.visits",
@@ -129,6 +148,8 @@ const PATH_POOL: [&str; 10] = [
     "MD.Sales.UnitSales",
     "threshold",
     "s.name",
+    "s.geometry",
+    "c.geometry",
 ];
 
 const TEXT_POOL: [&str; 4] = ["RegionalSalesManager", "City1", "Mon", "x"];
@@ -178,8 +199,16 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
                     right: Box::new(right),
                 }
             }),
-            (inner.clone(), inner).prop_map(|(a, b)| Expr::Call {
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Call {
                 function: "Distance".into(),
+                args: vec![a, b],
+            }),
+            inner.clone().prop_map(|a| Expr::Call {
+                function: "Distance".into(),
+                args: vec![a],
+            }),
+            (inner.clone(), inner).prop_map(|(a, b)| Expr::Call {
+                function: "Intersection".into(),
                 args: vec![a, b],
             }),
         ]
@@ -222,23 +251,264 @@ fn loop_header() -> impl Strategy<Value = (Vec<String>, Vec<Expr>)> {
         "MD.Sales.Store.City",
         "MD.Sales.Store.Store",
         "GeoMD.Store.City",
+        "GeoMD.Airport", // layers: unknown until an AddLayer ran
+        "GeoMD.Train",
         "SUS.DecisionMaker.name", // rejected: not an MD/GeoMD path
     ])
     .prop_map(Expr::path)
     .boxed();
+    let names = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
     prop_oneof![
-        source
-            .clone()
-            .prop_map(|s| (vec!["s".to_string()], vec![s])),
-        (source.clone(), source)
-            .prop_map(|(a, b)| (vec!["s".to_string(), "c".to_string()], vec![a, b])),
+        source.clone().prop_map(move |s| (names(&["s"]), vec![s])),
+        (source.clone(), source.clone()).prop_map(move |(a, b)| (names(&["s", "c"]), vec![a, b])),
+        (source.clone(), source.clone(), source)
+            .prop_map(move |(a, b, c)| (names(&["s", "c", "t"]), vec![a, b, c])),
     ]
 }
 
+/// What a spatial loop may iterate besides Example 5.3's own sources: the
+/// two layers, a layer the layer source knows nothing of (added empty),
+/// store cities (point geometries), a level no rule makes spatial
+/// (`.geometry` reads null) and city names (`.geometry` on a text value is
+/// an error — the emptiness guard's failing precondition).
+const SPATIAL_SOURCES: [&str; 6] = [
+    "GeoMD.Train",
+    "GeoMD.Airport",
+    "GeoMD.Depot",
+    "GeoMD.Store.City",
+    "MD.Sales.Store.State",
+    "MD.Sales.Store.City.name",
+];
+
+/// The loop-variable orders of a spatial loop header.
+const ORDERS: [[&str; 3]; 6] = [
+    ["t", "c", "a"],
+    ["t", "a", "c"],
+    ["c", "t", "a"],
+    ["c", "a", "t"],
+    ["a", "t", "c"],
+    ["a", "c", "t"],
+];
+
+const SUS_LOCATION: &str = "SUS.DecisionMaker.dm2session.s2location.geometry";
+
+/// Example 5.3's source for each spatial loop variable.
+fn paper_source(variable: &str) -> &'static str {
+    match variable {
+        "t" => "GeoMD.Train",
+        "c" => "GeoMD.Store.City",
+        _ => "GeoMD.Airport",
+    }
+}
+
+fn geometry_of(variable: &str) -> Expr {
+    Expr::path(&format!("{variable}.geometry"))
+}
+
+fn call(function: &str, args: Vec<Expr>) -> Expr {
+    Expr::Call {
+        function: function.into(),
+        args,
+    }
+}
+
+/// Ways a spatial loop departs from the one shape the compiler guards (a
+/// draw past the last one keeps the shape).
+#[derive(Debug, Clone, Copy)]
+enum Deviation {
+    /// `E` is a bare geometry: nothing to hoist.
+    BareOperand,
+    /// `E` reads the innermost variable: not invariant.
+    OperandReadsInnermost,
+    /// The probed geometry is the outermost variable's (often over city
+    /// names), against an `E` that is always empty: an error reading it
+    /// must still surface.
+    ProbesOuter,
+    /// `>`: +∞ satisfies it, so an empty `E` decides nothing.
+    Greater,
+    /// A parameter threshold instead of a constant.
+    ParamThreshold,
+    /// The `then` branch writes the user model — the AirportCity degree,
+    /// which the branch also reads, as Example 5.3's first rule does.
+    ThenSetContent,
+    /// The `then` branch adds a layer.
+    ThenAddLayer,
+    /// An `else` branch.
+    Else,
+    /// An `else` branch that increments the AirportCity degree, so the
+    /// body writes on every item the condition rejects.
+    Tally,
+}
+
+const DEVIATIONS: [Deviation; 9] = [
+    Deviation::BareOperand,
+    Deviation::OperandReadsInnermost,
+    Deviation::ProbesOuter,
+    Deviation::Greater,
+    Deviation::ParamThreshold,
+    Deviation::ThenSetContent,
+    Deviation::ThenAddLayer,
+    Deviation::Else,
+    Deviation::Tally,
+];
+
+/// A loop in Example 5.3's shape, `Foreach … If (Distance(Intersection(E,
+/// v.geometry)) < k) then SelectInstance(…) endIf endForeach`: one to three
+/// variables in any order, each over Example 5.3's source for it or any of
+/// [`SPATIAL_SOURCES`], split over one or two nested headers, `E` an `Intersection` of outer variables' geometries
+/// and the (null) SUS location, usually with the three layers added first. Half
+/// of the loops keep exactly the shape the compiler guards; the others
+/// take one [`Deviation`] that must send them down the plain nested loop.
+fn spatial_loop() -> impl Strategy<Value = Statement> {
+    let header = (
+        0usize..ORDERS.len(),
+        1usize..4,
+        0usize..3,
+        prop::collection::vec((any::<bool>(), pick(&SPATIAL_SOURCES)), 3),
+    );
+    let choices = (
+        0usize..3,
+        0usize..3,
+        any::<bool>(),
+        any::<bool>(),
+        0usize..8,
+    );
+    let deviation = 0usize..2 * DEVIATIONS.len();
+    (header, choices, deviation).prop_map(
+        |((order, count, split, sources), (x, y, le, alt, layers), deviation)| {
+            let deviation = DEVIATIONS.get(deviation).copied();
+            let declared = &ORDERS[order][..count];
+            let innermost = declared[count - 1];
+            // Outer variables' geometries, or the SUS location (null: the
+            // session has none) where there is no outer variable.
+            let outer = |i: usize| match declared[..count - 1].get(i) {
+                Some(variable) => geometry_of(variable),
+                None => Expr::path(SUS_LOCATION),
+            };
+            let increment = || {
+                let degree = || Expr::path("SUS.DecisionMaker.dm2airportcity.degree");
+                Statement::Action(Action::SetContent {
+                    target: degree(),
+                    value: Expr::Binary {
+                        op: BinaryOp::Add,
+                        left: Box::new(degree()),
+                        right: Box::new(Expr::Number(1.0)),
+                    },
+                })
+            };
+            let sus = || Expr::path(SUS_LOCATION);
+            let hoisted = match deviation {
+                Some(Deviation::BareOperand) => outer(x),
+                Some(Deviation::ProbesOuter) => call("Intersection", vec![sus(), sus()]),
+                Some(Deviation::OperandReadsInnermost) => {
+                    call("Intersection", vec![outer(x), geometry_of(innermost)])
+                }
+                _ => call("Intersection", vec![outer(x), outer(y)]),
+            };
+            let probed = match deviation {
+                Some(Deviation::ProbesOuter) => declared[0],
+                _ => innermost,
+            };
+            let op = match deviation {
+                Some(Deviation::Greater) => BinaryOp::Gt,
+                _ if le => BinaryOp::Le,
+                _ => BinaryOp::Lt,
+            };
+            let threshold = match deviation {
+                Some(Deviation::ParamThreshold) => Expr::path("threshold"),
+                _ => Expr::Number(if alt { 0.5 } else { 50.0 }),
+            };
+            let condition = Expr::Binary {
+                op,
+                left: Box::new(call(
+                    "Distance",
+                    vec![call("Intersection", vec![hoisted, geometry_of(probed)])],
+                )),
+                right: Box::new(threshold),
+            };
+            let select = |variable: &str| {
+                Statement::Action(Action::SelectInstance {
+                    target: Expr::path(variable),
+                })
+            };
+            let then_branch = vec![match deviation {
+                Some(Deviation::ThenSetContent) => increment(),
+                Some(Deviation::ThenAddLayer) => Statement::Action(Action::AddLayer {
+                    name: "Airport".into(),
+                    geometry: GeometricType::Point,
+                }),
+                _ => select(if alt { declared[0] } else { innermost }),
+            }];
+            let else_branch = match deviation {
+                Some(Deviation::Else) => vec![select(declared[0])],
+                Some(Deviation::Tally) => vec![increment()],
+                _ => Vec::new(),
+            };
+            let split = split % count;
+            let header = |range: std::ops::Range<usize>| {
+                (
+                    declared[range.clone()]
+                        .iter()
+                        .map(|v| v.to_string())
+                        .collect(),
+                    declared[range.clone()]
+                        .iter()
+                        .zip(range.clone().zip(&sources[range]))
+                        .map(|(variable, (position, &(paper, other)))| {
+                            Expr::path(match deviation {
+                                Some(Deviation::ProbesOuter) if position == 0 && alt => {
+                                    "MD.Sales.Store.City.name"
+                                }
+                                _ if paper => paper_source(variable),
+                                _ => other,
+                            })
+                        })
+                        .collect(),
+                )
+            };
+            let (variables, loop_sources) = header(split..count);
+            let mut statement = Statement::Foreach {
+                variables,
+                sources: loop_sources,
+                body: vec![Statement::If {
+                    condition,
+                    then_branch,
+                    else_branch,
+                }],
+            };
+            if split > 0 {
+                let (variables, loop_sources) = header(0..split);
+                statement = Statement::Foreach {
+                    variables,
+                    sources: loop_sources,
+                    body: vec![statement],
+                };
+            }
+            if layers == 0 {
+                // Layer sources then resolve only if another statement
+                // added the layers.
+                return statement;
+            }
+            let add = |name: &str| {
+                Statement::Action(Action::AddLayer {
+                    name: name.into(),
+                    geometry: GeometricType::Point,
+                })
+            };
+            Statement::If {
+                condition: Expr::Boolean(true),
+                then_branch: vec![add("Airport"), add("Train"), add("Depot"), statement],
+                else_branch: Vec::new(),
+            }
+        },
+    )
+}
+
 fn stmt_strategy() -> impl Strategy<Value = Statement> {
-    action_strategy().prop_recursive(3, 16, 3, |inner| {
+    prop_oneof![action_strategy(), spatial_loop()].prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
             action_strategy(),
+            spatial_loop(),
             (
                 expr_strategy(),
                 prop::collection::vec(inner.clone(), 0..3),
@@ -258,6 +528,17 @@ fn stmt_strategy() -> impl Strategy<Value = Statement> {
             ),
         ]
     })
+}
+
+/// A rule body: random statements, or — for two rules in three, so that
+/// planned loops fire in sets the checker accepts — spatial loops alone.
+fn body_strategy() -> impl Strategy<Value = Vec<Statement>> {
+    let spatial = || prop::collection::vec(spatial_loop(), 1..3);
+    prop_oneof![
+        prop::collection::vec(stmt_strategy(), 0..4),
+        spatial(),
+        spatial(),
+    ]
 }
 
 fn event_strategy() -> impl Strategy<Value = EventSpec> {
@@ -314,7 +595,7 @@ proptest! {
     #[test]
     fn compiled_execution_matches_the_interpreter(
         specs in prop::collection::vec(
-            (event_strategy(), prop::collection::vec(stmt_strategy(), 0..4)),
+            (event_strategy(), body_strategy()),
             1..4,
         ),
         picks in prop::collection::vec((any::<u8>(), any::<bool>()), 1..6),
