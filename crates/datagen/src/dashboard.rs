@@ -67,8 +67,8 @@ fn panel_filter(regime: OverlapRegime, index: usize, cities: usize) -> Filter {
 
 /// Builds a deterministic `size`-panel dashboard batch over the paper
 /// scenario's `Sales` fact. Panels cycle through six shapes exercising
-/// every executor path — flat grouped roll-ups, ungrouped vectorised
-/// totals and a COUNT DISTINCT on the hashed fallback — while `regime`
+/// both executor paths — flat grouped roll-ups, ungrouped totals on one
+/// flat slot and a COUNT DISTINCT on the hashed fallback — while `regime`
 /// decides how their `Store` city filters overlap. Same arguments, same
 /// batch: the generator is pure.
 pub fn dashboard_batch(regime: OverlapRegime, size: usize, cities: usize) -> Vec<Query> {

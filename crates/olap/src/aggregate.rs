@@ -21,6 +21,7 @@ use std::collections::HashSet;
 /// slot's state reads back as the same [`NumericAgg`] the row-at-a-time
 /// accumulator would have built, so per-morsel partials merge through the
 /// ordinary [`Accumulator::absorb`]/[`Accumulator::merge`] machinery.
+/// An ungrouped aggregate is the one-slot case.
 ///
 /// Only the vectors the aggregation function actually needs are
 /// allocated (counts always — every mergeable state needs them — plus
@@ -122,8 +123,8 @@ impl SlotAccumulator {
 /// An incremental accumulator for one measure within one group.
 ///
 /// The numeric state (count / sum / min / max) *is* a
-/// [`NumericAgg`] — the same type the vectorised per-chunk kernels
-/// produce — so the per-row path, the typed fast path and the kernel
+/// [`NumericAgg`] — the same type a [`SlotAccumulator`] slot reads back
+/// as — so the per-row path, the typed hashed path and the flat slot
 /// path share one implementation of every numeric identity by
 /// construction.
 #[derive(Debug, Clone)]
@@ -181,10 +182,11 @@ impl Accumulator {
         self.numeric.observe(n);
     }
 
-    /// Absorbs the partial state of a vectorised per-chunk kernel run
-    /// ([`NumericAgg`]). Equivalent to feeding the kernel's input rows
-    /// through [`Accumulator::update_number`] one by one; absorbing an
-    /// empty partial is the identity.
+    /// Absorbs a numeric partial state ([`NumericAgg`]) — how the merge
+    /// phase turns a flat slot's merged total back into an accumulator.
+    /// Equivalent to feeding the partial's input values through
+    /// [`Accumulator::update_number`] one by one; absorbing an empty
+    /// partial is the identity.
     pub fn absorb(&mut self, partial: &NumericAgg) {
         debug_assert_ne!(
             self.function,
@@ -373,7 +375,6 @@ mod tests {
 
     #[test]
     fn numeric_fast_path_agrees_with_update() {
-        use crate::kernels;
         let values = [1.5, -3.0, 0.25, 7.0];
         for function in [
             AggregationFunction::Sum,
@@ -385,20 +386,22 @@ mod tests {
             let mut reference = Accumulator::new(function);
             let mut typed = Accumulator::new(function);
             let mut absorbing = Accumulator::new(function);
+            let mut partial = NumericAgg::default();
             for v in values {
                 reference.update(&CellValue::Float(v));
                 typed.update_number(v);
+                partial.observe(v);
             }
-            absorbing.absorb(&kernels::agg_f64(&values));
+            absorbing.absorb(&partial);
             assert_eq!(typed.finish(), reference.finish(), "{function:?} typed");
             assert_eq!(
                 absorbing.finish(),
                 reference.finish(),
                 "{function:?} absorb"
             );
-            // Absorbing an empty kernel partial is the identity.
+            // Absorbing an empty partial is the identity.
             let before = absorbing.finish();
-            absorbing.absorb(&kernels::NumericAgg::default());
+            absorbing.absorb(&NumericAgg::default());
             assert_eq!(absorbing.finish(), before);
         }
     }

@@ -11,8 +11,8 @@
 //!
 //! Primitive chunks keep values and validity separately (values at null
 //! positions hold `T::default()`), so an all-valid chunk exposes a bare
-//! `&[T]` slice the vectorised aggregation kernels can stream through
-//! without per-row `Option` checks.
+//! `&[T]` slice the executor's column gathers (`Column::gather_numeric`,
+//! `Column::gather_members`) read without per-row validity checks.
 
 use sdwp_geometry::Geometry;
 use serde::{Deserialize, Serialize};
@@ -62,7 +62,7 @@ impl<T: Copy + Default + PartialEq> PrimitiveChunk<T> {
         self.null_count
     }
 
-    /// Returns `true` when every row is valid — the kernels' fast path.
+    /// Returns `true` when every row is valid — the gathers' fast path.
     pub fn all_valid(&self) -> bool {
         self.null_count == 0
     }
@@ -170,7 +170,7 @@ impl<T: Copy + Default + PartialEq> PrimitiveColumn<T> {
         self.chunk_rows
     }
 
-    /// The column's chunks, for sharing diagnostics and kernels.
+    /// The column's chunks, for sharing diagnostics and gathers.
     pub fn chunks(&self) -> &[Arc<PrimitiveChunk<T>>] {
         &self.chunks
     }
@@ -203,9 +203,8 @@ impl<T: Copy + Default + PartialEq> PrimitiveColumn<T> {
     }
 
     /// Iterates the `(chunk, local row range)` pairs covering a global
-    /// row range (clamped to the column's length). The per-chunk unit of
-    /// the vectorised kernels; ranges that straddle chunk boundaries
-    /// yield one pair per chunk touched.
+    /// row range (clamped to the column's length); ranges that straddle
+    /// chunk boundaries yield one pair per chunk touched.
     pub fn chunks_in(&self, rows: Range<usize>) -> ChunkSlices<'_, T> {
         ChunkSlices {
             column: self,

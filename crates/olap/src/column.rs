@@ -3,18 +3,17 @@
 //! Columns are backed by the chunked copy-on-write storage of
 //! [`crate::chunk`]: fixed-size `Arc`-shared chunks, so cloning a column
 //! (snapshot publication) is a refcount bump per chunk and a write copies
-//! only the chunk it touches. Numeric columns additionally expose their
-//! chunks to the vectorised aggregation kernels of [`crate::kernels`].
+//! only the chunk it touches. Numeric columns additionally gather a
+//! selection vector's values chunk by chunk ([`Column::gather_numeric`])
+//! for the grouped slice kernels of [`crate::kernels`].
 
 use crate::chunk::{GeometryColumn, PrimitiveChunk, PrimitiveColumn, DEFAULT_CHUNK_ROWS};
 use crate::error::OlapError;
-use crate::kernels::{self, NumericAgg};
 use crate::value::CellValue;
 use sdwp_geometry::Geometry;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// The physical type of a column.
@@ -459,44 +458,6 @@ impl Column {
         }
         true
     }
-
-    /// Runs the vectorised SUM/MIN/MAX/COUNT kernel over a row range
-    /// (clamped to the column length), one chunk sub-slice at a time, or
-    /// `None` for non-numeric columns. All-valid chunks stream through the
-    /// bare value slice; chunks with nulls consult the validity mask.
-    ///
-    /// Observation order is ascending row order, so on exactly
-    /// representable data the partial agrees bit-for-bit with feeding each
-    /// row through [`crate::aggregate::Accumulator::update`].
-    pub fn numeric_agg(&self, rows: Range<usize>) -> Option<NumericAgg> {
-        let mut agg = NumericAgg::default();
-        match self {
-            Column::Integer(column) | Column::Date(column) => {
-                for (chunk, local) in column.chunks_in(rows) {
-                    let part = match chunk.validity() {
-                        None => kernels::agg_i64(&chunk.values()[local]),
-                        Some(mask) => {
-                            kernels::agg_i64_masked(&chunk.values()[local.clone()], &mask[local])
-                        }
-                    };
-                    agg.merge(&part);
-                }
-            }
-            Column::Float(column) => {
-                for (chunk, local) in column.chunks_in(rows) {
-                    let part = match chunk.validity() {
-                        None => kernels::agg_f64(&chunk.values()[local]),
-                        Some(mask) => {
-                            kernels::agg_f64_masked(&chunk.values()[local.clone()], &mask[local])
-                        }
-                    };
-                    agg.merge(&part);
-                }
-            }
-            _ => return None,
-        }
-        Some(agg)
-    }
 }
 
 /// Drives a gather over the chunk sub-runs covering the (ascending) row
@@ -790,42 +751,5 @@ mod tests {
         // Non-numeric columns decline.
         let t = Column::new(ColumnType::Text);
         assert!(!t.gather_numeric(&[], &[], &mut values, &mut out_slots));
-    }
-
-    #[test]
-    fn numeric_agg_matches_per_row_reads() {
-        let mut c = Column::with_chunk_rows(ColumnType::Float, 3);
-        let values = [
-            Some(1.25),
-            None,
-            Some(-2.5),
-            Some(0.75),
-            None,
-            None,
-            Some(8.0),
-        ];
-        for v in values {
-            c.push(v.map(CellValue::Float).unwrap_or(CellValue::Null))
-                .unwrap();
-        }
-        // Boundary-straddling range 1..6 covers parts of three chunks.
-        let agg = c.numeric_agg(1..6).unwrap();
-        assert_eq!(agg.count, 2);
-        assert_eq!(agg.sum, -2.5 + 0.75);
-        assert_eq!((agg.min, agg.max), (Some(-2.5), Some(0.75)));
-        // Full range, clamped past the end.
-        let full = c.numeric_agg(0..99).unwrap();
-        assert_eq!(full.count, 4);
-        // Non-numeric columns have no kernel.
-        let t = Column::new(ColumnType::Text);
-        assert!(t.numeric_agg(0..1).is_none());
-        // Integer kernel widens like get_number.
-        let mut i = Column::with_chunk_rows(ColumnType::Integer, 2);
-        for v in [Some(1), Some(2), None, Some(-7)] {
-            i.push(v.map(CellValue::Integer).unwrap_or(CellValue::Null))
-                .unwrap();
-        }
-        let ia = i.numeric_agg(0..4).unwrap();
-        assert_eq!((ia.count, ia.sum, ia.min), (3, -4.0, Some(-7.0)));
     }
 }

@@ -43,9 +43,9 @@
 //! serial reference's per-row order, so a row an earlier stage rejects
 //! never has a later key read; a stage that cannot read a row cuts the
 //! selection off at that row and the later stages carry on below it, so
-//! the morsel reports the error of its lowest failing row. A class with
-//! no filters under a view that leaves its fact alone skips all of this:
-//! the live runs are its selection.
+//! the morsel reports the error of its lowest failing row. Under a view
+//! that leaves the fact alone the view's selection is exactly the live
+//! rows, so there is one selection body for every class.
 //!
 //! Because morsel boundaries and the merge order depend only on
 //! [`ExecutionConfig::morsel_rows`] — never on the worker count or on
@@ -57,18 +57,17 @@
 //!
 //! Within a morsel, measure reads are pushed down to the chunked column
 //! storage: numeric measures go through pre-resolved column indices and
-//! typed accessors instead of per-row [`CellValue`] materialisation, and
-//! ungrouped all-numeric aggregates run entirely on the vectorised
-//! per-chunk kernels of [`crate::kernels`] (one `&[f64]` / `&[i64]` slice
-//! pass per chunk, with a validity-mask branch only for chunks that
-//! actually contain nulls). The serial reference stays row-at-a-time on
-//! purpose — it is the semantic yardstick the fast paths are property-
-//! tested against.
+//! typed accessors instead of per-row [`CellValue`] materialisation. The
+//! serial reference stays row-at-a-time on purpose — it is the semantic
+//! yardstick the two accumulation paths are property-tested against.
 //!
-//! # Grouped execution: dense ids and selection vectors
+//! # Accumulation: two paths, dense ids and selection vectors
 //!
-//! Grouped queries never touch a string key or clone a key `CellValue`
-//! per row on the parallel path. Query resolution walks each group-by
+//! Every query is a grouped query — an ungrouped one has a single group
+//! (one flat slot, or `GroupId::Packed(0)` when hashed) — and takes one
+//! of two accumulation paths, flat dense-slot or integer-keyed hashed.
+//! Neither touches a string key or clones a key `CellValue` per row on
+//! the parallel path. Query resolution walks each group-by
 //! attribute's dimension table **once** and builds a dictionary
 //! `member id → dense key id` (distinct attribute values get consecutive
 //! `u32` ids; the key `CellValue`s live only in the dictionary), so the
@@ -76,7 +75,7 @@
 //! keys pack the per-attribute dense ids into a single mixed-radix
 //! integer.
 //!
-//! Per morsel the grouped scan takes its class's **selection vector**
+//! Per morsel the scan takes its class's **selection vector**
 //! (the surviving row indices after liveness, view and filter stages),
 //! batch-resolves the foreign-key columns through typed chunk slices
 //! ([`crate::Column::gather_members`]) into a parallel slot vector, and
@@ -132,9 +131,10 @@ pub struct ExecutionConfig {
     /// callers such as `sdwp-core`; `0` disables caching.
     pub cache_capacity: usize,
     /// Cap on the total group cardinality (product of the per-attribute
-    /// key-dictionary sizes) under which grouped aggregation runs on flat
-    /// per-slot vectors; above it, morsels fall back to an integer-keyed
-    /// hash table. `0` disables the flat path entirely.
+    /// key-dictionary sizes; 1 for an ungrouped query) under which
+    /// aggregation runs on flat per-slot vectors; above it, morsels fall
+    /// back to an integer-keyed hash table. `0` disables the flat path
+    /// entirely.
     pub group_slot_limit: usize,
     /// Per-query execution budget: scan loops check a shared
     /// [`crate::CancelToken`] between morsels and bail with
@@ -182,8 +182,8 @@ impl ExecutionConfig {
         self
     }
 
-    /// Sets the flat-slot cardinality cap of the grouped executor (`0`
-    /// forces the integer-keyed hash fallback for every grouped query).
+    /// Sets the flat-slot cardinality cap of the executor (`0` forces the
+    /// integer-keyed hash fallback for every query, ungrouped included).
     pub fn with_group_slot_limit(mut self, group_slot_limit: usize) -> Self {
         self.group_slot_limit = group_slot_limit;
         self
@@ -467,7 +467,7 @@ impl QueryEngine {
     /// within a morsel one selection vector is materialised per
     /// *filter class* — queries whose canonicalised filter sets coincide
     /// share it — then fed to every member query's own accumulation path
-    /// (vectorised / flat-slot / hashed). Per-query partials merge in
+    /// (flat-slot / hashed). Per-query partials merge in
     /// morsel-index order, so **every result is bit-identical to the
     /// query's own [`QueryEngine::execute_with_view`] execution** — the
     /// `batch_equivalence` property suite enforces this.
@@ -1120,7 +1120,7 @@ mod tests {
     }
 
     /// A dashboard-style batch over the sales cube: shared filters,
-    /// disjoint filters, grouped (flat), ungrouped (vectorised) and
+    /// disjoint filters, grouped (flat), ungrouped (one flat slot) and
     /// COUNT DISTINCT (hashed) members.
     fn dashboard_batch() -> Vec<Query> {
         vec![
@@ -1228,8 +1228,9 @@ mod tests {
 
     /// A view that restricts only what the queried fact does not touch —
     /// a dimension it is not analysed by, another fact's rows — lowers to
-    /// nothing for that fact, so its filterless classes keep the
-    /// zero-work live-run path and answer exactly as without a view.
+    /// nothing for that fact, so the view's selection is the live runs as
+    /// they are and its filterless queries answer exactly as without a
+    /// view.
     #[test]
     fn a_view_restricting_elsewhere_keeps_the_live_run_path() {
         let mut cube = sales_cube();
@@ -1255,11 +1256,11 @@ mod tests {
             DEFAULT_GROUP_SLOT_LIMIT,
             &mut results,
         );
-        let planned: Vec<(&str, Vec<bool>)> = groups
+        let planned: Vec<(&str, bool)> = groups
             .iter()
-            .map(|g| (g.fact, g.classes.iter().map(|c| c.unrestricted).collect()))
+            .map(|g| (g.fact, g.view.is_unrestricted()))
             .collect();
-        assert_eq!(planned, [("Stock", vec![true]), ("Sales", vec![false])]);
+        assert_eq!(planned, [("Stock", true), ("Sales", false)]);
 
         let engine = QueryEngine::with_config(
             ExecutionConfig::default()
@@ -1280,6 +1281,68 @@ mod tests {
         }
         assert_eq!(view.visible_fact_count(&cube, "Stock").unwrap(), 3);
         assert_eq!(view.visible_fact_count(&cube, "Sales").unwrap(), 1);
+    }
+
+    /// An ungrouped aggregate is a grouped one with a single group: all
+    /// numeric, it plans one flat slot; COUNT DISTINCT, or a slot limit
+    /// of zero, plans it hashed. Every plan answers as the serial
+    /// reference does, under an open and a restricted view, with no
+    /// matching row (no result row) and over only null measures (one
+    /// result row).
+    #[test]
+    fn an_ungrouped_aggregate_plans_as_one_group() {
+        let mut cube = sales_cube();
+        // Stock row 4: store 3 again, with a null OnHand.
+        cube.add_fact_row("Stock", vec![("Store", 3)], vec![])
+            .unwrap();
+        let numeric = Query::over("Stock")
+            .measure("OnHand")
+            .measure_agg("OnHand", AggregationFunction::Min);
+        let distinct =
+            Query::over("Stock").measure_agg("OnHand", AggregationFunction::CountDistinct);
+        let cases = [
+            (&numeric, DEFAULT_GROUP_SLOT_LIMIT, Some(1)),
+            (&distinct, DEFAULT_GROUP_SLOT_LIMIT, None),
+            (&numeric, 0, None),
+        ];
+
+        let open = InstanceView::unrestricted();
+        let mut stores = InstanceView::unrestricted();
+        stores.select_dimension_members("Store", vec![0, 3]);
+        let mut null_row = InstanceView::unrestricted();
+        null_row.select_fact_rows("Stock", vec![4]);
+        for (query, slot_limit, flat) in cases {
+            let mut results = vec![None];
+            let queries = std::slice::from_ref(query);
+            let groups = plan_groups(&cube, queries, &open, None, slot_limit, &mut results);
+            assert_eq!(groups[0].queries[0].plan.flat, flat, "{query:?}");
+
+            let engine = QueryEngine::with_config(
+                ExecutionConfig::default()
+                    .with_workers(2)
+                    .with_morsel_rows(2)
+                    .with_group_slot_limit(slot_limit),
+            );
+            let nowhere = query
+                .clone()
+                .filter_dimension("Store", Filter::eq("City.name", "Nowhere"));
+            for view in [&open, &stores, &null_row] {
+                for (query, rows) in [(query, 1), (&nowhere, 0)] {
+                    let result = engine.execute_with_view(&cube, query, view).unwrap();
+                    assert_eq!(result.len(), rows, "{query:?}");
+                    assert_eq!(
+                        result,
+                        engine.execute_serial_with_view(&cube, query, view).unwrap()
+                    );
+                }
+            }
+            let nulls = engine.execute_with_view(&cube, query, &null_row).unwrap();
+            assert_eq!(nulls.facts_matched, 1);
+            assert!(nulls.rows[0].values.iter().all(|v| matches!(
+                v,
+                CellValue::Null | CellValue::Float(0.0) | CellValue::Integer(0)
+            )));
+        }
     }
 
     #[test]

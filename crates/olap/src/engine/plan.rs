@@ -3,7 +3,9 @@
 //! index and lowers each dimension filter to a dense member bitset
 //! ([`MemberBits`], one evaluation per distinct `(dimension, filter)` of
 //! the request — [`FilterMemo`]), [`build_group_plan`] adds the dense
-//! group-key dictionaries, and [`plan_groups`] gathers the queries of one
+//! group-key dictionaries and picks one of the two accumulation paths,
+//! flat dense-slot or integer-keyed hashed (an ungrouped query plans as
+//! a single group), and [`plan_groups`] gathers the queries of one
 //! fact into a [`FactGroup`] with their filter classes and the request's
 //! view lowered for that fact.
 
@@ -50,9 +52,6 @@ pub(super) struct Resolved<'q> {
     /// of the fact table's FK column. A `BTreeMap` so the order the
     /// dimensions are checked in is deterministic across executions.
     pub(super) allowed_members: BTreeMap<&'q str, (usize, Arc<MemberBits>)>,
-    /// Whether the whole query can run on the vectorised per-chunk
-    /// kernels: no grouping, and every measure on the numeric fast path.
-    pub(super) vectorised: bool,
 }
 
 /// One group-by attribute pre-resolved for the parallel path: the
@@ -80,7 +79,8 @@ pub(super) struct GroupPlan {
     pub(super) cardinality: Option<u128>,
     /// `Some(total slots)` when the morsels accumulate into flat per-slot
     /// vectors (cardinality under the configured limit, every measure
-    /// numeric); `None` uses the integer-keyed hash fallback.
+    /// numeric — an ungrouped query is the one-slot case); `None` uses
+    /// the integer-keyed hash fallback.
     pub(super) flat: Option<usize>,
 }
 
@@ -131,25 +131,6 @@ pub(super) struct BatchQuery<'q> {
     pub(super) class: usize,
 }
 
-/// One filter class of a fact group: the member queries whose canonical
-/// filter identity coincides, so each morsel materialises one selection
-/// vector for all of them.
-pub(super) struct FilterClass {
-    /// Index (into the group's query list) of the representative whose
-    /// resolved filter state drives the shared selection. Any member
-    /// would do — equal class keys imply equal selection semantics.
-    pub(super) rep: usize,
-    /// The lowered view leaves the fact alone and the class has no
-    /// filters: the selection is exactly the live-run structure of the
-    /// morsel, with no per-row work at all, whichever accumulation path
-    /// the members take.
-    pub(super) unrestricted: bool,
-    /// Every member runs the vectorised ungrouped path, which consumes
-    /// contiguous runs directly — an unrestricted class then never
-    /// materialises the selection vector itself.
-    pub(super) runs_only: bool,
-}
-
 /// The queries of one batch that aggregate the same fact, sharing that
 /// fact's single morsel pass.
 pub(super) struct FactGroup<'q> {
@@ -157,10 +138,16 @@ pub(super) struct FactGroup<'q> {
     pub(super) fact_table: &'q Table,
     /// The request's view lowered for this fact, once, at plan time —
     /// filter class zero of every morsel: its selection runs once per
-    /// morsel and every restricted class starts from the survivors.
+    /// morsel and every filter class starts from the survivors.
     pub(super) view: ResolvedViewCheck<'q>,
     pub(super) queries: Vec<BatchQuery<'q>>,
-    pub(super) classes: Vec<FilterClass>,
+    /// One entry per filter class — the member queries whose canonical
+    /// filter identity coincides, so each morsel materialises one
+    /// selection vector for all of them: the index (into `queries`) of
+    /// the representative whose resolved filter state drives the shared
+    /// selection. Any member would do — equal class keys imply equal
+    /// selection semantics.
+    pub(super) classes: Vec<usize>,
 }
 
 /// The canonical filter identity of a query: dimension filters sorted
@@ -309,13 +296,11 @@ pub(super) fn resolve<'q>(
         }
     }
 
-    let vectorised = query.group_by.is_empty() && plans.iter().all(|p| p.numeric);
     Ok(Resolved {
         fact_table,
         measures,
         plans,
         allowed_members,
-        vectorised,
     })
 }
 
@@ -339,7 +324,8 @@ fn keys_lookup<'a>(
 /// attribute (obtained through `lookup` — built, memoised within a
 /// batch, or served from the generation-keyed cache) with its FK column
 /// index, plus the flat-vs-hashed decision. An ungrouped query gets the
-/// empty plan: no dictionaries, cardinality 1, never flat.
+/// empty plan: no dictionaries, cardinality 1 — one flat slot when every
+/// measure is numeric, `GroupId::Packed(0)` on the hashed path otherwise.
 fn build_group_plan(
     cube: &Cube,
     query: &Query,
@@ -359,8 +345,7 @@ fn build_group_plan(
     });
     let flat = match cardinality {
         Some(slots)
-            if !dicts.is_empty()
-                && resolved.plans.iter().all(|p| p.numeric)
+            if resolved.plans.iter().all(|p| p.numeric)
                 && slots <= group_slot_limit.min(u32::MAX as usize) as u128 =>
         {
             Some(slots as usize)
@@ -452,29 +437,13 @@ pub(super) fn plan_groups<'q>(
 
     for group in &mut groups_by_fact {
         let mut class_ids: HashMap<String, usize> = HashMap::new();
-        for j in 0..group.queries.len() {
-            let key = filter_class_key(group.queries[j].query);
-            let class = match class_ids.entry(key) {
-                Entry::Occupied(entry) => {
-                    let class = *entry.get();
-                    group.classes[class].runs_only &= group.queries[j].resolved.vectorised;
-                    class
-                }
-                Entry::Vacant(entry) => {
-                    let class = group.classes.len();
-                    let member = &group.queries[j];
-                    group.classes.push(FilterClass {
-                        rep: j,
-                        unrestricted: group.view.is_unrestricted()
-                            && member.resolved.allowed_members.is_empty()
-                            && member.query.fact_filter.is_none(),
-                        runs_only: member.resolved.vectorised,
-                    });
-                    entry.insert(class);
-                    class
-                }
-            };
-            group.queries[j].class = class;
+        for (j, member) in group.queries.iter_mut().enumerate() {
+            member.class = *class_ids
+                .entry(filter_class_key(member.query))
+                .or_insert_with(|| {
+                    group.classes.push(j);
+                    group.classes.len() - 1
+                });
         }
     }
     groups_by_fact

@@ -1,7 +1,7 @@
 //! The serial row-at-a-time reference — the oracle every equivalence
-//! suite compares the executor against. Name-based on purpose (it reads
-//! through `Cube::fact_member` and `InstanceView::allows_fact_row`) and
-//! kept apart from what serves.
+//! suite compares the executor's two accumulation paths against.
+//! Name-based on purpose (it reads through `Cube::fact_member` and
+//! `InstanceView::allows_fact_row`) and kept apart from what serves.
 
 use super::merge::materialise;
 use super::plan::{resolve, FilterMemo, Resolved};
@@ -67,10 +67,11 @@ impl QueryEngine {
 /// Scans one contiguous row range, accumulating into `groups` — the
 /// row-at-a-time **serial reference**: every value goes through
 /// [`Table::get`]'s `CellValue` materialisation. The morsel pipeline's
-/// typed and vectorised scans ([`scan_batch_morsel`]) must stay observably
-/// equivalent to this loop — same groups, same counters, same error for
-/// the same first failing row — which the storage-equivalence and
-/// parallel-equivalence property suites enforce.
+/// two typed accumulation paths, flat dense-slot and hashed
+/// ([`scan_batch_morsel`]), must stay observably equivalent to this
+/// loop — same groups, same counters, same error for the same first
+/// failing row — which the storage-equivalence and parallel-equivalence
+/// property suites enforce.
 #[allow(clippy::too_many_arguments)]
 fn scan_range(
     cube: &Cube,

@@ -4,9 +4,10 @@
 //! and each filter class narrows a copy of its survivors — one typed FK
 //! gather plus bit test per filtered dimension
 //! (`MemberBits::retain_allowed`), then the fact filter row by row. Each
-//! member query then takes its own accumulation path — vectorised, flat
+//! member query then takes one of two accumulation paths — flat
 //! dense-slot or integer-keyed hashed — over its class's selection,
-//! through plain column indices.
+//! through plain column indices. An ungrouped query is a grouped one
+//! with a single group: one flat slot, or `GroupId::Packed(0)`.
 
 use super::injected;
 use super::plan::{BatchQuery, FactGroup, GroupId, GroupPlan, Resolved};
@@ -27,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// and decodes the surviving groups once at finalisation.
 pub(super) enum MorselGroups {
     /// Integer group ids → accumulator states, in first-occurrence order
-    /// (the vectorised-ungrouped and hashed paths).
+    /// (the hashed path).
     Keyed(Vec<(GroupId, Vec<Accumulator>)>),
     /// The flat dense-slot path: the touched slots in first-occurrence
     /// order plus, per measure, the slots' kernel partials (parallel to
@@ -219,16 +220,17 @@ impl FlatScratch {
 ///
 /// The morsel's partial is then read out of the touched slots in
 /// first-occurrence order, as per-measure [`NumericAgg`] columns the
-/// merge phase adds slot-wise into live-group totals.
+/// merge phase adds slot-wise into live-group totals. An ungrouped query
+/// has no attributes: every selected row lands in slot 0.
 fn accumulate_flat(
     resolved: &Resolved<'_>,
     plan: &GroupPlan,
     sel: &[u32],
     facts_scanned: usize,
-    facts_matched: usize,
     scratch: &mut FlatScratch,
 ) -> Result<MorselPartial, OlapError> {
     let fact_table = resolved.fact_table;
+    let facts_matched = sel.len();
     if sel.is_empty() {
         return Ok(MorselPartial {
             groups: MorselGroups::Flat {
@@ -304,79 +306,6 @@ fn accumulate_flat(
     })
 }
 
-/// Merges each measure column's kernel partial over one run of selected
-/// rows.
-fn accumulate_run(resolved: &Resolved<'_>, partials: &mut [NumericAgg], run: Range<usize>) {
-    for (plan, partial) in resolved.plans.iter().zip(partials.iter_mut()) {
-        let part = resolved
-            .fact_table
-            .column_at(plan.column)
-            .numeric_agg(run.clone())
-            .expect("vectorised plans are numeric");
-        partial.merge(&part);
-    }
-}
-
-/// One accumulator per measure, seeded from the kernels' partial states.
-fn absorb_partials(resolved: &Resolved<'_>, partials: &[NumericAgg]) -> Vec<Accumulator> {
-    resolved
-        .measures
-        .iter()
-        .zip(partials)
-        .map(|((_, agg), partial)| {
-            let mut acc = Accumulator::new(*agg);
-            acc.absorb(partial);
-            acc
-        })
-        .collect()
-}
-
-/// Maximal contiguous runs of a sorted selection vector — the
-/// sub-slices the vectorised path feeds the slice kernels. A function of
-/// the selection alone, so float partials do not depend on which filter
-/// class (or batch) produced it.
-fn selection_runs(sel: &[u32]) -> Vec<Range<usize>> {
-    let mut runs = Vec::new();
-    let mut rows = sel.iter().map(|&row| row as usize);
-    let Some(first) = rows.next() else {
-        return runs;
-    };
-    let mut start = first;
-    let mut prev = first;
-    for row in rows {
-        if row != prev + 1 {
-            runs.push(start..prev + 1);
-            start = row;
-        }
-        prev = row;
-    }
-    runs.push(start..prev + 1);
-    runs
-}
-
-/// The vectorised ungrouped partial over pre-computed selected-row runs
-/// (counters come from the shared class selection).
-fn vectorised_partial(
-    resolved: &Resolved<'_>,
-    runs: &[Range<usize>],
-    facts_scanned: usize,
-    facts_matched: usize,
-) -> MorselPartial {
-    let mut partials: Vec<NumericAgg> = vec![NumericAgg::default(); resolved.plans.len()];
-    for run in runs {
-        accumulate_run(resolved, &mut partials, run.clone());
-    }
-    let mut groups = Vec::new();
-    if facts_matched > 0 {
-        groups.push((GroupId::Packed(0), absorb_partials(resolved, &partials)));
-    }
-    MorselPartial {
-        groups: MorselGroups::Keyed(groups),
-        facts_scanned,
-        facts_matched,
-    }
-}
-
 /// The per-participant loop of the pipeline — the one place morsels are
 /// claimed: pulls morsel indices from the shared counter until the table
 /// is exhausted, scanning each pulled morsel once for the whole fact
@@ -425,7 +354,7 @@ pub(super) fn scan_assigned_batch_morsels(
 /// through the touched list, not by clearing whole slot vectors).
 struct MorselScratch {
     /// The morsel's view survivors — the selection of filter class zero,
-    /// which every restricted class's selection starts as a copy of.
+    /// which every filter class's selection starts as a copy of.
     visible: Vec<u32>,
     /// FK gather buffer of the selection stages.
     members: Vec<u32>,
@@ -455,27 +384,18 @@ impl MorselScratch {
     }
 }
 
-/// One class's shared selection outcome for one morsel.
-struct ClassSelection {
-    facts_scanned: usize,
-    facts_matched: usize,
-    /// Pre-computed live runs, present only for unrestricted classes
-    /// (where they double as the selection).
-    runs: Option<Vec<Range<usize>>>,
-}
-
 /// One morsel of the pipeline: the view's selection once for the whole
 /// fact group, each filter class's selection over its survivors, then
-/// each member query's own accumulation path — the vectorised kernels
-/// (no grouping, all measures numeric), the flat dense-slot grouped path
-/// or the integer-keyed hashed path — over its class's shared selection.
-/// All three are equivalent to [`scan_range`], the serial reference the
-/// property suites compare against, by the shared per-row selection
-/// semantics and, for floats, by summing in ascending row order within
-/// the morsel. Returns one partial per member query, in group order. A
-/// selection error is the whole class's error (each member would have
-/// hit it at the same row on its own); accumulation errors stay per
-/// query.
+/// each member query's own accumulation path — the flat dense-slot path
+/// (every measure numeric, slot space under the limit; an ungrouped
+/// query is its one-slot case) or the integer-keyed hashed path — over
+/// its class's shared selection. Both are equivalent to [`scan_range`],
+/// the serial reference the property suites compare against, by the
+/// shared per-row selection semantics and, for floats, by summing in
+/// ascending row order within the morsel. Returns one partial per member
+/// query, in group order. A selection error is the whole class's error
+/// (each member would have hit it at the same row on its own);
+/// accumulation errors stay per query.
 fn scan_batch_morsel(
     group: &FactGroup<'_>,
     rows: Range<usize>,
@@ -491,94 +411,44 @@ fn scan_batch_morsel(
     // Phase 1: the view once — filter class zero — then one selection
     // per filter class. Rows the view admits are what a class counts as
     // scanned.
-    let view_error = if group.classes.iter().all(|class| class.unrestricted) {
-        None
-    } else {
-        group
-            .view
-            .select_visible(group.fact_table, rows.clone(), visible, members)
-    };
-    let mut selections: Vec<Result<ClassSelection, OlapError>> =
-        Vec::with_capacity(group.classes.len());
-    for (class, sel) in group.classes.iter().zip(sels.iter_mut()) {
-        if class.unrestricted {
-            // Tombstone gaps are the only boundaries: take the live-run
-            // structure directly — no per-row work. With no filters and
-            // a view that leaves the fact alone the selection is exactly
-            // the live rows (and cannot error), so expanding the runs
-            // yields the very vector the stages would have built.
-            let runs = group.fact_table.live_runs(rows.clone());
-            let live: usize = runs.iter().map(|run| run.len()).sum();
-            if !class.runs_only {
-                sel.clear();
-                for run in &runs {
-                    sel.extend(run.clone().map(|row| row as u32));
-                }
-            }
-            selections.push(Ok(ClassSelection {
-                facts_scanned: live,
-                facts_matched: live,
-                runs: Some(runs),
-            }));
-        } else {
+    let view_error = group
+        .view
+        .select_visible(group.fact_table, rows, visible, members);
+    let class_errors: Vec<Option<OlapError>> = group
+        .classes
+        .iter()
+        .zip(sels.iter_mut())
+        .map(|(&rep, sel)| {
             sel.clear();
             sel.extend_from_slice(visible);
-            let rep = &group.queries[class.rep];
-            selections.push(match select_class(rep, sel, members, view_error.clone()) {
-                Some(error) => Err(error),
-                None => Ok(ClassSelection {
-                    facts_scanned: visible.len(),
-                    facts_matched: sel.len(),
-                    runs: None,
-                }),
-            });
-        }
-    }
+            select_class(&group.queries[rep], sel, members, view_error.clone())
+        })
+        .collect();
 
     // Phase 2: per-query accumulation over the shared selections.
+    let facts_scanned = visible.len();
     group
         .queries
         .iter()
         .zip(flats.iter_mut())
         .map(|(member, flat)| {
-            let selection = match &selections[member.class] {
-                Ok(selection) => selection,
-                Err(error) => return Err(error.clone()),
-            };
-            let (facts_scanned, facts_matched) = (selection.facts_scanned, selection.facts_matched);
+            if let Some(error) = &class_errors[member.class] {
+                return Err(error.clone());
+            }
             let sel = sels[member.class].as_slice();
-            if member.resolved.vectorised {
-                let derived;
-                let runs: &[Range<usize>] = match &selection.runs {
-                    Some(runs) => runs,
-                    None => {
-                        derived = selection_runs(sel);
-                        &derived
-                    }
-                };
-                Ok(vectorised_partial(
-                    &member.resolved,
-                    runs,
-                    facts_scanned,
-                    facts_matched,
-                ))
-            } else if let Some(flat) = flat {
-                accumulate_flat(
-                    &member.resolved,
-                    &member.plan,
-                    sel,
-                    facts_scanned,
-                    facts_matched,
-                    flat,
-                )
-            } else {
-                let mut groups = Vec::new();
-                accumulate_hashed(&member.resolved, &member.plan, sel, &mut groups)?;
-                Ok(MorselPartial {
-                    groups: MorselGroups::Keyed(groups),
-                    facts_scanned,
-                    facts_matched,
-                })
+            match flat {
+                Some(flat) => {
+                    accumulate_flat(&member.resolved, &member.plan, sel, facts_scanned, flat)
+                }
+                None => {
+                    let mut groups = Vec::new();
+                    accumulate_hashed(&member.resolved, &member.plan, sel, &mut groups)?;
+                    Ok(MorselPartial {
+                        groups: MorselGroups::Keyed(groups),
+                        facts_scanned,
+                        facts_matched: sel.len(),
+                    })
+                }
             }
         })
         .collect()

@@ -1,12 +1,13 @@
-//! Vectorised per-chunk aggregation kernels.
+//! Grouped slice aggregation kernels.
 //!
-//! The morsel executor pushes SUM/MIN/MAX/COUNT/AVG down to typed slices:
-//! instead of materialising a [`crate::CellValue`] per row, it runs one of
-//! these kernels over each chunk sub-slice a morsel covers and merges the
-//! partial [`NumericAgg`] states into the group's
-//! [`crate::aggregate::Accumulator`]. All-valid chunks take the masked-free
-//! fast path over a bare `&[T]` — a tight loop the compiler can unroll and
-//! auto-vectorise; chunks with nulls consult the validity mask per row.
+//! The morsel executor's flat dense-slot path pushes SUM/MIN/MAX/COUNT/AVG
+//! down to typed slices: instead of materialising a [`crate::CellValue`]
+//! per row, it gathers each measure into a null-free `(values, slots)`
+//! pair and runs one of these kernels into per-slot vectors
+//! ([`crate::aggregate::SlotAccumulator`]), whose slots read back as
+//! [`NumericAgg`] partials the merge phase absorbs into
+//! [`crate::aggregate::Accumulator`]s. An ungrouped aggregate is the
+//! one-slot case.
 //!
 //! Numeric identities match the accumulator exactly: values are summed in
 //! row order as `f64`, and min/max chain through `f64::min`/`f64::max` in
@@ -14,7 +15,7 @@
 //! representable data (the property suites' dyadic rationals) the kernels
 //! are bit-identical to the serial executor.
 
-/// The partial aggregate of one slice of numeric values: enough state to
+/// The partial aggregate of a set of numeric values: enough state to
 /// finish SUM, AVG, MIN, MAX and COUNT.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NumericAgg {
@@ -55,49 +56,6 @@ impl NumericAgg {
             (a, b) => a.or(b),
         };
     }
-}
-
-/// Aggregates an all-valid float slice.
-pub fn agg_f64(values: &[f64]) -> NumericAgg {
-    let mut agg = NumericAgg::default();
-    for &v in values {
-        agg.observe(v);
-    }
-    agg
-}
-
-/// Aggregates a float slice under a validity mask (`true` = non-null).
-pub fn agg_f64_masked(values: &[f64], validity: &[bool]) -> NumericAgg {
-    debug_assert_eq!(values.len(), validity.len());
-    let mut agg = NumericAgg::default();
-    for (&v, &valid) in values.iter().zip(validity) {
-        if valid {
-            agg.observe(v);
-        }
-    }
-    agg
-}
-
-/// Aggregates an all-valid integer (or date) slice; values widen to `f64`
-/// exactly like the row-at-a-time reference.
-pub fn agg_i64(values: &[i64]) -> NumericAgg {
-    let mut agg = NumericAgg::default();
-    for &v in values {
-        agg.observe(v as f64);
-    }
-    agg
-}
-
-/// Aggregates an integer slice under a validity mask.
-pub fn agg_i64_masked(values: &[i64], validity: &[bool]) -> NumericAgg {
-    debug_assert_eq!(values.len(), validity.len());
-    let mut agg = NumericAgg::default();
-    for (&v, &valid) in values.iter().zip(validity) {
-        if valid {
-            agg.observe(v as f64);
-        }
-    }
-    agg
 }
 
 // ----- grouped kernels ---------------------------------------------------
@@ -170,26 +128,13 @@ pub fn count_grouped(slots: &[u32], counts: &mut [u64]) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn all_valid_kernels() {
-        let f = agg_f64(&[1.5, -2.0, 4.0]);
-        assert_eq!((f.count, f.sum), (3, 3.5));
-        assert_eq!((f.min, f.max), (Some(-2.0), Some(4.0)));
-        let i = agg_i64(&[3, -1]);
-        assert_eq!(
-            (i.count, i.sum, i.min, i.max),
-            (2, 2.0, Some(-1.0), Some(3.0))
-        );
-        let empty = agg_f64(&[]);
-        assert_eq!((empty.count, empty.min), (0, None));
-    }
-
-    #[test]
-    fn masked_kernels_skip_nulls() {
-        let f = agg_f64_masked(&[1.0, 0.0, 3.0], &[true, false, true]);
-        assert_eq!((f.count, f.sum), (2, 4.0));
-        let i = agg_i64_masked(&[0, 0], &[false, false]);
-        assert_eq!((i.count, i.sum, i.min, i.max), (0, 0.0, None, None));
+    /// A partial of `values`, fed one by one.
+    fn observed(values: &[f64]) -> NumericAgg {
+        let mut agg = NumericAgg::default();
+        for &v in values {
+            agg.observe(v);
+        }
+        agg
     }
 
     #[test]
@@ -227,12 +172,12 @@ mod tests {
 
     #[test]
     fn merge_is_associative_on_partials() {
-        let parts = [agg_f64(&[1.0, 2.0]), agg_f64(&[]), agg_f64(&[-5.0])];
+        let parts = [observed(&[1.0, 2.0]), observed(&[]), observed(&[-5.0])];
         let mut left = NumericAgg::default();
         for p in &parts {
             left.merge(p);
         }
-        let whole = agg_f64(&[1.0, 2.0, -5.0]);
+        let whole = observed(&[1.0, 2.0, -5.0]);
         assert_eq!(left, whole);
         // Merging an empty partial is the identity.
         let before = left;

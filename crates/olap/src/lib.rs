@@ -11,10 +11,10 @@
 //!   chunks ([`chunk`]) so snapshot clones share every clean chunk, plus
 //!   tombstone compaction ([`Table::compact`] / [`RowRemap`]) that
 //!   rewrites live rows and remaps stable row ids;
-//! * [`kernels`] — vectorised per-chunk SUM/MIN/MAX/COUNT/AVG slice
-//!   kernels the morsel executor pushes numeric aggregation down to,
-//!   plus grouped per-slot kernels fed by dense group ids and selection
-//!   vectors (no string keys anywhere on the parallel grouped path);
+//! * [`kernels`] — grouped per-slot SUM/MIN/MAX/COUNT/AVG slice kernels
+//!   the morsel executor pushes numeric aggregation down to, fed by
+//!   dense group ids and selection vectors (no string keys anywhere on
+//!   the parallel path; an ungrouped aggregate is the one-slot case);
 //! * [`Cube`] — a star-schema instance bound to an [`sdwp_model::Schema`]:
 //!   one dimension table per dimension (leaf grain, one column per level
 //!   attribute plus per-level geometry columns), layer tables for GeoMD

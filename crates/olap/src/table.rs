@@ -138,8 +138,9 @@ impl Table {
 
     /// The maximal runs of live rows within a row range (clamped to the
     /// table's length): contiguous id ranges containing no tombstone. The
-    /// vectorised executor aggregates each run with one kernel pass per
-    /// chunk instead of a per-row liveness check.
+    /// view's selection (`ResolvedViewCheck::select_visible`) starts from
+    /// these runs instead of a per-row liveness check, and compaction
+    /// copies them.
     pub fn live_runs(&self, rows: Range<usize>) -> Vec<Range<usize>> {
         let end = rows.end.min(self.rows);
         let start = rows.start.min(end);

@@ -369,8 +369,7 @@ pub struct ResolvedViewCheck<'a> {
 
 impl ResolvedViewCheck<'_> {
     /// Whether the view leaves this fact alone: every live row is
-    /// visible, so a scan without filters of its own takes the table's
-    /// live runs as they are.
+    /// visible, so the visible count is the table's live count.
     pub(crate) fn is_unrestricted(&self) -> bool {
         self.selection.is_none() && self.dimensions.is_empty()
     }

@@ -1,18 +1,19 @@
 //! Storage-equivalence property suite for the chunked copy-on-write
-//! layout and the vectorised kernels.
+//! layout and the flat path's gather-and-kernel pipeline.
 //!
 //! Three layers of equivalence, each against a straight-line reference:
 //!
 //! * chunked [`Column`]s behave exactly like a plain `Vec<CellValue>`
 //!   under arbitrary push / set / get sequences, for every chunk size;
-//! * the vectorised per-chunk kernels ([`Column::numeric_agg`]) agree
-//!   with feeding each row through the row-at-a-time
-//!   [`Accumulator`] — including all-null columns and ranges that
-//!   straddle chunk boundaries;
+//! * a selection vector gathered through [`Column::gather_numeric`] into
+//!   a one-slot [`SlotAccumulator`] agrees with feeding each selected row
+//!   through the row-at-a-time [`Accumulator`] — including all-null
+//!   columns, gaps and selections that straddle chunk boundaries;
 //! * whole queries over chunked, tombstoned cubes are identical between
-//!   the morsel-parallel executor (which takes the typed / vectorised
-//!   fast paths) and the serial `CellValue` reference, and compaction
-//!   changes neither the results nor what a pre-compaction view resolves.
+//!   the morsel-parallel executor (on both accumulation paths, flat
+//!   dense-slot and hashed) and the serial `CellValue` reference, and
+//!   compaction changes neither the results nor what a pre-compaction
+//!   view resolves.
 //!
 //! Float measures are dyadic rationals (multiples of 0.25), so sums are
 //! exact and equality is bit-for-bit, not approximate.
@@ -24,7 +25,7 @@ use proptest::prelude::*;
 use sdwp_model::{
     AggregationFunction, AttributeType, DimensionBuilder, FactBuilder, Schema, SchemaBuilder,
 };
-use sdwp_olap::aggregate::Accumulator;
+use sdwp_olap::aggregate::{Accumulator, SlotAccumulator};
 use sdwp_olap::{
     AttributeRef, CellValue, Column, ColumnType, Cube, ExecutionConfig, InstanceView, Query,
     QueryEngine,
@@ -93,15 +94,17 @@ proptest! {
         }
     }
 
-    /// The vectorised kernels agree with the row-at-a-time accumulator on
-    /// every subrange — all-null chunks, empty ranges and
-    /// boundary-straddling ranges included.
+    /// The flat path's column gather and slice kernels, on one slot,
+    /// agree with the row-at-a-time accumulator on every selection vector
+    /// — gaps, all-null chunks, empty selections and boundary-straddling
+    /// runs included.
     #[test]
     fn vectorised_kernels_match_accumulator_reference(
         values in prop::collection::vec(option_of(-64i32..65), 0..60),
         chunk_rows in 1usize..6,
         raw_start in any::<usize>(),
         raw_end in any::<usize>(),
+        gaps in any::<u64>(),
     ) {
         for column_type in [ColumnType::Float, ColumnType::Integer, ColumnType::Date] {
             let mut column = Column::with_chunk_rows(column_type, chunk_rows);
@@ -118,25 +121,37 @@ proptest! {
             let mut range = [raw_start % bound, raw_end % bound];
             range.sort_unstable();
             let [start, end] = range;
-            let agg = column.numeric_agg(start..end).expect("numeric column");
-            // Reference: the serial executor's per-row semantics.
-            let mut sum = Accumulator::new(AggregationFunction::Sum);
-            let mut min = Accumulator::new(AggregationFunction::Min);
-            let mut count = Accumulator::new(AggregationFunction::Count);
-            for row in start..end.min(values.len()) {
-                sum.update(&column.get(row));
-                min.update(&column.get(row));
-                count.update(&column.get(row));
+            // The rows of the range whose bit is set in `gaps`.
+            let sel: Vec<u32> = (start..end.min(values.len()))
+                .filter(|row| (gaps >> (row % 64)) & 1 == 1)
+                .map(|row| row as u32)
+                .collect();
+            let (mut gathered, mut slots) = (Vec::new(), Vec::new());
+            prop_assert!(column.gather_numeric(&sel, &vec![0; sel.len()], &mut gathered, &mut slots));
+            for function in [
+                AggregationFunction::Sum,
+                AggregationFunction::Avg,
+                AggregationFunction::Min,
+                AggregationFunction::Max,
+                AggregationFunction::Count,
+            ] {
+                let mut flat = SlotAccumulator::new(function, 1);
+                flat.accumulate(&gathered, &slots);
+                let mut from_kernel = Accumulator::new(function);
+                from_kernel.absorb(&flat.take_slot(0));
+                // Reference: the serial executor's per-row semantics.
+                let mut reference = Accumulator::new(function);
+                for &row in &sel {
+                    reference.update(&column.get(row as usize));
+                }
+                prop_assert_eq!(
+                    from_kernel.finish(),
+                    reference.finish(),
+                    "{:?} {:?}",
+                    column_type,
+                    function
+                );
             }
-            let mut from_kernel_sum = Accumulator::new(AggregationFunction::Sum);
-            from_kernel_sum.absorb(&agg);
-            let mut from_kernel_min = Accumulator::new(AggregationFunction::Min);
-            from_kernel_min.absorb(&agg);
-            let mut from_kernel_count = Accumulator::new(AggregationFunction::Count);
-            from_kernel_count.absorb(&agg);
-            prop_assert_eq!(from_kernel_sum.finish(), sum.finish(), "{:?} sum", column_type);
-            prop_assert_eq!(from_kernel_min.finish(), min.finish(), "{:?} min", column_type);
-            prop_assert_eq!(from_kernel_count.finish(), count.finish(), "{:?} count", column_type);
         }
     }
 }
@@ -217,7 +232,7 @@ fn build_warehouse(spec: &WarehouseSpec) -> Cube {
 
 fn queries() -> Vec<Query> {
     vec![
-        // Ungrouped all-numeric: the fully vectorised kernel path.
+        // Ungrouped all-numeric: one flat slot.
         Query::over("F").measure("M").measure("N"),
         Query::over("F")
             .measure_agg("M", AggregationFunction::Min)
@@ -252,7 +267,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Chunked, tombstoned cubes answer identically under the
-    /// morsel-parallel executor (typed + vectorised paths) and the serial
+    /// morsel-parallel executor (flat and hashed paths) and the serial
     /// CellValue reference, for every worker count and ragged morsel
     /// sizes.
     #[test]
