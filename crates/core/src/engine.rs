@@ -685,9 +685,9 @@ impl PersonalizationEngine {
     }
 
     /// [`PersonalizationEngine::query`] under an explicit per-query
-    /// deadline budget (overriding the executor config's default when
-    /// given). The budget starts *now* and covers the whole lifecycle —
-    /// admission wait, read-your-writes wait and the scan — and an
+    /// deadline budget (`None` = unbounded). The budget starts *now* and
+    /// covers the whole lifecycle — admission wait, read-your-writes wait
+    /// and the scan — and an
     /// expiry cancels the query cooperatively with the typed
     /// [`CoreError::DeadlineExceeded`]: no partial state, the result
     /// cache untouched, every admission slot released.
@@ -815,13 +815,11 @@ impl PersonalizationEngine {
     ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
         // End-to-end span: records on every exit, including errors.
         let _total = self.metrics.span(report_as.total_stage(), class);
-        // The explicit budget wins, else the executor config's default,
-        // else no deadline. The clock starts here, *before* admission: a
-        // request that spends its whole budget parked in the admission
-        // queue comes back DeadlineExceeded instead of running late.
-        let budget = deadline.or(self.query_engine.config().deadline);
+        // The deadline clock starts here, *before* admission: a request
+        // that spends its whole budget parked in the admission queue comes
+        // back DeadlineExceeded instead of running late.
         let cancel =
-            CancelToken::with_deadline(budget.map(|budget| std::time::Instant::now() + budget));
+            CancelToken::with_deadline(deadline.map(|budget| std::time::Instant::now() + budget));
         // Admission first: a shed request does no work at all — not even
         // a cache probe — and a guaranteed tenant over budget waits here
         // (backpressure, bounded by the deadline) before touching any
@@ -834,16 +832,6 @@ impl PersonalizationEngine {
             class,
             generation,
         });
-        let execute = |misses: &[Query]| {
-            self.query_engine
-                .execute_cancellable(report_as, &cube, misses, &view, dicts, obs, &cancel)
-        };
-        if !self.cube_state.result_cache.is_enabled() {
-            return Ok(execute(queries)
-                .into_iter()
-                .map(|result| result.map_err(CoreError::from))
-                .collect());
-        }
         let keys: Vec<CacheKey> = queries
             .iter()
             .map(|query| CacheKey::new(generation, query, Arc::clone(&view)))
@@ -871,7 +859,10 @@ impl PersonalizationEngine {
             subset = missing.map(|(query, _)| query.clone()).collect();
             &subset
         };
-        let mut executed = execute(misses).into_iter();
+        let mut executed = self
+            .query_engine
+            .execute_cancellable(report_as, &cube, misses, &view, dicts, obs, &cancel)
+            .into_iter();
         Ok(cached
             .into_iter()
             .zip(keys)
@@ -1716,6 +1707,9 @@ mod tests {
         engine.query_unpersonalized(&query).unwrap();
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.entries), (0, 0));
+        // A disabled cache is still probed: both reads take the one read
+        // body and miss.
+        assert_eq!(stats.misses, 2);
         assert_eq!(engine.execution_config().cache_capacity, 0);
     }
 

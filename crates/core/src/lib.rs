@@ -17,7 +17,7 @@
 //!    threshold (Example 5.3).
 //!
 //! [`PersonalizationEngine`] is the library-level API;
-//! [`web::WebFacade`] wraps it in serde request/response messages that
+//! [`web::WebFacade`] wraps it in typed request/response messages that
 //! mirror the "web-based" deployment the paper targets.
 //!
 //! Both are built for **concurrent multi-session serving**: every method

@@ -1,7 +1,6 @@
 //! Human-readable summaries of what personalization did.
 
 use sdwp_model::SchemaDiff;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -12,7 +11,7 @@ use std::fmt;
 /// This is the report a web front-end would show a decision maker ("your
 /// view has been tailored to the stores near you") and the artefact
 /// EXPERIMENTS.md quotes when reproducing Fig. 1 / Fig. 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PersonalizationReport {
     /// The decision maker the report is about.
     pub user: String,

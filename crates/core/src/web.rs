@@ -3,7 +3,7 @@
 //! The paper's personalization is *web-based*: decision makers interact
 //! through a web BI front-end that logs them in, tracks their selections
 //! and shows them their (already personalized) data. This module provides
-//! that boundary as typed, serde-serialisable request/response messages
+//! that boundary as typed request/response messages
 //! over a [`WebFacade`] wrapping the [`PersonalizationEngine`] — the same
 //! contract an HTTP layer would expose, without tying the library to a
 //! specific web framework.
@@ -15,11 +15,10 @@ use sdwp_ingest::{DeltaBatch, IngestConfig};
 use sdwp_obs::MetricsSnapshot;
 use sdwp_olap::{AttributeRef, CellValue, FactTableStats, Query};
 use sdwp_user::{LocationContext, SessionId};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A request from the web front-end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WebRequest {
     /// The user logs in, optionally reporting their location (longitude /
     /// x and latitude / y in the warehouse's coordinate unit).
@@ -58,7 +57,7 @@ pub enum WebRequest {
         /// when the engine picks the request up and covers admission,
         /// the read-your-writes wait and the scan; an expiry cancels
         /// the query cooperatively (typed error, no partial state).
-        /// `None` falls back to the executor config's default.
+        /// `None` runs without a deadline.
         deadline_micros: Option<u64>,
     },
     /// A dashboard refresh: the front-end submits every panel's query at
@@ -130,7 +129,7 @@ pub enum WebRequest {
 }
 
 /// A response to the web front-end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WebResponse {
     /// Login succeeded.
     LoggedIn {
@@ -282,7 +281,7 @@ pub enum WebResponse {
 }
 
 /// One query's outcome inside a [`WebResponse::BatchResult`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BatchEntry {
     /// The query succeeded; same rendering as [`WebResponse::Table`].
     Table {
@@ -894,23 +893,5 @@ mod tests {
             facade.handle(WebRequest::Logout { session }),
             WebResponse::LoggedOut
         );
-    }
-
-    #[test]
-    fn messages_serialize_round_trip() {
-        let request = WebRequest::Login {
-            user: "regional-manager".into(),
-            location: Some((1.0, 2.0)),
-            class: Some("dashboard".into()),
-        };
-        let json = serde_json_like(&request);
-        assert!(json.contains("regional-manager"));
-    }
-
-    /// Minimal check that serde derives work (serialising through the
-    /// `serde` test shim: Debug formatting plus a round trip through the
-    /// `serde` data model using `serde::Serialize` into a string).
-    fn serde_json_like<T: serde::Serialize + std::fmt::Debug>(value: &T) -> String {
-        format!("{value:?}")
     }
 }

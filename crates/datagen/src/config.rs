@@ -1,14 +1,12 @@
 //! Scenario configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Sizing and seeding of a synthetic scenario.
 ///
 /// The region is a square of `region_km` × `region_km` kilometres; cities
 /// are scattered uniformly, stores and customers cluster around cities,
 /// airports sit near a subset of cities and train lines thread consecutive
 /// cities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// RNG seed: two configs with equal seeds generate identical data.
     pub seed: u64,

@@ -5,10 +5,9 @@ use crate::spatial::scatter_around;
 use rand::rngs::StdRng;
 use rand::Rng;
 use sdwp_geometry::Point;
-use serde::{Deserialize, Serialize};
 
 /// A generated store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoreRecord {
     /// Store name (`"Store-<i>"`).
     pub name: String,
@@ -21,7 +20,7 @@ pub struct StoreRecord {
 }
 
 /// A generated customer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CustomerRecord {
     /// Customer name (`"Customer-<i>"`).
     pub name: String,
@@ -32,7 +31,7 @@ pub struct CustomerRecord {
 }
 
 /// A generated sales fact row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SaleRecord {
     /// Index into the store list.
     pub store: usize,
@@ -51,7 +50,7 @@ pub struct SaleRecord {
 }
 
 /// The full synthetic retail data set (dimension members plus facts).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetailData {
     /// City names and centres.
     pub cities: Vec<(String, Point)>,

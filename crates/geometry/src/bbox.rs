@@ -1,13 +1,12 @@
 //! Axis-aligned bounding boxes.
 
 use crate::coord::Coord;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box (minimum bounding rectangle).
 ///
 /// Bounding boxes are the workhorse of the spatial indexes in `sdwp-index`
 /// and of the predicate fast paths in [`crate::predicates`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Smallest x coordinate covered by the box.
     pub min_x: f64,

@@ -2,7 +2,6 @@
 
 use crate::bbox::BoundingBox;
 use crate::geometry::Geometry;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A heterogeneous collection of geometries (the paper's `COLLECTION`
@@ -10,7 +9,7 @@ use std::fmt;
 ///
 /// The paper's `Intersection` operator produces collections — e.g.
 /// intersecting a LINE with a POINT yields "a COLLECTION type of points".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GeometryCollection {
     geometries: Vec<Geometry>,
 }

@@ -1,6 +1,5 @@
 //! Planar coordinates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -12,7 +11,7 @@ pub const EPSILON: f64 = 1e-9;
 /// Coordinates are interpreted as positions on a plane; the unit is defined
 /// by the data set (the synthetic workloads in this repository use
 /// kilometres so that the paper's "5 km" style thresholds read naturally).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Coord {
     /// Horizontal component (x / longitude-like axis).
     pub x: f64,

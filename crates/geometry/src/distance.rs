@@ -12,10 +12,9 @@ use crate::haversine::haversine_distance;
 use crate::linestring::LineString;
 use crate::point::Point;
 use crate::polygon::Polygon;
-use serde::{Deserialize, Serialize};
 
 /// The metric used to interpret coordinates when computing distances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DistanceMetric {
     /// Treat coordinates as planar positions; distance is Euclidean in the
     /// same unit as the coordinates (the synthetic workloads use

@@ -5,7 +5,6 @@ use crate::collection::GeometryCollection;
 use crate::linestring::LineString;
 use crate::point::Point;
 use crate::polygon::Polygon;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The geometric primitive kinds allowed by the paper's spatial-aware user
@@ -15,7 +14,7 @@ use std::fmt;
 /// These are the types usable by the `BecomeSpatial` and `AddLayer`
 /// personalization actions; they correspond to the ISO 19125 / OGC Simple
 /// Features point, linestring, polygon and geometry-collection types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GeometricType {
     /// A single position (OGC Point).
     Point,
@@ -65,7 +64,7 @@ impl fmt::Display for GeometricType {
 }
 
 /// A geometry value: one of the four primitive kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Geometry {
     /// A point.
     Point(Point),

@@ -3,7 +3,6 @@
 use crate::bbox::BoundingBox;
 use crate::coord::Coord;
 use crate::error::GeometryError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A polyline of two or more coordinates (the paper's `LINE` geometric
@@ -11,7 +10,7 @@ use std::fmt;
 ///
 /// Line strings describe train lines, highways and other linear geographic
 /// layers added by the `AddLayer` personalization action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineString {
     coords: Vec<Coord>,
 }

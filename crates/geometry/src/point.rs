@@ -2,14 +2,13 @@
 
 use crate::bbox::BoundingBox;
 use crate::coord::Coord;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single position on the plane (the paper's `POINT` geometric type).
 ///
 /// Points describe store buildings, airports, customer addresses and the
 /// decision maker's location context.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point(pub Coord);
 
 impl Point {

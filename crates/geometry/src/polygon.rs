@@ -3,7 +3,6 @@
 use crate::bbox::BoundingBox;
 use crate::coord::Coord;
 use crate::error::GeometryError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A simple polygon with one exterior ring and zero or more interior rings
@@ -11,7 +10,7 @@ use std::fmt;
 ///
 /// Rings are stored closed (first coordinate equals last). Polygons describe
 /// administrative areas (cities, states) and other areal layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
     exterior: Vec<Coord>,
     interiors: Vec<Vec<Coord>>,

@@ -10,7 +10,6 @@
 
 use sdwp_olap::cube::fk_column;
 use sdwp_olap::{CellValue, Cube, OlapError};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One change to one fact table.
@@ -19,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// retraction tombstones). Foreign keys are immutable — correcting a
 /// mis-keyed fact is a [`FactDelta::Retract`] plus a fresh
 /// [`FactDelta::Append`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FactDelta {
     /// Appends a fact row: foreign keys (dimension name → member row id)
     /// plus measure values.
@@ -88,7 +87,7 @@ impl BatchOutcome {
 }
 
 /// An ordered batch of fact deltas, applied atomically.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaBatch {
     /// The deltas, applied in order.
     pub deltas: Vec<FactDelta>,

@@ -2,11 +2,10 @@
 
 use crate::stereotype::Stereotype;
 use sdwp_geometry::GeometricType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The data type of an attribute or measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttributeType {
     /// 64-bit signed integer.
     Integer,
@@ -49,7 +48,7 @@ impl fmt::Display for AttributeType {
 }
 
 /// The aggregation function applied to a measure when rolling up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AggregationFunction {
     /// Sum of values (additive measures such as UnitSales).
     #[default]
@@ -107,7 +106,7 @@ impl fmt::Display for AggregationFunction {
 
 /// A descriptive attribute of a hierarchy level («Descriptor» or
 /// «DimensionAttribute»).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Attribute name (unique within its level).
     pub name: String,
@@ -147,7 +146,7 @@ impl Attribute {
 }
 
 /// A measure of a fact («FactAttribute»), aggregated when rolling up.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Measure {
     /// Measure name (unique within its fact).
     pub name: String,

@@ -2,13 +2,12 @@
 
 use crate::schema::Schema;
 use sdwp_geometry::GeometricType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The delta between two schemas — typically the plain MD model and the
 /// GeoMD model obtained after running schema personalization rules
 /// (Fig. 2 → Fig. 6 in the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SchemaDiff {
     /// Layers present in the new schema but not the old one.
     pub added_layers: Vec<(String, GeometricType)>,

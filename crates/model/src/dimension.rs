@@ -4,12 +4,11 @@ use crate::attribute::{Attribute, AttributeType};
 use crate::error::ModelError;
 use crate::stereotype::Stereotype;
 use sdwp_geometry::GeometricType;
-use serde::{Deserialize, Serialize};
 
 /// One level of a dimension hierarchy — a «Base» class in the paper's UML
 /// profile, or a «SpatialLevel» once a geometry has been attached by the
 /// `BecomeSpatial` personalization action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Level {
     /// Level name (unique within its dimension), e.g. `"Store"`, `"City"`.
     pub name: String,
@@ -75,7 +74,7 @@ impl Level {
 /// references — e.g. `Store`) to the coarsest (e.g. `State`): each level
 /// rolls up (`r` role) to the next one and drills down (`d` role) to the
 /// previous one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dimension {
     /// Dimension name (unique within the schema), e.g. `"Store"`.
     pub name: String,

@@ -2,11 +2,10 @@
 
 use crate::attribute::Measure;
 use crate::stereotype::Stereotype;
-use serde::{Deserialize, Serialize};
 
 /// A fact — the subject of analysis, holding measures and references to the
 /// dimensions that give them context (the «Fact» class of the profile).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fact {
     /// Fact name (unique within the schema), e.g. `"Sales"`.
     pub name: String,

@@ -2,7 +2,6 @@
 
 use crate::stereotype::Stereotype;
 use sdwp_geometry::GeometricType;
-use serde::{Deserialize, Serialize};
 
 /// An external thematic geographic layer («Layer» class) added to the
 /// schema by the paper's `AddLayer(name, geometricType)` action — e.g. the
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// A layer groups geographic data that is *external to the analysed
 /// domain*: it does not belong to any dimension hierarchy but can be used
 /// in spatial conditions of personalization rules.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layer {
     /// Layer name (unique within the schema), e.g. `"Airport"`.
     pub name: String,

@@ -16,11 +16,10 @@
 
 use crate::error::ModelError;
 use crate::schema::Schema;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The model a path expression starts from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PathPrefix {
     /// `MD.` — the plain multidimensional model.
     Md,
@@ -53,7 +52,7 @@ impl fmt::Display for PathPrefix {
 }
 
 /// A parsed path expression: a prefix plus dot-separated segments.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PathExpr {
     /// The model the path starts from.
     pub prefix: PathPrefix,
@@ -102,7 +101,7 @@ impl fmt::Display for PathExpr {
 }
 
 /// The typed model element a path resolves to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PathTarget {
     /// A fact class.
     Fact {

@@ -5,7 +5,6 @@ use crate::error::ModelError;
 use crate::fact::Fact;
 use crate::geo::Layer;
 use sdwp_geometry::GeometricType;
-use serde::{Deserialize, Serialize};
 
 /// A complete multidimensional schema.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// GeoMD model (Fig. 6). The two personalization actions that change the
 /// schema — `BecomeSpatial` and `AddLayer` — are exposed as methods here so
 /// the rule engine has a single mutation surface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     /// Schema name, e.g. `"SalesDW"`.
     pub name: String,

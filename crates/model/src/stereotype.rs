@@ -1,6 +1,5 @@
 //! UML-profile stereotypes used by the MD and GeoMD models.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The stereotypes of the multidimensional UML profile (paper references
@@ -9,7 +8,7 @@ use std::fmt;
 /// Stereotypes are carried as metadata on model elements so that renderers
 /// (and the schema diff) can reproduce the class-diagram notation of the
 /// paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stereotype {
     /// «Fact» — the subject of analysis (e.g. Sales).
     Fact,

@@ -16,8 +16,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of log₂ buckets per histogram.
 ///
 /// Bucket 31 covers `[2^30, u64::MAX]` microseconds — anything beyond
@@ -106,7 +104,7 @@ impl LatencyHistogram {
 /// Plain-data capture of a [`LatencyHistogram`]: bucket counts, total
 /// sample count and microsecond sum. Exactly mergeable across
 /// histograms recorded independently.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (`HISTOGRAM_BUCKETS` entries).
     pub buckets: Vec<u64>,

@@ -11,7 +11,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// Default slow-query threshold: 10 ms.
 pub const DEFAULT_SLOW_QUERY_MICROS: u64 = 10_000;
@@ -31,7 +30,7 @@ pub const OUTCOME_DEADLINE_EXCEEDED: &str = "deadline_exceeded";
 pub const OUTCOME_PANICKED: &str = "panicked";
 
 /// One journaled slow query: what ran, where, and where the time went.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowQueryRecord {
     /// Compact description of the query shape, e.g.
     /// `"Sales group_by=[City] measures=2"` or `"batch:Sales×8"`.

@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::hist::LatencyHistogram;
 use crate::journal::SlowQueryJournal;
@@ -17,7 +16,7 @@ pub const MAX_CLASSES: usize = 8;
 
 /// An instrumented pipeline stage. Every latency histogram in the
 /// registry is keyed by one of these plus a [`ClassId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variant names are the documentation
 pub enum Stage {
     // Standalone query pipeline.
@@ -112,7 +111,7 @@ const STAGE_COUNT: usize = Stage::ALL.len();
 
 /// Dense session-class id — the per-tenant key latency histograms are
 /// partitioned by. Class 0 is always `"default"`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ClassId(pub u8);
 
 impl ClassId {

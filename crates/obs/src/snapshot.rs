@@ -1,12 +1,10 @@
 //! Exposition: the [`MetricsSnapshot`] aggregate and the
 //! Prometheus-style text renderer.
 
-use serde::{Deserialize, Serialize};
-
 use crate::journal::SlowQueryRecord;
 
 /// Summary of one non-empty `(stage, class)` latency histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSnapshot {
     /// Stage name (see [`Stage::name`](crate::Stage::name)).
     pub stage: String,
@@ -27,7 +25,7 @@ pub struct StageSnapshot {
 /// Point-in-time aggregate of everything the observability layer knows:
 /// per-stage latency summaries keyed by session class, engine counters
 /// and gauges, and the slow-query journal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// False when the engine was built with a disabled registry.
     pub enabled: bool,

@@ -159,16 +159,6 @@ impl QueryCache {
         }
     }
 
-    /// Creates a disabled cache (every lookup misses).
-    pub fn disabled() -> Self {
-        QueryCache::new(0)
-    }
-
-    /// Whether the cache stores anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Looks a result up, counting the hit or miss. A hit refreshes the
     /// entry's LRU recency.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<QueryResult>> {
@@ -484,8 +474,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_stores_nothing() {
-        let cache = QueryCache::disabled();
-        assert!(!cache.is_enabled());
+        let cache = QueryCache::new(0);
         let view = InstanceView::unrestricted();
         let k = key(1, "Sales", &view);
         cache.insert(k.clone(), result(1.0));

@@ -15,7 +15,6 @@
 //! `Column::gather_members`) read without per-row validity checks.
 
 use sdwp_geometry::Geometry;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -29,7 +28,7 @@ pub const DEFAULT_CHUNK_ROWS: usize = 1024;
 /// Invariants: `validity` is `None` exactly when every row is valid
 /// (`null_count == 0`), and every null position holds `T::default()` —
 /// so structural equality coincides with logical equality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrimitiveChunk<T> {
     values: Vec<T>,
     /// Per-row validity (`true` = non-null); `None` while all rows are
@@ -138,7 +137,7 @@ impl<T: Copy + Default + PartialEq> PrimitiveChunk<T> {
 
 /// A chunked primitive column: `Arc`-shared fixed-size chunks with
 /// copy-on-write mutation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrimitiveColumn<T> {
     chunks: Vec<Arc<PrimitiveChunk<T>>>,
     chunk_rows: usize,
@@ -201,48 +200,13 @@ impl<T: Copy + Default + PartialEq> PrimitiveColumn<T> {
         }
         self.chunks[row / self.chunk_rows].get(row % self.chunk_rows)
     }
-
-    /// Iterates the `(chunk, local row range)` pairs covering a global
-    /// row range (clamped to the column's length); ranges that straddle
-    /// chunk boundaries yield one pair per chunk touched.
-    pub fn chunks_in(&self, rows: Range<usize>) -> ChunkSlices<'_, T> {
-        ChunkSlices {
-            column: self,
-            next: rows.start.min(self.len),
-            end: rows.end.min(self.len),
-        }
-    }
-}
-
-/// Iterator over the chunk sub-slices covering a row range.
-pub struct ChunkSlices<'a, T> {
-    column: &'a PrimitiveColumn<T>,
-    next: usize,
-    end: usize,
-}
-
-impl<'a, T> Iterator for ChunkSlices<'a, T> {
-    type Item = (&'a PrimitiveChunk<T>, Range<usize>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.end {
-            return None;
-        }
-        let chunk_rows = self.column.chunk_rows;
-        let chunk_index = self.next / chunk_rows;
-        let chunk_start = chunk_index * chunk_rows;
-        let lo = self.next - chunk_start;
-        let hi = (self.end - chunk_start).min(chunk_rows);
-        self.next = chunk_start + hi;
-        Some((&self.column.chunks[chunk_index], lo..hi))
-    }
 }
 
 /// One fixed-capacity chunk of a [`LivenessMap`]: a dead-row bitmap plus
 /// its popcount. A chunk with no words allocated is entirely live — the
 /// normal form for ranges no retraction ever touched, so a map whose
 /// tombstones cluster at one end shares (and compares) cheaply.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LivenessChunk {
     /// Dead-row bitmap, one bit per row (bit set = tombstoned). Empty
     /// while every row of the chunk is live.
@@ -292,7 +256,7 @@ impl LivenessChunk {
 /// clone is a refcount bump per chunk and a retraction copies only the
 /// one chunk it lands in — the same O(delta) publication contract the
 /// value columns already have.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LivenessMap {
     chunks: Vec<Arc<LivenessChunk>>,
     chunk_rows: usize,
@@ -384,7 +348,7 @@ impl LivenessMap {
 /// A chunked geometry column. Geometries are heap values, so chunks store
 /// them as `Option`s directly (no validity split) — the copy-on-write
 /// sharing is what matters here, not slice kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeometryColumn {
     chunks: Vec<Arc<Vec<Option<Geometry>>>>,
     chunk_rows: usize,
@@ -486,28 +450,6 @@ mod tests {
         assert!(Arc::ptr_eq(&c.chunks()[1], &snapshot2.chunks()[1]));
         assert_eq!(snapshot2.len(), 6);
         assert_eq!(c.len(), 7);
-    }
-
-    #[test]
-    fn chunk_slices_cover_straddling_ranges() {
-        let mut c = PrimitiveColumn::<i64>::new(3);
-        for i in 0..10 {
-            c.push(Some(i));
-        }
-        // Range 2..8 straddles chunks [0..3), [3..6), [6..9).
-        let parts: Vec<(usize, Range<usize>)> = c
-            .chunks_in(2..8)
-            .map(|(chunk, r)| (chunk.len(), r))
-            .collect();
-        assert_eq!(
-            parts,
-            vec![(3, 2..3), (3, 0..3), (3, 0..2)],
-            "per-chunk sub-ranges"
-        );
-        // Clamped to the column length; empty when out of range.
-        assert_eq!(c.chunks_in(9..99).count(), 1);
-        assert_eq!(c.chunks_in(20..30).count(), 0);
-        assert_eq!(c.chunks_in(5..5).count(), 0);
     }
 
     #[test]

@@ -11,13 +11,12 @@ use crate::chunk::{GeometryColumn, PrimitiveChunk, PrimitiveColumn, DEFAULT_CHUN
 use crate::error::OlapError;
 use crate::value::CellValue;
 use sdwp_geometry::Geometry;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The physical type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// 64-bit integers.
     Integer,
@@ -34,10 +33,9 @@ pub enum ColumnType {
 }
 
 /// A string dictionary: interns strings to dense `u32` codes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dictionary {
     values: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, u32>,
 }
 
@@ -65,10 +63,7 @@ impl Dictionary {
 
     /// Looks up the code for a string, if already interned.
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied().or_else(|| {
-            // Fall back to a scan when the index was lost to serde skip.
-            self.values.iter().position(|v| v == s).map(|p| p as u32)
-        })
+        self.index.get(s).copied()
     }
 
     /// Number of distinct interned strings.
@@ -83,7 +78,7 @@ impl Dictionary {
 }
 
 /// A typed column of nullable values over chunked copy-on-write storage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Integer column.
     Integer(PrimitiveColumn<i64>),

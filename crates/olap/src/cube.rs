@@ -7,7 +7,6 @@ use crate::table::{RowRemap, Table};
 use crate::value::CellValue;
 use sdwp_geometry::{GeometricType, Geometry};
 use sdwp_model::{AttributeType, ModelError, Schema};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use std::sync::Arc;
 /// (yet) marked the level spatial: the paper's premise is that warehouses
 /// already *contain* spatial data which is "not used to its full
 /// potential" until a personalization rule introduces it into the model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DimensionTable {
     /// The dimension this table instantiates.
     pub dimension: String,
@@ -28,7 +27,7 @@ pub struct DimensionTable {
 }
 
 /// The instance table of a thematic geographic layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerTable {
     /// The layer this table instantiates.
     pub layer: String,
@@ -38,7 +37,7 @@ pub struct LayerTable {
 
 /// The instance table of a fact: foreign keys into dimensions plus
 /// measures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactTable {
     /// The fact this table instantiates.
     pub fact: String,
@@ -56,7 +55,6 @@ pub struct FactTable {
     /// in-flight rule firing) can still reference, so the chain stays
     /// bounded however many compactions a table goes through; `remap_base`
     /// records how many were dropped.
-    #[serde(default)]
     pub remap_base: u64,
 }
 
@@ -101,7 +99,7 @@ impl FactTable {
 
 /// Observable per-fact storage counters: the operator's
 /// compaction-pressure gauge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactTableStats {
     /// The fact's name.
     pub fact: String,
@@ -153,7 +151,7 @@ pub(crate) fn member_at(column: &Column, fact_row: usize) -> Result<usize, OlapE
 /// A star-schema cube: one dimension table per dimension, one layer table
 /// per (materialised) layer and one fact table per fact, all bound to a
 /// conceptual [`Schema`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cube {
     schema: Schema,
     dimensions: BTreeMap<String, DimensionTable>,

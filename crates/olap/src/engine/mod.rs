@@ -136,11 +136,6 @@ pub struct ExecutionConfig {
     /// back to an integer-keyed hash table. `0` disables the flat path
     /// entirely.
     pub group_slot_limit: usize,
-    /// Per-query execution budget: scan loops check a shared
-    /// [`crate::CancelToken`] between morsels and bail with
-    /// [`crate::OlapError::DeadlineExceeded`] once it expires. `None`
-    /// (the default) lets queries run to completion.
-    pub deadline: Option<std::time::Duration>,
 }
 
 impl Default for ExecutionConfig {
@@ -150,7 +145,6 @@ impl Default for ExecutionConfig {
             morsel_rows: DEFAULT_MORSEL_ROWS,
             cache_capacity: 256,
             group_slot_limit: DEFAULT_GROUP_SLOT_LIMIT,
-            deadline: None,
         }
     }
 }
@@ -186,12 +180,6 @@ impl ExecutionConfig {
     /// integer-keyed hash fallback for every query, ungrouped included).
     pub fn with_group_slot_limit(mut self, group_slot_limit: usize) -> Self {
         self.group_slot_limit = group_slot_limit;
-        self
-    }
-
-    /// Sets the per-query deadline (`None` = unbounded).
-    pub fn with_deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
-        self.deadline = deadline;
         self
     }
 
@@ -450,7 +438,7 @@ impl QueryEngine {
         dicts: Option<(&GroupDictCache, u64)>,
         obs: Option<QueryObs<'_>>,
     ) -> Result<QueryResult, OlapError> {
-        let cancel = self.default_token();
+        let cancel = CancelToken::new();
         let queries = std::slice::from_ref(query);
         self.execute_cancellable(ReportAs::Single, cube, queries, view, dicts, obs, &cancel)
             .pop()
@@ -501,13 +489,8 @@ impl QueryEngine {
         dicts: Option<(&GroupDictCache, u64)>,
         obs: Option<QueryObs<'_>>,
     ) -> Vec<Result<QueryResult, OlapError>> {
-        let cancel = self.default_token();
+        let cancel = CancelToken::new();
         self.execute_cancellable(ReportAs::Batch, cube, queries, view, dicts, obs, &cancel)
-    }
-
-    /// A token carrying the configured default deadline, starting now.
-    fn default_token(&self) -> CancelToken {
-        CancelToken::with_deadline(self.config.deadline.map(|budget| Instant::now() + budget))
     }
 
     /// The one executor, and the entry the serving layer calls: resolve
@@ -515,7 +498,7 @@ impl QueryEngine {
     /// loop per fact group, dispatched on the pool whatever the worker
     /// count → `merge_partials` → `materialise`, one result per submitted
     /// query, in input order; `report_as` only labels the run. Every
-    /// other `execute_*` is this over a default token, a one-query slice
+    /// other `execute_*` is this over a fresh token, a one-query slice
     /// or an unrestricted view.
     ///
     /// `cancel` typically carries the request's deadline, computed by the

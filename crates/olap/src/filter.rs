@@ -5,10 +5,9 @@ use crate::table::Table;
 use crate::value::CellValue;
 use sdwp_geometry::distance::{distance, DistanceMetric};
 use sdwp_geometry::{predicates, Geometry};
-use serde::{Deserialize, Serialize};
 
 /// Comparison operators for attribute filters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompareOp {
     /// Equal.
     Eq,
@@ -51,7 +50,7 @@ impl CompareOp {
 
 /// The topological predicates usable in spatial filters — the operators the
 /// paper adds to PRML (§4.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpatialPredicateOp {
     /// The geometries share at least one point.
     Intersects,
@@ -86,7 +85,7 @@ impl SpatialPredicateOp {
 
 /// A filter over the rows of one table (a dimension table, layer table or
 /// fact table).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Filter {
     /// Accept every row.
     All,

@@ -75,8 +75,8 @@ pub use error::OlapError;
 pub use filter::{CompareOp, Filter, SpatialPredicateOp};
 pub use kernels::NumericAgg;
 pub use pool::{
-    AdmissionGuard, AdmitError, MorselPool, PoolConfig, PoolStats, ShedError, TenantPolicy,
-    TenantStats, MAX_TENANTS,
+    AdmissionGuard, AdmitError, MorselPool, PoolStats, ShedError, TenantPolicy, TenantStats,
+    MAX_TENANTS,
 };
 pub use query::{AttributeRef, MeasureRef, Query, QueryResult, ResultRow};
 pub use table::{RowRemap, Table};

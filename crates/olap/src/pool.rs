@@ -125,34 +125,6 @@ impl TenantPolicy {
     }
 }
 
-/// Construction parameters of a [`MorselPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolConfig {
-    /// Number of long-lived worker threads. `0` sizes to the machine:
-    /// available parallelism minus one (the calling thread always
-    /// participates in its own scan), at least 1.
-    pub workers: usize,
-}
-
-impl PoolConfig {
-    /// Sets the worker-thread count (`0` = machine-sized).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .saturating_sub(1)
-                .max(1)
-        }
-    }
-}
-
 /// Typed admission rejection: the tenant's budget was exhausted and its
 /// policy is best-effort. Carries the state observed at the decision so
 /// the web tier can surface an actionable rejection.
@@ -468,12 +440,6 @@ impl fmt::Debug for MorselPool {
 }
 
 impl MorselPool {
-    /// Creates a pool with no metrics attachment (wait times are not
-    /// recorded; shedding is still counted in [`MorselPool::stats`]).
-    pub fn new(config: PoolConfig) -> Self {
-        Self::with_helpers(config.effective_workers(), None)
-    }
-
     /// Creates a pool of exactly `workers` helper threads — **zero
     /// included**: such a pool spawns nothing and every scan runs inline
     /// on its caller, while tenant policies and admission work as on any
@@ -737,7 +703,7 @@ mod tests {
 
     #[test]
     fn scan_runs_caller_and_helpers_to_completion() {
-        let pool = MorselPool::new(PoolConfig::default().with_workers(3));
+        let pool = MorselPool::with_helpers(3, None);
         let counter = AtomicUsize::new(0);
         let work = || {
             counter.fetch_add(1, Ordering::Relaxed);
@@ -754,7 +720,7 @@ mod tests {
         // One worker, gated: queue items for a weight-1 and a weight-4
         // tenant while the worker is busy, then release the gate and
         // observe the dispatch interleaving.
-        let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(1)));
+        let pool = Arc::new(MorselPool::with_helpers(1, None));
         let light = ClassId(1);
         let heavy = ClassId(2);
         pool.set_policy(light, TenantPolicy::default().with_weight(1));
@@ -878,7 +844,7 @@ mod tests {
 
     #[test]
     fn best_effort_admission_sheds_over_budget() {
-        let pool = MorselPool::new(PoolConfig::default().with_workers(1));
+        let pool = MorselPool::with_helpers(1, None);
         let class = ClassId(3);
         pool.set_policy(
             class,
@@ -898,7 +864,7 @@ mod tests {
 
     #[test]
     fn guaranteed_admission_blocks_until_capacity_frees() {
-        let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(1)));
+        let pool = Arc::new(MorselPool::with_helpers(1, None));
         let class = ClassId(4);
         pool.set_policy(class, TenantPolicy::default().with_max_in_flight(1));
         let held = pool.try_admit(class).expect("within budget");
@@ -924,7 +890,7 @@ mod tests {
 
     #[test]
     fn stats_report_queue_and_worker_shape() {
-        let pool = MorselPool::new(PoolConfig::default().with_workers(2));
+        let pool = MorselPool::with_helpers(2, None);
         let stats = pool.stats();
         assert_eq!(stats.workers, 2);
         assert_eq!(stats.tenants.len(), MAX_TENANTS);
@@ -933,7 +899,7 @@ mod tests {
 
     #[test]
     fn cancellable_scan_contains_helper_panic_and_balances_stats() {
-        let pool = MorselPool::new(PoolConfig::default().with_workers(2));
+        let pool = MorselPool::with_helpers(2, None);
         let class = ClassId(5);
         let slot = pool.try_admit(class).expect("within budget");
         let token = CancelToken::new();
@@ -981,7 +947,7 @@ mod tests {
 
     #[test]
     fn cancellable_scan_contains_caller_panic() {
-        let pool = MorselPool::new(PoolConfig::default().with_workers(1));
+        let pool = MorselPool::with_helpers(1, None);
         let token = CancelToken::new();
         // Every participant panics — including the calling thread. The
         // call still returns instead of unwinding.
@@ -991,7 +957,7 @@ mod tests {
 
     #[test]
     fn admit_until_bounds_a_guaranteed_wait_by_the_deadline() {
-        let pool = MorselPool::new(PoolConfig::default().with_workers(1));
+        let pool = MorselPool::with_helpers(1, None);
         let class = ClassId(6);
         pool.set_policy(class, TenantPolicy::default().with_max_in_flight(1));
         let held = pool.try_admit(class).expect("within budget");

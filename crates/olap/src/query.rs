@@ -3,12 +3,11 @@
 use crate::filter::Filter;
 use crate::value::CellValue;
 use sdwp_model::AggregationFunction;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reference to a level attribute used as a group-by key
 /// (e.g. `Store / City / name` — roll up sales to cities).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributeRef {
     /// Dimension name.
     pub dimension: String,
@@ -39,7 +38,7 @@ impl AttributeRef {
 }
 
 /// A reference to a measure with an optional aggregation override.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasureRef {
     /// Measure name.
     pub measure: String,
@@ -71,7 +70,7 @@ impl MeasureRef {
 /// descriptor; slicing/dicing is expressed through `dimension_filters`
 /// (attribute or spatial predicates on dimension members) and
 /// `fact_filter` (predicates on measures).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// The fact to aggregate.
     pub fact: String,
@@ -158,7 +157,7 @@ impl Query {
 }
 
 /// One row of a query result: group-key values plus aggregated measures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultRow {
     /// The group-by key values, in query order.
     pub keys: Vec<CellValue>,
@@ -167,7 +166,7 @@ pub struct ResultRow {
 }
 
 /// The result of executing a [`Query`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Labels of the group-by keys.
     pub key_names: Vec<String>,

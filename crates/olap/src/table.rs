@@ -4,7 +4,6 @@ use crate::chunk::{LivenessMap, DEFAULT_CHUNK_ROWS};
 use crate::column::{Column, ColumnType};
 use crate::error::OlapError;
 use crate::value::CellValue;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// The stable-row-id remap published by one compaction of a [`Table`]:
@@ -15,7 +14,7 @@ use std::ops::Range;
 /// and a selection captured at compaction version `v` translates to the
 /// current numbering by applying remaps `v..n` in order (or row ids
 /// translate *backwards* through the same chain via [`RowRemap::old_id`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowRemap {
     /// The old ids of the surviving rows, ascending; the new id of old row
     /// `live_old_ids[i]` is `i`.
@@ -57,7 +56,7 @@ impl RowRemap {
 /// skip it, the id is never reused, and ids of later rows never shift, so
 /// fact-row selections held by long-lived [`crate::InstanceView`]s stay
 /// valid across ingestion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table name.
     pub name: String,

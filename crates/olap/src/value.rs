@@ -1,12 +1,11 @@
 //! Cell values stored in OLAP tables.
 
 use sdwp_geometry::Geometry;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A single cell value of a fact or dimension table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CellValue {
     /// 64-bit signed integer.
     Integer(i64),

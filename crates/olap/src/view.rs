@@ -21,7 +21,6 @@ use crate::bits::MemberBits;
 use crate::cube::{fk_column, Cube};
 use crate::error::OlapError;
 use crate::table::{RowRemap, Table};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -34,7 +33,7 @@ use std::ops::Range;
 /// queried row id backwards through the table's remap chain to the
 /// selection's version, so a view captured before a compaction keeps
 /// resolving exactly the live rows it selected.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FactSelection {
     /// The fact table's compaction version the row ids refer to (= the
     /// length of the table's remap chain at capture time).
@@ -55,7 +54,7 @@ pub struct FactSelection {
 /// set of allowed member row ids) or per fact (a set of allowed fact row
 /// ids). A fact row passes the view when its row id is allowed *and* every
 /// foreign key points to an allowed member.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct InstanceView {
     dimension_selections: BTreeMap<String, BTreeSet<usize>>,
     fact_selections: BTreeMap<String, FactSelection>,

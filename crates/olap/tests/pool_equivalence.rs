@@ -21,8 +21,7 @@ use common::*;
 use proptest::prelude::*;
 use sdwp_model::AggregationFunction;
 use sdwp_olap::{
-    AttributeRef, ExecutionConfig, InstanceView, MorselPool, PoolConfig, Query, QueryEngine,
-    TenantPolicy,
+    AttributeRef, ExecutionConfig, InstanceView, MorselPool, Query, QueryEngine, TenantPolicy,
 };
 use std::sync::Arc;
 
@@ -71,7 +70,7 @@ proptest! {
             .execute_serial_with_view(&built_cube, &built_query, &built_view)
             .expect("generated queries are valid");
         let pools = [
-            Arc::new(MorselPool::new(PoolConfig::default().with_workers(3))),
+            Arc::new(MorselPool::with_helpers(3, None)),
             Arc::new(MorselPool::with_helpers(0, None)),
         ];
         for (pool, workers) in pools.iter().flat_map(|pool| [1usize, 2, 4, 8].map(|w| (pool, w))) {
@@ -108,7 +107,7 @@ proptest! {
         let built_cube = build_cube(&cube);
         let built_queries: Vec<Query> = queries.iter().map(build_query).collect();
         let built_view = build_view(&view, &cube);
-        let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(2)));
+        let pool = Arc::new(MorselPool::with_helpers(2, None));
         let (private, pooled) = engine_pair(&pool, 4, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT);
         let private_batch =
             private.execute_batch_with_view(&built_cube, &built_queries, &built_view);
@@ -147,7 +146,7 @@ proptest! {
         let serial = QueryEngine::with_config(ExecutionConfig::serial())
             .execute_serial_with_view(&built_cube, &built_query, &view)
             .expect("generated queries are valid");
-        let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(2)));
+        let pool = Arc::new(MorselPool::with_helpers(2, None));
         pool.set_policy(
             sdwp_obs::ClassId::default(),
             TenantPolicy::default().with_max_queued(max_queued),
@@ -205,7 +204,7 @@ fn concurrent_tenants_share_one_pool_without_cross_talk() {
         })
         .collect();
 
-    let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(3)));
+    let pool = Arc::new(MorselPool::with_helpers(3, None));
     // Distinct tenants with distinct weights, so the scheduler actually
     // has classes to arbitrate between.
     for (tenant, weight) in [(0u32, 4u32), (1, 2), (2, 1)] {
@@ -261,7 +260,7 @@ fn pool_shutdown_is_clean_and_replaceable() {
         .execute_serial(&cube, &query)
         .unwrap();
     for _ in 0..3 {
-        let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(2)));
+        let pool = Arc::new(MorselPool::with_helpers(2, None));
         let engine = QueryEngine::with_pool(
             ExecutionConfig::default()
                 .with_workers(3)

@@ -1,11 +1,10 @@
 //! Abstract syntax tree for PRML-for-SDW rules.
 
 use sdwp_geometry::GeometricType;
-use serde::{Deserialize, Serialize};
 
 /// A complete personalization rule: `Rule:<name> When <event> do <body>
 /// endWhen`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Rule name.
     pub name: String,
@@ -17,7 +16,7 @@ pub struct Rule {
 }
 
 /// The event part of a rule (the paper's tracking events, §4.2.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventSpec {
     /// Triggered when the user logs in and the analysis session starts.
     SessionStart,
@@ -34,7 +33,7 @@ pub enum EventSpec {
 }
 
 /// A statement in a rule body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// `If (<condition>) then <then> [else <else>] endIf`
     If {
@@ -62,7 +61,7 @@ pub enum Statement {
 }
 
 /// The personalization actions of §4.2.4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// `SetContent(property, value)` — update the user model (or another
     /// model property).
@@ -95,7 +94,7 @@ pub enum Action {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinaryOp {
     /// Addition.
     Add,
@@ -152,7 +151,7 @@ impl BinaryOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnaryOp {
     /// Numeric negation.
     Neg,
@@ -161,7 +160,7 @@ pub enum UnaryOp {
 }
 
 /// Expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A numeric literal (unit suffixes already normalised to km).
     Number(f64),

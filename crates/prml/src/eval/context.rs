@@ -5,7 +5,6 @@ use sdwp_geometry::distance::DistanceMetric;
 use sdwp_geometry::{GeometricType, Geometry};
 use sdwp_olap::Cube;
 use sdwp_user::{Session, UserProfile};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Provides instance data for external geographic layers.
@@ -64,7 +63,7 @@ impl LayerSource for StaticLayerSource {
 }
 
 /// The effects one rule produced when it fired.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RuleEffect {
     /// The rule that fired.
     pub rule: String,

@@ -8,10 +8,9 @@ use crate::eval::expr::{evaluate, evaluate_condition};
 use crate::eval::value::Value;
 use crate::parser::parse_rules;
 use crate::pretty::print_expr;
-use serde::{Deserialize, Serialize};
 
 /// A runtime event delivered to the engine (§4.2.1's tracking events).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeEvent {
     /// The user logged in; the analysis session starts.
     SessionStart,
@@ -42,7 +41,7 @@ impl RuntimeEvent {
 }
 
 /// The outcome of delivering one event to the engine.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FireReport {
     /// Effects of every rule that fired, in firing order.
     pub effects: Vec<RuleEffect>,

@@ -1,11 +1,10 @@
 //! Runtime values produced while evaluating rule expressions.
 
 use sdwp_geometry::{GeometricType, Geometry};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where an instance reference points.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InstanceSource {
     /// A member of a dimension, viewed at a particular hierarchy level.
     Level {
@@ -29,7 +28,7 @@ pub enum InstanceSource {
 /// A reference to one instance of the (Geo)MD model: a dimension member, a
 /// layer instance or a fact row. This is what `Foreach` variables are bound
 /// to and what `SelectInstance` receives.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceRef {
     /// Which table the instance lives in.
     pub source: InstanceSource,
@@ -61,7 +60,7 @@ impl InstanceRef {
 }
 
 /// A runtime value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A number (all PRML numbers are f64; distances are in km).
     Number(f64),

@@ -8,11 +8,10 @@
 //! the concrete syntax.
 
 use crate::ast::{Action, EventSpec, Expr, Rule, Statement};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The metaclasses of the adapted PRML metamodel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MetaClass {
     /// The `Rule` metaclass — root of every personalization rule.
     Rule,

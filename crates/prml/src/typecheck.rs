@@ -4,11 +4,10 @@ use crate::ast::{Action, EventSpec, Expr, Rule, Statement};
 use crate::error::PrmlError;
 use crate::metamodel::TOPOLOGICAL_OPERATORS;
 use sdwp_model::{PathExpr, PathPrefix, PathResolver, Schema};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The personalization stage a rule belongs to (Fig. 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuleClass {
     /// The rule changes the schema (contains `AddLayer` / `BecomeSpatial`);
     /// it runs in the first stage, turning the MD model into a GeoMD model.

@@ -2,11 +2,10 @@
 
 use crate::stereotype::SusStereotype;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A domain-independent user characteristic (age, language, department,
 /// …) — a «Characteristic» class instance in the SUS profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Characteristic {
     /// Characteristic name (e.g. `"language"`).
     pub name: String,
@@ -32,7 +31,7 @@ impl Characteristic {
 /// The decision maker's organisational role — the characteristic the
 /// paper's Example 5.1 dispatches on (`SUS.DecisionMaker.dm2role.name =
 /// 'RegionalSalesManager'`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Role {
     /// Role name, e.g. `"RegionalSalesManager"`.
     pub name: String,

@@ -2,14 +2,13 @@
 
 use crate::stereotype::SusStereotype;
 use sdwp_geometry::{Geometry, Point};
-use serde::{Deserialize, Serialize};
 
 /// The geographic location from which an analysis session is performed.
 ///
 /// Example 5.2 of the paper uses it to keep only the stores within 5 km of
 /// the decision maker
 /// (`Distance(s.geometry, SUS.DecisionMaker.dm2session.s2location.geometry) < 5km`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocationContext {
     /// A label for the location (e.g. `"office"`, `"field visit"`).
     pub name: String,

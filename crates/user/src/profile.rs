@@ -6,7 +6,6 @@ use crate::selection::SpatialSelectionInterest;
 use crate::stereotype::SusStereotype;
 use crate::value::Value;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ use std::sync::Arc;
 ///
 /// The profile is "updated during the lifetime of the system": rules read
 /// it in their conditions and update it through the `SetContent` action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UserProfile {
     /// Stable identifier of the user (login).
     pub id: String,

@@ -8,11 +8,10 @@
 //! while [`crate::UserProfile`] holds the runtime instance data.
 
 use crate::stereotype::SusStereotype;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A property of a SUS class (e.g. `degree: Integer` on `AirportCity`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SusProperty {
     /// Property name.
     pub name: String,
@@ -31,7 +30,7 @@ impl SusProperty {
 }
 
 /// A stereotyped class of the designed user model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SusClass {
     /// Class name (e.g. `"DecisionMaker"`, `"AirportCity"`).
     pub name: String,
@@ -68,7 +67,7 @@ impl SusClass {
 }
 
 /// A designed spatial-aware user model: a set of stereotyped classes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SusModel {
     /// Model name.
     pub name: String,

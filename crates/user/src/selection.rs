@@ -1,7 +1,6 @@
 //! Tracked spatial-interest events («SpatialSelection»).
 
 use crate::stereotype::SusStereotype;
-use serde::{Deserialize, Serialize};
 
 /// A tracked spatial-selection interest.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// (class `AirportCity` in Fig. 4, attribute `degree`). Rules then compare
 /// the degree against a designer-defined threshold to trigger further
 /// personalization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpatialSelectionInterest {
     /// Interest name, e.g. `"AirportCity"`.
     pub name: String,

@@ -2,13 +2,12 @@
 
 use crate::location::LocationContext;
 use crate::stereotype::SusStereotype;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an analysis session.
 pub type SessionId = u64;
 
 /// Lifecycle state of a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionStatus {
     /// The session is running (between SessionStart and SessionEnd).
     Active,
@@ -18,7 +17,7 @@ pub enum SessionStatus {
 
 /// Events generated during a session, mirroring the PRML tracking events of
 /// §4.2.1 of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SessionEvent {
     /// The user logged in and the analysis session started.
     SessionStart,
@@ -35,7 +34,7 @@ pub enum SessionEvent {
 }
 
 /// One analysis session of a user against the (personalized) SDW.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Session {
     /// Session identifier.
     pub id: SessionId,

@@ -1,11 +1,10 @@
 //! Stereotypes of the spatial-aware user model UML profile (Fig. 3).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The stereotypes defined by the paper's Spatial-aware User model (SUS)
 /// UML profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SusStereotype {
     /// «User» — the decision maker.
     User,

@@ -1,7 +1,6 @@
 //! Property values stored in the user model.
 
 use sdwp_geometry::Geometry;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A value stored in (or read from) the spatial-aware user model.
@@ -9,7 +8,7 @@ use std::fmt;
 /// The paper's user model holds plain characteristics (age, language,
 /// role names), numeric interest degrees and geometries (the location
 /// context); this enum covers all of them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// UTF-8 text.
     Text(String),

@@ -1,5 +1,5 @@
 //! The web-facing deployment: a BI front-end driving the engine through
-//! serde request/response messages.
+//! typed request/response messages.
 //!
 //! This mirrors how the paper's approach is meant to be consumed — a web
 //! application logs users in, forwards their selections, and renders

@@ -304,8 +304,8 @@ fn prometheus_text_and_dict_cache_endpoints() {
         other => panic!("unexpected response {other:?}"),
     }
 
-    // The structured snapshot survives the serde boundary the facade
-    // messages are built for (round trip through the derive shim).
+    // The structured snapshot reaches the front end inside the response,
+    // and the messages are plain values that clone and compare.
     let response = facade.handle(WebRequest::Metrics);
     let debug = format!("{response:?}");
     assert!(debug.contains("query_scan"));
