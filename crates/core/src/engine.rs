@@ -13,13 +13,16 @@
 //!   for rule firing. There is one read body — a query is a batch of one,
 //!   labelled [`ReportAs`] for the metrics — and per-session state lives in
 //!   a sharded [`SessionManager`], so sessions only contend when they hash
-//!   to the same shard.
+//!   to the same shard. A session's view restricts dimension members
+//!   only, so a query takes a copy of it and nothing else from the write
+//!   side: a compaction renumbers fact rows without touching any view.
 //! * **Write master.** Rule firing needs `&mut Cube` and ingestion applies
 //!   deltas, so a single `Mutex<Cube>` master copy serialises both. Every
 //!   snapshot leaves through one door, `CubeState::publish`, which
 //!   hot-swaps a master clone in and decides what the caches keep;
 //!   additive-only personalization (layers and spatial levels only grow)
-//!   keeps old snapshots valid for their readers.
+//!   keeps old snapshots valid for their readers. A compaction publishes,
+//!   then trims the remap chain that id-addressed ingest producers read.
 //! * **Rules and parameters.** The in-service rule set is one
 //!   `ArcSwap<CompiledRuleSet>` (the Cerberus `ArcSwap<RuleSet>` hot-swap
 //!   pattern), so rules can be registered while sessions are live, and
@@ -73,18 +76,6 @@ pub(crate) struct CubeState {
     /// Generation-keyed group-key dictionary cache shared by every query
     /// (and every member of a batch) against a snapshot.
     pub(crate) dict_cache: GroupDictCache,
-    /// The session manager, shared with the engine: compaction remaps
-    /// every open session's fact-row selections right after publishing a
-    /// rewritten table, keeping stored views on the version-aligned fast
-    /// path.
-    pub(crate) sessions: Arc<SessionManager>,
-    /// Compaction versions observed by in-flight rule firings whose
-    /// selection effects have not been applied to a session view yet.
-    /// Together with the stored views' selection versions, this is the
-    /// floor below which no remap-chain transition can be referenced any
-    /// more — what lets compaction trim the chain instead of growing it
-    /// forever.
-    pub(crate) version_pins: VersionPins,
     /// The metrics registry both write paths record ingest-stage spans
     /// into (shared with the engine, which records the query/rule/session
     /// stages). Ingest always records under the default class — epochs
@@ -95,7 +86,8 @@ pub(crate) struct CubeState {
     /// trimmer never drops transitions below the per-fact minimum, so a
     /// producer that lags behind the compaction cadence can still
     /// translate its stale row ids instead of failing with
-    /// `ProducerLagged`.
+    /// `ProducerLagged`. Producers are the remap chain's only readers:
+    /// views name dimension members, which compaction never renumbers.
     pub(crate) producer_floors: Mutex<BTreeMap<(String, String), u64>>,
 }
 
@@ -121,12 +113,7 @@ impl CubeState {
     ///
     /// `master` is the caller's *held* lock guard, so publications never
     /// interleave and none is overtaken by another's snapshot or cache
-    /// flush. Compaction goes on, still under that lock, to remap stored
-    /// session views and only then trims the remap chain. Publish, remap,
-    /// trim: a query pairs its view load with a *later* snapshot load, so
-    /// it sees (stale view, compacted snapshot), which the remap chain
-    /// resolves, or (remapped view, compacted snapshot), the aligned fast
-    /// path; never a remapped view against the pre-compaction snapshot.
+    /// flush.
     pub(crate) fn publish(&self, master: &Cube, scope: PublishScope<'_>) -> u64 {
         let generation = self.snapshot.store(Arc::new(master.clone()));
         match scope {
@@ -141,87 +128,38 @@ impl CubeState {
         }
         generation
     }
-}
 
-/// Number of independently locked pin shards. Matches the session
-/// manager's shard count: pins are taken per query / per firing, so the
-/// same fan-out that decontends session lookup decontends pinning.
-const PIN_SHARDS: usize = 16;
-
-/// Tracks the fact-table compaction versions in-flight rule firings
-/// observed (under the master lock) until their `SelectInstance` effects
-/// are applied to a session view. [`CubeState::maybe_compact`] takes the
-/// minimum over these pins when deciding how far the remap chain can be
-/// trimmed, so a firing's row ids can always be translated forward no
-/// matter how many compactions interleave before the effects land.
-///
-/// Sharded by pin token (like the session map): `pin` / `release` touch
-/// one shard's lock, so concurrent queries on the shared worker pool no
-/// longer serialise on a single global mutex; only the compaction-side
-/// `min_for` — rare by comparison — walks all shards.
-pub(crate) struct VersionPins {
-    next: std::sync::atomic::AtomicU64,
-    shards: Vec<Mutex<BTreeMap<u64, BTreeMap<String, u64>>>>,
-}
-
-impl Default for VersionPins {
-    fn default() -> Self {
-        VersionPins {
-            next: std::sync::atomic::AtomicU64::new(0),
-            shards: (0..PIN_SHARDS)
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
-        }
-    }
-}
-
-impl VersionPins {
-    fn shard(&self, token: u64) -> &Mutex<BTreeMap<u64, BTreeMap<String, u64>>> {
-        &self.shards[(token as usize) % self.shards.len()]
-    }
-
-    /// Registers a firing's observed versions; returns the pin token.
-    fn pin(&self, versions: BTreeMap<String, u64>) -> u64 {
-        let token = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.shard(token).lock().insert(token, versions);
-        token
-    }
-
-    /// Releases a pin once the firing's effects have been applied.
-    fn release(&self, token: u64) {
-        self.shard(token).lock().remove(&token);
-    }
-
-    /// The oldest pinned version for a fact, when any firing is in
-    /// flight. Walks every shard; shard-local minima are combined, which
-    /// is exact because the global minimum is the minimum of the shard
-    /// minima.
-    fn min_for(&self, fact: &str) -> Option<u64> {
-        self.shards
+    /// Compacts one fact table of the held master: rewrite, publish,
+    /// then trim the remap chain to the minimum of the producers' floors
+    /// and the version before this compaction. Producers following the
+    /// re-anchor protocol read the chain after their next flush, so the
+    /// latest transition always stays; readers never consult the chain,
+    /// because views name dimension members, not fact rows.
+    fn compact(
+        &self,
+        master: &mut Cube,
+        stats: FactTableStats,
+    ) -> Result<CompactionOutcome, OlapError> {
+        let _compact = self.metrics.span(Stage::IngestCompact, ClassId::DEFAULT);
+        sdwp_olap::fail_point!("ingest.compact");
+        master.compact_fact_table(&stats.fact)?;
+        // The rewrite preserves live-row content, but conservatively
+        // drop cached results over this fact exactly as an epoch would.
+        let changed = BTreeSet::from([stats.fact.clone()]);
+        let generation = self.publish(master, PublishScope::Facts(&changed));
+        let floor = self
+            .producer_floors
+            .lock()
             .iter()
-            .filter_map(|shard| {
-                shard
-                    .lock()
-                    .values()
-                    .filter_map(|versions| versions.get(fact).copied())
-                    .min()
-            })
-            .min()
-    }
-}
-
-/// RAII release of a firing's version pin: dropped by the caller after
-/// the fire report's selection effects have been applied (or abandoned).
-pub(crate) struct VersionPinGuard {
-    state: Arc<CubeState>,
-    token: Option<u64>,
-}
-
-impl Drop for VersionPinGuard {
-    fn drop(&mut self) {
-        if let Some(token) = self.token {
-            self.state.version_pins.release(token);
-        }
+            .filter(|((_, fact), _)| *fact == stats.fact)
+            .fold(stats.compactions, |floor, (_, &version)| floor.min(version));
+        master.trim_fact_remaps(&stats.fact, floor)?;
+        Ok(CompactionOutcome {
+            fact: stats.fact,
+            rows_before: stats.total_rows,
+            live_rows: stats.live_rows,
+            generation,
+        })
     }
 }
 
@@ -246,64 +184,17 @@ impl CubeSink for CubeState {
         self.publish(&master, PublishScope::Facts(changed_facts))
     }
 
-    fn maybe_compact(&self, policy: &CompactionPolicy) -> Vec<CompactionOutcome> {
+    fn maybe_compact(
+        &self,
+        policy: &CompactionPolicy,
+    ) -> Vec<Result<CompactionOutcome, OlapError>> {
         let mut master = self.master.lock();
-        let candidates: Vec<(String, usize, usize)> = master
+        master
             .fact_table_stats()
             .into_iter()
             .filter(|s| policy.should_compact(s.total_rows, s.live_rows))
-            .map(|s| (s.fact, s.total_rows, s.live_rows))
-            .collect();
-        let mut outcomes = Vec::new();
-        for (fact, rows_before, live_rows) in candidates {
-            let _compact = self.metrics.span(Stage::IngestCompact, ClassId::DEFAULT);
-            let version_before = master
-                .fact_table(&fact)
-                .expect("candidate fact exists")
-                .compaction_version();
-            let remap = master
-                .compact_fact_table(&fact)
-                .expect("candidate fact exists");
-            // The rewrite preserves live-row content, but conservatively
-            // drop cached results over this fact exactly as an epoch would.
-            let changed = BTreeSet::from([fact.clone()]);
-            let generation = self.publish(&master, PublishScope::Facts(&changed));
-            self.sessions.remap_fact_rows(&fact, &remap, version_before);
-            // Trim the remap chain down to what can still be referenced:
-            // stored session views (just remapped to the current version),
-            // in-flight firings that observed an older version, and —
-            // because external producers following the re-anchor protocol
-            // read the chain only after their next flush — always the
-            // latest transition. Everything below that floor is
-            // unreachable and dropped, so the chain stays bounded under
-            // steady compaction.
-            let producer_floor = self
-                .producer_floors
-                .lock()
-                .iter()
-                .filter_map(|((_, floor_fact), version)| (floor_fact == &fact).then_some(*version))
-                .min();
-            let floor = [
-                self.sessions.min_fact_selection_version(&fact),
-                self.version_pins.min_for(&fact),
-                producer_floor,
-                Some(version_before),
-            ]
-            .into_iter()
-            .flatten()
-            .min()
-            .expect("floor list is never empty");
-            master
-                .trim_fact_remaps(&fact, floor)
-                .expect("candidate fact exists");
-            outcomes.push(CompactionOutcome {
-                fact,
-                rows_before,
-                live_rows,
-                generation,
-            });
-        }
-        outcomes
+            .map(|stats| self.compact(&mut master, stats))
+            .collect()
     }
 
     fn fact_stats(&self) -> Vec<FactTableStats> {
@@ -374,7 +265,7 @@ pub struct PersonalizationEngine {
     rules_write: Mutex<()>,
     parameters: RwLock<BTreeMap<String, f64>>,
     layer_source: Arc<dyn LayerSource + Send + Sync>,
-    sessions: Arc<SessionManager>,
+    sessions: SessionManager,
     /// The executor. Its [`QueryEngine::pool`] is the engine-lifetime
     /// morsel worker pool every scan is dispatched on, with its tenant
     /// scheduler and admission controller — present at every worker
@@ -433,7 +324,6 @@ impl PersonalizationEngine {
     ) -> Self {
         let original_schema = cube.schema().clone();
         let snapshot = VersionedSwap::from_pointee(cube.clone());
-        let sessions = Arc::new(SessionManager::new());
         // The querying thread always scans, so the pool only needs
         // `workers - 1` long-lived helpers (zero for a one-worker
         // executor) — built here rather than by
@@ -448,8 +338,6 @@ impl PersonalizationEngine {
                 snapshot,
                 result_cache: QueryCache::new(config.cache_capacity),
                 dict_cache: GroupDictCache::new(),
-                sessions: Arc::clone(&sessions),
-                version_pins: VersionPins::default(),
                 metrics: Arc::clone(&metrics),
                 producer_floors: Mutex::new(BTreeMap::new()),
             }),
@@ -459,7 +347,7 @@ impl PersonalizationEngine {
             rules_write: Mutex::new(()),
             parameters: RwLock::new(BTreeMap::new()),
             layer_source,
-            sessions,
+            sessions: SessionManager::new(),
             query_engine,
             ingest: Mutex::new(None),
             metrics,
@@ -515,6 +403,12 @@ impl PersonalizationEngine {
             CompiledRuleSet::compile(rules, master.schema())?
         };
         let classes = compiled.classes();
+        sdwp_olap::fail_point!("rules.install", |message: String| Err(CoreError::Rule(
+            sdwp_prml::PrmlError::Check {
+                rule: "rules.install".into(),
+                message: format!("injected: {message}"),
+            }
+        )));
         self.rules.store(Arc::new(compiled));
         Ok(classes)
     }
@@ -585,15 +479,8 @@ impl PersonalizationEngine {
             None => Session::start(id, user_id),
         };
         let mut state = SessionState::with_class(session, class);
-        // The version pin must stay alive until the session is *stored*:
-        // between applying the selection effects and `sessions.insert`,
-        // the new view's captured compaction version is visible neither
-        // through the pins nor through the stored-views floor, and a
-        // concurrent compaction could otherwise trim a remap transition
-        // the view still needs.
-        let (report, fact_versions, _pin) =
-            self.fire_event(&state.session, &RuntimeEvent::SessionStart, class)?;
-        self.apply_selection_effects(&report, &fact_versions, &mut state.view);
+        let report = self.fire_event(&state.session, &RuntimeEvent::SessionStart, class)?;
+        Self::apply_selection_effects(&report, &mut state.view);
         state.effects.extend(report.effects.iter().cloned());
         let personalization_report = self.build_report(&state, &report)?;
         self.sessions.insert(state);
@@ -619,12 +506,11 @@ impl PersonalizationEngine {
             element: element.to_string(),
             expression: expression.map(str::to_string),
         };
-        let (report, fact_versions, pin) = self.fire_event(&session, &event, class)?;
+        let report = self.fire_event(&session, &event, class)?;
         self.sessions.with_session_mut(session_id, |state| {
-            self.apply_selection_effects(&report, &fact_versions, &mut state.view);
+            Self::apply_selection_effects(&report, &mut state.view);
             state.effects.extend(report.effects.iter().cloned());
         })?;
-        drop(pin);
         Ok(report)
     }
 
@@ -636,14 +522,13 @@ impl PersonalizationEngine {
     /// once the SessionEnd rules have fired — **whether or not the firing
     /// succeeded**: no later request can reach an ended session anyway —
     /// they all answer `UnknownSession` — and retaining the state would
-    /// grow the session map without bound and pin the compaction remap
-    /// chain on views nobody can query.
+    /// grow the session map without bound.
     pub fn end_session(&self, session_id: SessionId) -> Result<FireReport, CoreError> {
         let (session, class) = self.update_active_session(session_id, Session::end)?;
         let _span = self.metrics.span(Stage::SessionEnd, class);
         let fired = self.fire_event(&session, &RuntimeEvent::SessionEnd, class);
         self.sessions.remove(session_id);
-        Ok(fired?.0)
+        fired
     }
 
     /// The session gate every per-session entry passes: an ended session
@@ -704,13 +589,8 @@ impl PersonalizationEngine {
     }
 
     /// The read path of a session: copies out of the active session its
-    /// view, its read-your-writes floor, its class and a pin on the view's
-    /// fact-selection versions, then runs the one read body. The pin is
-    /// taken while still under the session shard lock (mutually exclusive
-    /// with the compaction path's eager remap of this shard): the body
-    /// keeps this clone of the view — possibly across a read-your-writes
-    /// wait — and the remap-chain trimmer must not drop transitions the
-    /// clone still needs. Released when execution returns.
+    /// view, its read-your-writes floor and its class, then runs the one
+    /// read body.
     fn query_session(
         &self,
         report_as: ReportAs,
@@ -718,22 +598,12 @@ impl PersonalizationEngine {
         queries: &[Query],
         deadline: Option<std::time::Duration>,
     ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-        let pinned = |state: &SessionState| {
+        let copied = |state: &SessionState| {
             Self::ensure_active(state)?;
-            let versions: BTreeMap<String, u64> = state
-                .view
-                .fact_selection_versions()
-                .map(|(fact, version)| (fact.to_string(), version))
-                .collect();
-            let pin = VersionPinGuard {
-                state: Arc::clone(&self.cube_state),
-                token: (!versions.is_empty()).then(|| self.cube_state.version_pins.pin(versions)),
-            };
             let view = Arc::clone(&state.view);
-            Ok::<_, CoreError>((view, state.min_generation, state.class, pin))
+            Ok::<_, CoreError>((view, state.min_generation, state.class))
         };
-        let (view, min_generation, class, _pin) =
-            self.sessions.with_session(session_id, pinned)??;
+        let (view, min_generation, class) = self.sessions.with_session(session_id, copied)??;
         self.query_batch_snapshot(report_as, queries, view, min_generation, class, deadline)
     }
 
@@ -1194,18 +1064,12 @@ impl PersonalizationEngine {
     /// tables are the streaming-ingest subsystem's territory (the master
     /// may be an epoch ahead of the snapshot there), so the rollback
     /// keeps the master's fact tables: rules cannot have touched them.
-    /// Besides the fire report, returns each fact table's compaction
-    /// version as observed under the master lock — the numbering any
-    /// `SelectInstance` fact-row selections in the report refer to, so
-    /// [`PersonalizationEngine::apply_selection_effects`] can pin them
-    /// (a compaction interleaving between the firing and the application
-    /// then translates correctly instead of silently misreading ids).
     fn fire_event(
         &self,
         session: &Session,
         event: &RuntimeEvent,
         class: ClassId,
-    ) -> Result<(FireReport, BTreeMap<String, u64>, VersionPinGuard), CoreError> {
+    ) -> Result<FireReport, CoreError> {
         // One load: both phases see the same ruleset however many
         // hot-swaps land mid-firing.
         let rules = self.rules.load();
@@ -1219,14 +1083,7 @@ impl PersonalizationEngine {
             // the profile: skip the master lock entirely. Unknown
             // users must still error exactly like the locking path.
             self.profiles.get(&session.user_id)?;
-            return Ok((
-                FireReport::default(),
-                BTreeMap::new(),
-                VersionPinGuard {
-                    state: Arc::clone(&self.cube_state),
-                    token: None,
-                },
-            ));
+            return Ok(FireReport::default());
         }
         // Phase 2 — effect application for the matched rules only,
         // under the master lock. The span covers lock acquisition:
@@ -1245,8 +1102,7 @@ impl PersonalizationEngine {
         drop(ctx);
         effect.finish();
         // Still under the master lock: roll back on error, publish on a
-        // real schema change, write the profile back, and pin compaction
-        // versions for fact-row selections.
+        // real schema change, write the profile back.
         let published = self.cube_state.snapshot.load();
         let report = match fired {
             Ok(report) => report,
@@ -1270,46 +1126,14 @@ impl PersonalizationEngine {
             self.cube_state.publish(&master, PublishScope::Schema);
         }
         self.profiles.upsert(profile);
-        // Only fact-row selections consume the version map; skip the
-        // allocation on the (common) firings without one.
-        let has_fact_selections = report
-            .effects
-            .iter()
-            .any(|e| e.selections.keys().any(|k| k.starts_with("__fact__")));
-        let fact_versions = if has_fact_selections {
-            master.fact_compaction_versions()
-        } else {
-            BTreeMap::new()
-        };
-        // Pin the observed versions (under the master lock, so a
-        // compaction cannot interleave before the pin lands): until the
-        // caller applies the selection effects and drops the guard, the
-        // remap-chain trimmer must keep every transition from these
-        // versions forward.
-        let pin = VersionPinGuard {
-            state: Arc::clone(&self.cube_state),
-            token: has_fact_selections
-                .then(|| self.cube_state.version_pins.pin(fact_versions.clone())),
-        };
-        drop(master);
-        Ok((report, fact_versions, pin))
+        Ok(report)
     }
 
     /// Applies the SelectInstance effects of a fire report to a view:
-    /// each rule's selection restricts the view conjunctively, with
-    /// fact-row selections pinned to the compaction version the firing
-    /// observed. If a compaction slipped in between the firing and this
-    /// application (the stored selection is already at a newer version),
-    /// the incoming ids are translated forward through the published
-    /// remap chain first, so the intersection always happens in one
-    /// numbering. The view is copy-on-write (`Arc`): concurrent readers
-    /// keep the snapshot they loaded; only the stored view is replaced.
-    fn apply_selection_effects(
-        &self,
-        report: &FireReport,
-        fact_versions: &BTreeMap<String, u64>,
-        view: &mut Arc<InstanceView>,
-    ) {
+    /// each rule's member selection restricts its dimension conjunctively.
+    /// The view is copy-on-write (`Arc`): concurrent readers keep the
+    /// snapshot they loaded; only the stored view is replaced.
+    fn apply_selection_effects(report: &FireReport, view: &mut Arc<InstanceView>) {
         if report
             .effects
             .iter()
@@ -1320,45 +1144,7 @@ impl PersonalizationEngine {
         let view = Arc::make_mut(view);
         for effect in &report.effects {
             for (dimension, members) in &effect.selections {
-                if let Some(fact) = dimension.strip_prefix("__fact__") {
-                    let version = fact_versions.get(fact).copied().unwrap_or(0);
-                    // Re-anchor the fired ids forward if a compaction
-                    // raced the firing: either to the stored selection's
-                    // numbering (stored views are remapped under the
-                    // master lock right after each compacted snapshot
-                    // publishes) or, for a fresh selection, to the
-                    // published table's current version — storing it at
-                    // the lagging `version` would leave a view the eager
-                    // per-compaction remap (which matches versions
-                    // exactly) skips forever, permanently pinning the
-                    // remap-chain trim floor. The firing's version pin is
-                    // still held here, so the published chain always
-                    // covers `version..target`.
-                    let cube = self.cube_state.snapshot.load();
-                    let target = view
-                        .fact_selection_version(fact)
-                        .into_iter()
-                        .chain(
-                            cube.fact_table(fact)
-                                .map(|table| table.compaction_version()),
-                        )
-                        .max()
-                        .unwrap_or(version);
-                    if target > version {
-                        let translated = cube
-                            .translate_fact_rows(fact, version, target, members.iter().copied())
-                            .unwrap_or_else(|_| members.iter().copied().collect());
-                        view.select_fact_rows_at(fact.to_string(), target, translated);
-                    } else {
-                        view.select_fact_rows_at(
-                            fact.to_string(),
-                            version,
-                            members.iter().copied(),
-                        );
-                    }
-                } else {
-                    view.select_dimension_members(dimension.clone(), members.iter().copied());
-                }
+                view.select_dimension_members(dimension.clone(), members.iter().copied());
             }
         }
     }
@@ -2050,7 +1836,7 @@ mod tests {
                         .with_min_rows(1);
                     let compacted = engine.cube_state.maybe_compact(&policy);
                     assert_eq!(compacted.len(), 1);
-                    assert_eq!(compacted[0].fact, "Sales");
+                    assert_eq!(compacted[0].as_ref().unwrap().fact, "Sales");
                 },
                 true,
             ),

@@ -11,7 +11,7 @@
 use crate::error::CoreError;
 use parking_lot::RwLock;
 use sdwp_obs::{ClassId, Counter, Gauge};
-use sdwp_olap::{InstanceView, RowRemap};
+use sdwp_olap::InstanceView;
 use sdwp_prml::RuleEffect;
 use sdwp_user::{Session, SessionId, SessionStatus};
 use std::collections::HashMap;
@@ -132,9 +132,8 @@ impl SessionManager {
     ///
     /// The engine calls this at logout, after the SessionEnd rules fired:
     /// an ended session's view and effect log would otherwise be retained
-    /// forever, growing the shards without bound and pinning the
-    /// compaction remap chain (see [`Self::min_fact_selection_version`])
-    /// on views no query can reach any more.
+    /// forever, growing the shards without bound with state no query can
+    /// reach any more.
     pub fn remove(&self, id: SessionId) -> Option<SessionState> {
         let removed = self.shard(id).write().remove(&id);
         if removed.is_some() {
@@ -217,39 +216,6 @@ impl SessionManager {
     /// The number of shards the session map is split into.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Translates every stored session view's selection over `fact`
-    /// through one compaction remap (see
-    /// [`InstanceView::remap_fact_rows`]). Called by the compaction path
-    /// right after it publishes the rewritten snapshot, so stored views
-    /// stay aligned with the current row numbering; views already at a
-    /// different version (or without a selection over the fact) are left
-    /// untouched — queries resolve those through the remap chain instead.
-    pub fn remap_fact_rows(&self, fact: &str, remap: &RowRemap, from_version: u64) {
-        for shard in &self.shards {
-            for state in shard.write().values_mut() {
-                if state.view.fact_selection_version(fact) == Some(from_version) {
-                    Arc::make_mut(&mut state.view).remap_fact_rows(fact, remap, from_version);
-                }
-            }
-        }
-    }
-
-    /// The oldest compaction version any stored session view's selection
-    /// over `fact` was captured at, or `None` when no stored view
-    /// restricts the fact. The remap-chain trimmer uses this as the floor
-    /// below which no transition can be referenced any more.
-    pub fn min_fact_selection_version(&self, fact: &str) -> Option<u64> {
-        let mut min = None;
-        for shard in &self.shards {
-            for state in shard.read().values() {
-                if let Some(version) = state.view.fact_selection_version(fact) {
-                    min = Some(min.map_or(version, |m: u64| m.min(version)));
-                }
-            }
-        }
-        min
     }
 }
 

@@ -143,27 +143,26 @@ impl RetailTicker {
     ///
     /// # Errors
     /// [`IngestError::ProducerLagged`] when the table's retained remap
-    /// chain no longer covers `version_seen` (`remap_base` has been
-    /// trimmed past it): the producer lagged more than the serving
-    /// layer's retention window, and translating through a partial chain
-    /// would silently address the wrong rows. The ticker's bookkeeping
-    /// is left untouched so the caller can recover — discard the
-    /// outstanding id-addressed plan and re-anchor after a flush, or
-    /// prevent the trim up front by registering a producer floor
+    /// chain no longer covers `version_seen`
+    /// ([`FactTable::translate_rows_from`] refuses it): the producer
+    /// lagged more than the serving layer's retention window, and
+    /// translating through a partial chain would silently address the
+    /// wrong rows. The ticker's bookkeeping is left untouched so the
+    /// caller can recover — discard the outstanding id-addressed plan
+    /// and re-anchor after a flush, or prevent the trim up front by
+    /// registering a producer floor
     /// (`IngestHandle::set_producer_floor`) before lagging.
     pub fn re_anchor(&mut self, fact: &FactTable) -> Result<(), IngestError> {
         let current = fact.compaction_version();
         if current == self.version_seen {
             return Ok(());
         }
-        if fact.remap_base > self.version_seen {
-            return Err(IngestError::ProducerLagged {
-                floor: fact.remap_base,
-                requested: self.version_seen,
-            });
-        }
         self.retracted = fact
             .translate_rows_from(self.version_seen, self.retracted.iter().copied())
+            .ok_or(IngestError::ProducerLagged {
+                floor: fact.remap_base,
+                requested: self.version_seen,
+            })?
             .into_iter()
             .collect();
         self.fact_rows = fact.table.len();

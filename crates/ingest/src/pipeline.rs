@@ -44,12 +44,14 @@ pub trait CubeSink: Send + Sync {
     fn publish_epoch(&self, changed_facts: &BTreeSet<String>) -> u64;
 
     /// Compacts every fact table whose tombstone pressure crosses the
-    /// policy, publishing a fresh snapshot (and remapping whatever
-    /// long-lived row-id selections the implementor tracks) per compacted
-    /// table. Called by the epoch worker right after each publication.
-    /// The default does nothing — sinks without compaction support stay
-    /// valid.
-    fn maybe_compact(&self, _policy: &CompactionPolicy) -> Vec<CompactionOutcome> {
+    /// policy, publishing a fresh snapshot per compacted table, with one
+    /// typed outcome per candidate table. Called by the epoch worker
+    /// right after each publication. The default does nothing — sinks
+    /// without compaction support stay valid.
+    fn maybe_compact(
+        &self,
+        _policy: &CompactionPolicy,
+    ) -> Vec<Result<CompactionOutcome, OlapError>> {
         Vec::new()
     }
 
@@ -273,7 +275,8 @@ pub struct IngestStats {
     /// True once the supervisor exhausted its restart budget; every
     /// subsequent submission gets [`IngestError::WorkerDown`].
     pub worker_down: bool,
-    /// Description of the most recent batch failure, when any.
+    /// Description of the most recent batch or compaction failure, when
+    /// any.
     pub last_error: Option<String>,
     /// Per-fact storage counters of the write master (live rows,
     /// tombstone ratio, compactions) — the operator's compaction-pressure
@@ -675,17 +678,18 @@ fn worker_loop(
         *epoch_started = None;
         // Retractions only accumulate at publication boundaries, so this
         // is the one place compaction pressure can newly cross the
-        // policy. Each compaction publishes its own snapshot; readers'
-        // stale selections keep resolving through the remap chain.
+        // policy. Each compaction publishes its own snapshot.
         if compaction.is_enabled() {
-            let outcomes = sink.maybe_compact(&compaction);
-            if let Some(last) = outcomes.last() {
-                shared
-                    .compactions
-                    .fetch_add(outcomes.len() as u64, Ordering::Relaxed);
-                shared
-                    .last_generation
-                    .store(last.generation, Ordering::Relaxed);
+            for outcome in sink.maybe_compact(&compaction) {
+                match outcome {
+                    Ok(outcome) => {
+                        shared.compactions.fetch_add(1, Ordering::Relaxed);
+                        shared
+                            .last_generation
+                            .store(outcome.generation, Ordering::Relaxed);
+                    }
+                    Err(error) => *shared.last_error.lock() = Some(error.to_string()),
+                }
             }
         }
     };
@@ -852,26 +856,26 @@ mod tests {
             generation
         }
 
-        fn maybe_compact(&self, policy: &CompactionPolicy) -> Vec<CompactionOutcome> {
+        fn maybe_compact(
+            &self,
+            policy: &CompactionPolicy,
+        ) -> Vec<Result<CompactionOutcome, OlapError>> {
             let mut master = self.master.lock();
-            let candidates: Vec<(String, usize, usize)> = master
+            master
                 .fact_table_stats()
                 .into_iter()
                 .filter(|s| policy.should_compact(s.total_rows, s.live_rows))
-                .map(|s| (s.fact, s.total_rows, s.live_rows))
-                .collect();
-            let mut outcomes = Vec::new();
-            for (fact, rows_before, live_rows) in candidates {
-                master.compact_fact_table(&fact).expect("fact exists");
-                let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-                outcomes.push(CompactionOutcome {
-                    fact,
-                    rows_before,
-                    live_rows,
-                    generation,
-                });
-            }
-            outcomes
+                .map(|stats| {
+                    master.compact_fact_table(&stats.fact)?;
+                    let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
+                    Ok(CompactionOutcome {
+                        fact: stats.fact,
+                        rows_before: stats.total_rows,
+                        live_rows: stats.live_rows,
+                        generation,
+                    })
+                })
+                .collect()
         }
 
         fn fact_stats(&self) -> Vec<FactTableStats> {

@@ -1,7 +1,7 @@
 //! Dense member-id bitsets: what a member set — a view's dimension
-//! selection, a fact-row selection, the rows a dimension filter matches —
-//! is lowered to at plan time, so a scan tests membership with a shift
-//! and a mask instead of a tree walk.
+//! selection, the rows a dimension filter matches — is lowered to at
+//! plan time, so a scan tests membership with a shift and a mask instead
+//! of a tree walk.
 
 use crate::column::Column;
 use crate::error::OlapError;

@@ -46,15 +46,17 @@ pub struct FactTable {
     /// The retained stable-row-id remaps of this table's compactions,
     /// oldest first ([`Arc`]-shared across snapshots). `remaps[i]`
     /// publishes the transition from compaction version `remap_base + i`
-    /// to `remap_base + i + 1`; a selection captured at version `v`
-    /// translates to the current numbering through
-    /// `remaps[v - remap_base ..]`.
+    /// to `remap_base + i + 1`; row ids captured at version `v` translate
+    /// to the current numbering through `remaps[v - remap_base ..]` (see
+    /// [`FactTable::translate_rows_from`]). Only id-addressed producers
+    /// read the chain: views name dimension members, never fact rows.
     pub remaps: Vec<Arc<RowRemap>>,
     /// Compaction version of the oldest retained remap's *source*
-    /// numbering. The serving layer trims remaps no live session view (or
-    /// in-flight rule firing) can still reference, so the chain stays
-    /// bounded however many compactions a table goes through; `remap_base`
-    /// records how many were dropped.
+    /// numbering. After each compaction the serving layer trims every
+    /// transition below the minimum registered producer floor and below
+    /// the previous version, so the chain stays bounded however many
+    /// compactions a table goes through; `remap_base` records how many
+    /// were dropped.
     pub remap_base: u64,
 }
 
@@ -65,35 +67,33 @@ impl FactTable {
         self.remap_base + self.remaps.len() as u64
     }
 
-    /// The retained remaps covering version transitions from `version`
-    /// onwards — what a selection captured at `version` translates
-    /// through. Transitions older than the trimmed base are gone; the
-    /// serving layer guarantees no live selection references them.
-    pub fn remaps_from(&self, version: u64) -> &[Arc<RowRemap>] {
-        let start = version.saturating_sub(self.remap_base) as usize;
-        &self.remaps[start.min(self.remaps.len())..]
-    }
-
     /// Translates row ids captured at compaction `version` forward
     /// through every retained remap to the current numbering; ids whose
     /// rows died in an intervening compaction drop out. The shared walk
-    /// behind every producer's re-anchor step (callers must hold ids no
-    /// older than the retained window — see [`FactTable::remap_base`]).
+    /// behind every producer's re-anchor step.
+    ///
+    /// `None` when the retained chain does not cover `version`: it was
+    /// trimmed past it (`version < remap_base`, the producer lagged) or
+    /// the table never reached it. Walking a partial chain would return
+    /// wrong ids without an error.
     pub fn translate_rows_from(
         &self,
         version: u64,
         rows: impl IntoIterator<Item = usize>,
-    ) -> Vec<usize> {
-        let remaps = self.remaps_from(version);
-        rows.into_iter()
-            .filter_map(|row| {
-                let mut row = Some(row);
-                for remap in remaps {
-                    row = row.and_then(|r| remap.new_id(r));
-                }
-                row
-            })
-            .collect()
+    ) -> Option<Vec<usize>> {
+        let start = usize::try_from(version.checked_sub(self.remap_base)?).ok()?;
+        let remaps = self.remaps.get(start..)?;
+        Some(
+            rows.into_iter()
+                .filter_map(|row| {
+                    let mut row = Some(row);
+                    for remap in remaps {
+                        row = row.and_then(|r| remap.new_id(r));
+                    }
+                    row
+                })
+                .collect(),
+        )
     }
 }
 
@@ -437,8 +437,8 @@ impl Cube {
     /// Compacts a fact table: rewrites its live rows into fresh, dense
     /// chunks (dropping every tombstone), remaps the stable row ids, and
     /// appends the resulting [`RowRemap`] to the fact's remap chain so
-    /// selections captured before the compaction keep resolving the same
-    /// live rows. Returns the remap.
+    /// producers holding ids captured before the compaction can translate
+    /// them. Returns the remap.
     pub fn compact_fact_table(&mut self, fact: &str) -> Result<Arc<RowRemap>, OlapError> {
         let fact_table = self
             .facts
@@ -454,51 +454,10 @@ impl Cube {
         Ok(remap)
     }
 
-    /// The compaction version of every fact table (how many remaps a
-    /// row-id selection captured now would eventually translate
-    /// through) — the cheap subset of [`Cube::fact_table_stats`] the
-    /// selection-versioning paths need.
-    pub fn fact_compaction_versions(&self) -> BTreeMap<String, u64> {
-        self.facts
-            .values()
-            .map(|f| (f.fact.clone(), f.compaction_version()))
-            .collect()
-    }
-
-    /// Translates fact row ids captured at compaction version
-    /// `from_version` into `to_version`'s numbering by applying the remap
-    /// chain forward; ids whose rows died in an intervening compaction
-    /// drop out. Ids are returned unchanged when the versions are equal
-    /// (or the chain cannot cover the span).
-    pub fn translate_fact_rows(
-        &self,
-        fact: &str,
-        from_version: u64,
-        to_version: u64,
-        rows: impl IntoIterator<Item = usize>,
-    ) -> Result<Vec<usize>, OlapError> {
-        let fact_table = self.fact_table(fact)?;
-        let base = fact_table.remap_base;
-        let len = fact_table.remaps.len();
-        let clamp = |version: u64| (version.saturating_sub(base) as usize).min(len);
-        let remaps = &fact_table.remaps[clamp(from_version)..clamp(to_version)];
-        Ok(rows
-            .into_iter()
-            .filter_map(|row| {
-                let mut row = Some(row);
-                for remap in remaps {
-                    row = row.and_then(|r| remap.new_id(r));
-                }
-                row
-            })
-            .collect())
-    }
-
     /// Drops the remaps covering version transitions below `min_version` —
-    /// called by the serving layer once no live session view (or
-    /// in-flight firing) holds a selection captured before that version,
-    /// so the chain stays bounded under steady compaction. Returns how
-    /// many remaps were dropped. Clamped to the retained window; trimming
+    /// called by the serving layer once no registered producer can still
+    /// hold ids captured before that version, so the chain stays bounded
+    /// under steady compaction. Returns how many remaps were dropped. Clamped to the retained window; trimming
     /// to the current version drops the whole chain.
     pub fn trim_fact_remaps(&mut self, fact: &str, min_version: u64) -> Result<usize, OlapError> {
         let fact_table = self
@@ -906,19 +865,16 @@ mod tests {
         assert_eq!(sales_after.tombstone_ratio, 0.0);
         assert_eq!(sales_after.compactions, 1);
         assert!(cube.compact_fact_table("Returns").is_err());
-        assert_eq!(cube.fact_compaction_versions()["Sales"], 1);
         // Forward translation through the chain: live old ids 1,3,4,5 map
-        // to 0..4; dead ids drop out; same-version is the identity.
+        // to 0..4; dead ids drop out; the current version is the identity.
+        let sales = cube.fact_table("Sales").unwrap();
         assert_eq!(
-            cube.translate_fact_rows("Sales", 0, 1, vec![0, 1, 3, 5])
-                .unwrap(),
-            vec![0, 1, 3]
+            sales.translate_rows_from(0, vec![0, 1, 3, 5]),
+            Some(vec![0, 1, 3])
         );
-        assert_eq!(
-            cube.translate_fact_rows("Sales", 1, 1, vec![0, 3]).unwrap(),
-            vec![0, 3]
-        );
-        assert!(cube.translate_fact_rows("Returns", 0, 1, vec![0]).is_err());
+        assert_eq!(sales.translate_rows_from(1, vec![0, 3]), Some(vec![0, 3]));
+        // A version the table never reached is refused.
+        assert_eq!(sales.translate_rows_from(2, vec![0]), None);
     }
 
     #[test]
@@ -946,8 +902,9 @@ mod tests {
         let sales = cube.fact_table("Sales").unwrap();
         assert_eq!(sales.compaction_version(), 2);
         assert_eq!(sales.remaps.len(), 2);
-        assert_eq!(sales.remaps_from(0).len(), 2);
-        assert_eq!(sales.remaps_from(1).len(), 1);
+        // Old version-0 row 2 (the first survivor of round one, version-1
+        // row 0) died in round two; version-0 row 3 is new row 0.
+        assert_eq!(sales.translate_rows_from(0, vec![2, 3]), Some(vec![0]));
 
         // Trim the first transition: the version stays 2, the chain
         // shrinks, and translation from version 1 still works.
@@ -956,13 +913,8 @@ mod tests {
         assert_eq!(sales.compaction_version(), 2);
         assert_eq!(sales.remap_base, 1);
         assert_eq!(sales.remaps.len(), 1);
-        assert_eq!(sales.remaps_from(1).len(), 1);
-        assert_eq!(sales.remaps_from(0).len(), 1, "below-base clamps");
         // Old version-1 row 1 (the second survivor of round one) → new 0.
-        assert_eq!(
-            cube.translate_fact_rows("Sales", 1, 2, vec![0, 1]).unwrap(),
-            vec![0]
-        );
+        assert_eq!(sales.translate_rows_from(1, vec![0, 1]), Some(vec![0]));
         // Trimming is idempotent and clamps to the current version.
         assert_eq!(cube.trim_fact_remaps("Sales", 1).unwrap(), 0);
         assert_eq!(cube.trim_fact_remaps("Sales", 99).unwrap(), 1);
@@ -974,6 +926,37 @@ mod tests {
         let sales_stats = stats.iter().find(|s| s.fact == "Sales").unwrap();
         assert_eq!(sales_stats.compactions, 2);
         assert_eq!(sales_stats.remap_chain_len, 0);
+    }
+
+    /// Ids captured below the trimmed base cannot be translated: the
+    /// transitions they need are gone, and walking the retained suffix
+    /// from the wrong numbering would return other rows' ids.
+    #[test]
+    fn translating_from_below_the_trimmed_base_is_refused() {
+        let mut cube = Cube::with_chunk_rows(schema(), 2);
+        cube.add_dimension_member("Store", vec![("Store.name", CellValue::from("S0"))])
+            .unwrap();
+        cube.add_dimension_member("Time", vec![("Day.date", CellValue::Date(0))])
+            .unwrap();
+        for i in 0..4 {
+            cube.add_fact_row(
+                "Sales",
+                vec![("Store", 0), ("Time", 0)],
+                vec![("UnitSales", CellValue::Float(i as f64))],
+            )
+            .unwrap();
+        }
+        // Version 0 → 1 drops row 0 (old 1,2,3 → 0,1,2); version 1 → 2
+        // drops nothing. Version-0 row 2 is version-2 row 1.
+        cube.retract_fact_row("Sales", 0).unwrap();
+        cube.compact_fact_table("Sales").unwrap();
+        cube.compact_fact_table("Sales").unwrap();
+        let sales = cube.fact_table("Sales").unwrap();
+        assert_eq!(sales.translate_rows_from(0, vec![2]), Some(vec![1]));
+        cube.trim_fact_remaps("Sales", 1).unwrap();
+        let sales = cube.fact_table("Sales").unwrap();
+        assert_eq!(sales.translate_rows_from(0, vec![2]), None);
+        assert_eq!(sales.translate_rows_from(1, vec![1]), Some(vec![1]));
     }
 
     #[test]

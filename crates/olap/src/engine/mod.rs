@@ -34,12 +34,11 @@
 //!
 //! Within a morsel, selection is bit operations over a shrinking
 //! selection vector. The view's selection runs **once per morsel** for
-//! the whole fact group — the table's live runs, a bit test per row for
-//! the fact's row selection, then per restricted dimension one typed FK
-//! gather ([`crate::Column::gather_members`]) and a bit test — and every
-//! filter class starts from its survivors (what a query counts as
-//! *scanned*), applies its own dimension bitsets by the same
-//! gather-and-test, then its fact filter row by row. Stages run in the
+//! the whole fact group — the table's live runs, then per restricted
+//! dimension one typed FK gather ([`crate::Column::gather_members`])
+//! and a bit test — and every filter class starts from its survivors
+//! (what a query counts as *scanned*), applies its own dimension bitsets
+//! by the same gather-and-test, then its fact filter row by row. Stages run in the
 //! serial reference's per-row order, so a row an earlier stage rejects
 //! never has a later key read; a stage that cannot read a row cuts the
 //! selection off at that row and the later stages carry on below it, so
@@ -1209,18 +1208,18 @@ mod tests {
         }
     }
 
-    /// A view that restricts only what the queried fact does not touch —
-    /// a dimension it is not analysed by, another fact's rows — lowers to
-    /// nothing for that fact, so the view's selection is the live runs as
-    /// they are and its filterless queries answer exactly as without a
-    /// view.
+    /// A view that restricts only dimensions the queried fact is not
+    /// analysed by — `Time` for `Stock`, and one no fact references —
+    /// lowers to nothing for that fact, so the view's selection is the
+    /// live runs as they are and its filterless queries answer exactly as
+    /// without a view.
     #[test]
     fn a_view_restricting_elsewhere_keeps_the_live_run_path() {
         let mut cube = sales_cube();
         cube.retract_fact_row("Stock", 1).unwrap();
         let mut view = InstanceView::unrestricted();
         view.select_dimension_members("Time", vec![0]);
-        view.select_fact_rows("Sales", vec![3, 4]);
+        view.select_dimension_members("Elsewhere", vec![1]);
         assert!(!view.is_unrestricted());
         let queries = [
             Query::over("Stock").measure("OnHand"),
@@ -1263,7 +1262,7 @@ mod tests {
             assert_eq!((seen.facts_scanned, seen.facts_matched), (3, 3));
         }
         assert_eq!(view.visible_fact_count(&cube, "Stock").unwrap(), 3);
-        assert_eq!(view.visible_fact_count(&cube, "Sales").unwrap(), 1);
+        assert_eq!(view.visible_fact_count(&cube, "Sales").unwrap(), 4);
     }
 
     /// An ungrouped aggregate is a grouped one with a single group: all
@@ -1275,8 +1274,16 @@ mod tests {
     #[test]
     fn an_ungrouped_aggregate_plans_as_one_group() {
         let mut cube = sales_cube();
-        // Stock row 4: store 3 again, with a null OnHand.
-        cube.add_fact_row("Stock", vec![("Store", 3)], vec![])
+        // Stock row 4: a fifth store, with a null OnHand.
+        cube.add_dimension_member(
+            "Store",
+            vec![
+                ("Store.name", CellValue::from("S4")),
+                ("City.name", CellValue::from("Madrid")),
+            ],
+        )
+        .unwrap();
+        cube.add_fact_row("Stock", vec![("Store", 4)], vec![])
             .unwrap();
         let numeric = Query::over("Stock")
             .measure("OnHand")
@@ -1293,7 +1300,7 @@ mod tests {
         let mut stores = InstanceView::unrestricted();
         stores.select_dimension_members("Store", vec![0, 3]);
         let mut null_row = InstanceView::unrestricted();
-        null_row.select_fact_rows("Stock", vec![4]);
+        null_row.select_dimension_members("Store", vec![4]);
         for (query, slot_limit, flat) in cases {
             let mut results = vec![None];
             let queries = std::slice::from_ref(query);

@@ -139,7 +139,7 @@ pub(super) struct FactGroup<'q> {
     /// The request's view lowered for this fact, once, at plan time —
     /// filter class zero of every morsel: its selection runs once per
     /// morsel and every filter class starts from the survivors.
-    pub(super) view: ResolvedViewCheck<'q>,
+    pub(super) view: ResolvedViewCheck,
     pub(super) queries: Vec<BatchQuery<'q>>,
     /// One entry per filter class — the member queries whose canonical
     /// filter identity coincides, so each morsel materialises one

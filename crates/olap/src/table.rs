@@ -54,8 +54,8 @@ impl RowRemap {
 /// Rows are append-only and addressed by their stable row id; a row can be
 /// *retracted* (the ingest path's delete), which tombstones the id — scans
 /// skip it, the id is never reused, and ids of later rows never shift, so
-/// fact-row selections held by long-lived [`crate::InstanceView`]s stay
-/// valid across ingestion.
+/// producers addressing rows by id stay valid across ingestion (only a
+/// compaction renumbers, publishing a [`RowRemap`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table name.

@@ -226,16 +226,14 @@ pub fn build_query(spec: &QuerySpec) -> Query {
     query
 }
 
-/// A generated personalized view: optional member selection on D0 and
-/// optional fact-row selection (raw ids reduced modulo the table sizes),
-/// a few *stray* ids joined unreduced to whichever of the two is present
-/// — mostly far beyond every table, the members and rows the view API
-/// accepts but no table holds — and an optional selection on a dimension
-/// `F` is not analysed by, which restricts nothing `F` can see.
+/// A generated personalized view: an optional member selection on D0
+/// (raw ids reduced modulo the member count) with a few *stray* ids
+/// joined unreduced — mostly far beyond every table, the members the view
+/// API accepts but no table holds — and an optional selection on a
+/// dimension `F` is not analysed by, which restricts nothing `F` can see.
 #[derive(Debug, Clone)]
 pub struct ViewSpec {
     pub d0_selection: Option<Vec<usize>>,
-    pub fact_selection: Option<Vec<usize>>,
     pub strays: Vec<usize>,
     pub elsewhere: Option<Vec<usize>>,
 }
@@ -243,33 +241,21 @@ pub struct ViewSpec {
 pub fn view_spec() -> impl Strategy<Value = ViewSpec> {
     (
         option_of(prop::collection::vec(any::<usize>(), 0..6)),
-        option_of(prop::collection::vec(any::<usize>(), 0..40)),
         prop::collection::vec(prop_oneof![0usize..12, any::<usize>()], 0..3),
         option_of(prop::collection::vec(0usize..4, 0..3)),
     )
-        .prop_map(
-            |(d0_selection, fact_selection, strays, elsewhere)| ViewSpec {
-                d0_selection,
-                fact_selection,
-                strays,
-                elsewhere,
-            },
-        )
+        .prop_map(|(d0_selection, strays, elsewhere)| ViewSpec {
+            d0_selection,
+            strays,
+            elsewhere,
+        })
 }
 
 pub fn build_view(spec: &ViewSpec, cube_spec: &CubeSpec) -> InstanceView {
     let mut view = InstanceView::unrestricted();
-    let strays = spec.strays.iter().copied();
     if let Some(members) = &spec.d0_selection {
         let members = members.iter().map(|m| m % cube_spec.d0_members.len());
-        view.select_dimension_members("D0", members.chain(strays.clone()));
-    }
-    if let Some(rows) = &spec.fact_selection {
-        // With no fact row to reduce onto, only the strays remain.
-        let rows = rows
-            .iter()
-            .filter_map(|r| r.checked_rem(cube_spec.facts.len()));
-        view.select_fact_rows("F", rows.chain(strays));
+        view.select_dimension_members("D0", members.chain(spec.strays.iter().copied()));
     }
     if let Some(members) = &spec.elsewhere {
         view.select_dimension_members("Elsewhere", members.iter().copied());

@@ -12,8 +12,7 @@
 //! * whole queries over chunked, tombstoned cubes are identical between
 //!   the morsel-parallel executor (on both accumulation paths, flat
 //!   dense-slot and hashed) and the serial `CellValue` reference, and
-//!   compaction changes neither the results nor what a pre-compaction
-//!   view resolves.
+//!   compaction changes neither the results nor what a view resolves.
 //!
 //! Float measures are dyadic rationals (multiples of 0.25), so sums are
 //! exact and equality is bit-for-bit, not approximate.
@@ -230,6 +229,16 @@ fn build_warehouse(spec: &WarehouseSpec) -> Cube {
     cube
 }
 
+/// A view restricting `D` to the given members (raw ids reduced modulo
+/// the member count), or the unrestricted view.
+fn member_view(spec: &WarehouseSpec, members: &Option<Vec<usize>>) -> InstanceView {
+    let mut view = InstanceView::unrestricted();
+    if let Some(members) = members {
+        view.select_dimension_members("D", members.iter().map(|m| m % spec.members));
+    }
+    view
+}
+
 fn queries() -> Vec<Query> {
     vec![
         // Ungrouped all-numeric: one flat slot.
@@ -273,14 +282,10 @@ proptest! {
     #[test]
     fn chunked_tombstoned_cubes_match_the_serial_reference(
         spec in warehouse_spec(),
-        view_rows in option_of(prop::collection::vec(any::<usize>(), 0..20)),
+        view_members in option_of(prop::collection::vec(any::<usize>(), 0..4)),
     ) {
         let cube = build_warehouse(&spec);
-        let mut view = InstanceView::unrestricted();
-        if let Some(rows) = &view_rows {
-            let total = spec.facts.len().max(1);
-            view.select_fact_rows("F", rows.iter().map(|r| r % total));
-        }
+        let view = member_view(&spec, &view_members);
         agreed_visible_count(&cube, &view, "M");
         let serial_engine = QueryEngine::with_config(ExecutionConfig::serial());
         for query in queries() {
@@ -314,20 +319,16 @@ proptest! {
         }
     }
 
-    /// Compaction is invisible to queries: the same results, through both
-    /// executors, whether the view was captured before the compaction
-    /// (stale ids resolving through the remap chain) or remapped after.
+    /// Compaction is invisible to queries: the same results through the
+    /// same dimension view, through both executors, before and after the
+    /// fact table's rows are renumbered.
     #[test]
     fn compaction_preserves_results_and_stale_views(
         spec in warehouse_spec(),
-        view_rows in option_of(prop::collection::vec(any::<usize>(), 0..20)),
+        view_members in option_of(prop::collection::vec(any::<usize>(), 0..4)),
     ) {
         let cube = build_warehouse(&spec);
-        let mut view = InstanceView::unrestricted();
-        if let Some(rows) = &view_rows {
-            let total = spec.facts.len().max(1);
-            view.select_fact_rows("F", rows.iter().map(|r| r % total));
-        }
+        let view = member_view(&spec, &view_members);
         let mut compacted = cube.clone();
         let remap = compacted.compact_fact_table("F").expect("F exists");
         prop_assert_eq!(
@@ -339,13 +340,9 @@ proptest! {
             let old = remap.old_id(new).expect("surviving row has an old id");
             prop_assert_eq!(remap.new_id(old), Some(new));
         }
-        let mut remapped_view = view.clone();
-        remapped_view.remap_fact_rows("F", &remap, 0);
-        // The count is compaction-invariant too: before, through the stale
-        // view's remap walk, and through the eagerly remapped view.
+        // The visible count is compaction-invariant too.
         let visible = agreed_visible_count(&cube, &view, "M");
         prop_assert_eq!(agreed_visible_count(&compacted, &view, "M"), visible);
-        prop_assert_eq!(agreed_visible_count(&compacted, &remapped_view, "M"), visible);
         let serial_engine = QueryEngine::with_config(ExecutionConfig::serial());
         let parallel_engine = QueryEngine::with_config(
             ExecutionConfig::default().with_workers(4).with_morsel_rows(5),
@@ -354,17 +351,14 @@ proptest! {
             let before = serial_engine
                 .execute_serial_with_view(&cube, &query, &view)
                 .expect("valid query");
-            // Stale view against the compacted cube: the remap chain
-            // resolves the same live rows.
-            let after_stale = serial_engine
+            let after_serial = serial_engine
                 .execute_serial_with_view(&compacted, &query, &view)
                 .expect("valid query");
-            prop_assert_eq!(&after_stale, &before, "stale view, query={:?}", query);
-            // Eagerly remapped view, both executors.
-            let after_remapped = parallel_engine
-                .execute_with_view(&compacted, &query, &remapped_view)
+            prop_assert_eq!(&after_serial, &before, "serial, query={:?}", query);
+            let after_parallel = parallel_engine
+                .execute_with_view(&compacted, &query, &view)
                 .expect("valid query");
-            prop_assert_eq!(&after_remapped, &before, "remapped view, query={:?}", query);
+            prop_assert_eq!(&after_parallel, &before, "parallel, query={:?}", query);
         }
     }
 

@@ -105,15 +105,6 @@ pub(crate) fn select_value(
                         .or_default()
                         .insert(instance.row);
                 }
-                InstanceSource::Fact { fact } => {
-                    // Fact rows are tracked as a dimension-like selection on
-                    // the fact name; the view applies them as fact rows.
-                    effect
-                        .selections
-                        .entry(format!("__fact__{fact}"))
-                        .or_default()
-                        .insert(instance.row);
-                }
             }
             Ok(())
         }

@@ -71,7 +71,10 @@ pub struct RuleEffect {
     pub added_layers: Vec<(String, GeometricType)>,
     /// Levels made spatial by `BecomeSpatial`, with their geometric types.
     pub become_spatial: Vec<(String, GeometricType)>,
-    /// Dimension members selected by `SelectInstance`, per dimension.
+    /// Dimension members selected by `SelectInstance`, keyed by
+    /// dimension name — the only restriction a rule can put into a
+    /// session view (rule expressions cannot name a fact, so no rule
+    /// selects fact rows).
     pub selections: BTreeMap<String, BTreeSet<usize>>,
     /// Layer instances selected by `SelectInstance`, per layer.
     pub layer_selections: BTreeMap<String, BTreeSet<usize>>,

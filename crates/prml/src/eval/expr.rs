@@ -327,13 +327,12 @@ pub(crate) fn access_properties(
 }
 
 /// The cell `.geometry` reads for an instance, borrowed from its table:
-/// `Some(Ok(None))` for a null cell, `Some(Err(..))` when the table or its
-/// geometry column is missing, and `None` for fact rows, whose `.geometry`
-/// is an ordinary column read.
+/// `Ok(None)` for a null cell, `Err(..)` when the table or its geometry
+/// column is missing.
 fn geometry_cell<'c>(
     instance: &InstanceRef,
     ctx: &'c EvalContext<'_>,
-) -> Option<Result<Option<&'c Geometry>, PrmlError>> {
+) -> Result<Option<&'c Geometry>, PrmlError> {
     let column = match &instance.source {
         InstanceSource::Level { dimension, level } => ctx
             .cube
@@ -343,13 +342,10 @@ fn geometry_cell<'c>(
             .cube
             .layer_table(layer)
             .and_then(|t| t.table.column("geometry")),
-        InstanceSource::Fact { .. } => return None,
     };
-    Some(
-        column
-            .map(|column| column.get_geometry(instance.row))
-            .map_err(|e| PrmlError::eval("", e.to_string())),
-    )
+    column
+        .map(|column| column.get_geometry(instance.row))
+        .map_err(|e| PrmlError::eval("", e.to_string()))
 }
 
 /// Whether reading `.geometry` off this value yields a geometry or null
@@ -357,7 +353,7 @@ fn geometry_cell<'c>(
 pub(crate) fn geometry_read_is_total(value: &Value, ctx: &EvalContext<'_>) -> bool {
     match value {
         Value::Geometry(_) => true,
-        Value::Instance(instance) => matches!(geometry_cell(instance, ctx), Some(Ok(_))),
+        Value::Instance(instance) => geometry_cell(instance, ctx).is_ok(),
         _ => false,
     }
 }
@@ -370,9 +366,10 @@ fn access_property(
     let olap_err = |e: sdwp_olap::OlapError| PrmlError::eval("", e.to_string());
     if property.eq_ignore_ascii_case("geometry") {
         if let Value::Instance(instance) = value {
-            if let Some(cell) = geometry_cell(instance, ctx) {
-                return Ok(cell?.cloned().map(Value::Geometry).unwrap_or(Value::Null));
-            }
+            return Ok(geometry_cell(instance, ctx)?
+                .cloned()
+                .map(Value::Geometry)
+                .unwrap_or(Value::Null));
         }
     }
     match value {
@@ -415,12 +412,6 @@ fn access_property(
                     format!("layer instance has no property '{property}'"),
                 ))
             }
-            InstanceSource::Fact { fact } => {
-                let table = &ctx.cube.fact_table(fact).map_err(olap_err)?.table;
-                Ok(Value::from_cell(
-                    table.get(instance.row, property).map_err(olap_err)?,
-                ))
-            }
         },
         Value::Geometry(_) if property.eq_ignore_ascii_case("geometry") => Ok(value.clone()),
         other => Err(PrmlError::eval(
@@ -439,16 +430,9 @@ pub fn geometry_of<'a>(
 ) -> Result<Cow<'a, Geometry>, PrmlError> {
     match value {
         Value::Geometry(g) => Ok(Cow::Borrowed(g)),
-        Value::Instance(instance) => match geometry_cell(instance, ctx) {
-            Some(cell) => cell?
-                .map(Cow::Borrowed)
-                .ok_or_else(|| PrmlError::eval("", "instance has no geometry value")),
-            None => match access_property(value, "geometry", ctx)? {
-                Value::Geometry(g) => Ok(Cow::Owned(g)),
-                Value::Null => Err(PrmlError::eval("", "instance has no geometry value")),
-                other => Err(type_error("geometry", &other)),
-            },
-        },
+        Value::Instance(instance) => geometry_cell(instance, ctx)?
+            .map(Cow::Borrowed)
+            .ok_or_else(|| PrmlError::eval("", "instance has no geometry value")),
         Value::Collection(members) => {
             let mut collection = GeometryCollection::empty();
             for member in members {

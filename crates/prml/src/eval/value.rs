@@ -18,16 +18,12 @@ pub enum InstanceSource {
         /// Layer name.
         layer: String,
     },
-    /// A row of a fact table.
-    Fact {
-        /// Fact name.
-        fact: String,
-    },
 }
 
-/// A reference to one instance of the (Geo)MD model: a dimension member, a
-/// layer instance or a fact row. This is what `Foreach` variables are bound
-/// to and what `SelectInstance` receives.
+/// A reference to one instance of the (Geo)MD model: a dimension member or
+/// a layer instance. This is what `Foreach` variables are bound to and what
+/// `SelectInstance` receives. Facts are never instances: rule expressions
+/// cannot name a fact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceRef {
     /// Which table the instance lives in.

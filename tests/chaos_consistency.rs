@@ -23,9 +23,9 @@
 
 #![cfg(feature = "failpoints")]
 
-use sdwp::core::{CoreError, PersonalizationEngine};
+use sdwp::core::{CoreError, PersonalizationEngine, WebFacade, WebRequest, WebResponse};
 use sdwp::datagen::{PaperScenario, RetailTicker, ScenarioConfig, TickerConfig};
-use sdwp::ingest::{EpochPolicy, IngestConfig};
+use sdwp::ingest::{CompactionPolicy, DeltaBatch, EpochPolicy, IngestConfig};
 use sdwp::model::AggregationFunction;
 use sdwp::olap::fault::{self, FailAction};
 use sdwp::olap::{
@@ -563,4 +563,153 @@ fn supervised_ingest_survives_apply_crashes_without_drift() {
         sdwp::olap::CellValue::Integer((expected + APPENDS as u64) as i64),
         "an applied batch whose publish crashed must still become visible"
     );
+}
+
+/// A compaction that panics before rewriting its table: the supervisor
+/// restarts the worker without losing the applied batch, the next
+/// epoch's compaction goes through, and a dimension-restricted session
+/// reads bit-identical results throughout.
+#[test]
+fn supervised_ingest_survives_a_compaction_crash() {
+    let _serial = serial();
+    let _teardown = Teardown;
+    let _quiet = QuietPanics::install();
+    let scenario = PaperScenario::generate(ScenarioConfig::tiny());
+    let engine = chaos_engine(&scenario, 0);
+    let session = login(&engine, &scenario);
+    // The session sees the even stores; every delta below lands on odd
+    // ones, so its results must never move.
+    let stores = scenario.retail.stores.len();
+    engine
+        .sessions()
+        .with_session_mut(session, |state| {
+            Arc::make_mut(&mut state.view)
+                .select_dimension_members("Store", (0..stores).step_by(2));
+        })
+        .expect("session exists");
+    // Exact measures only: `UnitSales` holds whole numbers, so its sums
+    // do not depend on how compaction's renumbering regroups the rows
+    // into morsels (a `StoreSales` sum can move in its last bit).
+    let queries = [
+        Query::over("Sales").measure("UnitSales"),
+        Query::over("Sales")
+            .group_by(AttributeRef::new("Store", "City", "name"))
+            .measure("UnitSales")
+            .measure_agg("UnitSales", AggregationFunction::Max),
+        Query::over("Sales")
+            .group_by(AttributeRef::new("Product", "Category", "name"))
+            .measure_agg("StoreCost", AggregationFunction::Count),
+    ];
+    let baseline: Vec<QueryResult> = queries
+        .iter()
+        .map(|q| engine.query(session, q).expect("baseline"))
+        .collect();
+    let ingest = engine.start_ingest(
+        IngestConfig::default()
+            .with_epoch(EpochPolicy::default().with_max_rows(1))
+            .with_compaction(
+                CompactionPolicy::disabled()
+                    .with_max_tombstone_ratio(0.25)
+                    .with_min_rows(4),
+            ),
+    );
+
+    // One batch retracts every odd-store row: its epoch crosses the
+    // policy, and the compaction it triggers panics.
+    let mut retract = DeltaBatch::new();
+    for (row, sale) in scenario.retail.sales.iter().enumerate() {
+        if sale.store % 2 == 1 {
+            retract = retract.retract("Sales", row);
+        }
+    }
+    fault::arm(
+        "ingest.compact",
+        FailAction::Panic("chaos".into()),
+        1,
+        Some(1),
+    );
+    ingest.submit(retract).expect("submit");
+    ingest.flush().expect("flush survives the compaction crash");
+    assert_eq!(fault::hits("ingest.compact"), 1);
+    fault::disarm("ingest.compact");
+    let stats = ingest.stats();
+    assert_eq!(stats.worker_restarts, 1);
+    assert_eq!((stats.batches_applied, stats.batches_failed), (1, 0));
+    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(stats.compactions, 0, "the crashed compaction never ran");
+    for (query, expected) in queries.iter().zip(&baseline) {
+        assert_eq!(&engine.query(session, query).expect("query"), expected);
+    }
+
+    // The next epoch retries the compaction, which now goes through.
+    let append = DeltaBatch::new().append(
+        "Sales",
+        vec![
+            ("Store", 1usize),
+            ("Customer", 0),
+            ("Product", 0),
+            ("Time", 0),
+        ],
+        vec![("UnitSales", sdwp::olap::CellValue::Float(1.0))],
+    );
+    ingest.submit(append).expect("submit");
+    ingest.flush().expect("flush");
+    let stats = ingest.stats();
+    assert_eq!(stats.worker_restarts, 1);
+    assert_eq!((stats.batches_applied, stats.batches_failed), (2, 0));
+    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(stats.compactions, 1);
+    let sales = stats
+        .fact_tables
+        .iter()
+        .find(|s| s.fact == "Sales")
+        .expect("Sales gauge");
+    assert_eq!(sales.tombstone_ratio, 0.0);
+    assert!(sales.remap_chain_len <= 1, "{sales:?}");
+    for (query, expected) in queries.iter().zip(&baseline) {
+        assert_eq!(&engine.query(session, query).expect("query"), expected);
+    }
+    assert_pool_quiescent(&engine);
+}
+
+/// A rule-set installation that fails after compiling: `ReloadRules`
+/// answers a typed error and the in-service set is the very allocation
+/// from before; once disarmed, the same reload goes through.
+#[test]
+fn an_injected_install_error_keeps_the_rules_in_service() {
+    let _serial = serial();
+    let _teardown = Teardown;
+    let scenario = PaperScenario::generate(ScenarioConfig::tiny());
+    let facade = WebFacade::from_shared(chaos_engine(&scenario, 0));
+    let engine = facade.engine();
+    engine
+        .add_rules_text(sdwp::prml::corpus::ALL_PAPER_RULES[0])
+        .expect("rules install");
+    let before = engine.compiled_rules();
+    let replacement = "Rule:countLogins When SessionStart do \
+         SetContent(SUS.DecisionMaker.logins, 1) endWhen";
+
+    fault::arm(
+        "rules.install",
+        FailAction::Error("chaos".into()),
+        1,
+        Some(1),
+    );
+    match facade.handle(WebRequest::ReloadRules {
+        rules: replacement.into(),
+    }) {
+        WebResponse::Error { message } => assert!(message.contains("injected: chaos"), "{message}"),
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    assert_eq!(fault::hits("rules.install"), 1);
+    assert!(Arc::ptr_eq(&before, &engine.compiled_rules()));
+
+    match facade.handle(WebRequest::ReloadRules {
+        rules: replacement.into(),
+    }) {
+        WebResponse::RulesReloaded { .. } => {}
+        other => panic!("expected the reload to go through, got {other:?}"),
+    }
+    assert!(!Arc::ptr_eq(&before, &engine.compiled_rules()));
+    assert_eq!(engine.compiled_rules().len(), 1);
 }
