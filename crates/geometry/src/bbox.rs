@@ -4,8 +4,9 @@ use crate::coord::Coord;
 
 /// An axis-aligned bounding box (minimum bounding rectangle).
 ///
-/// Bounding boxes are the workhorse of the spatial indexes in `sdwp-index`
-/// and of the predicate fast paths in [`crate::predicates`].
+/// Bounding boxes are the workhorse of the level index in `sdwp_olap`'s
+/// spatial selection and of the predicate fast paths in
+/// [`crate::predicates`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Smallest x coordinate covered by the box.

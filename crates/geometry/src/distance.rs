@@ -26,11 +26,6 @@ pub enum DistanceMetric {
     HaversineKm,
 }
 
-/// Euclidean distance between two coordinates.
-pub fn euclidean_coords(a: &Coord, b: &Coord) -> f64 {
-    a.distance(b)
-}
-
 /// Minimum Euclidean distance between two geometries.
 ///
 /// Returns `f64::INFINITY` when either geometry is an empty collection:
@@ -38,15 +33,12 @@ pub fn euclidean_coords(a: &Coord, b: &Coord) -> f64 {
 /// threshold conditions (`Distance(...) < x`) evaluate to `false` as the
 /// paper's semantics require.
 pub fn euclidean(a: &Geometry, b: &Geometry) -> f64 {
-    distance_with(a, b, &|p, q| p.distance(q))
+    distance(a, b, DistanceMetric::Euclidean)
 }
 
 /// Minimum distance between two geometries under the given metric.
 pub fn distance(a: &Geometry, b: &Geometry, metric: DistanceMetric) -> f64 {
-    match metric {
-        DistanceMetric::Euclidean => euclidean(a, b),
-        DistanceMetric::HaversineKm => distance_with(a, b, &haversine_distance),
-    }
+    distance_with(a, b, metric)
 }
 
 /// Distance between two points under the given metric.
@@ -57,9 +49,16 @@ pub fn point_distance(a: &Point, b: &Point, metric: DistanceMetric) -> f64 {
     }
 }
 
-type CoordMetric<'m> = &'m dyn Fn(&Coord, &Coord) -> f64;
+impl DistanceMetric {
+    fn between(self, a: &Coord, b: &Coord) -> f64 {
+        match self {
+            DistanceMetric::Euclidean => a.distance(b),
+            DistanceMetric::HaversineKm => haversine_distance(a, b),
+        }
+    }
+}
 
-fn distance_with(a: &Geometry, b: &Geometry, metric: CoordMetric<'_>) -> f64 {
+fn distance_with(a: &Geometry, b: &Geometry, metric: DistanceMetric) -> f64 {
     if a.is_empty() || b.is_empty() {
         return f64::INFINITY;
     }
@@ -72,7 +71,7 @@ fn distance_with(a: &Geometry, b: &Geometry, metric: CoordMetric<'_>) -> f64 {
             .iter()
             .map(|g| distance_with(other, g, metric))
             .fold(f64::INFINITY, f64::min),
-        (Geometry::Point(p), Geometry::Point(q)) => metric(&p.coord(), &q.coord()),
+        (Geometry::Point(p), Geometry::Point(q)) => metric.between(&p.coord(), &q.coord()),
         (Geometry::Point(p), Geometry::Line(l)) | (Geometry::Line(l), Geometry::Point(p)) => {
             point_line_distance(&p.coord(), l, metric)
         }
@@ -88,16 +87,22 @@ fn distance_with(a: &Geometry, b: &Geometry, metric: CoordMetric<'_>) -> f64 {
     }
 }
 
-fn point_line_distance(c: &Coord, l: &LineString, metric: CoordMetric<'_>) -> f64 {
+fn point_line_distance(c: &Coord, l: &LineString, metric: DistanceMetric) -> f64 {
     // For the Euclidean metric use the exact point-to-segment distance.
     // For other metrics approximate using vertices plus the Euclidean
     // closest point of each segment (adequate at the small spans used by
-    // SDW workloads).
+    // SDW workloads); the planar distance is in other units there.
     l.segments()
         .map(|(a, b)| {
-            let exact = point_segment_distance(c, &a, &b);
             let closest = closest_point_on_segment(c, &a, &b);
-            metric(c, &closest).min(exact.min(metric(c, &a)).min(metric(c, &b)))
+            let approx = metric
+                .between(c, &closest)
+                .min(metric.between(c, &a))
+                .min(metric.between(c, &b));
+            match metric {
+                DistanceMetric::Euclidean => approx.min(point_segment_distance(c, &a, &b)),
+                DistanceMetric::HaversineKm => approx,
+            }
         })
         .fold(f64::INFINITY, f64::min)
 }
@@ -112,7 +117,7 @@ fn closest_point_on_segment(p: &Coord, a: &Coord, b: &Coord) -> Coord {
     *a + ab * t
 }
 
-fn point_polygon_distance(c: &Coord, p: &Polygon, metric: CoordMetric<'_>) -> f64 {
+fn point_polygon_distance(c: &Coord, p: &Polygon, metric: DistanceMetric) -> f64 {
     if p.contains_coord(c) {
         return 0.0;
     }
@@ -120,12 +125,12 @@ fn point_polygon_distance(c: &Coord, p: &Polygon, metric: CoordMetric<'_>) -> f6
         .iter()
         .map(|(a, b)| {
             let closest = closest_point_on_segment(c, a, b);
-            metric(c, &closest)
+            metric.between(c, &closest)
         })
         .fold(f64::INFINITY, f64::min)
 }
 
-fn line_line_distance(l1: &LineString, l2: &LineString, metric: CoordMetric<'_>) -> f64 {
+fn line_line_distance(l1: &LineString, l2: &LineString, metric: DistanceMetric) -> f64 {
     let mut min = f64::INFINITY;
     for (a1, a2) in l1.segments() {
         for (b1, b2) in l2.segments() {
@@ -133,19 +138,23 @@ fn line_line_distance(l1: &LineString, l2: &LineString, metric: CoordMetric<'_>)
             if eucl == 0.0 {
                 return 0.0;
             }
-            // Approximate non-Euclidean metrics via closest endpoints.
-            let m = metric(&a1, &closest_point_on_segment(&a1, &b1, &b2))
-                .min(metric(&a2, &closest_point_on_segment(&a2, &b1, &b2)))
-                .min(metric(&b1, &closest_point_on_segment(&b1, &a1, &a2)))
-                .min(metric(&b2, &closest_point_on_segment(&b2, &a1, &a2)));
-            min = min.min(m.min(eucl.max(0.0)).max(0.0).min(m));
+            // Approximate non-Euclidean metrics via closest endpoints; the
+            // planar distance counts for the Euclidean metric only.
+            let m = metric
+                .between(&a1, &closest_point_on_segment(&a1, &b1, &b2))
+                .min(metric.between(&a2, &closest_point_on_segment(&a2, &b1, &b2)))
+                .min(metric.between(&b1, &closest_point_on_segment(&b1, &a1, &a2)))
+                .min(metric.between(&b2, &closest_point_on_segment(&b2, &a1, &a2)));
+            if metric == DistanceMetric::Euclidean {
+                min = min.min(m.min(eucl.max(0.0)).max(0.0));
+            }
             min = min.min(m);
         }
     }
     min
 }
 
-fn line_polygon_distance(l: &LineString, p: &Polygon, metric: CoordMetric<'_>) -> f64 {
+fn line_polygon_distance(l: &LineString, p: &Polygon, metric: DistanceMetric) -> f64 {
     if l.coords().iter().any(|c| p.contains_coord(c)) {
         return 0.0;
     }
@@ -156,17 +165,18 @@ fn line_polygon_distance(l: &LineString, p: &Polygon, metric: CoordMetric<'_>) -
             if eucl == 0.0 {
                 return 0.0;
             }
-            let m = metric(&a1, &closest_point_on_segment(&a1, &b1, &b2))
-                .min(metric(&a2, &closest_point_on_segment(&a2, &b1, &b2)))
-                .min(metric(&b1, &closest_point_on_segment(&b1, &a1, &a2)))
-                .min(metric(&b2, &closest_point_on_segment(&b2, &a1, &a2)));
+            let m = metric
+                .between(&a1, &closest_point_on_segment(&a1, &b1, &b2))
+                .min(metric.between(&a2, &closest_point_on_segment(&a2, &b1, &b2)))
+                .min(metric.between(&b1, &closest_point_on_segment(&b1, &a1, &a2)))
+                .min(metric.between(&b2, &closest_point_on_segment(&b2, &a1, &a2)));
             min = min.min(m);
         }
     }
     min
 }
 
-fn polygon_polygon_distance(p1: &Polygon, p2: &Polygon, metric: CoordMetric<'_>) -> f64 {
+fn polygon_polygon_distance(p1: &Polygon, p2: &Polygon, metric: DistanceMetric) -> f64 {
     if p1.exterior().iter().any(|c| p2.contains_coord(c))
         || p2.exterior().iter().any(|c| p1.contains_coord(c))
     {
@@ -179,10 +189,11 @@ fn polygon_polygon_distance(p1: &Polygon, p2: &Polygon, metric: CoordMetric<'_>)
             if eucl == 0.0 {
                 return 0.0;
             }
-            let m = metric(&a1, &closest_point_on_segment(&a1, &b1, &b2))
-                .min(metric(&a2, &closest_point_on_segment(&a2, &b1, &b2)))
-                .min(metric(&b1, &closest_point_on_segment(&b1, &a1, &a2)))
-                .min(metric(&b2, &closest_point_on_segment(&b2, &a1, &a2)));
+            let m = metric
+                .between(&a1, &closest_point_on_segment(&a1, &b1, &b2))
+                .min(metric.between(&a2, &closest_point_on_segment(&a2, &b1, &b2)))
+                .min(metric.between(&b1, &closest_point_on_segment(&b1, &a1, &a2)))
+                .min(metric.between(&b2, &closest_point_on_segment(&b2, &a1, &a2)));
             min = min.min(m);
         }
     }
@@ -278,6 +289,19 @@ mod tests {
         // Haversine of small degree offsets is hundreds of km.
         let hav = distance(&a, &b, DistanceMetric::HaversineKm);
         assert!(hav > 400.0 && hav < 700.0);
+    }
+
+    #[test]
+    fn haversine_line_distance_stays_in_kilometres() {
+        // A store ten degrees of latitude off an equatorial line is about
+        // 1 112 km away, not ten planar degrees.
+        let l = line(&[(0.0, 0.0), (10.0, 0.0)]);
+        let store = pt(5.0, 10.0);
+        let d = distance(&store, &l, DistanceMetric::HaversineKm);
+        assert!((d - 1111.95).abs() < 1.0, "got {d}");
+        let parallel = line(&[(0.0, 10.0), (10.0, 10.0)]);
+        let d = distance(&parallel, &l, DistanceMetric::HaversineKm);
+        assert!((d - 1111.95).abs() < 1.0, "got {d}");
     }
 
     #[test]

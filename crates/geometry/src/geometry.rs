@@ -106,18 +106,6 @@ impl Geometry {
         }
     }
 
-    /// A representative coordinate of the geometry: the point itself, the
-    /// first vertex of a line, the centroid of a polygon, or the
-    /// representative of the first member of a collection.
-    pub fn representative_coord(&self) -> Option<crate::coord::Coord> {
-        match self {
-            Geometry::Point(p) => Some(p.coord()),
-            Geometry::Line(l) => l.coords().first().copied(),
-            Geometry::Polygon(p) => Some(p.centroid()),
-            Geometry::Collection(c) => c.iter().find_map(Geometry::representative_coord),
-        }
-    }
-
     /// Returns the contained point if this geometry is a `Point`.
     pub fn as_point(&self) -> Option<&Point> {
         match self {
@@ -236,16 +224,6 @@ mod tests {
         assert!(p.as_line().is_none());
         assert!(p.as_polygon().is_none());
         assert!(p.as_collection().is_none());
-    }
-
-    #[test]
-    fn representative_coords() {
-        let p: Geometry = Point::new(1.0, 2.0).into();
-        assert_eq!(p.representative_coord().unwrap(), (1.0, 2.0).into());
-        let empty: Geometry = GeometryCollection::empty().into();
-        assert!(empty.representative_coord().is_none());
-        let nested: Geometry = GeometryCollection::new(vec![Point::new(3.0, 4.0).into()]).into();
-        assert_eq!(nested.representative_coord().unwrap(), (3.0, 4.0).into());
     }
 
     #[test]

@@ -166,15 +166,6 @@ impl HistogramSnapshot {
         bucket_upper_bound(HISTOGRAM_BUCKETS - 1)
     }
 
-    /// Mean sample value in microseconds (0 when empty).
-    pub fn mean_micros(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_micros as f64 / self.count as f64
-        }
-    }
-
     /// True when no samples have been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0

@@ -46,11 +46,14 @@
 //! that leaves the fact alone the view's selection is exactly the live
 //! rows, so there is one selection body for every class.
 //!
-//! Because morsel boundaries and the merge order depend only on
-//! [`ExecutionConfig::morsel_rows`] — never on the worker count or on
-//! which worker processed which morsel — the result (including every
-//! floating-point partial sum) is bit-for-bit identical whether the
-//! pipeline runs on 1 or N workers. [`QueryEngine::execute_serial_with_view`]
+//! Because morsel boundaries and the merge order depend only on the row
+//! numbering and [`ExecutionConfig::morsel_rows`] — never on the worker
+//! count or on which worker processed which morsel — the result
+//! (including every floating-point partial sum) is bit-for-bit identical
+//! whether the pipeline runs on 1 or N workers, for a fixed row
+//! numbering and `morsel_rows`. A compaction renumbers fact rows, which
+//! regroups the same live rows into other morsels, so a floating-point
+//! SUM over the same view may move in its last bit across a compaction. [`QueryEngine::execute_serial_with_view`]
 //! keeps the classic row-at-a-time loop as the reference implementation
 //! the equivalence property suite compares against.
 //!

@@ -166,20 +166,14 @@ impl Filter {
                 target,
                 max_distance,
                 metric,
-            } => {
-                let cell = table.get(row, column)?;
-                Ok(match cell.as_geometry() {
-                    Some(g) => distance(g, target, *metric) < *max_distance,
-                    None => false,
-                })
-            }
-            Filter::Spatial { column, op, target } => {
-                let cell = table.get(row, column)?;
-                Ok(match cell.as_geometry() {
-                    Some(g) => op.eval(g, target),
-                    None => false,
-                })
-            }
+            } => Ok(table
+                .column(column)?
+                .get_geometry(row)
+                .is_some_and(|g| distance(g, target, *metric) < *max_distance)),
+            Filter::Spatial { column, op, target } => Ok(table
+                .column(column)?
+                .get_geometry(row)
+                .is_some_and(|g| op.eval(g, target))),
             Filter::RowIn(rows) => Ok(rows.contains(&row)),
             Filter::And(filters) => {
                 for f in filters {
@@ -202,22 +196,47 @@ impl Filter {
     }
 
     /// Evaluates the filter against every row of a table, returning the
-    /// matching row ids. A bare attribute comparison — the usual
-    /// dimension slice — resolves its column once for the whole walk;
+    /// matching row ids. A bare leaf that reads one column — an attribute
+    /// comparison (the usual dimension slice), a distance or a
+    /// topological test — resolves its column once for the whole walk;
     /// every other shape goes row by row through [`Filter::matches`]
     /// (whose short-circuits decide which columns are ever looked up, so
     /// nothing can be resolved ahead of it without changing its errors).
+    /// A leaf resolves only for a non-empty table, because `matches`
+    /// looks a column up only for a row.
     pub fn matching_rows(&self, table: &Table) -> Result<Vec<usize>, OlapError> {
+        let rows = 0..table.len();
         match self {
             Filter::Attribute { column, op, value } if !table.is_empty() => {
                 let column = table.column(column)?;
-                Ok((0..table.len())
+                Ok(rows
                     .filter(|&row| op.accepts(column.compare_at(row, value)))
+                    .collect())
+            }
+            Filter::WithinDistance {
+                column,
+                target,
+                max_distance,
+                metric,
+            } if !table.is_empty() => {
+                let column = table.column(column)?;
+                Ok(rows
+                    .filter(|&row| {
+                        column
+                            .get_geometry(row)
+                            .is_some_and(|g| distance(g, target, *metric) < *max_distance)
+                    })
+                    .collect())
+            }
+            Filter::Spatial { column, op, target } if !table.is_empty() => {
+                let column = table.column(column)?;
+                Ok(rows
+                    .filter(|&row| column.get_geometry(row).is_some_and(|g| op.eval(g, target)))
                     .collect())
             }
             _ => {
                 let mut out = Vec::new();
-                for row in 0..table.len() {
+                for row in rows {
                     if self.matches(table, row)? {
                         out.push(row);
                     }
@@ -384,6 +403,71 @@ mod tests {
         // A column is only ever looked up for a row: no rows, no error.
         let empty = Table::new("Store", vec![]);
         assert!(f.matching_rows(&empty).unwrap().is_empty());
+    }
+
+    /// The column-resolving walk and the per-row reference agree on
+    /// every filter shape, errors included, over a populated table, an
+    /// empty one and one whose only row has a null geometry.
+    #[test]
+    fn matching_rows_equals_per_row_matches() {
+        let mut null_geometry = Table::new(
+            "Store",
+            vec![("Store.geometry".to_string(), ColumnType::Geometry)],
+        );
+        null_geometry.push_row(vec![]).unwrap();
+        let tables = [stores(), Table::new("Store", vec![]), null_geometry];
+        let region: Geometry =
+            sdwp_geometry::Polygon::from_tuples(&[(-1.0, -1.0), (5.0, -1.0), (5.0, 5.0)])
+                .unwrap()
+                .into();
+        let within = |column: &str, metric| Filter::WithinDistance {
+            column: column.into(),
+            target: Point::new(0.0, 0.0).into(),
+            max_distance: 6.0,
+            metric,
+        };
+        let spatial = |column: &str| Filter::Spatial {
+            column: column.into(),
+            op: SpatialPredicateOp::Intersects,
+            target: region.clone(),
+        };
+        let leaves = [
+            Filter::All,
+            Filter::None,
+            Filter::eq("City.name", "Alicante"),
+            Filter::eq("ghost", "x"),
+            within("Store.geometry", DistanceMetric::Euclidean),
+            within("Store.geometry", DistanceMetric::HaversineKm),
+            within("ghost", DistanceMetric::Euclidean),
+            spatial("Store.geometry"),
+            spatial("ghost"),
+            Filter::RowIn(vec![1, 7]),
+        ];
+        let mut filters = leaves.to_vec();
+        for leaf in &leaves {
+            filters.push(Filter::Not(Box::new(leaf.clone())));
+            filters.push(Filter::And(vec![Filter::None, leaf.clone()]));
+            filters.push(Filter::And(vec![leaf.clone(), Filter::All]));
+            filters.push(Filter::Or(vec![Filter::All, leaf.clone()]));
+            filters.push(Filter::Or(vec![leaf.clone(), Filter::None]));
+        }
+        for table in &tables {
+            for filter in &filters {
+                let per_row: Result<Vec<usize>, OlapError> = (0..table.len())
+                    .filter_map(|row| match filter.matches(table, row) {
+                        Ok(true) => Some(Ok(row)),
+                        Ok(false) => None,
+                        Err(e) => Some(Err(e)),
+                    })
+                    .collect();
+                assert_eq!(
+                    filter.matching_rows(table),
+                    per_row,
+                    "{filter:?} over {} rows",
+                    table.len()
+                );
+            }
+        }
     }
 
     #[test]

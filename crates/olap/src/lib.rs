@@ -32,10 +32,12 @@
 //! * [`QueryCache`] — a snapshot-generation-keyed result cache the serving
 //!   layer puts in front of the executor;
 //! * [`InstanceView`] — the personalized selection produced by the paper's
-//!   `SelectInstance` action: a subset of dimension members / fact rows
-//!   that every subsequent query is evaluated through;
-//! * [`spatial`] — R-tree-accelerated within-distance and predicate
-//!   selection over dimension geometry columns.
+//!   `SelectInstance` action: a subset of dimension members that every
+//!   subsequent query is evaluated through;
+//! * [`spatial`] — within-distance selection over a dimension level's
+//!   geometry column: the [`Filter::WithinDistance`] scan, and a packed
+//!   R-tree ([`spatial::LevelIndex`]) whose candidate window the exact
+//!   distance refines to the same members.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -57,6 +59,7 @@ mod hash;
 pub mod kernels;
 pub mod pool;
 pub mod query;
+mod rtree;
 pub mod spatial;
 pub mod table;
 pub mod value;

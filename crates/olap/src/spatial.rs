@@ -1,69 +1,39 @@
-//! Spatial selection over cube dimensions and layers.
+//! Spatial selection over a dimension level's geometry column.
 //!
-//! These helpers implement the data-access side of the paper's spatial
-//! instance rules: "for every store, the distance to the user is
-//! calculated; if this value is less than 5 km, the store is selected".
-//! They come in two flavours — a plain scan, which is the reference, and
-//! an R-tree-accelerated variant the equivalence suites hold to it.
+//! This is the data-access side of the paper's spatial instance rules:
+//! "for every store, the distance to the user is calculated; if this
+//! value is less than 5 km, the store is selected". There is one scan,
+//! [`members_within_distance`], which is [`Filter::WithinDistance`] run
+//! over the dimension table, and one index, [`LevelIndex`], a packed
+//! R-tree whose conservative candidate window
+//! [`members_within_distance_indexed`] refines with the same exact
+//! distance, so the two select the same members.
 
 use crate::cube::{geometry_column, Cube};
 use crate::error::OlapError;
-use crate::filter::SpatialPredicateOp;
+use crate::filter::Filter;
 use sdwp_geometry::distance::{distance, DistanceMetric};
-use sdwp_geometry::{Geometry, Point};
-use sdwp_index::{IndexEntry, RTree, SpatialQuery};
+use sdwp_geometry::Geometry;
 
-/// Reads every non-null geometry of a dimension level, paired with its
-/// member row id.
-pub fn level_geometries(
-    cube: &Cube,
-    dimension: &str,
-    level: &str,
-) -> Result<Vec<(usize, Geometry)>, OlapError> {
-    let table = &cube.dimension_table(dimension)?.table;
-    let column = table.column(&geometry_column(level))?;
-    let mut out = Vec::new();
-    for row in 0..table.len() {
-        if let Some(g) = column.get_geometry(row) {
-            out.push((row, g.clone()));
-        }
-    }
-    Ok(out)
-}
+pub use crate::rtree::LevelIndex;
 
-/// Reads every geometry of a layer table, paired with its row id.
-pub fn layer_geometries(cube: &Cube, layer: &str) -> Result<Vec<(usize, Geometry)>, OlapError> {
-    let table = &cube.layer_table(layer)?.table;
-    let column = table.column("geometry")?;
-    let mut out = Vec::new();
-    for row in 0..table.len() {
-        if let Some(g) = column.get_geometry(row) {
-            out.push((row, g.clone()));
-        }
-    }
-    Ok(out)
-}
-
-/// Builds an R-tree over the bounding boxes of a dimension level's
-/// geometries; payloads are member row ids.
+/// Builds the index over a dimension level's member geometries.
 pub fn build_level_rtree(
     cube: &Cube,
     dimension: &str,
     level: &str,
-) -> Result<RTree<usize>, OlapError> {
+) -> Result<LevelIndex, OlapError> {
     let table = &cube.dimension_table(dimension)?.table;
     let column = table.column(&geometry_column(level))?;
-    let mut entries = Vec::new();
-    for row in 0..table.len() {
-        if let Some(bbox) = column.get_geometry(row).and_then(Geometry::bbox) {
-            entries.push(IndexEntry::new(bbox, row));
-        }
-    }
-    Ok(RTree::bulk_load(entries))
+    let members = (0..table.len())
+        .filter_map(|row| Some((column.get_geometry(row)?.bbox()?, row)))
+        .collect();
+    Ok(LevelIndex::bulk_load(members))
 }
 
-/// Scan variant: member row ids whose geometry lies strictly within
-/// `max_distance` of `target`.
+/// The member ids, ascending, whose geometry lies strictly within
+/// `max_distance` of `target`: [`Filter::WithinDistance`] over the
+/// dimension table.
 pub fn members_within_distance(
     cube: &Cube,
     dimension: &str,
@@ -73,108 +43,50 @@ pub fn members_within_distance(
     metric: DistanceMetric,
 ) -> Result<Vec<usize>, OlapError> {
     let table = &cube.dimension_table(dimension)?.table;
-    let column = table.column(&geometry_column(level))?;
-    let mut out = Vec::new();
-    for row in 0..table.len() {
-        if let Some(g) = column.get_geometry(row) {
-            if distance(g, target, metric) < max_distance {
-                out.push(row);
-            }
-        }
+    let column = geometry_column(level);
+    // An unknown level is an error even when the level has no members.
+    table.column(&column)?;
+    Filter::WithinDistance {
+        column,
+        target: target.clone(),
+        max_distance,
+        metric,
     }
-    Ok(out)
+    .matching_rows(table)
 }
 
-/// Index-accelerated variant of [`members_within_distance`]: the index
-/// prunes candidates by bounding box, then the exact distance refines.
+/// [`members_within_distance`] through `index`: the members in the
+/// candidate window, refined by the exact distance.
 pub fn members_within_distance_indexed(
     cube: &Cube,
     dimension: &str,
     level: &str,
-    index: &dyn SpatialQuery<usize>,
+    index: &LevelIndex,
     target: &Geometry,
     max_distance: f64,
     metric: DistanceMetric,
 ) -> Result<Vec<usize>, OlapError> {
     let table = &cube.dimension_table(dimension)?.table;
     let column = table.column(&geometry_column(level))?;
-    let center = target
-        .representative_coord()
-        .unwrap_or(sdwp_geometry::Coord::new(0.0, 0.0));
-    // Geodetic metrics need a wider candidate window than planar ones; use
-    // the bounding-box distance only as a pre-filter in planar mode.
-    let candidates: Vec<usize> = match metric {
-        DistanceMetric::Euclidean => index
-            .query_within_distance(&center, max_distance)
-            .into_iter()
-            .copied()
-            .collect(),
-        DistanceMetric::HaversineKm => {
-            let deg = sdwp_geometry::haversine::km_to_deg_lon(max_distance, center.y)
-                .max(sdwp_geometry::haversine::km_to_deg_lat(max_distance));
-            index
-                .query_within_distance(&center, deg)
-                .into_iter()
-                .copied()
-                .collect()
-        }
+    // A target without coordinates is infinitely far from every member.
+    let Some(bbox) = target.bbox() else {
+        return Ok(Vec::new());
     };
-    let mut out: Vec<usize> = candidates
-        .into_iter()
-        .filter(|&row| {
-            column
-                .get_geometry(row)
-                .map(|g| distance(g, target, metric) < max_distance)
-                .unwrap_or(false)
-        })
-        .collect();
+    let mut out = index.candidates(&index.window(&bbox, max_distance, metric));
+    out.retain(|&row| {
+        column
+            .get_geometry(row)
+            .is_some_and(|g| distance(g, target, metric) < max_distance)
+    });
     out.sort_unstable();
     Ok(out)
-}
-
-/// Member row ids whose geometry satisfies `op` against `target`.
-pub fn members_matching_predicate(
-    cube: &Cube,
-    dimension: &str,
-    level: &str,
-    op: SpatialPredicateOp,
-    target: &Geometry,
-) -> Result<Vec<usize>, OlapError> {
-    let table = &cube.dimension_table(dimension)?.table;
-    let column = table.column(&geometry_column(level))?;
-    let mut out = Vec::new();
-    for row in 0..table.len() {
-        if let Some(g) = column.get_geometry(row) {
-            if op.eval(g, target) {
-                out.push(row);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The k members of a level nearest to a point, by exact geometry distance.
-pub fn nearest_members(
-    cube: &Cube,
-    dimension: &str,
-    level: &str,
-    target: &Point,
-    k: usize,
-) -> Result<Vec<usize>, OlapError> {
-    let geometries = level_geometries(cube, dimension, level)?;
-    let target_geom: Geometry = (*target).into();
-    let mut with_d: Vec<(f64, usize)> = geometries
-        .into_iter()
-        .map(|(row, g)| (distance(&g, &target_geom, DistanceMetric::Euclidean), row))
-        .collect();
-    with_d.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    Ok(with_d.into_iter().take(k).map(|(_, row)| row).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::CellValue;
+    use sdwp_geometry::Point;
     use sdwp_model::{AttributeType, DimensionBuilder, FactBuilder, SchemaBuilder};
 
     fn cube_with_stores(n: usize) -> Cube {
@@ -182,7 +94,6 @@ mod tests {
             .dimension(
                 DimensionBuilder::new("Store")
                     .simple_level("Store", "name")
-                    .simple_level("City", "name")
                     .build(),
             )
             .fact(
@@ -191,7 +102,6 @@ mod tests {
                     .dimension("Store")
                     .build(),
             )
-            .layer("Airport", sdwp_geometry::GeometricType::Point)
             .build()
             .unwrap();
         let mut cube = Cube::new(schema);
@@ -208,8 +118,6 @@ mod tests {
             )
             .unwrap();
         }
-        cube.add_layer_instance("Airport", "ALC", Point::new(2.0, 2.0).into())
-            .unwrap();
         cube
     }
 
@@ -243,63 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn geometries_accessors() {
-        let cube = cube_with_stores(3);
-        let level = level_geometries(&cube, "Store", "Store").unwrap();
-        assert_eq!(level.len(), 3);
-        // The City level has no geometry values loaded.
-        assert!(level_geometries(&cube, "Store", "City").unwrap().is_empty());
-        let layer = layer_geometries(&cube, "Airport").unwrap();
-        assert_eq!(layer.len(), 1);
-        assert!(layer_geometries(&cube, "Train").is_err());
-    }
-
-    #[test]
-    fn predicate_selection() {
-        let cube = cube_with_stores(10);
-        let region: Geometry = sdwp_geometry::Polygon::from_tuples(&[
-            (2.5, -1.0),
-            (6.5, -1.0),
-            (6.5, 1.0),
-            (2.5, 1.0),
-        ])
-        .unwrap()
-        .into();
-        let inside = members_matching_predicate(
-            &cube,
-            "Store",
-            "Store",
-            SpatialPredicateOp::Inside,
-            &region,
-        )
-        .unwrap();
-        assert_eq!(inside, vec![3, 4, 5, 6]);
-        let disjoint = members_matching_predicate(
-            &cube,
-            "Store",
-            "Store",
-            SpatialPredicateOp::Disjoint,
-            &region,
-        )
-        .unwrap();
-        assert_eq!(disjoint.len(), 6);
-    }
-
-    #[test]
-    fn nearest_members_ordering() {
-        let cube = cube_with_stores(10);
-        let nearest = nearest_members(&cube, "Store", "Store", &Point::new(7.2, 0.0), 3).unwrap();
-        assert_eq!(nearest, vec![7, 8, 6]);
-        // k larger than the population returns everything.
-        assert_eq!(
-            nearest_members(&cube, "Store", "Store", &Point::new(0.0, 0.0), 100)
-                .unwrap()
-                .len(),
-            10
-        );
-    }
-
-    #[test]
     fn haversine_indexed_selection() {
         let cube = cube_with_stores(20);
         let rtree = build_level_rtree(&cube, "Store", "Store").unwrap();
@@ -327,5 +178,23 @@ mod tests {
         .unwrap();
         assert_eq!(rows, scan);
         assert_eq!(rows, vec![0, 1]);
+    }
+
+    #[test]
+    fn unknown_level_is_an_error_even_without_members() {
+        let cube = cube_with_stores(0);
+        let user: Geometry = Point::new(0.0, 0.0).into();
+        let metric = DistanceMetric::Euclidean;
+        assert!(members_within_distance(&cube, "Store", "Ghost", &user, 5.0, metric).is_err());
+        assert!(build_level_rtree(&cube, "Store", "Ghost").is_err());
+        let index = build_level_rtree(&cube, "Store", "Store").unwrap();
+        assert!(members_within_distance_indexed(
+            &cube, "Store", "Ghost", &index, &user, 5.0, metric
+        )
+        .is_err());
+        assert_eq!(
+            members_within_distance(&cube, "Store", "Store", &user, 5.0, metric).unwrap(),
+            Vec::<usize>::new()
+        );
     }
 }

@@ -11,9 +11,9 @@ use std::ops::Range;
 /// rank among the surviving ids.
 ///
 /// Remaps compose: a table compacted `n` times has a chain of `n` remaps,
-/// and a selection captured at compaction version `v` translates to the
-/// current numbering by applying remaps `v..n` in order (or row ids
-/// translate *backwards* through the same chain via [`RowRemap::old_id`]).
+/// and a row id captured at compaction version `v` translates to the
+/// current numbering by applying remaps `v..n` in order. Translation only
+/// runs forwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowRemap {
     /// The old ids of the surviving rows, ascending; the new id of old row
@@ -32,12 +32,6 @@ impl RowRemap {
     /// compaction time.
     pub fn new_id(&self, old: usize) -> Option<usize> {
         self.live_old_ids.binary_search(&old).ok()
-    }
-
-    /// The old id of a new row, or `None` when `new` only exists after the
-    /// compaction (rows appended later).
-    pub fn old_id(&self, new: usize) -> Option<usize> {
-        self.live_old_ids.get(new).copied()
     }
 
     /// Number of rows that survived the compaction.
@@ -559,8 +553,6 @@ mod tests {
         assert_eq!(remap.new_id(1), Some(0));
         assert_eq!(remap.new_id(5), Some(2));
         assert_eq!(remap.new_id(0), None, "dead rows have no new id");
-        assert_eq!(remap.old_id(2), Some(5));
-        assert_eq!(remap.old_id(3), None, "beyond the surviving rows");
         // The dictionary was rebuilt: only live strings remain interned.
         if let Column::Text { dictionary, .. } = compacted.column("Store.name").unwrap() {
             assert_eq!(dictionary.len(), 3);

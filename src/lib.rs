@@ -47,8 +47,6 @@ pub use sdwp_core as core;
 pub use sdwp_datagen as datagen;
 /// Computational geometry and the paper's spatial operators.
 pub use sdwp_geometry as geometry;
-/// Spatial indexes (R-tree, linear-scan baseline).
-pub use sdwp_index as index;
 /// Streaming ingestion (epoch-batched fact deltas, atomic snapshots).
 pub use sdwp_ingest as ingest;
 /// The MD / GeoMD conceptual models.
