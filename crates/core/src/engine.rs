@@ -9,13 +9,14 @@
 //! pool of web workers. Internally the state splits three ways:
 //!
 //! * **Read path (lock-free-ish).** Queries and reports run against an
-//!   immutable cube snapshot published through [`ArcSwap`]; they never wait
-//!   for rule firing. There is one read body — a query is a batch of one,
-//!   labelled [`ReportAs`] for the metrics — and per-session state lives in
-//!   a sharded [`SessionManager`], so sessions only contend when they hash
-//!   to the same shard. A session's view restricts dimension members
-//!   only, so a query takes a copy of it and nothing else from the write
-//!   side: a compaction renumbers fact rows without touching any view.
+//!   immutable cube snapshot published through [`VersionedSwap`]; they
+//!   never wait for rule firing. There is one read body — a query is a
+//!   batch of one, labelled [`ReportAs`] for the metrics — and per-session
+//!   state lives in a sharded [`SessionManager`], so sessions only contend
+//!   when they hash to the same shard. A session's view restricts
+//!   dimension members only, so a query takes a copy of it and nothing
+//!   else from the write side: a compaction renumbers fact rows without
+//!   touching any view.
 //! * **Write master.** Rule firing needs `&mut Cube` and ingestion applies
 //!   deltas, so a single `Mutex<Cube>` master copy serialises both. Every
 //!   snapshot leaves through one door, `CubeState::publish`, which
@@ -24,8 +25,8 @@
 //!   keeps old snapshots valid for their readers. A compaction publishes,
 //!   then trims the remap chain that id-addressed ingest producers read.
 //! * **Rules and parameters.** The in-service rule set is one
-//!   `ArcSwap<CompiledRuleSet>` (the Cerberus `ArcSwap<RuleSet>` hot-swap
-//!   pattern), so rules can be registered while sessions are live, and
+//!   `VersionedSwap<CompiledRuleSet>` snapshot cell, hot-swapped whole, so
+//!   rules can be registered while sessions are live, and
 //!   the compiled set is the only evaluator events fire through — the
 //!   AST interpreter in `sdwp_prml::eval` is the reference the
 //!   equivalence suites compare it against, never a serving mode.
@@ -37,7 +38,7 @@
 use crate::error::CoreError;
 use crate::report::PersonalizationReport;
 use crate::session::{SessionManager, SessionState};
-use crate::sync::{ArcSwap, VersionedSwap};
+use crate::sync::VersionedSwap;
 use parking_lot::{Mutex, RwLock};
 use sdwp_ingest::{
     BatchOutcome, CompactionOutcome, CompactionPolicy, CubeSink, DeltaBatch, IngestConfig,
@@ -260,7 +261,7 @@ pub struct PersonalizationEngine {
     profiles: ProfileStore,
     /// The in-service compiled rule set — the one value every firing
     /// loads, hot-swapped whole on registration and reload.
-    rules: ArcSwap<CompiledRuleSet>,
+    rules: VersionedSwap<CompiledRuleSet>,
     /// Serialises rule registration (load → validate → store).
     rules_write: Mutex<()>,
     parameters: RwLock<BTreeMap<String, f64>>,
@@ -343,7 +344,7 @@ impl PersonalizationEngine {
             }),
             original_schema,
             profiles: ProfileStore::new(),
-            rules: ArcSwap::from_pointee(CompiledRuleSet::default()),
+            rules: VersionedSwap::from_pointee(CompiledRuleSet::default()),
             rules_write: Mutex::new(()),
             parameters: RwLock::new(BTreeMap::new()),
             layer_source,
@@ -385,8 +386,8 @@ impl PersonalizationEngine {
 
     /// Replaces the *entire* rule set with the rules parsed from `text`.
     ///
-    /// The swap is atomic: one `ArcSwap` store of the compiled set, so
-    /// in-flight firings keep the set they loaded, new firings see the
+    /// The swap is atomic: one `VersionedSwap` store of the compiled set,
+    /// so in-flight firings keep the set they loaded, new firings see the
     /// new one, and any parse, typecheck or compile failure leaves the
     /// in-service rule set untouched and serving.
     pub fn reload_rules_text(&self, text: &str) -> Result<Vec<RuleClass>, CoreError> {
@@ -431,11 +432,6 @@ impl PersonalizationEngine {
     /// the engine further.
     pub fn cube(&self) -> Arc<Cube> {
         self.cube_state.snapshot.load()
-    }
-
-    /// The schema as it was before any personalization.
-    pub fn original_schema(&self) -> &Schema {
-        &self.original_schema
     }
 
     /// The difference between the original MD schema and the current

@@ -30,15 +30,14 @@ pub enum CoreError {
         message: String,
     },
     /// The admission controller shed the query: the session class is
-    /// best-effort and its in-flight / queue-depth budget is exhausted.
+    /// best-effort and its in-flight budget is exhausted.
     /// Transient by design — the client should back off and retry.
     Overloaded {
         /// The session class that was shed.
         class: String,
         /// Queries of the class in flight at the decision.
         in_flight: usize,
-        /// The class's in-flight budget (`0` = the queue-depth budget
-        /// tripped instead).
+        /// The class's in-flight budget.
         limit: usize,
     },
     /// A read-your-writes session required a newer snapshot generation

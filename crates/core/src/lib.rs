@@ -23,10 +23,10 @@
 //! Both are built for **concurrent multi-session serving**: every method
 //! takes `&self`, so one engine behind an `Arc` (or one cloned
 //! [`WebFacade`]) serves any number of worker threads. Queries run on
-//! hot-swapped immutable snapshots ([`sync::ArcSwap`]); per-session state
-//! lives in a sharded [`SessionManager`]; only rule firing serialises, on
-//! the single mutable cube master. See [`engine`]'s module docs for the
-//! full locking discipline.
+//! hot-swapped immutable snapshots ([`sync::VersionedSwap`]); per-session
+//! state lives in a sharded [`SessionManager`]; only rule firing
+//! serialises, on the single mutable cube master. See [`engine`]'s module
+//! docs for the full locking discipline.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -53,5 +53,5 @@ pub use sdwp_olap::{AdmitError, CancelToken, MorselPool, PoolStats, TenantPolicy
 #[cfg(feature = "failpoints")]
 pub use sdwp_olap::fault;
 pub use session::{SessionManager, SessionState};
-pub use sync::{ArcSwap, VersionedSwap};
+pub use sync::VersionedSwap;
 pub use web::{BatchEntry, WebFacade, WebRequest, WebResponse};

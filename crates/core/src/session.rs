@@ -194,10 +194,16 @@ impl SessionManager {
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.read().is_empty())
     }
+}
 
-    /// Ids of the currently active sessions, in ascending order.
-    pub fn active_sessions(&self) -> Vec<SessionId> {
-        let mut ids: Vec<SessionId> = self
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    /// Ids of the active sessions, in ascending order.
+    fn active_sessions(manager: &SessionManager) -> Vec<SessionId> {
+        let mut ids: Vec<SessionId> = manager
             .shards
             .iter()
             .flat_map(|shard| {
@@ -213,17 +219,6 @@ impl SessionManager {
         ids
     }
 
-    /// The number of shards the session map is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
     #[test]
     fn lifecycle() {
         let manager = SessionManager::new();
@@ -235,13 +230,13 @@ mod tests {
         assert!(state.view.is_unrestricted());
         manager.insert(state);
         assert_eq!(manager.len(), 1);
-        assert_eq!(manager.active_sessions(), vec![1]);
+        assert_eq!(active_sessions(&manager), vec![1]);
         assert!(manager.with_session(1, |_| ()).is_ok());
         assert!(manager.with_session(2, |_| ()).is_err());
         manager
             .with_session_mut(1, |state| state.session.end())
             .unwrap();
-        assert!(manager.active_sessions().is_empty());
+        assert!(active_sessions(&manager).is_empty());
         assert_eq!(manager.allocate_id(), 2);
         let snapshot = manager.snapshot(1).unwrap();
         assert!(!snapshot.is_active());
@@ -266,8 +261,9 @@ mod tests {
             manager.insert(SessionState::new(Session::start(id, "u")));
         }
         assert_eq!(manager.len(), 8);
-        assert_eq!(manager.shard_count(), 4);
-        assert_eq!(manager.active_sessions(), (1..=8).collect::<Vec<_>>());
+        assert_eq!(manager.shards.len(), 4);
+        assert!(manager.shards.iter().all(|shard| shard.read().len() == 2));
+        assert_eq!(active_sessions(&manager), (1..=8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -292,7 +288,7 @@ mod tests {
         }
         assert_eq!(manager.len(), 400);
         // Ids are unique: the active list has no duplicates.
-        let ids = manager.active_sessions();
+        let ids = active_sessions(&manager);
         assert_eq!(ids.len(), 400);
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }

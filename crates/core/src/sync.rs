@@ -1,7 +1,7 @@
 //! Shared-state primitives for the concurrent engine core.
 //!
-//! The engine publishes its personalized cube schema and its rule set as
-//! immutable snapshots behind [`ArcSwap`]: readers (`query`,
+//! The engine publishes its personalized cube and its compiled rule set as
+//! immutable snapshots behind [`VersionedSwap`]: readers (`query`,
 //! `WebFacade::handle`) grab an `Arc` and work on a consistent snapshot
 //! without blocking writers; writers build the next snapshot off to the
 //! side and swap it in atomically — the hot-swap pattern rule engines such
@@ -10,53 +10,15 @@
 use parking_lot::RwLock;
 use std::sync::Arc;
 
-/// An atomically swappable `Arc<T>`.
+/// An atomically swappable `Arc<T>` that tags every published snapshot
+/// with a monotonically increasing generation number.
 ///
-/// API-compatible subset of the `arc-swap` crate, implemented over a
-/// [`parking_lot::RwLock`] (the offline stand-in): `load` takes a brief
-/// read lock to clone the `Arc` (no `T` clone, no waiting on writers'
-/// snapshot construction), `store` swaps the pointer under the write lock.
-/// Readers therefore never observe a half-updated value and never block
-/// while a writer *builds* a new snapshot — only during the pointer swap
-/// itself.
-#[derive(Debug, Default)]
-pub struct ArcSwap<T> {
-    inner: RwLock<Arc<T>>,
-}
-
-impl<T> ArcSwap<T> {
-    /// Wraps an already-allocated snapshot.
-    pub fn new(value: Arc<T>) -> Self {
-        ArcSwap {
-            inner: RwLock::new(value),
-        }
-    }
-
-    /// Allocates the initial snapshot from a plain value
-    /// (`arc_swap::ArcSwap::from_pointee`).
-    pub fn from_pointee(value: T) -> Self {
-        ArcSwap::new(Arc::new(value))
-    }
-
-    /// Returns the current snapshot. The returned `Arc` stays valid (and
-    /// unchanged) however many `store`s happen afterwards.
-    pub fn load(&self) -> Arc<T> {
-        Arc::clone(&self.inner.read())
-    }
-
-    /// Publishes a new snapshot; current readers keep the one they loaded.
-    pub fn store(&self, value: Arc<T>) {
-        *self.inner.write() = value;
-    }
-
-    /// Swaps in a new snapshot, returning the previous one.
-    pub fn swap(&self, value: Arc<T>) -> Arc<T> {
-        std::mem::replace(&mut self.inner.write(), value)
-    }
-}
-
-/// An [`ArcSwap`] that tags every published snapshot with a monotonically
-/// increasing generation number.
+/// Implemented over a [`parking_lot::RwLock`] (the offline stand-in):
+/// loads take a brief read lock to clone the `Arc` (no `T` clone, no
+/// waiting on writers' snapshot construction), `store` swaps the pointer
+/// under the write lock. Readers therefore never observe a half-updated
+/// value and never block while a writer *builds* a new snapshot — only
+/// during the pointer swap itself.
 ///
 /// The engine keys its query-result cache by the cube snapshot the result
 /// was computed from. Reading the snapshot and its generation must be
@@ -115,14 +77,13 @@ mod tests {
 
     #[test]
     fn load_store_round_trip() {
-        let swap = ArcSwap::from_pointee(1);
+        let swap = VersionedSwap::from_pointee(1);
         assert_eq!(*swap.load(), 1);
         let old = swap.load();
         swap.store(Arc::new(2));
         assert_eq!(*swap.load(), 2);
         // The snapshot loaded before the store is unaffected.
         assert_eq!(*old, 1);
-        assert_eq!(*swap.swap(Arc::new(3)), 2);
     }
 
     #[test]
@@ -172,7 +133,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_see_consistent_snapshots() {
-        let swap = Arc::new(ArcSwap::from_pointee((0u64, 0u64)));
+        let swap = Arc::new(VersionedSwap::from_pointee((0u64, 0u64)));
         let writer = {
             let swap = Arc::clone(&swap);
             thread::spawn(move || {

@@ -264,8 +264,7 @@ pub enum WebResponse {
         class: String,
         /// Queries of the class in flight at the decision.
         in_flight: usize,
-        /// The class's in-flight budget (`0` = the queue-depth budget
-        /// tripped instead).
+        /// The class's in-flight budget.
         limit: usize,
         /// Suggested backoff in µs before retrying — the shed class's
         /// recent end-to-end p99 (roughly one queued query's drain

@@ -4,7 +4,6 @@ use crate::config::ScenarioConfig;
 use crate::layers::GeneratedLayers;
 use crate::retail::{state_of, RetailData};
 use crate::spatial::{generate_cities, rng_for_seed};
-use sdwp_geometry::GeometricType;
 use sdwp_model::{Attribute, AttributeType, DimensionBuilder, FactBuilder, Schema, SchemaBuilder};
 use sdwp_olap::{CellValue, Cube};
 use sdwp_prml::StaticLayerSource;
@@ -230,13 +229,6 @@ impl ScenarioBuilder {
     }
 }
 
-/// Re-export used by layer materialisation in the core engine: the
-/// geometric types the paper's two external layers use.
-pub const PAPER_LAYERS: [(&str, GeometricType); 2] = [
-    ("Airport", GeometricType::Point),
-    ("Train", GeometricType::Line),
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,11 +308,5 @@ mod tests {
         let b = PaperScenario::generate(ScenarioConfig::tiny());
         assert_eq!(a.retail, b.retail);
         assert_eq!(a.cube.total_fact_rows(), b.cube.total_fact_rows());
-    }
-
-    #[test]
-    fn paper_layers_constant() {
-        assert_eq!(PAPER_LAYERS[0].0, "Airport");
-        assert_eq!(PAPER_LAYERS[1].1, GeometricType::Line);
     }
 }

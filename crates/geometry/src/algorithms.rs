@@ -1,6 +1,6 @@
 //! Low-level geometric algorithms shared by predicates and operators.
 
-use crate::coord::{orientation, Coord, Orientation, EPSILON};
+use crate::coord::{Coord, EPSILON};
 
 /// Result of intersecting two line segments.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,68 +85,6 @@ pub fn segments_intersect(p1: &Coord, p2: &Coord, q1: &Coord, q2: &Coord) -> boo
         segment_intersection(p1, p2, q1, q2),
         SegmentIntersection::None
     )
-}
-
-/// Minimum distance from coordinate `p` to the closed segment `a`-`b`.
-pub fn point_segment_distance(p: &Coord, a: &Coord, b: &Coord) -> f64 {
-    let ab = *b - *a;
-    let len2 = ab.dot(&ab);
-    if len2 < EPSILON * EPSILON {
-        return p.distance(a);
-    }
-    let t = ((*p - *a).dot(&ab) / len2).clamp(0.0, 1.0);
-    let closest = *a + ab * t;
-    p.distance(&closest)
-}
-
-/// Minimum distance between the closed segments `p1`-`p2` and `q1`-`q2`.
-pub fn segment_segment_distance(p1: &Coord, p2: &Coord, q1: &Coord, q2: &Coord) -> f64 {
-    if segments_intersect(p1, p2, q1, q2) {
-        return 0.0;
-    }
-    point_segment_distance(p1, q1, q2)
-        .min(point_segment_distance(p2, q1, q2))
-        .min(point_segment_distance(q1, p1, p2))
-        .min(point_segment_distance(q2, p1, p2))
-}
-
-/// Computes the convex hull of a coordinate set using Andrew's monotone
-/// chain. Returns the hull in counter-clockwise order without repeating the
-/// first coordinate. Degenerate inputs (fewer than three distinct
-/// coordinates) return the de-duplicated input.
-pub fn convex_hull(coords: &[Coord]) -> Vec<Coord> {
-    let mut pts: Vec<Coord> = coords.to_vec();
-    pts.sort_by(|a, b| a.lex_cmp(b));
-    pts.dedup_by(|a, b| a.approx_eq(b));
-    let n = pts.len();
-    if n < 3 {
-        return pts;
-    }
-
-    let mut hull: Vec<Coord> = Vec::with_capacity(2 * n);
-    // Lower hull.
-    for &p in &pts {
-        while hull.len() >= 2
-            && orientation(&hull[hull.len() - 2], &hull[hull.len() - 1], &p)
-                != Orientation::CounterClockwise
-        {
-            hull.pop();
-        }
-        hull.push(p);
-    }
-    // Upper hull.
-    let lower_len = hull.len() + 1;
-    for &p in pts.iter().rev().skip(1) {
-        while hull.len() >= lower_len
-            && orientation(&hull[hull.len() - 2], &hull[hull.len() - 1], &p)
-                != Orientation::CounterClockwise
-        {
-            hull.pop();
-        }
-        hull.push(p);
-    }
-    hull.pop();
-    hull
 }
 
 #[cfg(test)]
@@ -241,70 +179,5 @@ mod tests {
         let off = Coord::new(1.0, 1.0);
         let j = segment_intersection(&off, &off, &Coord::new(0.0, 0.0), &Coord::new(2.0, 0.0));
         assert_eq!(j, SegmentIntersection::None);
-    }
-
-    #[test]
-    fn point_segment_distance_cases() {
-        let a = Coord::new(0.0, 0.0);
-        let b = Coord::new(10.0, 0.0);
-        assert_eq!(point_segment_distance(&Coord::new(5.0, 3.0), &a, &b), 3.0);
-        assert_eq!(point_segment_distance(&Coord::new(-3.0, 4.0), &a, &b), 5.0);
-        assert_eq!(point_segment_distance(&Coord::new(5.0, 0.0), &a, &b), 0.0);
-        // Degenerate segment.
-        assert_eq!(point_segment_distance(&Coord::new(3.0, 4.0), &a, &a), 5.0);
-    }
-
-    #[test]
-    fn segment_segment_distance_cases() {
-        let d = segment_segment_distance(
-            &Coord::new(0.0, 0.0),
-            &Coord::new(1.0, 0.0),
-            &Coord::new(0.0, 2.0),
-            &Coord::new(1.0, 2.0),
-        );
-        assert_eq!(d, 2.0);
-        // Intersecting segments have zero distance.
-        let d0 = segment_segment_distance(
-            &Coord::new(0.0, 0.0),
-            &Coord::new(2.0, 2.0),
-            &Coord::new(0.0, 2.0),
-            &Coord::new(2.0, 0.0),
-        );
-        assert_eq!(d0, 0.0);
-    }
-
-    #[test]
-    fn convex_hull_square_with_interior_points() {
-        let pts = vec![
-            Coord::new(0.0, 0.0),
-            Coord::new(4.0, 0.0),
-            Coord::new(4.0, 4.0),
-            Coord::new(0.0, 4.0),
-            Coord::new(2.0, 2.0),
-            Coord::new(1.0, 3.0),
-        ];
-        let hull = convex_hull(&pts);
-        assert_eq!(hull.len(), 4);
-        for corner in [
-            Coord::new(0.0, 0.0),
-            Coord::new(4.0, 0.0),
-            Coord::new(4.0, 4.0),
-            Coord::new(0.0, 4.0),
-        ] {
-            assert!(hull.iter().any(|c| c.approx_eq(&corner)));
-        }
-    }
-
-    #[test]
-    fn convex_hull_degenerate_inputs() {
-        assert!(convex_hull(&[]).is_empty());
-        assert_eq!(convex_hull(&[Coord::new(1.0, 1.0)]).len(), 1);
-        let collinear = vec![
-            Coord::new(0.0, 0.0),
-            Coord::new(1.0, 1.0),
-            Coord::new(2.0, 2.0),
-        ];
-        let hull = convex_hull(&collinear);
-        assert!(hull.len() <= 3 && hull.len() >= 2);
     }
 }

@@ -68,11 +68,6 @@ impl BoundingBox {
         self.width() * self.height()
     }
 
-    /// Half the perimeter (used by R-tree split heuristics).
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Centre point of the box.
     pub fn center(&self) -> Coord {
         Coord::new(
@@ -102,12 +97,6 @@ impl BoundingBox {
         let mut b = *self;
         b.expand(other);
         b
-    }
-
-    /// Returns the increase in area needed to cover `other`
-    /// (the R-tree insertion heuristic).
-    pub fn enlargement(&self, other: &BoundingBox) -> f64 {
-        self.union(other).area() - self.area()
     }
 
     /// Returns `true` if the two boxes share at least one point
@@ -155,46 +144,6 @@ impl BoundingBox {
             self.max_y + margin,
         )
     }
-
-    /// Minimum Euclidean distance from the box to a coordinate
-    /// (zero when the coordinate is inside).
-    pub fn distance_to_coord(&self, c: &Coord) -> f64 {
-        let dx = if c.x < self.min_x {
-            self.min_x - c.x
-        } else if c.x > self.max_x {
-            c.x - self.max_x
-        } else {
-            0.0
-        };
-        let dy = if c.y < self.min_y {
-            self.min_y - c.y
-        } else if c.y > self.max_y {
-            c.y - self.max_y
-        } else {
-            0.0
-        };
-        (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Minimum Euclidean distance between two boxes (zero when they
-    /// intersect).
-    pub fn distance_to_bbox(&self, other: &BoundingBox) -> f64 {
-        let dx = if other.max_x < self.min_x {
-            self.min_x - other.max_x
-        } else if other.min_x > self.max_x {
-            other.min_x - self.max_x
-        } else {
-            0.0
-        };
-        let dy = if other.max_y < self.min_y {
-            self.min_y - other.max_y
-        } else if other.min_y > self.max_y {
-            other.min_y - self.max_y
-        } else {
-            0.0
-        };
-        (dx * dx + dy * dy).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +184,6 @@ mod tests {
         assert_eq!(b.width(), 4.0);
         assert_eq!(b.height(), 2.0);
         assert_eq!(b.area(), 8.0);
-        assert_eq!(b.margin(), 6.0);
         assert_eq!(b.center(), Coord::new(2.0, 1.0));
     }
 
@@ -245,7 +193,7 @@ mod tests {
         let b = BoundingBox::new(2.0, 2.0, 3.0, 3.0);
         let u = a.union(&b);
         assert_eq!(u, BoundingBox::new(0.0, 0.0, 3.0, 3.0));
-        assert_eq!(a.enlargement(&b), 9.0 - 1.0);
+        assert_eq!(u.area() - a.area(), 9.0 - 1.0);
     }
 
     #[test]
@@ -279,21 +227,5 @@ mod tests {
     fn buffered_grows_every_side() {
         let b = BoundingBox::new(0.0, 0.0, 1.0, 1.0).buffered(0.5);
         assert_eq!(b, BoundingBox::new(-0.5, -0.5, 1.5, 1.5));
-    }
-
-    #[test]
-    fn distance_to_coord_cases() {
-        let b = BoundingBox::new(0.0, 0.0, 2.0, 2.0);
-        assert_eq!(b.distance_to_coord(&Coord::new(1.0, 1.0)), 0.0);
-        assert_eq!(b.distance_to_coord(&Coord::new(5.0, 1.0)), 3.0);
-        assert_eq!(b.distance_to_coord(&Coord::new(5.0, 6.0)), 5.0);
-    }
-
-    #[test]
-    fn distance_between_boxes() {
-        let a = BoundingBox::new(0.0, 0.0, 1.0, 1.0);
-        let b = BoundingBox::new(4.0, 5.0, 6.0, 7.0);
-        assert_eq!(a.distance_to_bbox(&b), 5.0);
-        assert_eq!(a.distance_to_bbox(&a), 0.0);
     }
 }

@@ -37,14 +37,6 @@ impl Coord {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Squared Euclidean distance (avoids the square root when only
-    /// comparisons are needed).
-    pub fn distance_squared(&self, other: &Coord) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
     /// 2D cross product of the vectors `self` and `other` (z component of
     /// the 3D cross product).
     pub fn cross(&self, other: &Coord) -> f64 {
@@ -59,20 +51,6 @@ impl Coord {
     /// Approximate equality under [`EPSILON`] (absolute tolerance).
     pub fn approx_eq(&self, other: &Coord) -> bool {
         (self.x - other.x).abs() <= EPSILON && (self.y - other.y).abs() <= EPSILON
-    }
-
-    /// Lexicographic (x, then y) total ordering used by hull and sweep
-    /// algorithms. NaN components compare as equal to themselves so the
-    /// ordering stays total for finite inputs.
-    pub fn lex_cmp(&self, other: &Coord) -> std::cmp::Ordering {
-        self.x
-            .partial_cmp(&other.x)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                self.y
-                    .partial_cmp(&other.y)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
     }
 }
 
@@ -115,29 +93,6 @@ impl fmt::Display for Coord {
     }
 }
 
-/// Orientation of an ordered coordinate triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Orientation {
-    /// The triple turns counter-clockwise.
-    CounterClockwise,
-    /// The triple turns clockwise.
-    Clockwise,
-    /// The three coordinates are collinear.
-    Collinear,
-}
-
-/// Computes the orientation of the ordered triple `(a, b, c)`.
-pub fn orientation(a: &Coord, b: &Coord, c: &Coord) -> Orientation {
-    let v = (*b - *a).cross(&(*c - *a));
-    if v > EPSILON {
-        Orientation::CounterClockwise
-    } else if v < -EPSILON {
-        Orientation::Clockwise
-    } else {
-        Orientation::Collinear
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +102,6 @@ mod tests {
         let a = Coord::new(0.0, 0.0);
         let b = Coord::new(3.0, 4.0);
         assert_eq!(a.distance(&b), 5.0);
-        assert_eq!(a.distance_squared(&b), 25.0);
     }
 
     #[test]
@@ -186,34 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn orientation_cases() {
-        let o = Coord::new(0.0, 0.0);
-        let x = Coord::new(1.0, 0.0);
-        let up = Coord::new(1.0, 1.0);
-        let down = Coord::new(1.0, -1.0);
-        let far = Coord::new(2.0, 0.0);
-        assert_eq!(orientation(&o, &x, &up), Orientation::CounterClockwise);
-        assert_eq!(orientation(&o, &x, &down), Orientation::Clockwise);
-        assert_eq!(orientation(&o, &x, &far), Orientation::Collinear);
-    }
-
-    #[test]
     fn conversions() {
         let c: Coord = (1.5, -2.5).into();
         assert_eq!(c, Coord::new(1.5, -2.5));
         let t: (f64, f64) = c.into();
         assert_eq!(t, (1.5, -2.5));
-    }
-
-    #[test]
-    fn lex_cmp_orders_by_x_then_y() {
-        use std::cmp::Ordering;
-        let a = Coord::new(0.0, 5.0);
-        let b = Coord::new(1.0, 0.0);
-        let c = Coord::new(0.0, 6.0);
-        assert_eq!(a.lex_cmp(&b), Ordering::Less);
-        assert_eq!(a.lex_cmp(&c), Ordering::Less);
-        assert_eq!(a.lex_cmp(&a), Ordering::Equal);
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! minimum distance between two geometries with a threshold. This module
 //! computes that minimum distance for every combination of geometric types.
 
-use crate::algorithms::{point_segment_distance, segment_segment_distance};
+use crate::algorithms::segments_intersect;
 use crate::coord::Coord;
 use crate::geometry::Geometry;
 use crate::haversine::haversine_distance;
 use crate::linestring::LineString;
-use crate::point::Point;
 use crate::polygon::Polygon;
 
 /// The metric used to interpret coordinates when computing distances.
@@ -23,6 +22,15 @@ pub enum DistanceMetric {
     Euclidean,
     /// Treat coordinates as (longitude, latitude) degrees; distance is the
     /// great-circle (haversine) distance in kilometres.
+    ///
+    /// Point-to-point distances are exact. A distance involving a segment
+    /// is the haversine distance to the point of the segment nearest in
+    /// *planar degrees* (and contact is decided in planar degrees), so it
+    /// is an upper bound on the true distance to the segment drawn in
+    /// (lon, lat). Along a parallel the planar nearest point is the true
+    /// one, so the bound is exact; for the point (20°E, 60°N) and the
+    /// segment (0°, 60°N)–(20°E, 80°N) it reads 1 108 km against a true
+    /// 942 km, 166 km too far.
     HaversineKm,
 }
 
@@ -36,19 +44,6 @@ pub fn euclidean(a: &Geometry, b: &Geometry) -> f64 {
     distance(a, b, DistanceMetric::Euclidean)
 }
 
-/// Minimum distance between two geometries under the given metric.
-pub fn distance(a: &Geometry, b: &Geometry, metric: DistanceMetric) -> f64 {
-    distance_with(a, b, metric)
-}
-
-/// Distance between two points under the given metric.
-pub fn point_distance(a: &Point, b: &Point, metric: DistanceMetric) -> f64 {
-    match metric {
-        DistanceMetric::Euclidean => a.distance(b),
-        DistanceMetric::HaversineKm => haversine_distance(&a.coord(), &b.coord()),
-    }
-}
-
 impl DistanceMetric {
     fn between(self, a: &Coord, b: &Coord) -> f64 {
         match self {
@@ -58,18 +53,19 @@ impl DistanceMetric {
     }
 }
 
-fn distance_with(a: &Geometry, b: &Geometry, metric: DistanceMetric) -> f64 {
+/// Minimum distance between two geometries under the given metric.
+pub fn distance(a: &Geometry, b: &Geometry, metric: DistanceMetric) -> f64 {
     if a.is_empty() || b.is_empty() {
         return f64::INFINITY;
     }
     match (a, b) {
         (Geometry::Collection(c), other) => c
             .iter()
-            .map(|g| distance_with(g, other, metric))
+            .map(|g| distance(g, other, metric))
             .fold(f64::INFINITY, f64::min),
         (other, Geometry::Collection(c)) => c
             .iter()
-            .map(|g| distance_with(other, g, metric))
+            .map(|g| distance(other, g, metric))
             .fold(f64::INFINITY, f64::min),
         (Geometry::Point(p), Geometry::Point(q)) => metric.between(&p.coord(), &q.coord()),
         (Geometry::Point(p), Geometry::Line(l)) | (Geometry::Line(l), Geometry::Point(p)) => {
@@ -79,42 +75,49 @@ fn distance_with(a: &Geometry, b: &Geometry, metric: DistanceMetric) -> f64 {
         | (Geometry::Polygon(poly), Geometry::Point(p)) => {
             point_polygon_distance(&p.coord(), poly, metric)
         }
-        (Geometry::Line(l1), Geometry::Line(l2)) => line_line_distance(l1, l2, metric),
-        (Geometry::Line(l), Geometry::Polygon(p)) | (Geometry::Polygon(p), Geometry::Line(l)) => {
-            line_polygon_distance(l, p, metric)
+        (Geometry::Line(l1), Geometry::Line(l2)) => {
+            let l2: Vec<_> = l2.segments().collect();
+            segments_distance(l1.segments(), &l2, metric)
         }
-        (Geometry::Polygon(p1), Geometry::Polygon(p2)) => polygon_polygon_distance(p1, p2, metric),
+        (Geometry::Line(l), Geometry::Polygon(p)) | (Geometry::Polygon(p), Geometry::Line(l)) => {
+            if l.coords().iter().any(|c| p.contains_coord(c)) {
+                return 0.0;
+            }
+            segments_distance(l.segments(), &p.all_segments(), metric)
+        }
+        (Geometry::Polygon(p1), Geometry::Polygon(p2)) => {
+            if p1.exterior().iter().any(|c| p2.contains_coord(c))
+                || p2.exterior().iter().any(|c| p1.contains_coord(c))
+            {
+                return 0.0;
+            }
+            segments_distance(p1.all_segments(), &p2.all_segments(), metric)
+        }
     }
 }
 
-fn point_line_distance(c: &Coord, l: &LineString, metric: DistanceMetric) -> f64 {
-    // For the Euclidean metric use the exact point-to-segment distance.
-    // For other metrics approximate using vertices plus the Euclidean
-    // closest point of each segment (adequate at the small spans used by
-    // SDW workloads); the planar distance is in other units there.
-    l.segments()
-        .map(|(a, b)| {
-            let closest = closest_point_on_segment(c, &a, &b);
-            let approx = metric
-                .between(c, &closest)
-                .min(metric.between(c, &a))
-                .min(metric.between(c, &b));
-            match metric {
-                DistanceMetric::Euclidean => approx.min(point_segment_distance(c, &a, &b)),
-                DistanceMetric::HaversineKm => approx,
-            }
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn closest_point_on_segment(p: &Coord, a: &Coord, b: &Coord) -> Coord {
+/// Distance from `c` to the point of segment `a`-`b` nearest in the plane.
+/// Under [`DistanceMetric::HaversineKm`] that point is found in planar
+/// degrees, so the result is an upper bound on the true distance to the
+/// segment drawn in (lon, lat).
+fn to_segment(c: &Coord, a: &Coord, b: &Coord, metric: DistanceMetric) -> f64 {
     let ab = *b - *a;
     let len2 = ab.dot(&ab);
     if len2 <= f64::EPSILON {
-        return *a;
+        return metric.between(c, a);
     }
-    let t = ((*p - *a).dot(&ab) / len2).clamp(0.0, 1.0);
-    *a + ab * t
+    let t = ((*c - *a).dot(&ab) / len2).clamp(0.0, 1.0);
+    metric.between(c, &(*a + ab * t))
+}
+
+fn point_line_distance(c: &Coord, l: &LineString, metric: DistanceMetric) -> f64 {
+    l.segments()
+        .map(|(a, b)| {
+            to_segment(c, &a, &b, metric)
+                .min(metric.between(c, &a))
+                .min(metric.between(c, &b))
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn point_polygon_distance(c: &Coord, p: &Polygon, metric: DistanceMetric) -> f64 {
@@ -123,78 +126,29 @@ fn point_polygon_distance(c: &Coord, p: &Polygon, metric: DistanceMetric) -> f64
     }
     p.all_segments()
         .iter()
-        .map(|(a, b)| {
-            let closest = closest_point_on_segment(c, a, b);
-            metric.between(c, &closest)
-        })
+        .map(|(a, b)| to_segment(c, a, b, metric))
         .fold(f64::INFINITY, f64::min)
 }
 
-fn line_line_distance(l1: &LineString, l2: &LineString, metric: DistanceMetric) -> f64 {
+/// Minimum distance between two sets of segments: zero as soon as a pair
+/// touches in the plane, otherwise the least distance from an endpoint of
+/// one segment of a pair to the nearest point of the other.
+fn segments_distance(
+    a: impl IntoIterator<Item = (Coord, Coord)>,
+    b: &[(Coord, Coord)],
+    metric: DistanceMetric,
+) -> f64 {
     let mut min = f64::INFINITY;
-    for (a1, a2) in l1.segments() {
-        for (b1, b2) in l2.segments() {
-            let eucl = segment_segment_distance(&a1, &a2, &b1, &b2);
-            if eucl == 0.0 {
+    for (a1, a2) in a {
+        for (b1, b2) in b {
+            if segments_intersect(&a1, &a2, b1, b2) {
                 return 0.0;
             }
-            // Approximate non-Euclidean metrics via closest endpoints; the
-            // planar distance counts for the Euclidean metric only.
-            let m = metric
-                .between(&a1, &closest_point_on_segment(&a1, &b1, &b2))
-                .min(metric.between(&a2, &closest_point_on_segment(&a2, &b1, &b2)))
-                .min(metric.between(&b1, &closest_point_on_segment(&b1, &a1, &a2)))
-                .min(metric.between(&b2, &closest_point_on_segment(&b2, &a1, &a2)));
-            if metric == DistanceMetric::Euclidean {
-                min = min.min(m.min(eucl.max(0.0)).max(0.0));
-            }
-            min = min.min(m);
-        }
-    }
-    min
-}
-
-fn line_polygon_distance(l: &LineString, p: &Polygon, metric: DistanceMetric) -> f64 {
-    if l.coords().iter().any(|c| p.contains_coord(c)) {
-        return 0.0;
-    }
-    let mut min = f64::INFINITY;
-    for (a1, a2) in l.segments() {
-        for (b1, b2) in p.all_segments() {
-            let eucl = segment_segment_distance(&a1, &a2, &b1, &b2);
-            if eucl == 0.0 {
-                return 0.0;
-            }
-            let m = metric
-                .between(&a1, &closest_point_on_segment(&a1, &b1, &b2))
-                .min(metric.between(&a2, &closest_point_on_segment(&a2, &b1, &b2)))
-                .min(metric.between(&b1, &closest_point_on_segment(&b1, &a1, &a2)))
-                .min(metric.between(&b2, &closest_point_on_segment(&b2, &a1, &a2)));
-            min = min.min(m);
-        }
-    }
-    min
-}
-
-fn polygon_polygon_distance(p1: &Polygon, p2: &Polygon, metric: DistanceMetric) -> f64 {
-    if p1.exterior().iter().any(|c| p2.contains_coord(c))
-        || p2.exterior().iter().any(|c| p1.contains_coord(c))
-    {
-        return 0.0;
-    }
-    let mut min = f64::INFINITY;
-    for (a1, a2) in p1.all_segments() {
-        for (b1, b2) in p2.all_segments() {
-            let eucl = segment_segment_distance(&a1, &a2, &b1, &b2);
-            if eucl == 0.0 {
-                return 0.0;
-            }
-            let m = metric
-                .between(&a1, &closest_point_on_segment(&a1, &b1, &b2))
-                .min(metric.between(&a2, &closest_point_on_segment(&a2, &b1, &b2)))
-                .min(metric.between(&b1, &closest_point_on_segment(&b1, &a1, &a2)))
-                .min(metric.between(&b2, &closest_point_on_segment(&b2, &a1, &a2)));
-            min = min.min(m);
+            min = min
+                .min(to_segment(&a1, b1, b2, metric))
+                .min(to_segment(&a2, b1, b2, metric))
+                .min(to_segment(b1, &a1, &a2, metric))
+                .min(to_segment(b2, &a1, &a2, metric));
         }
     }
     min
@@ -204,6 +158,8 @@ fn polygon_polygon_distance(p1: &Polygon, p2: &Polygon, metric: DistanceMetric) 
 mod tests {
     use super::*;
     use crate::collection::GeometryCollection;
+    use crate::haversine::haversine_distance;
+    use crate::point::Point;
 
     fn pt(x: f64, y: f64) -> Geometry {
         Point::new(x, y).into()
@@ -305,18 +261,40 @@ mod tests {
     }
 
     #[test]
-    fn point_distance_helper() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(0.0, 1.0);
-        assert_eq!(point_distance(&a, &b, DistanceMetric::Euclidean), 1.0);
-        let hav = point_distance(&a, &b, DistanceMetric::HaversineKm);
-        assert!((hav - 111.19).abs() < 1.0); // one degree of latitude
-    }
-
-    #[test]
     fn distance_is_symmetric_for_mixed_types() {
         let l = line(&[(0.0, 0.0), (10.0, 0.0)]);
         let s = square(0.0, 5.0, 2.0);
         assert!((euclidean(&l, &s) - euclidean(&s, &l)).abs() < 1e-12);
+    }
+
+    /// Least haversine distance from `c` to `n` points spread evenly along
+    /// segment `a`-`b` in (lon, lat), and the spacing of those points.
+    fn sampled_haversine(c: Coord, a: Coord, b: Coord, n: usize) -> (f64, f64) {
+        let at = |i: usize| a + (b - a) * (i as f64 / (n - 1) as f64);
+        let min = (0..n)
+            .map(|i| haversine_distance(&c, &at(i)))
+            .fold(f64::INFINITY, f64::min);
+        (min, haversine_distance(&at(0), &at(1)))
+    }
+
+    #[test]
+    fn haversine_segment_distance_is_an_upper_bound() {
+        let cases = [
+            // A 20°-long segment along 80°N and a point north of its middle.
+            ((0.0, 80.0), (20.0, 80.0), (10.0, 85.0)),
+            // A diagonal one, whose planar nearest point is not the nearest.
+            ((0.0, 60.0), (20.0, 80.0), (20.0, 60.0)),
+        ];
+        for (a, b, c) in cases {
+            let (a, b, c): (Coord, Coord, Coord) = (a.into(), b.into(), c.into());
+            let l = LineString::new(vec![a, b]).unwrap();
+            let d = distance(
+                &Point::from_coord(c).into(),
+                &l.into(),
+                DistanceMetric::HaversineKm,
+            );
+            let (sampled, step) = sampled_haversine(c, a, b, 10_000);
+            assert!(d >= sampled - step, "{d} < {sampled} - {step}");
+        }
     }
 }

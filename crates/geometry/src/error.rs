@@ -1,8 +1,8 @@
-//! Error types for geometric construction and parsing.
+//! Error types for geometric construction.
 
 use std::fmt;
 
-/// Errors produced while constructing or parsing geometries.
+/// Errors produced while constructing geometries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GeometryError {
     /// A line string needs at least two coordinates.
@@ -22,13 +22,6 @@ pub enum GeometryError {
         x: f64,
         /// The offending y component.
         y: f64,
-    },
-    /// WKT input could not be parsed.
-    WktParse {
-        /// Human readable description of the problem.
-        message: String,
-        /// Byte offset in the input at which the problem was detected.
-        offset: usize,
     },
     /// An operation was requested on an empty geometry that requires content.
     EmptyGeometry {
@@ -53,9 +46,6 @@ impl fmt::Display for GeometryError {
             }
             GeometryError::NonFiniteCoordinate { x, y } => {
                 write!(f, "coordinate ({x}, {y}) contains a non-finite component")
-            }
-            GeometryError::WktParse { message, offset } => {
-                write!(f, "WKT parse error at byte {offset}: {message}")
             }
             GeometryError::EmptyGeometry { operation } => {
                 write!(f, "cannot compute {operation} of an empty geometry")
@@ -86,17 +76,6 @@ mod tests {
     #[test]
     fn display_unclosed_ring() {
         assert!(GeometryError::UnclosedRing.to_string().contains("closed"));
-    }
-
-    #[test]
-    fn display_wkt_parse() {
-        let err = GeometryError::WktParse {
-            message: "expected '('".to_string(),
-            offset: 7,
-        };
-        let s = err.to_string();
-        assert!(s.contains("byte 7"));
-        assert!(s.contains("expected '('"));
     }
 
     #[test]

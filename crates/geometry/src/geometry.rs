@@ -122,14 +122,6 @@ impl Geometry {
         }
     }
 
-    /// Returns the contained polygon if this geometry is a `Polygon`.
-    pub fn as_polygon(&self) -> Option<&Polygon> {
-        match self {
-            Geometry::Polygon(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// Returns the contained collection if this geometry is a `Collection`.
     pub fn as_collection(&self) -> Option<&GeometryCollection> {
         match self {
@@ -222,7 +214,6 @@ mod tests {
         let p: Geometry = Point::new(1.0, 2.0).into();
         assert!(p.as_point().is_some());
         assert!(p.as_line().is_none());
-        assert!(p.as_polygon().is_none());
         assert!(p.as_collection().is_none());
     }
 

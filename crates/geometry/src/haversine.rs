@@ -14,20 +14,9 @@ pub fn haversine_distance(a: &Coord, b: &Coord) -> f64 {
     let dlon = (b.x - a.x).to_radians();
 
     let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-    2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
-}
-
-/// Converts a kilometre distance to the approximate number of degrees of
-/// latitude it spans (useful for building geodetic search windows).
-pub fn km_to_deg_lat(km: f64) -> f64 {
-    km / (EARTH_RADIUS_KM * std::f64::consts::PI / 180.0)
-}
-
-/// Converts a kilometre distance to the approximate number of degrees of
-/// longitude it spans at the given latitude (degrees).
-pub fn km_to_deg_lon(km: f64, latitude_deg: f64) -> f64 {
-    let cos_lat = latitude_deg.to_radians().cos().abs().max(1e-12);
-    km_to_deg_lat(km) / cos_lat
+    // Rounding can push `h` a few ulps past 1 for near-antipodal points,
+    // where `asin` of the root would be NaN.
+    2.0 * EARTH_RADIUS_KM * h.clamp(0.0, 1.0).sqrt().asin()
 }
 
 #[cfg(test)]
@@ -66,11 +55,16 @@ mod tests {
     }
 
     #[test]
-    fn degree_conversions() {
-        assert!((km_to_deg_lat(111.19) - 1.0).abs() < 0.01);
-        // Longitude degrees get wider (in degree terms) away from the equator.
-        assert!(km_to_deg_lon(100.0, 60.0) > km_to_deg_lon(100.0, 0.0));
-        // At the equator lat and lon conversions agree.
-        assert!((km_to_deg_lon(100.0, 0.0) - km_to_deg_lat(100.0)).abs() < 1e-9);
+    fn near_antipodal_points_are_half_a_circumference_apart() {
+        // Unclamped, rounding puts `h` just above 1 for this pair and the
+        // distance comes out NaN.
+        let a = Coord::new(-44.34968596898315, 64.93526170619475);
+        let b = Coord::new(135.65031403502758, -64.93526171186691);
+        let d = haversine_distance(&a, &b);
+        assert!(d.is_finite(), "got {d}");
+        assert!(
+            (d - std::f64::consts::PI * EARTH_RADIUS_KM).abs() < 1.0,
+            "got {d}"
+        );
     }
 }

@@ -12,9 +12,8 @@
 //!   (see [`predicates`]), the numeric *Distance* operator (see
 //!   [`mod@distance`]) and the geometric *Intersection* operator (see
 //!   [`intersection`]);
-//! * supporting machinery: bounding boxes, WKT parsing/serialisation,
-//!   length/area/centroid measures, convex hulls and geodetic (haversine)
-//!   distance.
+//! * supporting machinery: bounding boxes, length/area/centroid measures
+//!   and geodetic (haversine) distance.
 //!
 //! All coordinates are planar `f64` pairs. Distances default to the
 //! Euclidean metric in the same units as the coordinates; a geodetic
@@ -51,7 +50,6 @@ pub mod measures;
 pub mod point;
 pub mod polygon;
 pub mod predicates;
-pub mod wkt;
 
 pub use bbox::BoundingBox;
 pub use collection::GeometryCollection;

@@ -52,23 +52,9 @@ impl LineString {
         false
     }
 
-    /// Number of line segments (`len() - 1`).
-    pub fn num_segments(&self) -> usize {
-        self.coords.len() - 1
-    }
-
     /// Iterates over the consecutive coordinate pairs forming segments.
     pub fn segments(&self) -> impl Iterator<Item = (Coord, Coord)> + '_ {
         self.coords.windows(2).map(|w| (w[0], w[1]))
-    }
-
-    /// Returns `true` if the first and last coordinates coincide.
-    pub fn is_closed(&self) -> bool {
-        self.coords
-            .first()
-            .zip(self.coords.last())
-            .map(|(a, b)| a.approx_eq(b))
-            .unwrap_or(false)
     }
 
     /// Total length of the polyline (sum of segment lengths).
@@ -80,29 +66,6 @@ impl LineString {
     pub fn bbox(&self) -> BoundingBox {
         // A line string always has at least two coordinates.
         BoundingBox::from_coords(&self.coords).expect("LineString is never empty")
-    }
-
-    /// Returns the coordinate obtained by walking `fraction` (clamped to
-    /// `[0, 1]`) of the line's total length from its start.
-    pub fn interpolate(&self, fraction: f64) -> Coord {
-        let fraction = fraction.clamp(0.0, 1.0);
-        let total = self.length();
-        if total == 0.0 {
-            return self.coords[0];
-        }
-        let mut remaining = fraction * total;
-        for (a, b) in self.segments() {
-            let seg = a.distance(&b);
-            if remaining <= seg {
-                if seg == 0.0 {
-                    return a;
-                }
-                let t = remaining / seg;
-                return Coord::new(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t);
-            }
-            remaining -= seg;
-        }
-        *self.coords.last().expect("non-empty")
     }
 
     /// Returns a reversed copy of the line.
@@ -153,43 +116,12 @@ mod tests {
     #[test]
     fn length_sums_segments() {
         assert_eq!(line().length(), 9.0);
-        assert_eq!(line().num_segments(), 2);
     }
 
     #[test]
     fn bbox_covers_all_vertices() {
         let b = line().bbox();
         assert_eq!(b, BoundingBox::new(0.0, 0.0, 3.0, 8.0));
-    }
-
-    #[test]
-    fn closed_detection() {
-        assert!(!line().is_closed());
-        let ring =
-            LineString::from_tuples(&[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)]).unwrap();
-        assert!(ring.is_closed());
-    }
-
-    #[test]
-    fn interpolation() {
-        let l = LineString::from_tuples(&[(0.0, 0.0), (10.0, 0.0)]).unwrap();
-        assert_eq!(l.interpolate(0.0), Coord::new(0.0, 0.0));
-        assert_eq!(l.interpolate(0.5), Coord::new(5.0, 0.0));
-        assert_eq!(l.interpolate(1.0), Coord::new(10.0, 0.0));
-        // Clamped outside [0, 1].
-        assert_eq!(l.interpolate(2.0), Coord::new(10.0, 0.0));
-        assert_eq!(l.interpolate(-1.0), Coord::new(0.0, 0.0));
-    }
-
-    #[test]
-    fn interpolation_across_vertices() {
-        let l = line();
-        // Half of the total length (9.0 / 2 = 4.5) is 4.5 units along, i.e.
-        // past the first segment of length 5? No: first segment is length 5,
-        // so 4.5 lies inside the first segment at t = 0.9.
-        let c = l.interpolate(0.5);
-        assert!((c.x - 2.7).abs() < 1e-9);
-        assert!((c.y - 3.6).abs() < 1e-9);
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! Scalar measures of geometries (length, area, centroid, hulls).
+//! Scalar measures of geometries (length, area, centroid).
 
-use crate::algorithms::convex_hull;
 use crate::coord::Coord;
 use crate::error::GeometryError;
 use crate::geometry::Geometry;
-use crate::point::Point;
-use crate::polygon::Polygon;
 
 /// Total length of the geometry: 0 for points, polyline length for lines,
 /// perimeter for polygons, and the sum over members for collections.
@@ -85,39 +82,13 @@ pub fn coordinates(g: &Geometry) -> Vec<Coord> {
     }
 }
 
-/// Number of coordinates in the geometry.
-pub fn num_coordinates(g: &Geometry) -> usize {
-    match g {
-        Geometry::Point(_) => 1,
-        Geometry::Line(l) => l.len(),
-        Geometry::Polygon(p) => {
-            p.exterior().len() + p.interiors().iter().map(Vec::len).sum::<usize>()
-        }
-        Geometry::Collection(c) => c.iter().map(num_coordinates).sum(),
-    }
-}
-
-/// Convex hull of any geometry, returned as a polygon (or a point / line
-/// for degenerate inputs). Fails for empty collections.
-pub fn hull(g: &Geometry) -> Result<Geometry, GeometryError> {
-    let coords = coordinates(g);
-    if coords.is_empty() {
-        return Err(GeometryError::EmptyGeometry { operation: "hull" });
-    }
-    let hull = convex_hull(&coords);
-    match hull.len() {
-        0 => Err(GeometryError::EmptyGeometry { operation: "hull" }),
-        1 => Ok(Geometry::Point(Point::from_coord(hull[0]))),
-        2 => Ok(Geometry::Line(crate::linestring::LineString::new(hull)?)),
-        _ => Ok(Geometry::Polygon(Polygon::new(hull, Vec::new())?)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collection::GeometryCollection;
     use crate::linestring::LineString;
+    use crate::point::Point;
+    use crate::polygon::Polygon;
 
     fn line(coords: &[(f64, f64)]) -> Geometry {
         LineString::from_tuples(coords).unwrap().into()
@@ -175,40 +146,11 @@ mod tests {
 
     #[test]
     fn coordinate_counts() {
-        assert_eq!(num_coordinates(&Point::new(0.0, 0.0).into()), 1);
+        assert_eq!(coordinates(&Point::new(0.0, 0.0).into()).len(), 1);
         assert_eq!(
-            num_coordinates(&line(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])),
+            coordinates(&line(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])).len(),
             3
         );
-        assert_eq!(num_coordinates(&square()), 5);
         assert_eq!(coordinates(&square()).len(), 5);
-    }
-
-    #[test]
-    fn hull_of_points() {
-        let c: Geometry = GeometryCollection::new(vec![
-            Point::new(0.0, 0.0).into(),
-            Point::new(4.0, 0.0).into(),
-            Point::new(4.0, 4.0).into(),
-            Point::new(0.0, 4.0).into(),
-            Point::new(2.0, 2.0).into(),
-        ])
-        .into();
-        let h = hull(&c).unwrap();
-        assert!((area(&h) - 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hull_degenerate_cases() {
-        let single: Geometry = Point::new(3.0, 3.0).into();
-        assert!(matches!(hull(&single).unwrap(), Geometry::Point(_)));
-        let two: Geometry = GeometryCollection::new(vec![
-            Point::new(0.0, 0.0).into(),
-            Point::new(1.0, 1.0).into(),
-        ])
-        .into();
-        assert!(matches!(hull(&two).unwrap(), Geometry::Line(_)));
-        let empty: Geometry = GeometryCollection::empty().into();
-        assert!(hull(&empty).is_err());
     }
 }

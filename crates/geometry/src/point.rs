@@ -46,11 +46,6 @@ impl Point {
     pub fn distance(&self, other: &Point) -> f64 {
         self.0.distance(&other.0)
     }
-
-    /// Returns a point translated by `(dx, dy)`.
-    pub fn translated(&self, dx: f64, dy: f64) -> Point {
-        Point::new(self.x() + dx, self.y() + dy)
-    }
 }
 
 impl From<Coord> for Point {
@@ -97,12 +92,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(6.0, 8.0);
         assert_eq!(a.distance(&b), 10.0);
-    }
-
-    #[test]
-    fn translation() {
-        let p = Point::new(1.0, 1.0).translated(2.0, -3.0);
-        assert_eq!(p, Point::new(3.0, -2.0));
     }
 
     #[test]

@@ -65,20 +65,6 @@ impl Polygon {
         Polygon::new(exterior.iter().map(|&t| t.into()).collect(), Vec::new())
     }
 
-    /// Creates the axis-aligned rectangle covering `bbox`.
-    pub fn from_bbox(bbox: &BoundingBox) -> Self {
-        Polygon {
-            exterior: vec![
-                Coord::new(bbox.min_x, bbox.min_y),
-                Coord::new(bbox.max_x, bbox.min_y),
-                Coord::new(bbox.max_x, bbox.max_y),
-                Coord::new(bbox.min_x, bbox.max_y),
-                Coord::new(bbox.min_x, bbox.min_y),
-            ],
-            interiors: Vec::new(),
-        }
-    }
-
     /// The closed exterior ring.
     pub fn exterior(&self) -> &[Coord] {
         &self.exterior
@@ -87,11 +73,6 @@ impl Polygon {
     /// The closed interior rings (holes).
     pub fn interiors(&self) -> &[Vec<Coord>] {
         &self.interiors
-    }
-
-    /// Number of holes.
-    pub fn num_interiors(&self) -> usize {
-        self.interiors.len()
     }
 
     /// The bounding box of the exterior ring.
@@ -268,7 +249,6 @@ mod tests {
         ];
         let p = Polygon::new(unit_square().exterior().to_vec(), vec![hole]).unwrap();
         assert!((p.area() - 0.75).abs() < 1e-12);
-        assert_eq!(p.num_interiors(), 1);
     }
 
     #[test]
@@ -299,13 +279,6 @@ mod tests {
         let p = Polygon::new(unit_square().exterior().to_vec(), vec![hole]).unwrap();
         assert!(!p.contains_coord(&Coord::new(0.5, 0.5)));
         assert!(p.contains_coord(&Coord::new(0.1, 0.1)));
-    }
-
-    #[test]
-    fn from_bbox_rectangle() {
-        let p = Polygon::from_bbox(&BoundingBox::new(0.0, 0.0, 2.0, 3.0));
-        assert!((p.area() - 6.0).abs() < 1e-12);
-        assert_eq!(p.bbox(), BoundingBox::new(0.0, 0.0, 2.0, 3.0));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! semantics at the precision of [`crate::coord::EPSILON`].
 
 use crate::algorithms::{point_on_segment, segments_intersect, SegmentIntersection};
-use crate::collection::GeometryCollection;
 use crate::coord::Coord;
 use crate::geometry::Geometry;
 use crate::linestring::LineString;
@@ -380,15 +379,10 @@ pub fn evaluate_named(name: &str, a: &Geometry, b: &Geometry) -> Option<bool> {
     }
 }
 
-/// Convenience: evaluates [`intersects`] over collections treating an empty
-/// collection as never intersecting.
-pub fn any_intersects(collection: &GeometryCollection, other: &Geometry) -> bool {
-    collection.iter().any(|g| intersects(g, other))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collection::GeometryCollection;
     use crate::point::Point;
 
     fn pt(x: f64, y: f64) -> Geometry {
@@ -532,16 +526,6 @@ mod tests {
         assert_eq!(evaluate_named("equals", &a, &b), Some(true));
         assert_eq!(evaluate_named("inside", &a, &b), Some(true));
         assert_eq!(evaluate_named("nonsense", &a, &b), None);
-    }
-
-    #[test]
-    fn any_intersects_collection_helper() {
-        let c = GeometryCollection::new(vec![pt(1.0, 1.0)]);
-        assert!(any_intersects(&c, &unit_square()));
-        assert!(!any_intersects(
-            &GeometryCollection::empty(),
-            &unit_square()
-        ));
     }
 
     #[test]

@@ -231,12 +231,6 @@ impl IngestConfig {
         self.compaction = compaction;
         self
     }
-
-    /// Sets the supervisor's worker-restart budget.
-    pub fn with_max_worker_restarts(mut self, max_worker_restarts: u32) -> Self {
-        self.max_worker_restarts = max_worker_restarts;
-        self
-    }
 }
 
 /// Counters describing a pipeline's behaviour so far.
@@ -1207,7 +1201,10 @@ mod tests {
         sink.panics_remaining.store(u64::MAX, Ordering::Release);
         let pipeline = IngestPipeline::start(
             Arc::clone(&sink) as Arc<dyn CubeSink>,
-            IngestConfig::default().with_max_worker_restarts(1),
+            IngestConfig {
+                max_worker_restarts: 1,
+                ..IngestConfig::default()
+            },
         );
         let handle = pipeline.handle();
         handle.submit(append_batch(1)).unwrap();

@@ -75,15 +75,6 @@ impl SchemaDiff {
             && self.added_dimensions.is_empty()
             && self.added_facts.is_empty()
     }
-
-    /// Number of individual changes in the diff.
-    pub fn change_count(&self) -> usize {
-        self.added_layers.len()
-            + self.removed_layers.len()
-            + self.levels_become_spatial.len()
-            + self.added_dimensions.len()
-            + self.added_facts.len()
-    }
 }
 
 impl fmt::Display for SchemaDiff {
@@ -139,7 +130,6 @@ mod tests {
         let a = md_schema();
         let diff = SchemaDiff::between(&a, &a.clone());
         assert!(diff.is_empty());
-        assert_eq!(diff.change_count(), 0);
         assert!(diff.to_string().contains("no schema changes"));
     }
 
@@ -164,7 +154,6 @@ mod tests {
                 GeometricType::Point
             )]
         );
-        assert_eq!(diff.change_count(), 2);
         let rendered = diff.to_string();
         assert!(rendered.contains("AddLayer('Airport', POINT)"));
         assert!(rendered.contains("BecomeSpatial(Store.Store, POINT)"));

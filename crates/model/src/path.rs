@@ -83,11 +83,6 @@ impl PathExpr {
         }
         Ok(PathExpr { prefix, segments })
     }
-
-    /// The final segment of the path.
-    pub fn last_segment(&self) -> &str {
-        self.segments.last().map(String::as_str).unwrap_or("")
-    }
 }
 
 impl fmt::Display for PathExpr {
@@ -163,18 +158,6 @@ impl PathTarget {
             PathTarget::LevelGeometry { .. } | PathTarget::LayerGeometry { .. }
         )
     }
-
-    /// Returns `true` when the target can be iterated over by a `Foreach`
-    /// (a level, layer, dimension or fact — anything with instances).
-    pub fn is_iterable(&self) -> bool {
-        matches!(
-            self,
-            PathTarget::Level { .. }
-                | PathTarget::Layer { .. }
-                | PathTarget::Dimension { .. }
-                | PathTarget::Fact { .. }
-        )
-    }
 }
 
 /// Resolves path expressions against a schema.
@@ -190,13 +173,6 @@ impl<'a> PathResolver<'a> {
     /// Creates a resolver over the given schema.
     pub fn new(schema: &'a Schema) -> Self {
         PathResolver { schema }
-    }
-
-    /// Resolves a textual path (convenience wrapper over
-    /// [`PathExpr::parse`] + [`PathResolver::resolve`]).
-    pub fn resolve_text(&self, text: &str) -> Result<PathTarget, ModelError> {
-        let expr = PathExpr::parse(text)?;
-        self.resolve(&expr)
     }
 
     /// Resolves a parsed path expression to a typed target.
@@ -340,6 +316,10 @@ mod tests {
     use crate::builder::{DimensionBuilder, FactBuilder, SchemaBuilder};
     use sdwp_geometry::GeometricType;
 
+    fn resolve(r: &PathResolver<'_>, text: &str) -> Result<PathTarget, ModelError> {
+        r.resolve(&PathExpr::parse(text)?)
+    }
+
     /// A schema close to Fig. 6 of the paper: Sales fact, Store dimension
     /// with Store→City→State hierarchy (Store spatial), an Airport layer.
     fn geomd_schema() -> Schema {
@@ -381,7 +361,6 @@ mod tests {
         assert_eq!(p.prefix, PathPrefix::GeoMd);
         assert_eq!(p.segments.len(), 3);
         assert_eq!(p.to_string(), "GeoMD.Store.City.geometry");
-        assert_eq!(p.last_segment(), "geometry");
         assert!(PathExpr::parse("Bogus.X").is_err());
         assert!(PathExpr::parse("MD.").is_err());
         assert!(PathExpr::parse("MD").is_err());
@@ -395,7 +374,7 @@ mod tests {
     fn resolve_measure_via_fact() {
         let schema = geomd_schema();
         let r = PathResolver::new(&schema);
-        let t = r.resolve_text("MD.Sales.UnitSales").unwrap();
+        let t = resolve(&r, "MD.Sales.UnitSales").unwrap();
         assert_eq!(
             t,
             PathTarget::Measure {
@@ -410,7 +389,7 @@ mod tests {
         let schema = geomd_schema();
         let r = PathResolver::new(&schema);
         assert_eq!(
-            r.resolve_text("MD.Sales").unwrap(),
+            resolve(&r, "MD.Sales").unwrap(),
             PathTarget::Fact {
                 fact: "Sales".into()
             }
@@ -422,7 +401,7 @@ mod tests {
         let schema = geomd_schema();
         let r = PathResolver::new(&schema);
         // Paper example: MD.Sale.Store.State.name (with our fact named Sales).
-        let t = r.resolve_text("MD.Sales.Store.State.name").unwrap();
+        let t = resolve(&r, "MD.Sales.Store.State.name").unwrap();
         assert_eq!(
             t,
             PathTarget::LevelAttribute {
@@ -432,7 +411,7 @@ mod tests {
             }
         );
         // Leaf level attribute without climbing.
-        let t2 = r.resolve_text("MD.Sales.Store.address").unwrap();
+        let t2 = resolve(&r, "MD.Sales.Store.address").unwrap();
         assert_eq!(
             t2,
             PathTarget::LevelAttribute {
@@ -447,7 +426,7 @@ mod tests {
     fn resolve_level_geometry() {
         let schema = geomd_schema();
         let r = PathResolver::new(&schema);
-        let t = r.resolve_text("GeoMD.Store.City.geometry").unwrap();
+        let t = resolve(&r, "GeoMD.Store.City.geometry").unwrap();
         assert_eq!(
             t,
             PathTarget::LevelGeometry {
@@ -457,7 +436,7 @@ mod tests {
         );
         assert!(t.is_spatial());
         // Geometry of a non-spatial level is an error.
-        let err = r.resolve_text("GeoMD.Store.State.geometry").unwrap_err();
+        let err = resolve(&r, "GeoMD.Store.State.geometry").unwrap_err();
         assert!(matches!(err, ModelError::NotSpatial { .. }));
     }
 
@@ -466,7 +445,7 @@ mod tests {
         let schema = geomd_schema();
         let r = PathResolver::new(&schema);
         // Paper: Foreach s in (GeoMD.Store)
-        let t = r.resolve_text("GeoMD.Store").unwrap();
+        let t = resolve(&r, "GeoMD.Store").unwrap();
         assert_eq!(
             t,
             PathTarget::Level {
@@ -474,9 +453,8 @@ mod tests {
                 level: "Store".into()
             }
         );
-        assert!(t.is_iterable());
         // Explicit coarser level.
-        let t2 = r.resolve_text("GeoMD.Store.City").unwrap();
+        let t2 = resolve(&r, "GeoMD.Store.City").unwrap();
         assert_eq!(
             t2,
             PathTarget::Level {
@@ -491,7 +469,7 @@ mod tests {
         let schema = geomd_schema();
         let r = PathResolver::new(&schema);
         // "City" is a level name, not a dimension name.
-        let t = r.resolve_text("GeoMD.City.geometry").unwrap();
+        let t = resolve(&r, "GeoMD.City.geometry").unwrap();
         assert_eq!(
             t,
             PathTarget::LevelGeometry {
@@ -506,29 +484,29 @@ mod tests {
         let schema = geomd_schema();
         let r = PathResolver::new(&schema);
         assert_eq!(
-            r.resolve_text("GeoMD.Airport").unwrap(),
+            resolve(&r, "GeoMD.Airport").unwrap(),
             PathTarget::Layer {
                 layer: "Airport".into()
             }
         );
         assert_eq!(
-            r.resolve_text("GeoMD.Airport.geometry").unwrap(),
+            resolve(&r, "GeoMD.Airport.geometry").unwrap(),
             PathTarget::LayerGeometry {
                 layer: "Airport".into()
             }
         );
-        assert!(r.resolve_text("GeoMD.Airport.runways").is_err());
+        assert!(resolve(&r, "GeoMD.Airport.runways").is_err());
     }
 
     #[test]
     fn resolution_errors() {
         let schema = geomd_schema();
         let r = PathResolver::new(&schema);
-        assert!(r.resolve_text("MD.Returns.UnitSales").is_err());
-        assert!(r.resolve_text("MD.Sales.Store.Country.name").is_err());
-        assert!(r.resolve_text("MD.Sales.UnitSales.more").is_err());
-        assert!(r.resolve_text("GeoMD.Store.City.geometry.x").is_err());
-        assert!(r.resolve_text("SUS.DecisionMaker.name").is_err());
+        assert!(resolve(&r, "MD.Returns.UnitSales").is_err());
+        assert!(resolve(&r, "MD.Sales.Store.Country.name").is_err());
+        assert!(resolve(&r, "MD.Sales.UnitSales.more").is_err());
+        assert!(resolve(&r, "GeoMD.Store.City.geometry.x").is_err());
+        assert!(resolve(&r, "SUS.DecisionMaker.name").is_err());
     }
 
     #[test]
@@ -538,11 +516,5 @@ mod tests {
             fact: "Sales".into()
         }
         .is_spatial());
-        assert!(PathTarget::Layer { layer: "A".into() }.is_iterable());
-        assert!(!PathTarget::LevelGeometry {
-            dimension: "Store".into(),
-            level: "City".into()
-        }
-        .is_iterable());
     }
 }

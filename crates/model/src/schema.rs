@@ -46,11 +46,6 @@ impl Schema {
         self.dimensions.iter().find(|d| d.name == name)
     }
 
-    /// Mutable lookup of a dimension by name.
-    pub fn dimension_mut(&mut self, name: &str) -> Option<&mut Dimension> {
-        self.dimensions.iter_mut().find(|d| d.name == name)
-    }
-
     /// Looks up a layer by name.
     pub fn layer(&self, name: &str) -> Option<&Layer> {
         self.layers.iter().find(|l| l.name == name)
@@ -129,23 +124,6 @@ impl Schema {
         }
         out
     }
-
-    /// Total number of model elements (facts + dimensions + levels +
-    /// attributes + measures + layers); used to scale benchmark B7.
-    pub fn element_count(&self) -> usize {
-        let level_elems: usize = self
-            .dimensions
-            .iter()
-            .map(|d| {
-                d.levels
-                    .iter()
-                    .map(|l| 1 + l.attributes.len())
-                    .sum::<usize>()
-            })
-            .sum();
-        let fact_elems: usize = self.facts.iter().map(|f| 1 + f.measures.len()).sum();
-        self.dimensions.len() + level_elems + fact_elems + self.layers.len()
-    }
 }
 
 #[cfg(test)]
@@ -220,13 +198,5 @@ mod tests {
             .become_spatial("Warehouse", GeometricType::Point)
             .unwrap_err();
         assert!(matches!(err, ModelError::UnknownElement { .. }));
-    }
-
-    #[test]
-    fn element_count_grows_with_additions() {
-        let mut s = sample_schema();
-        let before = s.element_count();
-        s.add_layer("Airport", GeometricType::Point).unwrap();
-        assert_eq!(s.element_count(), before + 1);
     }
 }

@@ -61,11 +61,6 @@ impl<T: Copy + Default + PartialEq> PrimitiveChunk<T> {
         self.null_count
     }
 
-    /// Returns `true` when every row is valid — the gathers' fast path.
-    pub fn all_valid(&self) -> bool {
-        self.null_count == 0
-    }
-
     /// The raw value slice (null positions hold `T::default()`).
     pub fn values(&self) -> &[T] {
         &self.values
@@ -418,11 +413,11 @@ mod tests {
         assert_eq!(c.get(6), None);
         assert_eq!(c.get(7), None);
         assert_eq!(c.chunks().len(), 2);
-        assert!(c.chunks()[0].all_valid());
-        assert!(!c.chunks()[1].all_valid());
+        assert_eq!(c.chunks()[0].null_count(), 0);
+        assert_eq!(c.chunks()[1].null_count(), 1);
         // Filling the null back in restores the all-valid normal form.
         c.set(6, Some(42));
-        assert!(c.chunks()[1].all_valid());
+        assert_eq!(c.chunks()[1].null_count(), 0);
         assert!(c.chunks()[1].validity().is_none());
         c.set(0, None);
         assert_eq!(c.get(0), None);

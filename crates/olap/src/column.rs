@@ -61,11 +61,6 @@ impl Dictionary {
         self.values.get(code as usize).map(String::as_str)
     }
 
-    /// Looks up the code for a string, if already interned.
-    pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
-    }
-
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -511,8 +506,6 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d.resolve(a), Some("Alicante"));
         assert_eq!(d.resolve(99), None);
-        assert_eq!(d.code_of("Madrid"), Some(b));
-        assert_eq!(d.code_of("Valencia"), None);
     }
 
     #[test]

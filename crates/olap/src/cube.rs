@@ -510,21 +510,6 @@ impl Cube {
             })
     }
 
-    /// Reads the geometry of a dimension member at a given level.
-    pub fn member_geometry(
-        &self,
-        dimension: &str,
-        level: &str,
-        member: usize,
-    ) -> Result<Option<Geometry>, OlapError> {
-        let table = self.dimension_table(dimension)?;
-        let value = table.table.get(member, &geometry_column(level))?;
-        Ok(match value {
-            CellValue::Geometry(g) => Some(g),
-            _ => None,
-        })
-    }
-
     /// Swaps this cube's fact tables with `other`'s, leaving schema,
     /// dimension and layer tables of both untouched.
     ///
@@ -551,57 +536,6 @@ impl Cube {
     /// Total number of live (non-retracted) fact rows across all facts.
     pub fn total_live_fact_rows(&self) -> usize {
         self.facts.values().map(|f| f.table.live_len()).sum()
-    }
-}
-
-/// Convenience builder that wraps [`Cube::new`] for fluent loading in
-/// examples and benchmarks.
-#[derive(Debug, Clone)]
-pub struct CubeBuilder {
-    cube: Cube,
-}
-
-impl CubeBuilder {
-    /// Starts building a cube for the given schema.
-    pub fn new(schema: Schema) -> Self {
-        CubeBuilder {
-            cube: Cube::new(schema),
-        }
-    }
-
-    /// Adds a dimension member (panics on schema mismatch — builder misuse
-    /// is a programming error in examples/benchmarks).
-    pub fn member(mut self, dimension: &str, values: Vec<(&str, CellValue)>) -> Self {
-        self.cube
-            .add_dimension_member(dimension, values)
-            .expect("CubeBuilder::member: invalid dimension or values");
-        self
-    }
-
-    /// Adds a layer instance.
-    pub fn layer_instance(mut self, layer: &str, name: &str, geometry: Geometry) -> Self {
-        self.cube
-            .add_layer_instance(layer, name, geometry)
-            .expect("CubeBuilder::layer_instance: invalid layer");
-        self
-    }
-
-    /// Adds a fact row.
-    pub fn fact(
-        mut self,
-        fact: &str,
-        foreign_keys: Vec<(&str, usize)>,
-        measures: Vec<(&str, CellValue)>,
-    ) -> Self {
-        self.cube
-            .add_fact_row(fact, foreign_keys, measures)
-            .expect("CubeBuilder::fact: invalid fact row");
-        self
-    }
-
-    /// Finishes the cube.
-    pub fn build(self) -> Cube {
-        self.cube
     }
 }
 
@@ -691,9 +625,13 @@ mod tests {
         assert_eq!((s0, t0, f0), (0, 0, 0));
         assert_eq!(cube.total_fact_rows(), 1);
         assert_eq!(cube.fact_member("Sales", 0, "Store").unwrap(), 0);
-        let geom = cube.member_geometry("Store", "Store", 0).unwrap().unwrap();
-        assert_eq!(geom.as_point().unwrap().x(), 1.0);
-        assert!(cube.member_geometry("Store", "City", 0).unwrap().is_none());
+        let stores = &cube.dimension_table("Store").unwrap().table;
+        let geom = stores.get(0, &geometry_column("Store")).unwrap();
+        assert!(matches!(geom, CellValue::Geometry(g) if g.as_point().unwrap().x() == 1.0));
+        assert_eq!(
+            stores.get(0, &geometry_column("City")).unwrap(),
+            CellValue::Null
+        );
         cube.add_layer_instance("Airport", "ALC", Point::new(5.0, 5.0).into())
             .unwrap();
         assert_eq!(cube.layer_table("Airport").unwrap().table.len(), 1);
@@ -805,28 +743,6 @@ mod tests {
                 assert!(table.column_index(&measure.name).is_some());
             }
         }
-    }
-
-    #[test]
-    fn builder_round_trip() {
-        let cube = CubeBuilder::new(schema())
-            .member(
-                "Store",
-                vec![
-                    ("Store.name", CellValue::from("Downtown")),
-                    ("Store.geometry", point(0.0, 0.0)),
-                ],
-            )
-            .member("Time", vec![("Day.date", CellValue::Date(1))])
-            .layer_instance("Airport", "ALC", Point::new(3.0, 4.0).into())
-            .fact(
-                "Sales",
-                vec![("Store", 0), ("Time", 0)],
-                vec![("UnitSales", CellValue::Float(5.0))],
-            )
-            .build();
-        assert_eq!(cube.total_fact_rows(), 1);
-        assert_eq!(cube.layer_table("Airport").unwrap().table.len(), 1);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use cache::{CacheKey, CacheStats, QueryCache};
 pub use cancel::CancelToken;
 pub use chunk::DEFAULT_CHUNK_ROWS;
 pub use column::{Column, ColumnType, Dictionary};
-pub use cube::{Cube, CubeBuilder, DimensionTable, FactTable, FactTableStats, LayerTable};
+pub use cube::{Cube, DimensionTable, FactTable, FactTableStats, LayerTable};
 pub use dicts::{DictCacheStats, GroupDictCache};
 pub use engine::{
     ExecutionConfig, QueryEngine, QueryObs, ReportAs, DEFAULT_GROUP_SLOT_LIMIT, DEFAULT_MORSEL_ROWS,

@@ -23,7 +23,7 @@
 //! worker is busy with other tenants, and a scan that asks for zero
 //! helpers — or runs on a pool built with none, the `workers = 1`
 //! executor's — is that loop run inline, queueing nothing), and
-//! [`MorselPool::scan_cancellable`] enqueues up to `helpers` additional
+//! [`MorselPool::scan_cancellable`] enqueues `helpers` additional
 //! task items that let pool workers join the same morsel loop. All participants pull morsel indices from the query's
 //! shared atomic counter, so how many helpers actually arrive — zero under
 //! saturation, all of them when idle — changes only latency, never
@@ -47,8 +47,8 @@
 //! [`MorselPool::try_admit`] is the gate in front of execution, mirroring
 //! the ingest pipeline's `submit` / `try_submit` split: a tenant whose
 //! [`TenantPolicy`] marks it `best_effort` gets an immediate typed
-//! [`ShedError`] once its in-flight or queue-depth budget is exhausted
-//! (load shedding — the web tier surfaces this as a typed rejection),
+//! [`ShedError`] once its in-flight budget is exhausted (load shedding —
+//! the web tier surfaces this as a typed rejection),
 //! while a guaranteed tenant blocks until capacity frees (backpressure).
 //! The returned [`AdmissionGuard`] releases the slot on drop, so an
 //! execution error can never leak budget.
@@ -77,10 +77,6 @@ pub struct TenantPolicy {
     /// Admission budget: maximum queries of this tenant in flight at
     /// once. `0` means unlimited.
     pub max_in_flight: usize,
-    /// Queue-depth budget: maximum helper task items queued for this
-    /// tenant. Admission counts it, and `scan` enqueues fewer helpers
-    /// rather than growing past it. `0` means unlimited.
-    pub max_queued: usize,
     /// Over-budget behaviour: `true` sheds immediately with a typed
     /// [`ShedError`] (mirroring ingest `try_submit`), `false` blocks
     /// until capacity frees (backpressure).
@@ -92,7 +88,6 @@ impl Default for TenantPolicy {
         TenantPolicy {
             weight: 1,
             max_in_flight: 0,
-            max_queued: 0,
             best_effort: false,
         }
     }
@@ -111,12 +106,6 @@ impl TenantPolicy {
         self
     }
 
-    /// Sets the queued-task budget (`0` = unlimited).
-    pub fn with_max_queued(mut self, max_queued: usize) -> Self {
-        self.max_queued = max_queued;
-        self
-    }
-
     /// Marks the tenant best-effort: over-budget admissions shed
     /// instead of blocking.
     pub fn best_effort(mut self) -> Self {
@@ -125,29 +114,25 @@ impl TenantPolicy {
     }
 }
 
-/// Typed admission rejection: the tenant's budget was exhausted and its
-/// policy is best-effort. Carries the state observed at the decision so
-/// the web tier can surface an actionable rejection.
+/// Typed admission rejection: the tenant's in-flight budget was exhausted
+/// and its policy is best-effort. Carries the state observed at the
+/// decision so the web tier can surface an actionable rejection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShedError {
     /// The tenant that was shed.
     pub class: ClassId,
     /// Queries of the tenant in flight at the decision.
     pub in_flight: usize,
-    /// Helper task items of the tenant queued at the decision.
-    pub queued: usize,
-    /// The in-flight budget that was exceeded (`0` = unlimited).
+    /// The in-flight budget that was exceeded.
     pub max_in_flight: usize,
-    /// The queue-depth budget that was exceeded (`0` = unlimited).
-    pub max_queued: usize,
 }
 
 impl fmt::Display for ShedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "query shed: class {} over budget ({} in flight / limit {}, {} queued / limit {})",
-            self.class.0, self.in_flight, self.max_in_flight, self.queued, self.max_queued
+            "query shed: class {} over budget ({} in flight / limit {})",
+            self.class.0, self.in_flight, self.max_in_flight
         )
     }
 }
@@ -287,8 +272,8 @@ struct Shared {
     inner: Mutex<PoolInner>,
     /// Signalled when task items are queued (workers wait here).
     work_available: Condvar,
-    /// Signalled when in-flight or queue capacity frees (blocking
-    /// admissions wait here).
+    /// Signalled when in-flight capacity frees or a policy changes
+    /// (blocking admissions wait here).
     admit_released: Condvar,
     registry: Option<Arc<MetricsRegistry>>,
     dispatched: Vec<AtomicU64>,
@@ -355,9 +340,6 @@ fn worker_loop(shared: Arc<Shared>) {
                     .expect("morsel pool scheduler poisoned");
             }
         };
-        // The queue shrank: a blocking admission bounded by
-        // `max_queued` may now proceed.
-        shared.admit_released.notify_all();
         if let Some(registry) = &shared.registry {
             registry.record_micros(
                 Stage::SchedulerWait,
@@ -408,9 +390,6 @@ impl Drop for ScanJoin<'_> {
             queue.retain(|queued| !Arc::ptr_eq(queued, self.set));
             before - queue.len()
         };
-        if removed > 0 {
-            self.shared.admit_released.notify_all();
-        }
         let mut outstanding = self.set.outstanding.lock().expect("task latch poisoned");
         *outstanding -= removed;
         while *outstanding > 0 {
@@ -500,9 +479,9 @@ impl MorselPool {
     }
 
     /// The admission gate. Returns a slot guard when the tenant is
-    /// within its in-flight and queue-depth budgets; otherwise sheds
-    /// immediately (best-effort tenants) or blocks until capacity frees
-    /// (guaranteed tenants — the ingest `submit` analogue).
+    /// within its in-flight budget; otherwise sheds immediately
+    /// (best-effort tenants) or blocks until capacity frees (guaranteed
+    /// tenants — the ingest `submit` analogue).
     pub fn try_admit(&self, class: ClassId) -> Result<AdmissionGuard, ShedError> {
         self.admit_until(class, None).map_err(|error| match error {
             AdmitError::Shed(shed) => shed,
@@ -525,10 +504,7 @@ impl MorselPool {
         let mut inner = self.shared.lock_inner();
         loop {
             let policy = inner.policies[t];
-            let over_in_flight =
-                policy.max_in_flight > 0 && inner.in_flight[t] >= policy.max_in_flight;
-            let over_queued = policy.max_queued > 0 && inner.queues[t].len() >= policy.max_queued;
-            if !over_in_flight && !over_queued {
+            if policy.max_in_flight == 0 || inner.in_flight[t] < policy.max_in_flight {
                 inner.in_flight[t] += 1;
                 return Ok(AdmissionGuard {
                     shared: Arc::clone(&self.shared),
@@ -540,9 +516,7 @@ impl MorselPool {
                 return Err(AdmitError::Shed(ShedError {
                     class: ClassId(t as u8),
                     in_flight: inner.in_flight[t],
-                    queued: inner.queues[t].len(),
                     max_in_flight: policy.max_in_flight,
-                    max_queued: policy.max_queued,
                 }));
             }
             match deadline {
@@ -611,31 +585,18 @@ impl MorselPool {
             cancel,
             tenant: t,
             enqueued: Instant::now(),
-            outstanding: Mutex::new(0),
+            outstanding: Mutex::new(helpers),
             done: Condvar::new(),
         });
-        let queued = {
+        {
             let mut inner = self.shared.lock_inner();
-            let policy = inner.policies[t];
-            let room = if policy.max_queued == 0 {
-                helpers
-            } else {
-                policy
-                    .max_queued
-                    .saturating_sub(inner.queues[t].len())
-                    .min(helpers)
-            };
-            if room > 0 {
-                *set.outstanding.lock().expect("task latch poisoned") = room;
-                for _ in 0..room {
-                    inner.queues[t].push_back(Arc::clone(&set));
-                }
+            for _ in 0..helpers {
+                inner.queues[t].push_back(Arc::clone(&set));
             }
-            room
-        };
-        if queued == 1 {
+        }
+        if helpers == 1 {
             self.shared.work_available.notify_one();
-        } else if queued > 1 {
+        } else {
             self.shared.work_available.notify_all();
         }
         let join = ScanJoin {

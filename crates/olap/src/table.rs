@@ -194,16 +194,6 @@ impl Table {
         Ok(())
     }
 
-    /// Number of columns.
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// The column names in declaration order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Index of a column by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|(n, _)| n == name)
@@ -259,34 +249,6 @@ impl Table {
                 .find(|(n, _)| n == col_name)
                 .map(|(_, v)| v.clone())
                 .unwrap_or(CellValue::Null);
-            column.push(value)?;
-        }
-        let row = self.rows;
-        self.rows += 1;
-        Ok(row)
-    }
-
-    /// Appends a row given positionally (must cover every column).
-    pub fn push_row_positional(&mut self, values: Vec<CellValue>) -> Result<usize, OlapError> {
-        if values.len() != self.columns.len() {
-            return Err(OlapError::RowShape {
-                message: format!(
-                    "table '{}' has {} columns but the row has {} values",
-                    self.name,
-                    self.columns.len(),
-                    values.len()
-                ),
-            });
-        }
-        for ((name, column), value) in self.columns.iter().zip(values.iter()) {
-            if !column.accepts(value) {
-                return Err(OlapError::TypeMismatch {
-                    expected: "a value matching the column type",
-                    found: format!("{} for column '{name}'", value.type_name()),
-                });
-            }
-        }
-        for ((_, column), value) in self.columns.iter_mut().zip(values) {
             column.push(value)?;
         }
         let row = self.rows;
@@ -362,11 +324,6 @@ mod tests {
     fn construction_and_metadata() {
         let t = store_table();
         assert!(t.is_empty());
-        assert_eq!(t.num_columns(), 3);
-        assert_eq!(
-            t.column_names(),
-            vec!["Store.name", "City.name", "size_sqm"]
-        );
         assert_eq!(t.column_index("City.name"), Some(1));
         assert_eq!(t.column_index("missing"), None);
         assert!(t.column("missing").is_err());
@@ -406,20 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn positional_row_insertion() {
-        let mut t = store_table();
-        t.push_row_positional(vec![
-            CellValue::from("Downtown"),
-            CellValue::from("Alicante"),
-            CellValue::Integer(450),
-        ])
-        .unwrap();
-        assert_eq!(t.get(0, "size_sqm").unwrap(), CellValue::Integer(450));
-        let err = t.push_row_positional(vec![CellValue::Null]).unwrap_err();
-        assert!(matches!(err, OlapError::RowShape { .. }));
-    }
-
-    #[test]
     fn type_mismatch_in_row_is_rejected_without_corruption() {
         let mut t = store_table();
         // "size_sqm" is an integer column; a text value must fail the whole
@@ -433,16 +376,6 @@ mod tests {
         assert!(matches!(err, OlapError::TypeMismatch { .. }));
         assert!(t.is_empty());
         assert_eq!(t.column("Store.name").unwrap().len(), 0);
-        // Same for positional pushes.
-        let err = t
-            .push_row_positional(vec![
-                CellValue::from("X"),
-                CellValue::from("Y"),
-                CellValue::Boolean(true),
-            ])
-            .unwrap_err();
-        assert!(matches!(err, OlapError::TypeMismatch { .. }));
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -73,25 +73,9 @@ impl InstanceView {
         }
     }
 
-    /// Returns `true` when the member of a dimension is visible.
-    pub fn allows_member(&self, dimension: &str, member: usize) -> bool {
-        self.dimension_selections
-            .get(dimension)
-            .map(|s| s.contains(&member))
-            .unwrap_or(true)
-    }
-
     /// The selected member set for a dimension, when restricted.
     pub fn selected_members(&self, dimension: &str) -> Option<&BTreeSet<usize>> {
         self.dimension_selections.get(dimension)
-    }
-
-    /// Names of the dimensions this view restricts.
-    pub fn restricted_dimensions(&self) -> Vec<&str> {
-        self.dimension_selections
-            .keys()
-            .map(String::as_str)
-            .collect()
     }
 
     /// Returns `true` when a fact row is visible through the view: every
@@ -312,7 +296,7 @@ mod tests {
         let cube = small_cube();
         let view = InstanceView::unrestricted();
         assert!(view.is_unrestricted());
-        assert!(view.allows_member("Store", 3));
+        assert!(view.selected_members("Store").is_none());
         assert_eq!(view.visible_fact_count(&cube, "Sales").unwrap(), 8);
     }
 
@@ -322,12 +306,12 @@ mod tests {
         let mut view = InstanceView::unrestricted();
         view.select_dimension_members("Store", vec![0, 1]);
         assert!(!view.is_unrestricted());
-        assert!(view.allows_member("Store", 0));
-        assert!(!view.allows_member("Store", 2));
-        assert!(view.allows_member("Time", 0)); // unrestricted dimension
+        let stores = view.selected_members("Store").unwrap();
+        assert!(stores.contains(&0));
+        assert!(!stores.contains(&2));
+        assert!(view.selected_members("Time").is_none()); // unrestricted dimension
         assert_eq!(view.visible_fact_count(&cube, "Sales").unwrap(), 4);
-        assert_eq!(view.restricted_dimensions(), vec!["Store"]);
-        assert_eq!(view.selected_members("Store").unwrap().len(), 2);
+        assert_eq!(stores.len(), 2);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! *which* thread scanned a morsel is invisible), and the properties here
 //! pin that construction down across the axes that could break it:
 //! worker-pool sizes, group-slot limits (dense-slot vs hashed paths),
-//! queue-depth caps that degrade parallelism mid-query, and the
-//! shared-scan batch path.
+//! pools with fewer helpers than a query asks for, and the shared-scan
+//! batch path.
 //!
 //! Measure values are dyadic rationals (multiples of 0.25), so float
 //! sums are exact and bit-identity is a hard property, not a tolerance.
@@ -130,15 +130,15 @@ proptest! {
         }
     }
 
-    /// Queue-depth caps degrade parallelism, never correctness: a tenant
-    /// whose `max_queued` budget admits fewer helper items than requested
+    /// Fewer helpers degrade parallelism, never correctness: an 8-worker
+    /// query on a pool with fewer helper threads than it asks for
     /// (including zero — pure caller-inline execution) must still produce
     /// the bit-identical result.
     #[test]
     fn queue_caps_shed_helpers_not_correctness(
         cube in cube_spec(80),
         query in query_spec(),
-        max_queued in 0usize..3,
+        helpers in 0usize..3,
     ) {
         let built_cube = build_cube(&cube);
         let built_query = build_query(&query);
@@ -146,16 +146,12 @@ proptest! {
         let serial = QueryEngine::with_config(ExecutionConfig::serial())
             .execute_serial_with_view(&built_cube, &built_query, &view)
             .expect("generated queries are valid");
-        let pool = Arc::new(MorselPool::with_helpers(2, None));
-        pool.set_policy(
-            sdwp_obs::ClassId::default(),
-            TenantPolicy::default().with_max_queued(max_queued),
-        );
+        let pool = Arc::new(MorselPool::with_helpers(helpers, None));
         let (_, pooled) = engine_pair(&pool, 8, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT);
         let pooled_result = pooled
             .execute_with_view(&built_cube, &built_query, &view)
             .expect("pooled execution succeeds");
-        prop_assert_eq!(&pooled_result, &serial, "max_queued={}", max_queued);
+        prop_assert_eq!(&pooled_result, &serial, "helpers={}", helpers);
     }
 }
 

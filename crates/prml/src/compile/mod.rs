@@ -83,8 +83,8 @@ use crate::eval::engine::{attach_rule, FireReport, RuntimeEvent};
 use crate::typecheck::{augmented_schema, check_rules, RuleClass};
 use sdwp_model::Schema;
 
-/// An immutable set of compiled rules, ready to be published behind an
-/// `ArcSwap` and hot-swapped without draining in-flight firings.
+/// An immutable set of compiled rules, ready to be published as one
+/// snapshot and hot-swapped without draining in-flight firings.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledRuleSet {
     rules: Vec<CompiledRule>,

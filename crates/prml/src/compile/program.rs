@@ -454,10 +454,10 @@ impl Compiler<'_> {
                 }
             }
             Expr::Call { function, args } => {
-                // Calls touch the context (distance metric, cube
-                // geometries), so they never fold — but argument order is
-                // preserved, so a folded failing argument still raises at
-                // the interpreter's exact point.
+                // Calls touch the context (cube geometries), so they never
+                // fold — but argument order is preserved, so a folded
+                // failing argument still raises at the interpreter's exact
+                // point.
                 let mut ops = Vec::new();
                 for arg in args {
                     ops.extend(self.fold(arg).into_ops());

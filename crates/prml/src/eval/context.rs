@@ -1,7 +1,6 @@
 //! The evaluation context: everything a rule can read or modify.
 
 use crate::eval::value::Value;
-use sdwp_geometry::distance::DistanceMetric;
 use sdwp_geometry::{GeometricType, Geometry};
 use sdwp_olap::Cube;
 use sdwp_user::{Session, UserProfile};
@@ -101,11 +100,6 @@ impl RuleEffect {
         self.selections.values().any(|s| !s.is_empty())
             || self.layer_selections.values().any(|s| !s.is_empty())
     }
-
-    /// Total number of selected dimension members across dimensions.
-    pub fn selected_member_count(&self) -> usize {
-        self.selections.values().map(BTreeSet::len).sum()
-    }
 }
 
 /// Everything a rule evaluation can read and modify: the cube (schema and
@@ -124,14 +118,12 @@ pub struct EvalContext<'a> {
     /// Designer-defined parameters referenced by bare identifiers in rule
     /// text (e.g. the `threshold` of Example 5.3).
     pub parameters: BTreeMap<String, f64>,
-    /// The distance metric used by the `Distance` operator.
-    pub metric: DistanceMetric,
     variables: Vec<(String, Value)>,
 }
 
 impl<'a> EvalContext<'a> {
     /// Creates a context over a cube and a profile, with no session, no
-    /// external layers, no parameters and the Euclidean metric.
+    /// external layers and no parameters.
     pub fn new(cube: &'a mut Cube, profile: &'a mut UserProfile) -> Self {
         EvalContext {
             cube,
@@ -139,7 +131,6 @@ impl<'a> EvalContext<'a> {
             session: None,
             layer_source: &NoExternalLayers,
             parameters: BTreeMap::new(),
-            metric: DistanceMetric::Euclidean,
             variables: Vec::new(),
         }
     }
@@ -159,12 +150,6 @@ impl<'a> EvalContext<'a> {
     /// Defines a designer parameter (e.g. `threshold`).
     pub fn with_parameter(mut self, name: impl Into<String>, value: f64) -> Self {
         self.parameters.insert(name.into().to_lowercase(), value);
-        self
-    }
-
-    /// Sets the distance metric used by `Distance`.
-    pub fn with_metric(mut self, metric: DistanceMetric) -> Self {
-        self.metric = metric;
         self
     }
 
@@ -275,6 +260,5 @@ mod tests {
             .or_default()
             .extend([1, 2, 3]);
         assert!(effect.selected_instances());
-        assert_eq!(effect.selected_member_count(), 3);
     }
 }

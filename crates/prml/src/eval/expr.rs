@@ -489,7 +489,7 @@ pub(crate) fn call_values(
                 }
                 let a = geometry_of(&values[0], ctx)?;
                 let b = geometry_of(&values[1], ctx)?;
-                Ok(Value::Number(distance::distance(&a, &b, ctx.metric)))
+                Ok(Value::Number(distance::euclidean(&a, &b)))
             }
             n => Err(PrmlError::eval(
                 "",

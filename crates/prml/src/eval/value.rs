@@ -112,14 +112,6 @@ impl Value {
         }
     }
 
-    /// Instance view.
-    pub fn as_instance(&self) -> Option<&InstanceRef> {
-        match self {
-            Value::Instance(i) => Some(i),
-            _ => None,
-        }
-    }
-
     /// Collection view.
     pub fn as_collection(&self) -> Option<&[Value]> {
         match self {
@@ -220,7 +212,6 @@ mod tests {
             .unwrap()
             .is_empty());
         let inst = Value::Instance(InstanceRef::level("Store", "Store", 3));
-        assert_eq!(inst.as_instance().unwrap().row, 3);
         assert_eq!(inst.type_name(), "instance");
     }
 

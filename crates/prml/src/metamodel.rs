@@ -71,20 +71,6 @@ impl MetaClass {
         MetaClass::ForeachStatement,
         MetaClass::IfStatement,
     ];
-
-    /// Returns `true` for the metaclasses added by the paper's SDW
-    /// adaptation (spatial operators, spatial event, schema actions).
-    pub fn is_sdw_extension(&self) -> bool {
-        matches!(
-            self,
-            MetaClass::SpatialSelectionEvent
-                | MetaClass::TopologicalOperator
-                | MetaClass::DistanceOperator
-                | MetaClass::IntersectionOperator
-                | MetaClass::BecomeSpatialAction
-                | MetaClass::AddLayerAction
-        )
-    }
 }
 
 /// The names of the topological operators of §4.2.3.
@@ -276,14 +262,5 @@ mod tests {
                 .count(),
             0
         );
-    }
-
-    #[test]
-    fn sdw_extension_flags() {
-        assert!(MetaClass::SpatialSelectionEvent.is_sdw_extension());
-        assert!(MetaClass::AddLayerAction.is_sdw_extension());
-        assert!(!MetaClass::Rule.is_sdw_extension());
-        assert!(!MetaClass::IfStatement.is_sdw_extension());
-        assert_eq!(MetaClass::ALL.len(), 17);
     }
 }

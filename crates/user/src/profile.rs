@@ -145,11 +145,6 @@ impl ProfileStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The ids of every stored profile.
-    pub fn user_ids(&self) -> Vec<String> {
-        self.inner.read().keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +183,6 @@ mod tests {
         assert!(store.is_empty());
         store.upsert(regional_manager());
         assert_eq!(store.len(), 1);
-        assert_eq!(store.user_ids(), vec!["u-glorio".to_string()]);
         let p = store.get("u-glorio").unwrap();
         assert_eq!(p.name, "Octavio");
         assert!(store.get("nobody").is_err());

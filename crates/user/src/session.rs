@@ -93,14 +93,6 @@ impl Session {
         self.status == SessionStatus::Active
     }
 
-    /// Number of spatial-selection events recorded so far.
-    pub fn spatial_selection_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, SessionEvent::SpatialSelection { .. }))
-            .count()
-    }
-
     /// The SUS stereotype of this element.
     pub fn stereotype(&self) -> SusStereotype {
         SusStereotype::Session
@@ -134,14 +126,20 @@ mod tests {
 
     #[test]
     fn spatial_selection_events_are_counted() {
+        let selections = |s: &Session| {
+            s.events
+                .iter()
+                .filter(|e| matches!(e, SessionEvent::SpatialSelection { .. }))
+                .count()
+        };
         let mut s = Session::start(3, "u2");
-        assert_eq!(s.spatial_selection_count(), 0);
+        assert_eq!(selections(&s), 0);
         s.record_spatial_selection(
             "GeoMD.Store.City",
             "Distance(GeoMD.Store.City.geometry, GeoMD.Airport.geometry) < 20km",
         );
         s.record_spatial_selection("GeoMD.Store", "Inside(...)");
-        assert_eq!(s.spatial_selection_count(), 2);
+        assert_eq!(selections(&s), 2);
         assert_eq!(s.events.len(), 3); // start + 2 selections
     }
 }

@@ -7,8 +7,8 @@
 //! *beta* set exactly three. Every login therefore must report either the
 //! complete alpha effect set or the complete beta effect set — a mixed
 //! report would prove a firing saw rules from two different publications
-//! (exactly what publishing the compiled set as one `ArcSwap` value
-//! forbids). Broken reloads thrown into the storm must bounce without
+//! (exactly what publishing the compiled set as one `VersionedSwap`
+//! snapshot forbids). Broken reloads thrown into the storm must bounce without
 //! ever interrupting service.
 
 use sdwp::core::PersonalizationEngine;

@@ -238,6 +238,18 @@ fn haversine_window_keeps_a_member_on_its_rounded_edge() {
     );
 }
 
+#[test]
+fn haversine_selects_a_near_antipodal_member() {
+    // For this pair rounding pushes the haversine term past 1; unclamped,
+    // the distance is NaN and the store unselectable at any radius.
+    let cube = level(&[(135.650_314_035_027_58, -64.935_261_711_866_91)]);
+    let user: Geometry = Point::new(-44.349_685_968_983_15, 64.935_261_706_194_75).into();
+    assert_eq!(
+        both_paths(&cube, "Store", &user, 20_100.0, DistanceMetric::HaversineKm),
+        vec![0]
+    );
+}
+
 /// Point, line or polygon targets anywhere on the globe.
 fn target_strategy() -> impl Strategy<Value = Geometry> {
     (
