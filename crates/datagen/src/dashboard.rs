@@ -1,4 +1,4 @@
-//! Dashboard-workload generation for shared-scan batch benchmarks.
+//! Dashboard-workload generation for shared-scan batches.
 //!
 //! A BI dashboard refresh submits every panel's query at once, and how
 //! much a shared scan saves depends on how the panels' filters overlap:
@@ -6,8 +6,8 @@
 //! disjoint filters each pay their own per-row evaluation, and real
 //! dashboards sit in between. This module builds deterministic query
 //! batches over the paper scenario's `Sales` schema in each of those
-//! regimes, so the B16 bench (and tests) can sweep batch size × overlap
-//! without hand-writing query lists.
+//! regimes, so `perfbench`'s dashboard workloads and the examples get
+//! realistic batches without hand-writing query lists.
 
 use sdwp_model::AggregationFunction;
 use sdwp_olap::{AttributeRef, Filter, Query};
@@ -33,15 +33,6 @@ impl OverlapRegime {
         OverlapRegime::Disjoint,
         OverlapRegime::Mixed,
     ];
-
-    /// The regime's display name (bench group labels).
-    pub fn label(&self) -> &'static str {
-        match self {
-            OverlapRegime::Identical => "identical",
-            OverlapRegime::Disjoint => "disjoint",
-            OverlapRegime::Mixed => "mixed",
-        }
-    }
 }
 
 /// The city filter of panel `index` under `regime`. `cities` is the

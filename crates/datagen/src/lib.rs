@@ -36,5 +36,5 @@ pub use config::ScenarioConfig;
 pub use dashboard::{dashboard_batch, OverlapRegime};
 pub use layers::GeneratedLayers;
 pub use retail::RetailData;
-pub use scenario::{PaperScenario, ScenarioBuilder};
+pub use scenario::PaperScenario;
 pub use ticker::{RetailTicker, TickerConfig};

@@ -99,33 +99,8 @@ pub struct PaperScenario {
 }
 
 impl PaperScenario {
-    /// Generates the scenario for a configuration.
+    /// Generates the data and loads the cube for a configuration.
     pub fn generate(config: ScenarioConfig) -> Self {
-        ScenarioBuilder::new(config).build()
-    }
-
-    /// The external layers as a PRML layer source (what `AddLayer` pulls
-    /// from).
-    pub fn layer_source(&self) -> StaticLayerSource {
-        self.layers.as_layer_source()
-    }
-}
-
-/// Builds a [`PaperScenario`] from a [`ScenarioConfig`].
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    config: ScenarioConfig,
-}
-
-impl ScenarioBuilder {
-    /// Starts a builder.
-    pub fn new(config: ScenarioConfig) -> Self {
-        ScenarioBuilder { config }
-    }
-
-    /// Generates the data and loads the cube.
-    pub fn build(self) -> PaperScenario {
-        let config = self.config;
         let mut rng = rng_for_seed(config.seed);
         let city_points = generate_cities(&mut rng, config.cities, config.region_km);
         let layers = GeneratedLayers::generate(&mut rng, &city_points, &config);
@@ -226,6 +201,12 @@ impl ScenarioBuilder {
             cube,
             manager: regional_sales_manager(),
         }
+    }
+
+    /// The external layers as a PRML layer source (what `AddLayer` pulls
+    /// from).
+    pub fn layer_source(&self) -> StaticLayerSource {
+        self.layers.as_layer_source()
     }
 }
 

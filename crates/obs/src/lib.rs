@@ -16,7 +16,7 @@
 //! A **disabled** registry ([`MetricsRegistry::disabled`]) reduces every
 //! instrumentation site to a single predictable branch: spans never call
 //! `Instant::now`, histograms are never touched, the journal never
-//! records. The B18 `metrics_overhead` bench holds this to ~0 cost.
+//! records (`tests/metrics_facade.rs` checks that nothing is recorded).
 //!
 //! Latency samples are keyed two ways: by [`Stage`] (a fixed enum of the
 //! engine's instrumented pipeline stages — query resolve/scan/merge/

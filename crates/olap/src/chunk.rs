@@ -395,6 +395,12 @@ impl GeometryColumn {
         }
         self.chunks[row / self.chunk_rows][row % self.chunk_rows].as_ref()
     }
+
+    /// The shared chunks backing this column, for copy-on-write tests.
+    #[cfg(test)]
+    pub(crate) fn chunks(&self) -> &[Arc<Vec<Option<Geometry>>>] {
+        &self.chunks
+    }
 }
 
 #[cfg(test)]

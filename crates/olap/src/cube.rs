@@ -875,6 +875,72 @@ mod tests {
         assert_eq!(sales.translate_rows_from(1, vec![1]), Some(vec![1]));
     }
 
+    /// Per chunk of `column`, whether `snapshot` holds the same allocation.
+    fn shared_chunks(column: &Column, snapshot: &Column) -> Vec<bool> {
+        fn same<T>(a: &[Arc<T>], b: &[Arc<T>]) -> Vec<bool> {
+            assert_eq!(a.len(), b.len());
+            a.iter().zip(b).map(|(a, b)| Arc::ptr_eq(a, b)).collect()
+        }
+        match (column, snapshot) {
+            (Column::Integer(a), Column::Integer(b)) | (Column::Date(a), Column::Date(b)) => {
+                same(a.chunks(), b.chunks())
+            }
+            (Column::Float(a), Column::Float(b)) => same(a.chunks(), b.chunks()),
+            (Column::Boolean(a), Column::Boolean(b)) => same(a.chunks(), b.chunks()),
+            (Column::Text { codes: a, .. }, Column::Text { codes: b, .. }) => {
+                same(a.chunks(), b.chunks())
+            }
+            (Column::Geometry(a), Column::Geometry(b)) => same(a.chunks(), b.chunks()),
+            _ => panic!("column changed type"),
+        }
+    }
+
+    /// A publication is a clone of the write master. After one append and
+    /// one upsert, the master still shares every chunk with the published
+    /// snapshot except the partial tail chunk the append wrote and chunk 0
+    /// of the upserted column. (Text dictionaries are not checked.)
+    #[test]
+    fn publication_copies_only_the_chunks_a_delta_touched() {
+        let mut cube = Cube::with_chunk_rows(schema(), 16);
+        let store = vec![("Store.name", CellValue::from("S0"))];
+        cube.add_dimension_member("Store", store).unwrap();
+        cube.add_dimension_member("Time", vec![("Day.date", CellValue::Date(0))])
+            .unwrap();
+        let sale = |i: usize| vec![("UnitSales", CellValue::Float(i as f64))];
+        let rows = 5 * 16 + 3;
+        for i in 0..rows {
+            cube.add_fact_row("Sales", vec![("Store", 0), ("Time", 0)], sale(i))
+                .unwrap();
+        }
+        let snapshot = cube.clone();
+        cube.add_fact_row("Sales", vec![("Store", 0), ("Time", 0)], sale(0))
+            .unwrap();
+        cube.upsert_fact_cell("Sales", 0, "StoreCost", CellValue::Float(2.0))
+            .unwrap();
+
+        fn table<'a>(cube: &'a Cube, name: &str) -> &'a Table {
+            match cube.fact_table(name) {
+                Ok(fact) => &fact.table,
+                Err(_) => &cube.dimension_table(name).unwrap().table,
+            }
+        }
+        let tail = rows / 16;
+        for name in ["Sales", "Store", "Time"] {
+            let (master, published) = (table(&cube, name), table(&snapshot, name));
+            for (column, _) in master.row(0) {
+                let shared = shared_chunks(
+                    master.column(&column).unwrap(),
+                    published.column(&column).unwrap(),
+                );
+                for (chunk, shared) in shared.into_iter().enumerate() {
+                    let upserted = column == "StoreCost" && chunk == 0;
+                    let touched = name == "Sales" && (chunk == tail || upserted);
+                    assert_eq!(shared, !touched, "{name}.{column} chunk {chunk}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn column_name_helpers() {
         assert_eq!(fk_column("Store"), "__fk_Store");

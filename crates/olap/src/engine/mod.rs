@@ -59,9 +59,10 @@
 //!
 //! Within a morsel, measure reads are pushed down to the chunked column
 //! storage: numeric measures go through pre-resolved column indices and
-//! typed accessors instead of per-row [`CellValue`] materialisation. The
-//! serial reference stays row-at-a-time on purpose — it is the semantic
-//! yardstick the two accumulation paths are property-tested against.
+//! typed accessors instead of per-row [`CellValue`](crate::value::CellValue)
+//! materialisation. The serial reference stays row-at-a-time on purpose —
+//! it is the semantic yardstick the two accumulation paths are
+//! property-tested against.
 //!
 //! # Accumulation: two paths, dense ids and selection vectors
 //!
@@ -104,7 +105,6 @@ use crate::dicts::GroupDictCache;
 use crate::error::OlapError;
 use crate::pool::MorselPool;
 use crate::query::{Query, QueryResult};
-use crate::value::CellValue;
 use crate::view::InstanceView;
 use sdwp_obs::{ClassId, MetricsRegistry, SlowQueryRecord, Stage};
 use std::sync::atomic::AtomicUsize;
@@ -650,25 +650,6 @@ impl QueryEngine {
             .map(|result| result.expect("every query resolved or executed"))
             .collect()
     }
-
-    /// Convenience: total of a single measure over the (possibly
-    /// personalized) cube, with no grouping.
-    pub fn total(
-        &self,
-        cube: &Cube,
-        fact: &str,
-        measure: &str,
-        view: &InstanceView,
-    ) -> Result<f64, OlapError> {
-        let query = Query::over(fact).measure(measure);
-        let result = self.execute_with_view(cube, &query, view)?;
-        Ok(result
-            .rows
-            .first()
-            .and_then(|r| r.values.first())
-            .and_then(CellValue::as_number)
-            .unwrap_or(0.0))
-    }
 }
 
 #[cfg(test)]
@@ -676,6 +657,7 @@ mod tests {
     use super::*;
     use crate::filter::Filter;
     use crate::query::AttributeRef;
+    use crate::value::CellValue;
     use sdwp_geometry::Point;
     use sdwp_model::{
         AggregationFunction, AttributeType, DimensionBuilder, FactBuilder, SchemaBuilder,
@@ -790,12 +772,6 @@ mod tests {
         // StoreCost uses its default AVG aggregation: mean of 10,20,30,40
         // over 3 days each = 25.
         assert_eq!(result.rows[0].values[1], CellValue::Float(25.0));
-        assert_eq!(
-            engine
-                .total(&cube, "Sales", "UnitSales", &InstanceView::unrestricted())
-                .unwrap(),
-            30.0
-        );
     }
 
     #[test]

@@ -376,7 +376,14 @@ fn deadlines_cancel_degraded_queries_with_no_partial_state() {
         }
         Err(other) => panic!("untyped batch failure: {other:?}"),
     }
-    assert!(fault::hits("query.scan.morsel") > 0);
+    let hits = fault::hits("query.scan.morsel");
+    assert!(hits > 0);
+    // A deadline refuses after one morsel, not after a whole scan: each of
+    // the 4 participants checks the token before the failpoint, so it
+    // sleeps through at most one morsel per request. A refusal that
+    // scanned to the end would read 13 hits per request (200 rows in
+    // 16-row morsels).
+    assert!(hits <= 4 * 4, "slept through {hits} morsels");
     assert_eq!(
         engine.cache_stats().entries,
         0,
