@@ -1050,7 +1050,11 @@ impl PersonalizationEngine {
     /// the whole firing atomic with respect to other firing threads (so
     /// two concurrent `SetContent` increments cannot lose an update).
     /// When the firing actually changed the schema, the master is cloned
-    /// once and published for the read path.
+    /// once and published for the read path. The rule set replays a
+    /// closed loop (one that reads only schema, dimension and layer
+    /// tables, like `TrainAirportCity`'s) when the master's
+    /// [`Cube::stamp`] is the one it last ran under; the stamp is exact
+    /// because the firing reads the master it holds locked.
     ///
     /// Invariant: outside a firing, master and snapshot hold the same
     /// schema/layer/dimension state — successful schema changes publish,
@@ -1060,6 +1064,8 @@ impl PersonalizationEngine {
     /// tables are the streaming-ingest subsystem's territory (the master
     /// may be an epoch ahead of the snapshot there), so the rollback
     /// keeps the master's fact tables: rules cannot have touched them.
+    /// The restored state brings back the snapshot's stamp, so no outcome
+    /// a closed loop stored during the failed firing can replay.
     fn fire_event(
         &self,
         session: &Session,
@@ -1433,6 +1439,79 @@ mod tests {
             engine.cube().schema().layer("Partial").is_none(),
             "partial schema mutation of a failed firing leaked into the snapshot"
         );
+    }
+
+    /// Logs `user` in and out, returning the report and how many times
+    /// the in-service rule set's closed loops ran and replayed meanwhile.
+    fn login(engine: &PersonalizationEngine, user: &str) -> (PersonalizationReport, (u64, u64)) {
+        let rules = engine.compiled_rules();
+        let before = (rules.closed_loop_runs(), rules.closed_loop_replays());
+        let handle = engine.start_session(user, None).unwrap();
+        engine.end_session(handle.id).unwrap();
+        let after = (rules.closed_loop_runs(), rules.closed_loop_replays());
+        (handle.report, (after.0 - before.0, after.1 - before.1))
+    }
+
+    /// The Train loop of a firing that failed after adding the Train
+    /// layer ran on a cube state the rollback discarded: the next firing
+    /// adds the layer again, under a new stamp, and runs the loop again.
+    #[test]
+    fn a_rolled_back_firing_leaves_no_outcome_to_replay() {
+        let scenario = PaperScenario::generate(ScenarioConfig::tiny());
+        let engine = PersonalizationEngine::with_layer_source(
+            scenario.cube.clone(),
+            Arc::new(scenario.layer_source()),
+        );
+        engine.register_user(sdwp_user::UserProfile::new("u", "U"));
+        engine
+            .add_rules_text(
+                "Rule:train When SessionStart do AddLayer('Airport', POINT) \
+                 AddLayer('Train', LINE) \
+                 Foreach t, c, a in (GeoMD.Train, GeoMD.Store.City, GeoMD.Airport) \
+                 If (Distance(Intersection(Intersection(t.geometry, c.geometry), \
+                 a.geometry)) < 50) then SelectInstance(c) endIf endForeach \
+                 If (missingparam > 1) then AddLayer('Q', POINT) endIf endWhen",
+            )
+            .unwrap();
+        let rules = engine.compiled_rules();
+        // The loop runs, then `missingparam` fails the firing: the layers
+        // roll back.
+        assert!(engine.start_session("u", None).is_err());
+        assert_eq!(rules.closed_loop_runs(), 1);
+        assert!(engine.cube().schema().layer("Train").is_none());
+        engine.set_parameter("missingparam", 0.0);
+        let (first, work) = login(&engine, "u");
+        assert_eq!(
+            work,
+            (1, 0),
+            "the rolled-back state's outcome is not replayed"
+        );
+        let (second, work) = login(&engine, "u");
+        assert_eq!(work, (0, 1));
+        assert_eq!(second, first);
+    }
+
+    /// A reloaded rule set stores no outcome: its first over-threshold
+    /// login runs the Train loop, and the next one replays it.
+    #[test]
+    fn a_reloaded_rule_set_runs_its_closed_loops_first() {
+        let (engine, scenario) = engine();
+        let mut manager = scenario.manager.clone();
+        manager.interest_mut("AirportCity").degree = 3.0;
+        engine.register_user(manager.clone());
+        let (first, work) = login(&engine, &manager.id);
+        assert!(first
+            .rules_with_effects
+            .contains(&"TrainAirportCity".to_string()));
+        assert_eq!(work, (1, 0));
+        assert_eq!(login(&engine, &manager.id).1, (0, 1));
+        engine
+            .reload_rules_text(&ALL_PAPER_RULES.join("\n"))
+            .unwrap();
+        let (reloaded, work) = login(&engine, &manager.id);
+        assert_eq!(work, (1, 0), "a hot swap drops the stored outcomes");
+        assert_eq!(reloaded, first);
+        assert_eq!(login(&engine, &manager.id).1, (0, 1));
     }
 
     #[test]

@@ -430,7 +430,10 @@ mod tests {
             // … then retract the original row.
             .retract("Sales", 0);
         batch.validate(&c).unwrap();
+        let stamp = c.stamp();
         let outcome = batch.apply(&mut c);
+        // Fact deltas leave the cube's stamp (its non-fact version) alone.
+        assert_eq!(c.stamp(), stamp);
         assert_eq!(
             (
                 outcome.rows_appended,

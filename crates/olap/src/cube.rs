@@ -8,6 +8,7 @@ use crate::value::CellValue;
 use sdwp_geometry::{GeometricType, Geometry};
 use sdwp_model::{AttributeType, ModelError, Schema};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The instance table of one dimension, at leaf-level grain.
@@ -151,7 +152,9 @@ pub(crate) fn member_at(column: &Column, fact_row: usize) -> Result<usize, OlapE
 /// A star-schema cube: one dimension table per dimension, one layer table
 /// per (materialised) layer and one fact table per fact, all bound to a
 /// conceptual [`Schema`].
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares contents only, never the [`Cube::stamp`].
+#[derive(Debug, Clone)]
 pub struct Cube {
     schema: Schema,
     dimensions: BTreeMap<String, DimensionTable>,
@@ -159,6 +162,25 @@ pub struct Cube {
     facts: BTreeMap<String, FactTable>,
     /// Rows per storage chunk of every table this cube creates.
     chunk_rows: usize,
+    /// See [`Cube::stamp`].
+    stamp: u64,
+}
+
+impl PartialEq for Cube {
+    fn eq(&self, other: &Cube) -> bool {
+        self.schema == other.schema
+            && self.dimensions == other.dimensions
+            && self.layers == other.layers
+            && self.facts == other.facts
+            && self.chunk_rows == other.chunk_rows
+    }
+}
+
+/// The last stamp handed out, process-wide (see [`Cube::stamp`]).
+static LAST_STAMP: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_stamp() -> u64 {
+    LAST_STAMP.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 fn column_type_of(attr: &AttributeType) -> ColumnType {
@@ -232,6 +254,7 @@ impl Cube {
             layers: BTreeMap::new(),
             facts,
             chunk_rows,
+            stamp: fresh_stamp(),
         };
         for layer in &layer_names {
             cube.ensure_layer_table(layer);
@@ -244,26 +267,54 @@ impl Cube {
         &self.schema
     }
 
+    /// A version number of everything but the facts: schema, dimension
+    /// tables and layer tables. Every change to them draws a fresh value
+    /// from one process-wide counter, a clone keeps its original's, and
+    /// fact-table changes leave it alone. So two cubes with the same stamp
+    /// hold the same schema, dimension and layer tables, whichever cube
+    /// they are, even after an older clone is put back in place of a
+    /// newer one (a rolled-back firing): what a rule that reads only those
+    /// can key its result on.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
     /// The paper's `AddLayer` action: registers the layer in the schema
     /// (see [`Schema::add_layer`]) and materialises its instance table in
     /// the same call. With [`Cube::become_spatial`] this is the only way
     /// the schema changes after construction, so every schema element
     /// keeps its table and every measure, foreign key and level attribute
-    /// its column — what query resolution relies on.
+    /// its column — what query resolution relies on. Re-adding a layer the
+    /// schema already has changes nothing, stamp included.
     pub fn add_layer(&mut self, layer: &str, geometry: GeometricType) -> Result<(), ModelError> {
+        let known = self.schema.layer(layer).is_some();
         self.schema.add_layer(layer, geometry)?;
-        self.ensure_layer_table(layer);
+        if !known {
+            self.ensure_layer_table(layer);
+        }
         Ok(())
     }
 
     /// The paper's `BecomeSpatial` action (see [`Schema::become_spatial`]);
-    /// every level's geometry column exists since construction.
+    /// every level's geometry column exists since construction. Repeating
+    /// it with the level's current geometry changes nothing, stamp
+    /// included.
     pub fn become_spatial(
         &mut self,
         level: &str,
         geometry: GeometricType,
     ) -> Result<(), ModelError> {
-        self.schema.become_spatial(level, geometry)
+        let current = self
+            .schema
+            .dimensions
+            .iter()
+            .find_map(|dimension| dimension.level(level));
+        if current.is_some_and(|l| l.geometry == Some(geometry)) {
+            return Ok(());
+        }
+        self.schema.become_spatial(level, geometry)?;
+        self.stamp = fresh_stamp();
+        Ok(())
     }
 
     /// The dimension table for a dimension.
@@ -302,8 +353,9 @@ impl Cube {
     }
 
     /// Creates an (empty) instance table for a layer if it does not exist
-    /// yet.
-    pub fn ensure_layer_table(&mut self, layer: &str) -> &mut LayerTable {
+    /// yet, and draws a fresh stamp for the mutation the caller makes.
+    fn ensure_layer_table(&mut self, layer: &str) -> &mut LayerTable {
+        self.stamp = fresh_stamp();
         let chunk_rows = self.chunk_rows;
         self.layers
             .entry(layer.to_string())
@@ -335,6 +387,7 @@ impl Cube {
                     kind: "dimension",
                     name: dimension.to_string(),
                 })?;
+        self.stamp = fresh_stamp();
         table.table.push_row(values)
     }
 
@@ -939,6 +992,93 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every change to the schema, a dimension table or a layer table
+    /// draws a stamp no cube has had; a no-op re-add or re-spatialisation
+    /// and a failed schema change keep the old one.
+    #[test]
+    fn schema_dimension_and_layer_mutators_draw_fresh_stamps() {
+        let mut cube = Cube::new(schema());
+        let mut seen = vec![cube.stamp()];
+        let mut drew = |cube: &Cube, what: &str| {
+            assert!(
+                !seen.contains(&cube.stamp()),
+                "{what} kept or reused a stamp"
+            );
+            seen.push(cube.stamp());
+        };
+        cube.add_layer("Train", GeometricType::Line).unwrap();
+        drew(&cube, "add_layer");
+        cube.become_spatial("City", GeometricType::Point).unwrap();
+        drew(&cube, "become_spatial");
+        cube.become_spatial("City", GeometricType::Polygon).unwrap();
+        drew(&cube, "become_spatial with another geometry");
+        cube.add_dimension_member("Store", vec![("Store.name", CellValue::from("S0"))])
+            .unwrap();
+        drew(&cube, "add_dimension_member");
+        cube.add_layer_instance("Airport", "ALC", Point::new(5.0, 5.0).into())
+            .unwrap();
+        drew(&cube, "add_layer_instance");
+        cube.add_layer_instance("Depot", "D1", Point::new(1.0, 1.0).into())
+            .unwrap();
+        drew(&cube, "add_layer_instance on a new table");
+        assert!(Cube::new(schema()).stamp() > cube.stamp());
+
+        let stamp = cube.stamp();
+        cube.add_layer("Train", GeometricType::Line).unwrap();
+        cube.become_spatial("City", GeometricType::Polygon).unwrap();
+        assert!(cube.add_layer("Train", GeometricType::Point).is_err());
+        assert!(cube
+            .become_spatial("Warehouse", GeometricType::Point)
+            .is_err());
+        assert_eq!(cube.stamp(), stamp, "no-op and failed changes keep it");
+    }
+
+    /// A clone shares its original's stamp, equality ignores stamps, and
+    /// every fact-only mutation (what ingestion and compaction do) leaves
+    /// the stamp alone.
+    #[test]
+    fn clones_share_stamps_and_fact_mutations_keep_them() {
+        let mut cube = Cube::with_chunk_rows(schema(), 2);
+        cube.add_dimension_member("Store", vec![("Store.name", CellValue::from("S0"))])
+            .unwrap();
+        cube.add_dimension_member("Time", vec![("Day.date", CellValue::Date(0))])
+            .unwrap();
+        let clone = cube.clone();
+        assert_eq!(clone.stamp(), cube.stamp());
+        let rebuilt = {
+            let mut rebuilt = Cube::with_chunk_rows(schema(), 2);
+            rebuilt
+                .add_dimension_member("Store", vec![("Store.name", CellValue::from("S0"))])
+                .unwrap();
+            rebuilt
+                .add_dimension_member("Time", vec![("Day.date", CellValue::Date(0))])
+                .unwrap();
+            rebuilt
+        };
+        assert_ne!(rebuilt.stamp(), cube.stamp());
+        assert_eq!(rebuilt, cube, "equality compares contents only");
+
+        let stamp = cube.stamp();
+        for i in 0..4 {
+            cube.add_fact_row(
+                "Sales",
+                vec![("Store", 0), ("Time", 0)],
+                vec![("UnitSales", CellValue::Float(i as f64))],
+            )
+            .unwrap();
+        }
+        cube.upsert_fact_cell("Sales", 1, "UnitSales", CellValue::Float(9.0))
+            .unwrap();
+        cube.retract_fact_row("Sales", 0).unwrap();
+        cube.compact_fact_table("Sales").unwrap();
+        cube.trim_fact_remaps("Sales", 1).unwrap();
+        let mut other = clone;
+        cube.swap_fact_tables(&mut other);
+        assert_eq!(cube.stamp(), stamp);
+        assert_eq!(other.stamp(), stamp);
+        assert_ne!(cube, other, "the fact tables did change");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! [`select_value`]) — only the dispatch differs: a postfix value stack
 //! with slot-indexed variable reads instead of tree walking with a
 //! name-scanned scope, hoisted loop invariants evaluated once per outer
-//! binding, and the exact-emptiness guard skipping innermost loops whose
-//! condition cannot hold.
+//! binding, the exact-emptiness guard skipping innermost loops whose
+//! condition cannot hold, and closed loops replayed from [`Replays`] while
+//! the cube's stamp stays the same.
 
 use crate::compile::program::{Binding, CStmt, ModelPlan, Op, Prog};
 use crate::error::PrmlError;
@@ -20,6 +21,102 @@ use crate::eval::expr::{
 use crate::eval::value::{InstanceRef, InstanceSource, Value};
 use sdwp_geometry::Geometry;
 use sdwp_user::{assign_sus_path, resolve_sus_path};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Member selections per dimension (or layer), as a [`RuleEffect`] keeps
+/// them.
+type Selections = BTreeMap<String, BTreeSet<usize>>;
+
+/// What a closed loop put into its rule's effect — its dimension and layer
+/// selections, including the empty ones it pre-registers — or the error
+/// it raised.
+type Outcome = Result<(Selections, Selections), PrmlError>;
+
+/// One closed loop's entry: its last outcome with the stamp it ran under.
+type Stored = Option<(u64, Arc<Outcome>)>;
+
+/// The last outcome of each closed loop of a rule set, with the cube stamp
+/// it was computed under. A loop whose stored stamp matches the cube's
+/// replays its outcome instead of running; any other stamp runs it and
+/// replaces the entry. One entry per loop, so the table never outgrows
+/// the rule set. The lock covers the lookup and the store, never a run.
+#[derive(Debug, Default)]
+pub(crate) struct Replays {
+    outcomes: Mutex<Vec<Stored>>,
+    runs: AtomicU64,
+    replays: AtomicU64,
+}
+
+impl Replays {
+    /// An empty table for a rule set with `loops` closed loops.
+    pub(crate) fn new(loops: usize) -> Replays {
+        Replays {
+            outcomes: Mutex::new(vec![None; loops]),
+            ..Replays::default()
+        }
+    }
+
+    fn outcomes(&self) -> MutexGuard<'_, Vec<Stored>> {
+        self.outcomes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// How many times a closed loop ran (nothing stored for the stamp).
+    pub(crate) fn runs(&self) -> u64 {
+        self.runs.load(Ordering::Relaxed)
+    }
+
+    /// How many times a closed loop replayed a stored outcome.
+    pub(crate) fn replays(&self) -> u64 {
+        self.replays.load(Ordering::Relaxed)
+    }
+
+    /// Puts closed loop `id`'s outcome under `stamp` into `effect`:
+    /// replayed when stored, otherwise computed by `run` into a scratch
+    /// effect and stored first. Selections are ordered sets, so the union
+    /// is exactly what running the loop into `effect` would have left.
+    fn apply(
+        &self,
+        id: usize,
+        stamp: u64,
+        effect: &mut RuleEffect,
+        run: impl FnOnce(&mut RuleEffect) -> Result<(), PrmlError>,
+    ) -> Result<(), PrmlError> {
+        let stored = self
+            .outcomes()
+            .get(id)
+            .ok_or_else(|| internal("closed loop id out of range"))?
+            .as_ref()
+            .filter(|(at, _)| *at == stamp)
+            .map(|(_, outcome)| Arc::clone(outcome));
+        let outcome = match stored {
+            Some(outcome) => {
+                self.replays.fetch_add(1, Ordering::Relaxed);
+                outcome
+            }
+            None => {
+                self.runs.fetch_add(1, Ordering::Relaxed);
+                let mut scratch = RuleEffect::new(effect.rule.clone());
+                let outcome = Arc::new(
+                    run(&mut scratch).map(|()| (scratch.selections, scratch.layer_selections)),
+                );
+                self.outcomes()[id] = Some((stamp, Arc::clone(&outcome)));
+                outcome
+            }
+        };
+        let (selections, layer_selections) = outcome.as_ref().as_ref().map_err(Clone::clone)?;
+        for (into, from) in [
+            (&mut effect.selections, selections),
+            (&mut effect.layer_selections, layer_selections),
+        ] {
+            for (name, members) in from {
+                into.entry(name.clone()).or_default().extend(members);
+            }
+        }
+        Ok(())
+    }
+}
 
 /// The mutable state of one rule firing: loop-variable slots, a per-slot
 /// binding epoch, and the hoisted values with the key epoch each was
@@ -198,12 +295,14 @@ fn run_model_plan(plan: &ModelPlan, ctx: &EvalContext<'_>) -> Result<Value, Prml
     }
 }
 
-/// Runs a compiled statement block.
+/// Runs a compiled statement block, replaying closed loops from
+/// `replays`.
 pub(crate) fn run_statements(
     statements: &[CStmt],
     frame: &mut Frame,
     ctx: &mut EvalContext<'_>,
     effect: &mut RuleEffect,
+    replays: &Replays,
 ) -> Result<(), PrmlError> {
     for statement in statements {
         match statement {
@@ -222,52 +321,32 @@ pub(crate) fn run_statements(
                         ),
                     )
                 })?;
-                if holds {
-                    run_statements(then_branch, frame, ctx, effect)?;
-                } else {
-                    run_statements(else_branch, frame, ctx, effect)?;
-                }
+                let branch = if holds { then_branch } else { else_branch };
+                run_statements(branch, frame, ctx, effect, replays)?;
             }
             CStmt::Foreach {
                 bindings,
                 sources,
                 body,
                 guarded,
+                closed,
             } => {
-                let mut collections: Vec<Vec<Value>> = Vec::with_capacity(sources.len());
-                for source in sources {
-                    match run_prog(source, frame, ctx)? {
-                        Value::Collection(items) => collections.push(items),
-                        other => {
-                            return Err(PrmlError::eval(
-                                "",
-                                format!(
-                                    "Foreach source must be a collection, got a {}",
-                                    other.type_name()
-                                ),
-                            ))
-                        }
-                    }
-                }
-                // Pre-register empty selections for selected dimensions,
-                // so a zero-match loop still restricts the view (§5.2).
-                for (binding, collection) in bindings.iter().zip(&collections) {
-                    if !binding.preselect {
-                        continue;
-                    }
-                    if let Some(Value::Instance(instance)) = collection.first() {
-                        if let InstanceSource::Level { dimension, .. } = &instance.source {
-                            effect.selections.entry(dimension.clone()).or_default();
-                        }
-                    }
-                }
-                let mut nest = Nest {
+                let nest = Nest {
                     bindings,
                     body,
                     guarded: *guarded,
                     innermost_total: None,
+                    replays,
                 };
-                nest.iterate(0, &mut collections, frame, ctx, effect)?;
+                match closed {
+                    Some(id) => {
+                        let stamp = ctx.cube.stamp();
+                        replays.apply(*id, stamp, effect, |scratch| {
+                            nest.run(sources, frame, ctx, scratch)
+                        })?;
+                    }
+                    None => nest.run(sources, frame, ctx, effect)?,
+                }
             }
             CStmt::Direct(action) => execute_action(action, ctx, effect)?,
             CStmt::Select { target } => {
@@ -302,9 +381,48 @@ struct Nest<'s> {
     /// Whether every innermost item's `.geometry` reads without error —
     /// the guard's runtime precondition, checked once, on first need.
     innermost_total: Option<bool>,
+    replays: &'s Replays,
 }
 
 impl Nest<'_> {
+    /// Evaluates the sources, pre-registers the selections, and iterates.
+    fn run(
+        mut self,
+        sources: &[Prog],
+        frame: &mut Frame,
+        ctx: &mut EvalContext<'_>,
+        effect: &mut RuleEffect,
+    ) -> Result<(), PrmlError> {
+        let mut collections: Vec<Vec<Value>> = Vec::with_capacity(sources.len());
+        for source in sources {
+            match run_prog(source, frame, ctx)? {
+                Value::Collection(items) => collections.push(items),
+                other => {
+                    return Err(PrmlError::eval(
+                        "",
+                        format!(
+                            "Foreach source must be a collection, got a {}",
+                            other.type_name()
+                        ),
+                    ))
+                }
+            }
+        }
+        // Pre-register empty selections for selected dimensions, so a
+        // zero-match loop still restricts the view (§5.2).
+        for (binding, collection) in self.bindings.iter().zip(&collections) {
+            if !binding.preselect {
+                continue;
+            }
+            if let Some(Value::Instance(instance)) = collection.first() {
+                if let InstanceSource::Level { dimension, .. } = &instance.source {
+                    effect.selections.entry(dimension.clone()).or_default();
+                }
+            }
+        }
+        self.iterate(0, &mut collections, frame, ctx, effect)
+    }
+
     /// Binds `bindings[depth]` to each of its items in turn — moved into
     /// its slot and back, never cloned — and recurses; runs the body once
     /// every binding is bound.
@@ -317,7 +435,7 @@ impl Nest<'_> {
         effect: &mut RuleEffect,
     ) -> Result<(), PrmlError> {
         let Some(binding) = self.bindings.get(depth) else {
-            return run_statements(self.body, frame, ctx, effect);
+            return run_statements(self.body, frame, ctx, effect, self.replays);
         };
         let slot = usize::from(binding.slot);
         let (items, inner) = collections

@@ -66,6 +66,31 @@
 //! `TrainAirportCity`, 9 601 of the 12 000 `(t, c)` pairs on the benchmark
 //! data are empty and skip their airports.
 //!
+//! **Closed loops.** Hoisting and the guard work inside one firing; a
+//! *closed* loop is shared across firings. A loop is closed when its body
+//! is read-only in the sense above and neither its sources nor its body
+//! (hoisted subprograms included) read a SUS path, a designer parameter or
+//! a binding of an enclosing loop. What it selects, or the error it
+//! raises, then depends only on the cube's schema, dimension tables and
+//! layer tables, which [`sdwp_olap::Cube::stamp`] versions: every change
+//! to them draws a fresh process-wide stamp, clones keep theirs, and fact
+//! changes (ingestion, compaction) leave it alone. Because the draw is
+//! process-wide, an older clone put back by a rollback still shows the
+//! stamp of exactly its own contents. The rule set keeps the
+//! last outcome of each closed loop with the stamp it ran under. A firing
+//! whose cube shows that stamp replays the outcome: it unions the stored
+//! selections (the empty ones the loop pre-registers included) into the
+//! effect, or raises the stored error. Selections are ordered sets, so the
+//! union is exactly what the run would have left. Any other stamp runs the
+//! loop into a scratch effect and replaces the stored outcome. The table
+//! belongs to the [`CompiledRuleSet`], so a hot swap starts empty; its lock
+//! covers the lookup and the store, never a run. `TrainAirportCity`'s
+//! loop reads only the Train, Store and Airport tables, so once the first
+//! over-threshold login has run it, every later login replays it until the
+//! schema, a dimension table or a layer table changes.
+//! [`CompiledRuleSet::closed_loop_runs`] and
+//! [`CompiledRuleSet::closed_loop_replays`] count both paths.
+//!
 //! This compiled form is what serves every event; the AST interpreter in
 //! [`crate::eval`] is the reference it is tested against
 //! (`crates/prml/tests/compiled_equivalence.rs`: compiled ≡ interpreted
@@ -85,10 +110,13 @@ use sdwp_model::Schema;
 
 /// An immutable set of compiled rules, ready to be published as one
 /// snapshot and hot-swapped without draining in-flight firings.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct CompiledRuleSet {
     rules: Vec<CompiledRule>,
     source: Vec<Rule>,
+    /// The stored outcomes of the set's closed loops: a recompiled (hot
+    /// swapped) set starts with none.
+    replays: exec::Replays,
 }
 
 impl CompiledRuleSet {
@@ -102,14 +130,16 @@ impl CompiledRuleSet {
     pub fn compile(rules: &[Rule], schema: &Schema) -> Result<CompiledRuleSet, PrmlError> {
         let classes = check_rules(rules, schema)?;
         let effective = augmented_schema(rules, schema);
+        let mut closed_loops = 0;
         let compiled = rules
             .iter()
             .zip(classes)
-            .map(|(rule, class)| program::compile_rule(rule, class, &effective))
+            .map(|(rule, class)| program::compile_rule(rule, class, &effective, &mut closed_loops))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CompiledRuleSet {
             rules: compiled,
             source: rules.to_vec(),
+            replays: exec::Replays::new(closed_loops),
         })
     }
 
@@ -132,6 +162,18 @@ impl CompiledRuleSet {
     /// Returns `true` when the set is empty.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
+    }
+
+    /// How many times a closed loop of this set ran: no outcome was stored
+    /// for the cube's stamp (see the module docs, *Closed loops*).
+    pub fn closed_loop_runs(&self) -> u64 {
+        self.replays.runs()
+    }
+
+    /// How many times a closed loop of this set replayed the outcome
+    /// stored for the cube's stamp instead of running.
+    pub fn closed_loop_replays(&self) -> u64 {
+        self.replays.replays()
     }
 
     /// The classification of each rule, in registration order.
@@ -171,7 +213,7 @@ impl CompiledRuleSet {
             let rule = &self.rules[index];
             let mut effect = RuleEffect::new(rule.name.clone());
             let mut frame = exec::Frame::new(rule.slot_count, rule.memo_count);
-            exec::run_statements(&rule.body, &mut frame, ctx, &mut effect)
+            exec::run_statements(&rule.body, &mut frame, ctx, &mut effect, &self.replays)
                 .map_err(|e| attach_rule(e, &rule.name))?;
             report.effects.push(effect);
         }
@@ -622,6 +664,172 @@ mod tests {
         assert_eq!(run(&mut frame), Value::Number(1.0));
         frame.bind(0, Value::Null);
         assert_eq!(run(&mut frame), Value::Number(2.0));
+    }
+
+    /// Whether each loop of the last rule is closed, outermost first
+    /// (compiled after Example 5.1, which adds the Airport layer).
+    fn closed_loops(text: &str) -> Vec<bool> {
+        let mut rules = parse_rules(EXAMPLE_5_1_ADD_SPATIALITY).unwrap();
+        rules.extend(parse_rules(text).unwrap());
+        let compiled = CompiledRuleSet::compile(&rules, &sales_schema()).unwrap();
+        loops(&compiled.rules().last().unwrap().body)
+            .into_iter()
+            .map(|statement| {
+                matches!(
+                    statement,
+                    program::CStmt::Foreach {
+                        closed: Some(_),
+                        ..
+                    }
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn loops_that_read_only_the_cube_are_closed() {
+        // Example 5.3: the loop is closed, though the If around it reads
+        // the user model and a parameter.
+        assert_eq!(closed_loops(EXAMPLE_5_3_TRAIN_AIRPORT_CITY), [true]);
+        let body = "If (Distance(Intersection(Intersection(t.geometry, c.geometry), \
+                    a.geometry)) < 50) then SelectInstance(c) endIf";
+        let train = |inner: &str| {
+            format!(
+                "Foreach t, c, a in (GeoMD.Train, GeoMD.Store.City, GeoMD.Airport) \
+                 {inner} endForeach"
+            )
+        };
+        let rule = |lp: String| {
+            format!("Rule:r When SessionStart do AddLayer('Train', LINE) {lp} endWhen")
+        };
+        let nested = |inner: &str| {
+            rule(format!(
+                "Foreach o in (GeoMD.Store) {} endForeach",
+                train(inner)
+            ))
+        };
+        // An outer loop whose binding the inner one does not read: both
+        // are closed.
+        assert_eq!(closed_loops(&nested(body)), [true, true]);
+        // Reading the outer binding opens the inner loop only.
+        let reads_outer = body.replace("a.geometry)) < 50", "o.geometry)) < 50");
+        assert_eq!(closed_loops(&nested(&reads_outer)), [true, false]);
+        for open in [
+            // Example 5.2 reads the session location.
+            EXAMPLE_5_2_5KM_STORES.to_string(),
+            // A SUS read in the body, a parameter, a write.
+            rule(train(
+                &body.replace("< 50)", "< 50 And SUS.DecisionMaker.name = 'x')"),
+            )),
+            rule(train(&body.replace("< 50", "< threshold"))),
+            rule(train(&body.replace(
+                "endIf",
+                "SetContent(SUS.DecisionMaker.theme, 'x') endIf",
+            ))),
+            // A SUS read in a source.
+            rule(train(body).replace(
+                "GeoMD.Airport)",
+                "Intersection(GeoMD.Airport, SUS.DecisionMaker.dm2session.s2location))",
+            )),
+        ] {
+            assert_eq!(closed_loops(&open), [false], "{open}");
+        }
+    }
+
+    /// Fires `rules` on `cube` as a manager with no session.
+    fn fire_on(compiled: &CompiledRuleSet, cube: &mut Cube) -> FireReport {
+        let source = layers();
+        let mut profile = manager_profile();
+        let mut ctx = EvalContext::new(cube, &mut profile).with_layer_source(&source);
+        compiled
+            .fire(&RuntimeEvent::SessionStart, &mut ctx)
+            .unwrap()
+    }
+
+    #[test]
+    fn a_closed_loop_replays_until_the_cube_stamp_changes() {
+        let rules = parse_rules(
+            "Rule:r When SessionStart do AddLayer('Airport', POINT) AddLayer('Train', LINE) \
+             Foreach t, c, a in (GeoMD.Train, GeoMD.Store.City, GeoMD.Airport) \
+             If (Distance(Intersection(Intersection(t.geometry, c.geometry), a.geometry)) < 50) \
+             then SelectInstance(c) endIf endForeach endWhen",
+        )
+        .unwrap();
+        let compiled = CompiledRuleSet::compile(&rules, &sales_schema()).unwrap();
+        let mut cube = sales_cube();
+        let first = fire_on(&compiled, &mut cube);
+        // The coastal line, split at each city and again at ALC, leaves a
+        // segment under 50 for every city but City0, which sits on ALC at
+        // the line's end.
+        assert_eq!(first.effects[0].selections["Store"], [1, 2, 3, 4].into());
+        assert_eq!(
+            (compiled.closed_loop_runs(), compiled.closed_loop_replays()),
+            (1, 0)
+        );
+
+        // The layers are loaded: the second firing changes nothing, so the
+        // loop replays, and no Intersection is computed.
+        let before = crate::intersection_calls();
+        assert_eq!(fire_on(&compiled, &mut cube), first);
+        assert_eq!(crate::intersection_calls(), before);
+        assert_eq!(
+            (compiled.closed_loop_runs(), compiled.closed_loop_replays()),
+            (1, 1)
+        );
+
+        // A new city on the line is selected at once: the member moved the
+        // stamp, and the loop runs again.
+        let loaded = cube.clone();
+        cube.add_dimension_member(
+            "Store",
+            vec![(
+                "City.geometry",
+                CellValue::Geometry(Point::new(5.0, 1.0).into()),
+            )],
+        )
+        .unwrap();
+        let grown = fire_on(&compiled, &mut cube);
+        assert_eq!(grown.effects[0].selections["Store"], [1, 2, 3, 4, 5].into());
+        assert_eq!(compiled.closed_loop_runs(), 2);
+
+        // Putting the older clone back brings its stamp back, and the set
+        // keeps one outcome per loop: it runs again, with the old answer.
+        let mut restored = loaded;
+        assert_eq!(fire_on(&compiled, &mut restored), first);
+        assert_eq!(compiled.closed_loop_runs(), 3);
+    }
+
+    #[test]
+    fn a_closed_loop_replays_its_error() {
+        // `n.geometry` on a city name is an error, raised by the first
+        // (t, n) pair that reaches it, on every firing.
+        let rules = parse_rules(
+            "Rule:r When SessionStart do AddLayer('Train', LINE) \
+             Foreach t, n in (GeoMD.Train, MD.Sales.Store.City.name) \
+             If (Distance(Intersection(t.geometry, n.geometry)) < 50) \
+             then SelectInstance(t) endIf endForeach endWhen",
+        )
+        .unwrap();
+        let compiled = CompiledRuleSet::compile(&rules, &sales_schema()).unwrap();
+        let mut engine = RuleEngine::new();
+        engine.add_rule(rules[0].clone());
+        let source = layers();
+        let mut cube = sales_cube();
+        let mut profile = manager_profile();
+        let mut ctx = EvalContext::new(&mut cube, &mut profile).with_layer_source(&source);
+        let expected = engine
+            .fire(&RuntimeEvent::SessionStart, &mut ctx)
+            .unwrap_err();
+        for _ in 0..2 {
+            let err = compiled
+                .fire(&RuntimeEvent::SessionStart, &mut ctx)
+                .unwrap_err();
+            assert_eq!(err.to_string(), expected.to_string());
+        }
+        assert_eq!(
+            (compiled.closed_loop_runs(), compiled.closed_loop_replays()),
+            (1, 1)
+        );
     }
 
     // ----- negative paths: every rejection leaves nothing compiled -----

@@ -141,6 +141,10 @@ pub(crate) enum CStmt {
         /// [`empty_guard`]): an empty hoisted operand skips the innermost
         /// loop.
         guarded: bool,
+        /// The loop's index among the rule set's closed loops, when it is
+        /// one (see [`is_closed`]): its outcome is replayed while the
+        /// cube's stamp stays the same.
+        closed: Option<usize>,
     },
     /// A schema action (`AddLayer` / `BecomeSpatial`), executed through
     /// the interpreter's own action executor so the two paths share one
@@ -220,11 +224,13 @@ pub struct CompiledRule {
     pub(crate) memo_count: usize,
 }
 
-/// Lowers one type-checked rule against the effective (augmented) schema.
+/// Lowers one type-checked rule against the effective (augmented) schema,
+/// numbering its closed loops from `closed_loops` on (and advancing it).
 pub(crate) fn compile_rule(
     rule: &Rule,
     class: RuleClass,
     schema: &Schema,
+    closed_loops: &mut usize,
 ) -> Result<CompiledRule, PrmlError> {
     let matcher = match &rule.event {
         EventSpec::SessionStart => MatchSpec::SessionStart,
@@ -241,6 +247,7 @@ pub(crate) fn compile_rule(
         max_slots: 0,
         loops: Vec::new(),
         memo_count: 0,
+        closed_loops,
     };
     let body = compiler.compile_statements(&rule.body)?;
     Ok(CompiledRule {
@@ -266,6 +273,8 @@ struct Compiler<'a> {
     loops: Vec<LoopScope>,
     /// Memos allocated so far (the next [`Op::Memo`] id).
     memo_count: usize,
+    /// Closed loops numbered so far in the rule set (the next id).
+    closed_loops: &'a mut usize,
 }
 
 /// The innermost loop an expression is compiled in.
@@ -335,6 +344,7 @@ impl Compiler<'_> {
                 // variables bind (the interpreter pushes bindings only
                 // once all collections are materialised).
                 let sources: Vec<Prog> = sources.iter().map(|s| self.compile_expr(s)).collect();
+                let first_slot = self.scope.len();
                 let mut bindings = Vec::with_capacity(variables.len());
                 for variable in variables {
                     let slot = self.scope.len();
@@ -363,11 +373,19 @@ impl Compiler<'_> {
                 self.scope.truncate(self.scope.len() - variables.len());
                 let body = compiled_body?;
                 let guarded = scope.is_some_and(|s| s.read_only && empty_guard(&body, s.innermost));
+                let closed = (!bindings.is_empty()
+                    && is_closed(&sources, &body, first_slot as u16))
+                .then(|| {
+                    let id = *self.closed_loops;
+                    *self.closed_loops += 1;
+                    id
+                });
                 Ok(CStmt::Foreach {
                     bindings,
                     sources,
                     body,
                     guarded,
+                    closed,
                 })
             }
             Statement::Action(action) => Ok(self.compile_action(action)),
@@ -558,6 +576,49 @@ fn is_read_only(statements: &[Statement]) -> bool {
         } => is_read_only(then_branch) && is_read_only(else_branch),
         Statement::Foreach { body, .. } => is_read_only(body),
         Statement::Action(action) => matches!(action, Action::SelectInstance { .. }),
+    })
+}
+
+/// Whether a compiled loop is *closed*: its body is read-only (only `If`,
+/// `Foreach` and `SelectInstance`, the [`is_read_only`] condition), and
+/// neither its sources nor its body — hoisted subprograms included —
+/// read the user model, a designer parameter or a binding of an
+/// enclosing loop (a slot below `first_slot`, the loop's first binding).
+/// What such a loop selects, or the error it raises, then depends on the
+/// cube's schema, dimension tables and layer tables alone.
+fn is_closed(sources: &[Prog], body: &[CStmt], first_slot: u16) -> bool {
+    sources
+        .iter()
+        .all(|source| reads_only_cube(&source.ops, first_slot))
+        && body.iter().all(|statement| match statement {
+            CStmt::If {
+                condition,
+                then_branch,
+                else_branch,
+            } => {
+                reads_only_cube(&condition.ops, first_slot)
+                    && is_closed(&[], then_branch, first_slot)
+                    && is_closed(&[], else_branch, first_slot)
+            }
+            CStmt::Foreach { sources, body, .. } => is_closed(sources, body, first_slot),
+            CStmt::Select { target } => reads_only_cube(&target.ops, first_slot),
+            CStmt::Direct(_) | CStmt::SetContent { .. } | CStmt::Fail(_) => false,
+        })
+}
+
+/// Whether a program reads no SUS path, no parameter and no slot below
+/// `first_slot`.
+fn reads_only_cube(ops: &[Op], first_slot: u16) -> bool {
+    ops.iter().all(|op| match op {
+        Op::Sus(_) | Op::Param { .. } => false,
+        Op::Slot(slot) | Op::SlotProps { slot, .. } => *slot >= first_slot,
+        Op::Memo { ops, .. } => reads_only_cube(ops, first_slot),
+        Op::Const(_)
+        | Op::Fail(_)
+        | Op::Model(_)
+        | Op::Unary(_)
+        | Op::Binary(_)
+        | Op::Call { .. } => true,
     })
 }
 

@@ -9,6 +9,19 @@ use sdwp_model::{PathExpr, PathPrefix, PathResolver, PathTarget};
 use sdwp_olap::cube::{attribute_column, geometry_column};
 use sdwp_user::{resolve_sus_path, SusPath};
 use std::borrow::Cow;
+use std::cell::Cell;
+
+thread_local! {
+    static INTERSECTION_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many `Intersection` calls rule evaluation has made on the calling
+/// thread so far, interpreted and compiled alike: the work count of
+/// Example 5.3's loop, which the compiled form makes once per (train,
+/// city) pair plus once per airport of each pair that intersects.
+pub fn intersection_calls() -> u64 {
+    INTERSECTION_CALLS.with(Cell::get)
+}
 
 /// Evaluates an expression in the given context.
 pub fn evaluate(expr: &Expr, ctx: &EvalContext<'_>) -> Result<Value, PrmlError> {
@@ -497,6 +510,7 @@ pub(crate) fn call_values(
             )),
         },
         "intersection" => {
+            INTERSECTION_CALLS.with(|calls| calls.set(calls.get() + 1));
             if values.len() != 2 {
                 return Err(PrmlError::eval(
                     "",

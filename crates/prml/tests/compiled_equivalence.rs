@@ -23,11 +23,24 @@
 //! made spatial). Hoisted invariants and the emptiness guard are
 //! therefore held to the interpreter too.
 //!
-//! Each stream also exercises the engine-level lifecycle: an erroring
-//! round *rolls back* both worlds to their pre-fire state (what the
-//! engine's master-rollback does), and every other round *re-publishes*
-//! the ruleset by recompiling it from scratch — a freshly compiled set
-//! must be a drop-in replacement mid-stream.
+//! *Closed* loops — read-only loops that read neither the user model, nor
+//! a parameter, nor an enclosing binding — are replayed by the compiled
+//! set while the cube's stamp stays the same. The generator builds them
+//! (Example 5.3's loop, a two-variable one, one nested in a loop whose
+//! binding it does not read, one whose items fail `.geometry`) and each
+//! twist that must keep a loop running every time: a SUS read in the body
+//! (with the degree it reads raised before the loop) or in a source, a
+//! parameter, a read of the enclosing binding, and a `SetContent` in the
+//! body.
+//!
+//! Each stream also exercises the engine-level lifecycle: every event
+//! fires twice, so the second firing replays what the first stored, and
+//! between the two a round may add a store member or a train line to
+//! both worlds, which must make the second firing run the loop again. An
+//! erroring firing *rolls back* both worlds to their pre-fire state (what
+//! the engine's master-rollback does), and every other round
+//! *re-publishes* the ruleset by recompiling it from scratch — a freshly
+//! compiled set must be a drop-in replacement mid-stream.
 
 use proptest::prelude::*;
 use sdwp_geometry::{GeometricType, LineString, Point};
@@ -504,41 +517,234 @@ fn spatial_loop() -> impl Strategy<Value = Statement> {
     )
 }
 
-fn stmt_strategy() -> impl Strategy<Value = Statement> {
-    prop_oneof![action_strategy(), spatial_loop()].prop_recursive(3, 16, 3, |inner| {
-        prop_oneof![
-            action_strategy(),
-            spatial_loop(),
-            (
-                expr_strategy(),
-                prop::collection::vec(inner.clone(), 0..3),
-                prop::collection::vec(inner.clone(), 0..2),
-            )
-                .prop_map(|(condition, then_branch, else_branch)| Statement::If {
-                    condition,
-                    then_branch,
-                    else_branch,
-                }),
-            (loop_header(), prop::collection::vec(inner, 0..3)).prop_map(
-                |((variables, sources), body)| Statement::Foreach {
-                    variables,
-                    sources,
-                    body,
-                }
+/// The loops the compiler marks closed.
+#[derive(Debug, Clone, Copy)]
+enum Closed {
+    /// Example 5.3's `Foreach t, c, a`.
+    Train,
+    /// `Foreach t, c … If (Distance(Intersection(t.geometry, c.geometry))
+    /// < k) then SelectInstance(c)`.
+    Pair,
+    /// Example 5.3's loop inside `Foreach o in (GeoMD.Store.City)`.
+    Nested,
+}
+
+/// What happens to a closed loop: nothing, a failing item, or a twist
+/// that makes it run on every firing.
+#[derive(Debug, Clone, Copy)]
+enum Twist {
+    /// Cities are read by name: `.geometry` on a text fails, and the
+    /// replayed error must be the interpreter's.
+    TextItems,
+    /// The condition also reads the AirportCity degree, which the rule
+    /// raises before the loop, so each firing sees another value.
+    SusInBody,
+    /// A source is an expression over the session location.
+    SusInSource,
+    /// The threshold is the designer parameter.
+    Param,
+    /// The condition reads the enclosing loop's `o` (a nested loop only).
+    OuterBinding,
+    /// The `then` branch also writes the user model.
+    SetContent,
+}
+
+const TWISTS: [Twist; 6] = [
+    Twist::TextItems,
+    Twist::SusInBody,
+    Twist::SusInSource,
+    Twist::Param,
+    Twist::OuterBinding,
+    Twist::SetContent,
+];
+
+/// A closed loop of one of the [`Closed`] shapes, after the layers it
+/// reads are added; half of them take one [`Twist`].
+fn closed_loop() -> impl Strategy<Value = Statement> {
+    let shape = pick(&[Closed::Train, Closed::Pair, Closed::Nested]);
+    let threshold = pick(&[0.5, 15.0, 50.0]);
+    (shape, threshold, 0usize..2 * TWISTS.len()).prop_map(|(shape, k, twist)| {
+        let twist = TWISTS.get(twist).copied();
+        let cities = match twist {
+            Some(Twist::TextItems) => "MD.Sales.Store.City.name",
+            _ => "GeoMD.Store.City",
+        };
+        let (variables, mut sources, mut operand) = match shape {
+            Closed::Pair => (
+                vec!["t", "c"],
+                vec![Expr::path("GeoMD.Train"), Expr::path(cities)],
+                call("Intersection", vec![geometry_of("t"), geometry_of("c")]),
             ),
-        ]
+            Closed::Train | Closed::Nested => (
+                vec!["t", "c", "a"],
+                vec![
+                    Expr::path("GeoMD.Train"),
+                    Expr::path(cities),
+                    Expr::path("GeoMD.Airport"),
+                ],
+                call(
+                    "Intersection",
+                    vec![
+                        call("Intersection", vec![geometry_of("t"), geometry_of("c")]),
+                        geometry_of("a"),
+                    ],
+                ),
+            ),
+        };
+        if let (Some(Twist::OuterBinding), Closed::Nested) = (twist, shape) {
+            operand = call("Intersection", vec![operand, geometry_of("o")]);
+        }
+        if let Some(Twist::SusInSource) = twist {
+            sources[0] = call(
+                "Intersection",
+                vec![Expr::path("GeoMD.Train"), Expr::path(SUS_LOCATION)],
+            );
+        }
+        let degree = || Expr::path("SUS.DecisionMaker.dm2airportcity.degree");
+        let mut condition = Expr::Binary {
+            op: BinaryOp::Lt,
+            left: Box::new(call("Distance", vec![operand])),
+            right: Box::new(match twist {
+                Some(Twist::Param) => Expr::path("threshold"),
+                _ => Expr::Number(k),
+            }),
+        };
+        if let Some(Twist::SusInBody) = twist {
+            condition = Expr::Binary {
+                op: BinaryOp::And,
+                left: Box::new(condition),
+                right: Box::new(Expr::Binary {
+                    op: BinaryOp::Gt,
+                    left: Box::new(degree()),
+                    right: Box::new(Expr::Number(1.0)),
+                }),
+            };
+        }
+        let mut then_branch = vec![Statement::Action(Action::SelectInstance {
+            target: Expr::path("c"),
+        })];
+        if let Some(Twist::SetContent) = twist {
+            then_branch.push(Statement::Action(Action::SetContent {
+                target: Expr::path("SUS.DecisionMaker.theme"),
+                value: Expr::Text("x".into()),
+            }));
+        }
+        let mut statement = Statement::Foreach {
+            variables: variables.iter().map(|v| v.to_string()).collect(),
+            sources,
+            body: vec![Statement::If {
+                condition,
+                then_branch,
+                else_branch: Vec::new(),
+            }],
+        };
+        if let Closed::Nested = shape {
+            statement = Statement::Foreach {
+                variables: vec!["o".into()],
+                sources: vec![Expr::path("GeoMD.Store.City")],
+                body: vec![statement],
+            };
+        }
+        let add = |name: &str| {
+            Statement::Action(Action::AddLayer {
+                name: name.into(),
+                geometry: GeometricType::Point,
+            })
+        };
+        let mut block = vec![add("Airport"), add("Train")];
+        if let Some(Twist::SusInBody) = twist {
+            block.push(Statement::Action(Action::SetContent {
+                target: degree(),
+                value: Expr::Binary {
+                    op: BinaryOp::Add,
+                    left: Box::new(degree()),
+                    right: Box::new(Expr::Number(1.0)),
+                },
+            }));
+        }
+        block.push(statement);
+        Statement::If {
+            condition: Expr::Boolean(true),
+            then_branch: block,
+            else_branch: Vec::new(),
+        }
     })
 }
 
-/// A rule body: random statements, or — for two rules in three, so that
-/// planned loops fire in sets the checker accepts — spatial loops alone.
+fn stmt_strategy() -> impl Strategy<Value = Statement> {
+    prop_oneof![action_strategy(), spatial_loop(), closed_loop()].prop_recursive(
+        3,
+        16,
+        3,
+        |inner| {
+            prop_oneof![
+                action_strategy(),
+                spatial_loop(),
+                closed_loop(),
+                (
+                    expr_strategy(),
+                    prop::collection::vec(inner.clone(), 0..3),
+                    prop::collection::vec(inner.clone(), 0..2),
+                )
+                    .prop_map(|(condition, then_branch, else_branch)| {
+                        Statement::If {
+                            condition,
+                            then_branch,
+                            else_branch,
+                        }
+                    }),
+                (loop_header(), prop::collection::vec(inner, 0..3)).prop_map(
+                    |((variables, sources), body)| Statement::Foreach {
+                        variables,
+                        sources,
+                        body,
+                    }
+                ),
+            ]
+        },
+    )
+}
+
+/// A rule body: random statements, or — for three rules in four, so that
+/// planned loops fire in sets the checker accepts — spatial or closed
+/// loops alone.
 fn body_strategy() -> impl Strategy<Value = Vec<Statement>> {
     let spatial = || prop::collection::vec(spatial_loop(), 1..3);
     prop_oneof![
         prop::collection::vec(stmt_strategy(), 0..4),
         spatial(),
         spatial(),
+        prop::collection::vec(closed_loop(), 1..3),
     ]
+}
+
+/// Between an event's two firings, adds the same thing to both worlds:
+/// nothing (`0`), a store in a new city on the coastal line, 5 km from
+/// ALC (`1`), or a north–south train line through City2 (`2`).
+fn grow(kind: u8, cubes: [&mut Cube; 2]) {
+    for cube in cubes {
+        match kind {
+            1 => {
+                let at = |y: f64| CellValue::Geometry(Point::new(5.0, y).into());
+                cube.add_dimension_member(
+                    "Store",
+                    vec![
+                        ("Store.name", CellValue::from("S5")),
+                        ("City.name", CellValue::from("City5")),
+                        ("Store.geometry", at(0.0)),
+                        ("City.geometry", at(1.0)),
+                    ],
+                )
+                .unwrap();
+            }
+            2 => {
+                let line = LineString::from_tuples(&[(20.0, -5.0), (20.0, 5.0)]).unwrap();
+                cube.add_layer_instance("Train", "branch line", line.into())
+                    .unwrap();
+            }
+            _ => {}
+        }
+    }
 }
 
 fn event_strategy() -> impl Strategy<Value = EventSpec> {
@@ -598,7 +804,7 @@ proptest! {
             (event_strategy(), body_strategy()),
             1..4,
         ),
-        picks in prop::collection::vec((any::<u8>(), any::<bool>()), 1..6),
+        picks in prop::collection::vec((any::<u8>(), any::<bool>(), 0u8..3), 1..6),
         threshold in prop_oneof![Just(None), (-2.0f64..8.0).prop_map(Some)],
     ) {
         let rules: Vec<Rule> = specs
@@ -645,63 +851,68 @@ proptest! {
         let source = layers();
         let session = Session::start(1, "u1");
 
-        for (round, (pick, with_expr)) in picks.iter().enumerate() {
+        for (round, (pick, with_expr, growth)) in picks.iter().enumerate() {
             let event = event_for(*pick, *with_expr, &rules);
-            // The pre-fire state both worlds roll back to on error (the
-            // engine restores the published snapshot and drops the
-            // profile clone without upserting).
-            let cube_before = cube_i.clone();
-            let profile_before = profile_i.clone();
-
-            let mut ctx = EvalContext::new(&mut cube_i, &mut profile_i)
-                .with_session(&session)
-                .with_layer_source(&source);
-            if let Some(t) = threshold {
-                ctx = ctx.with_parameter("threshold", t);
-            }
-            let interpreted = engine.fire(&event, &mut ctx);
-            drop(ctx);
-
-            // Compiled path exactly as the engine runs it: lock-free
-            // condition phase first, then the effect phase.
-            let matched = compiled.matched_rules(&event);
-            let mut ctx = EvalContext::new(&mut cube_c, &mut profile_c)
-                .with_session(&session)
-                .with_layer_source(&source);
-            if let Some(t) = threshold {
-                ctx = ctx.with_parameter("threshold", t);
-            }
-            let compiled_fired = compiled.fire_matched(&matched, &mut ctx);
-            drop(ctx);
-
-            let errored = match (interpreted, compiled_fired) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(matched.len(), a.rules_matched, "round {}", round);
-                    prop_assert_eq!(&a, &b, "round {}", round);
-                    false
+            for firing in 0..2 {
+                if firing == 1 {
+                    grow(*growth, [&mut cube_i, &mut cube_c]);
                 }
-                (Err(a), Err(b)) => {
-                    prop_assert_eq!(a.to_string(), b.to_string(), "round {}", round);
-                    true
-                }
-                (a, b) => {
-                    return Err(TestCaseError::fail(format!(
-                        "round {round}: interpreter {a:?} vs compiled {b:?}"
-                    )))
-                }
-            };
+                // The pre-fire state both worlds roll back to on error (the
+                // engine restores the published snapshot and drops the
+                // profile clone without upserting).
+                let cube_before = cube_i.clone();
+                let profile_before = profile_i.clone();
 
-            // However the round went, both worlds mutated identically.
-            prop_assert_eq!(cube_i.schema(), cube_c.schema(), "round {}", round);
-            prop_assert_eq!(&profile_i, &profile_c, "round {}", round);
+                let mut ctx = EvalContext::new(&mut cube_i, &mut profile_i)
+                    .with_session(&session)
+                    .with_layer_source(&source);
+                if let Some(t) = threshold {
+                    ctx = ctx.with_parameter("threshold", t);
+                }
+                let interpreted = engine.fire(&event, &mut ctx);
+                drop(ctx);
 
-            if errored {
-                // Rollback round: restore both worlds to the pre-fire
-                // state, as the serving engine does, and keep streaming.
-                cube_i = cube_before.clone();
-                cube_c = cube_before;
-                profile_i = profile_before.clone();
-                profile_c = profile_before;
+                // Compiled path exactly as the engine runs it: lock-free
+                // condition phase first, then the effect phase.
+                let matched = compiled.matched_rules(&event);
+                let mut ctx = EvalContext::new(&mut cube_c, &mut profile_c)
+                    .with_session(&session)
+                    .with_layer_source(&source);
+                if let Some(t) = threshold {
+                    ctx = ctx.with_parameter("threshold", t);
+                }
+                let compiled_fired = compiled.fire_matched(&matched, &mut ctx);
+                drop(ctx);
+
+                let errored = match (interpreted, compiled_fired) {
+                    (Ok(a), Ok(b)) => {
+                        prop_assert_eq!(matched.len(), a.rules_matched, "round {} firing {}", round, firing);
+                        prop_assert_eq!(&a, &b, "round {} firing {}", round, firing);
+                        false
+                    }
+                    (Err(a), Err(b)) => {
+                        prop_assert_eq!(a.to_string(), b.to_string(), "round {} firing {}", round, firing);
+                        true
+                    }
+                    (a, b) => {
+                        return Err(TestCaseError::fail(format!(
+                            "round {round} firing {firing}: interpreter {a:?} vs compiled {b:?}"
+                        )))
+                    }
+                };
+
+                // However the firing went, both worlds mutated identically.
+                prop_assert_eq!(cube_i.schema(), cube_c.schema(), "round {} firing {}", round, firing);
+                prop_assert_eq!(&profile_i, &profile_c, "round {} firing {}", round, firing);
+
+                if errored {
+                    // Rollback: restore both worlds to the pre-fire state,
+                    // as the serving engine does, and keep streaming.
+                    cube_i = cube_before.clone();
+                    cube_c = cube_before;
+                    profile_i = profile_before.clone();
+                    profile_c = profile_before;
+                }
             }
             if round % 2 == 1 {
                 // Re-publish round: a freshly compiled set must be a

@@ -5,7 +5,10 @@
 //! the spatial-aware user model. Once the degree exceeds the
 //! designer-defined threshold, the next session start triggers
 //! `TrainAirportCity`, which adds the Train layer and widens the selection
-//! to cities with a good train connection to an airport.
+//! to cities with a good train connection to an airport. A third session
+//! fires it again, replaying the Train loop's stored outcome (the loop
+//! reads only the cube, which has not changed); the example exits non-zero
+//! unless both sessions select the same members.
 //!
 //! Run with: `cargo run --example interest_tracking`
 
@@ -65,4 +68,28 @@ fn main() {
         "Train layer present after the threshold is exceeded: {}",
         engine.cube().schema().layer("Train").is_some()
     );
+    let second_session_view = engine.session_view(second.id).expect("session view");
+    engine.end_session(second.id).expect("session ends");
+
+    // Third session: still over the threshold. The Train loop's outcome
+    // is replayed, and the selection must be the second session's.
+    let rules = engine.compiled_rules();
+    let (runs, replays) = (rules.closed_loop_runs(), rules.closed_loop_replays());
+    let third = engine
+        .start_session("regional-manager", Some(near_store()))
+        .expect("session starts");
+    let third_session_view = engine.session_view(third.id).expect("session view");
+    println!(
+        "\nThird session: the Train loop ran {} time(s) and was replayed {} time(s); \
+         same selection as the second session: {}",
+        rules.closed_loop_runs() - runs,
+        rules.closed_loop_replays() - replays,
+        third_session_view == second_session_view
+    );
+    if third_session_view != second_session_view
+        || third.report.selected_members != second.report.selected_members
+    {
+        eprintln!("the replayed Train loop selected other members than its first run");
+        std::process::exit(1);
+    }
 }

@@ -10,12 +10,21 @@
 //! (exactly what publishing the compiled set as one `VersionedSwap`
 //! snapshot forbids). Broken reloads thrown into the storm must bounce without
 //! ever interrupting service.
+//!
+//! A second storm races reloads of the paper's rules against logins over
+//! the `TrainAirportCity` threshold: each reload starts a rule set with no
+//! stored closed-loop outcome, so logins mix first runs and replays of the
+//! Train loop, and every one must personalize exactly like a login on a
+//! fresh engine.
 
 use sdwp::core::PersonalizationEngine;
 use sdwp::datagen::{PaperScenario, ScenarioConfig};
+use sdwp::geometry::Point;
 use sdwp::ingest::{DeltaBatch, EpochPolicy, IngestConfig};
 use sdwp::model::AggregationFunction;
 use sdwp::olap::{CellValue, Query};
+use sdwp::prml::corpus::ALL_PAPER_RULES;
+use sdwp::user::LocationContext;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -265,4 +274,118 @@ fn rule_storm_never_observes_a_half_swapped_ruleset() {
     // Logout reclaims session state, so a storm of lifecycles leaves the
     // session map empty rather than full of dead entries.
     assert!(engine.sessions().is_empty());
+}
+
+/// Logins over the Train threshold race reloads of the paper's rules (with
+/// and without an extra `SessionEnd` rule, so each reload publishes a
+/// freshly compiled set): every login's view and selections must be those
+/// of a login on a fresh engine, whether it ran the Train loop or
+/// replayed it.
+#[test]
+fn reloads_racing_over_threshold_logins_keep_every_view() {
+    const THREADS: usize = 4;
+    const LOGINS: usize = 12;
+    let mut scenario = PaperScenario::generate(ScenarioConfig::tiny());
+    // Airport 0 moves onto train line 0, so the Train loop selects.
+    let line = scenario.layers.trains[0].1.coords().to_vec();
+    let (start, next) = (line[0], line[1]);
+    let along = 10.0 / start.distance(&next);
+    scenario.layers.airports[0].1 = Point::new(
+        start.x + (next.x - start.x) * along,
+        start.y + (next.y - start.y) * along,
+    );
+    let paper = ALL_PAPER_RULES.join("\n");
+    let marked = format!(
+        "{paper}\nRule:stormMark When SessionEnd do SetContent(SUS.DecisionMaker.stormMark, 1) endWhen"
+    );
+    let station = move || LocationContext::at_point("station", start.x, start.y);
+    let fresh_engine = || {
+        let engine = PersonalizationEngine::with_layer_source(
+            scenario.cube.clone(),
+            Arc::new(scenario.layer_source()),
+        );
+        engine.set_parameter("threshold", 2.0);
+        for worker in 0..THREADS {
+            let mut manager = scenario.manager.clone();
+            manager.id = format!("storm-{worker}");
+            manager.interest_mut("AirportCity").degree = 3.0;
+            engine.register_user(manager);
+        }
+        engine
+            .reload_rules_text(&paper)
+            .expect("paper rules publish");
+        Arc::new(engine)
+    };
+
+    let reference = {
+        let engine = fresh_engine();
+        let handle = engine.start_session("storm-0", Some(station())).unwrap();
+        let view = engine.session_view(handle.id).unwrap();
+        (handle.report, view)
+    };
+    assert!(
+        reference
+            .0
+            .rules_with_effects
+            .contains(&"TrainAirportCity".to_string()),
+        "the logins are over the threshold"
+    );
+    assert!(
+        reference.0.selected_members["Store"] > 0,
+        "the Train loop selects"
+    );
+
+    let engine = fresh_engine();
+    let done = Arc::new(AtomicBool::new(false));
+    let reloads = Arc::new(AtomicUsize::new(0));
+    let barrier = Arc::new(Barrier::new(THREADS + 1));
+    let reloader = {
+        let (engine, barrier, done) =
+            (Arc::clone(&engine), Arc::clone(&barrier), Arc::clone(&done));
+        let reloads = Arc::clone(&reloads);
+        thread::spawn(move || {
+            barrier.wait();
+            while !done.load(Ordering::Relaxed) {
+                let swap = reloads.load(Ordering::Relaxed);
+                let text = if swap.is_multiple_of(2) {
+                    &marked
+                } else {
+                    &paper
+                };
+                engine.reload_rules_text(text).expect("reload publishes");
+                reloads.fetch_add(1, Ordering::Relaxed);
+                thread::yield_now();
+            }
+        })
+    };
+    let workers: Vec<_> = (0..THREADS)
+        .map(|worker| {
+            let (engine, barrier) = (Arc::clone(&engine), Arc::clone(&barrier));
+            let reloads = Arc::clone(&reloads);
+            let (report, view) = reference.clone();
+            thread::spawn(move || {
+                barrier.wait();
+                let user = format!("storm-{worker}");
+                // The agreed logins, then more until several reloads have
+                // landed among them (capped so a dead reloader fails).
+                let mut logins = 0;
+                while logins < LOGINS || reloads.load(Ordering::Relaxed) < 4 {
+                    logins += 1;
+                    assert!(logins <= MAX_LIFECYCLES, "reloads are not landing");
+                    let handle = engine.start_session(&user, Some(station())).unwrap();
+                    let login = &handle.report;
+                    assert_eq!(login.rules_with_effects, report.rules_with_effects);
+                    assert_eq!(login.selected_members, report.selected_members);
+                    assert_eq!(login.visible_facts, report.visible_facts);
+                    assert_eq!(engine.session_view(handle.id).unwrap(), view);
+                    engine.end_session(handle.id).unwrap();
+                }
+            })
+        })
+        .collect();
+    for worker in workers {
+        worker.join().expect("login thread must not panic");
+    }
+    done.store(true, Ordering::Relaxed);
+    reloader.join().expect("reloader must not panic");
 }

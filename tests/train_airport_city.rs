@@ -6,15 +6,25 @@
 //! never runs. Here one airport sits on a train line, and the compiled rule
 //! set must fire exactly like the AST interpreter: the same report, the
 //! same selections in the same order, and the same view.
+//!
+//! The rule's loop reads only the cube, so the compiled rule set runs it
+//! once per cube stamp and replays it on later logins: the engine-level
+//! tests log in over the threshold three times, on the default data (the
+//! loop selects nothing) and on the moved-airport data (it selects), and
+//! hold every login to the first and to the interpreter.
 
+use sdwp::core::PersonalizationEngine;
 use sdwp::datagen::{PaperScenario, ScenarioConfig};
 use sdwp::geometry::Point;
 use sdwp::olap::InstanceView;
 use sdwp::prml::corpus::ALL_PAPER_RULES;
 use sdwp::prml::{
-    parse_rules, CompiledRuleSet, EvalContext, FireReport, Rule, RuleEngine, RuntimeEvent,
+    intersection_calls, parse_rules, CompiledRuleSet, EvalContext, FireReport, Rule, RuleEngine,
+    RuntimeEvent,
 };
 use sdwp::user::{LocationContext, Session};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The rules that had an effect, as the login report lists them.
 fn rules_with_effects(report: &FireReport) -> Vec<&str> {
@@ -35,10 +45,10 @@ fn view_of(report: &FireReport) -> InstanceView {
     view
 }
 
-#[test]
-fn train_airport_city_selects_the_same_cities_compiled_and_interpreted() {
+/// The default scenario with airport 0 moved onto train line 0, 10 km
+/// along its first segment, and the line's first vertex.
+fn moved_airport_scenario() -> (PaperScenario, Point) {
     let mut scenario = PaperScenario::generate(ScenarioConfig::default());
-    // Airport 0 moves onto train line 0, 10 km along its first segment.
     let line = scenario.layers.trains[0].1.coords().to_vec();
     let (start, next) = (line[0], line[1]);
     let along = 10.0 / start.distance(&next);
@@ -46,6 +56,12 @@ fn train_airport_city_selects_the_same_cities_compiled_and_interpreted() {
         start.x + (next.x - start.x) * along,
         start.y + (next.y - start.y) * along,
     );
+    (scenario, Point::new(start.x, start.y))
+}
+
+#[test]
+fn train_airport_city_selects_the_same_cities_compiled_and_interpreted() {
+    let (scenario, start) = moved_airport_scenario();
     let layers = scenario.layer_source();
 
     let rules: Vec<Rule> = ALL_PAPER_RULES
@@ -66,7 +82,7 @@ fn train_airport_city_selects_the_same_cities_compiled_and_interpreted() {
     let session = Session::start_at(
         1,
         manager.id.clone(),
-        LocationContext::at_point("station", start.x, start.y),
+        LocationContext::at_point("station", start.x(), start.y()),
     );
 
     let fire = |use_compiled: bool| {
@@ -110,4 +126,103 @@ fn train_airport_city_selects_the_same_cities_compiled_and_interpreted() {
         .is_some_and(|members| !members.is_empty()));
     assert_eq!(schema_c, schema_i);
     assert_eq!(profile_c, profile_i);
+}
+
+/// Logs the manager in over the threshold three times through the engine,
+/// at `location`, and holds every login to the first and the first to the
+/// interpreter. Only the first runs the Train loop — on the firing thread,
+/// one `Intersection` call per (train, city) pair and more — and the later
+/// ones replay it with none. Returns the Store members the first view
+/// keeps.
+fn relogins_replay_the_train_loop(scenario: &PaperScenario, location: Point) -> BTreeSet<usize> {
+    let engine = PersonalizationEngine::with_layer_source(
+        scenario.cube.clone(),
+        Arc::new(scenario.layer_source()),
+    );
+    let mut manager = scenario.manager.clone();
+    manager.interest_mut("AirportCity").degree = 3.0;
+    engine.register_user(manager.clone());
+    engine.set_parameter("threshold", 2.0);
+    for rule in ALL_PAPER_RULES {
+        engine.add_rules_text(rule).unwrap();
+    }
+    let at = || LocationContext::at_point("station", location.x(), location.y());
+
+    let mut logins = Vec::new();
+    for _ in 0..3 {
+        let rules = engine.compiled_rules();
+        let (runs, calls) = (rules.closed_loop_runs(), intersection_calls());
+        let handle = engine.start_session(&manager.id, Some(at())).unwrap();
+        let work = (
+            rules.closed_loop_runs() - runs,
+            intersection_calls() - calls,
+        );
+        let view = engine.session_view(handle.id).unwrap();
+        let session = engine.session(handle.id).unwrap();
+        engine.end_session(handle.id).unwrap();
+        logins.push((handle.report, view, session, work));
+    }
+    let (report, view, session, (runs, calls)) = &logins[0];
+    assert_eq!(*runs, 1);
+    // One hoisted Intersection per (train, city) pair at least.
+    let pairs = scenario.layers.trains.len() * scenario.retail.stores.len();
+    assert!(
+        *calls >= pairs as u64,
+        "{calls} Intersection calls, {pairs} pairs"
+    );
+    for (later, later_view, _, work) in &logins[1..] {
+        assert_eq!(later, report);
+        assert_eq!(later_view, view);
+        assert_eq!(*work, (0, 0), "a relogin replays the loop");
+    }
+    assert!(report
+        .rules_with_effects
+        .contains(&"TrainAirportCity".to_string()));
+
+    // The interpreter, fired once on the engine's starting state.
+    let mut interpreter = RuleEngine::new();
+    for text in ALL_PAPER_RULES {
+        for rule in parse_rules(text).unwrap() {
+            interpreter.add_rule(rule);
+        }
+    }
+    let layers = scenario.layer_source();
+    let mut cube = scenario.cube.clone();
+    let mut profile = manager.clone();
+    let mut ctx = EvalContext::new(&mut cube, &mut profile)
+        .with_session(session)
+        .with_layer_source(&layers)
+        .with_parameter("threshold", 2.0);
+    let interpreted = interpreter
+        .fire(&RuntimeEvent::SessionStart, &mut ctx)
+        .unwrap();
+    assert_eq!(**view, view_of(&interpreted));
+    assert_eq!(report.rules_with_effects, rules_with_effects(&interpreted));
+    let counts: BTreeMap<String, usize> = interpreted
+        .selection_sets()
+        .into_iter()
+        .map(|(dimension, members)| (dimension.to_string(), members.len()))
+        .collect();
+    assert_eq!(report.selected_members, counts);
+    view.selected_members("Store")
+        .expect("the Train loop restricts Store")
+        .iter()
+        .copied()
+        .collect()
+}
+
+#[test]
+fn relogins_replay_a_train_loop_that_selects_nothing() {
+    let scenario = PaperScenario::generate(ScenarioConfig::default());
+    let line = scenario.layers.trains[0].1.coords().to_vec();
+    let start = Point::new(line[0].x, line[0].y);
+    // No (train, city, airport) triple is close enough: the loop selects
+    // no city, and that empty selection empties the view's Store.
+    assert!(relogins_replay_the_train_loop(&scenario, start).is_empty());
+}
+
+#[test]
+fn relogins_replay_a_train_loop_that_selects() {
+    let (scenario, start) = moved_airport_scenario();
+    assert!(!relogins_replay_the_train_loop(&scenario, start).is_empty());
 }
