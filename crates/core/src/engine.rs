@@ -1164,11 +1164,10 @@ impl PersonalizationEngine {
                 .filter(|e| e.changed_schema() || e.selected_instances() || e.set_contents > 0)
                 .map(|e| e.rule.clone())
                 .collect(),
-            selected_members: fire
-                .effects
-                .iter()
-                .flat_map(|e| e.selections.iter())
-                .map(|(dim, rows)| (dim.clone(), rows.len()))
+            selected_members: state
+                .view
+                .dimension_selections()
+                .map(|(dimension, members)| (dimension.to_string(), members.len()))
                 .collect(),
             ..self.view_report(&state.session.user_id, &state.view)?
         })

@@ -21,7 +21,8 @@ pub struct PersonalizationReport {
     pub rules_with_effects: Vec<String>,
     /// The schema delta (added layers, levels made spatial).
     pub schema_diff: SchemaDiff,
-    /// Number of selected members per dimension.
+    /// Number of members per restricted dimension that the session's view
+    /// keeps: the conjunction of every rule's selection of the dimension.
     pub selected_members: BTreeMap<String, usize>,
     /// Fact rows visible through the personalized view, per fact.
     pub visible_facts: BTreeMap<String, usize>,

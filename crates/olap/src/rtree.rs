@@ -1,5 +1,7 @@
 //! The packed R-tree behind [`crate::spatial::LevelIndex`]: built once
-//! over a level's member bounding boxes, queried by window.
+//! over a level's member bounding boxes, queried by window. The compiled
+//! PRML rule set builds one per range-probe loop and cube stamp, so every
+//! login that fires Example 5.2's rule queries one.
 
 use sdwp_geometry::distance::DistanceMetric;
 use sdwp_geometry::haversine::EARTH_RADIUS_KM;

@@ -8,14 +8,33 @@
 //! R-tree whose conservative candidate window
 //! [`members_within_distance_indexed`] refines with the same exact
 //! distance, so the two select the same members.
+//!
+//! The index serves logins: the compiled PRML rule set plans Example
+//! 5.2's loop as a range probe, keeps one [`LevelIndex`] per probe loop
+//! for the cube's [`Cube::stamp`], and selects through
+//! [`members_within_distance_indexed`], so a 5 km login computes the
+//! distance to the few stores in the window instead of to every store.
+//! [`indexed_refinements`] counts those distances.
 
 use crate::cube::{geometry_column, Cube};
 use crate::error::OlapError;
 use crate::filter::Filter;
 use sdwp_geometry::distance::{distance, DistanceMetric};
 use sdwp_geometry::Geometry;
+use std::cell::Cell;
 
 pub use crate::rtree::LevelIndex;
+
+thread_local! {
+    static REFINEMENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many exact distances [`members_within_distance_indexed`] has
+/// computed on the calling thread so far: one per candidate of the window
+/// that has a geometry.
+pub fn indexed_refinements() -> u64 {
+    REFINEMENTS.with(Cell::get)
+}
 
 /// Builds the index over a dimension level's member geometries.
 pub fn build_level_rtree(
@@ -74,9 +93,10 @@ pub fn members_within_distance_indexed(
     };
     let mut out = index.candidates(&index.window(&bbox, max_distance, metric));
     out.retain(|&row| {
-        column
-            .get_geometry(row)
-            .is_some_and(|g| distance(g, target, metric) < max_distance)
+        column.get_geometry(row).is_some_and(|g| {
+            REFINEMENTS.with(|n| n.set(n.get() + 1));
+            distance(g, target, metric) < max_distance
+        })
     });
     out.sort_unstable();
     Ok(out)
@@ -135,6 +155,7 @@ mod tests {
         )
         .unwrap();
         let rtree = build_level_rtree(&cube, "Store", "Store").unwrap();
+        let refined = indexed_refinements();
         let via_rtree = members_within_distance_indexed(
             &cube,
             "Store",
@@ -146,8 +167,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(scan, via_rtree);
-        // Stores 6..14 are strictly within 5 km of x=10.
+        // Stores 6..14 are strictly within 5 km of x=10; the window also
+        // offers stores 5 and 15, at exactly 5 km, and the exact distance
+        // is computed for those 11 alone.
         assert_eq!(scan, (6..=14).collect::<Vec<_>>());
+        assert_eq!(indexed_refinements() - refined, 11);
     }
 
     #[test]

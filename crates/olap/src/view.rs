@@ -78,6 +78,13 @@ impl InstanceView {
         self.dimension_selections.get(dimension)
     }
 
+    /// Every restricted dimension with its selected member set, by name.
+    pub fn dimension_selections(&self) -> impl Iterator<Item = (&str, &BTreeSet<usize>)> {
+        self.dimension_selections
+            .iter()
+            .map(|(dimension, members)| (dimension.as_str(), members))
+    }
+
     /// Returns `true` when a fact row is visible through the view: every
     /// foreign key points to an allowed dimension member. The reference
     /// decision (see module docs).

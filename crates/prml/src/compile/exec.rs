@@ -7,19 +7,26 @@
 //! with slot-indexed variable reads instead of tree walking with a
 //! name-scanned scope, hoisted loop invariants evaluated once per outer
 //! binding, the exact-emptiness guard skipping innermost loops whose
-//! condition cannot hold, and closed loops replayed from [`Replays`] while
-//! the cube's stamp stays the same.
+//! condition cannot hold, range probes selecting through a level index,
+//! and closed loops replayed while the cube's stamp stays the same. What
+//! the last two keep across firings lives in [`LoopState`].
 
-use crate::compile::program::{Binding, CStmt, ModelPlan, Op, Prog};
+use crate::compile::program::{Binding, CStmt, LoopIds, ModelPlan, Op, Probe, Prog};
 use crate::error::PrmlError;
 use crate::eval::action::{execute_action, rename, select_value};
 use crate::eval::context::{EvalContext, RuleEffect};
 use crate::eval::expr::{
-    access_properties, binary_values, call_values, evaluate_model_path, geometry_read_is_total,
-    unary_value,
+    access_properties, binary_values, call_values, count_distance_calls, evaluate_model_path,
+    geometry_read_is_total, unary_value,
 };
 use crate::eval::value::{InstanceRef, InstanceSource, Value};
-use sdwp_geometry::Geometry;
+use sdwp_geometry::distance::DistanceMetric;
+use sdwp_geometry::{Coord, Geometry};
+use sdwp_olap::cube::geometry_column;
+use sdwp_olap::spatial::{
+    build_level_rtree, indexed_refinements, members_within_distance_indexed, LevelIndex,
+};
+use sdwp_olap::Cube;
 use sdwp_user::{assign_sus_path, resolve_sus_path};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,32 +41,77 @@ type Selections = BTreeMap<String, BTreeSet<usize>>;
 /// it raised.
 type Outcome = Result<(Selections, Selections), PrmlError>;
 
-/// One closed loop's entry: its last outcome with the stamp it ran under.
-type Stored = Option<(u64, Arc<Outcome>)>;
+/// Per planned loop: its value with the cube stamp it was computed under.
+type Entries<T> = Vec<Option<(u64, Arc<T>)>>;
 
-/// The last outcome of each closed loop of a rule set, with the cube stamp
-/// it was computed under. A loop whose stored stamp matches the cube's
-/// replays its outcome instead of running; any other stamp runs it and
-/// replaces the entry. One entry per loop, so the table never outgrows
-/// the rule set. The lock covers the lookup and the store, never a run.
-#[derive(Debug, Default)]
-pub(crate) struct Replays {
-    outcomes: Mutex<Vec<Stored>>,
-    runs: AtomicU64,
-    replays: AtomicU64,
+/// One value per planned loop of a rule set, each with the cube stamp it
+/// was computed under. A lookup under any other stamp misses, and a store
+/// replaces the loop's entry, so the table never outgrows the rule set.
+/// The lock covers the lookup and the store, never the computation.
+#[derive(Debug)]
+struct Stamped<T>(Mutex<Entries<T>>);
+
+impl<T> Default for Stamped<T> {
+    fn default() -> Self {
+        Stamped(Mutex::new(Vec::new()))
+    }
 }
 
-impl Replays {
-    /// An empty table for a rule set with `loops` closed loops.
-    pub(crate) fn new(loops: usize) -> Replays {
-        Replays {
-            outcomes: Mutex::new(vec![None; loops]),
-            ..Replays::default()
-        }
+impl<T> Stamped<T> {
+    fn new(loops: usize) -> Self {
+        Stamped(Mutex::new((0..loops).map(|_| None).collect()))
     }
 
-    fn outcomes(&self) -> MutexGuard<'_, Vec<Stored>> {
-        self.outcomes.lock().unwrap_or_else(PoisonError::into_inner)
+    fn entries(&self) -> MutexGuard<'_, Entries<T>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Loop `id`'s value under `stamp`, and whether it was stored; on a
+    /// miss, `compute`'s value, stored first.
+    fn get_or_compute(
+        &self,
+        id: usize,
+        stamp: u64,
+        compute: impl FnOnce() -> T,
+    ) -> Result<(Arc<T>, bool), PrmlError> {
+        let stored = self
+            .entries()
+            .get(id)
+            .ok_or_else(|| internal("planned loop id out of range"))?
+            .as_ref()
+            .filter(|(at, _)| *at == stamp)
+            .map(|(_, value)| Arc::clone(value));
+        if let Some(value) = stored {
+            return Ok((value, true));
+        }
+        let value = Arc::new(compute());
+        self.entries()[id] = Some((stamp, Arc::clone(&value)));
+        Ok((value, false))
+    }
+}
+
+/// What a rule set keeps across firings for its planned loops, each entry
+/// under the cube stamp it was computed for: the last outcome of each
+/// closed loop, replayed instead of running while the stamp stays the
+/// same, and the level index of each probe loop (`None` when a member's
+/// geometry is not [`tame`]).
+#[derive(Debug, Default)]
+pub(crate) struct LoopState {
+    outcomes: Stamped<Outcome>,
+    indexes: Stamped<Option<LevelIndex>>,
+    runs: AtomicU64,
+    replays: AtomicU64,
+    index_builds: AtomicU64,
+}
+
+impl LoopState {
+    /// Empty tables for a rule set with the loops `ids` numbered.
+    pub(crate) fn new(ids: &LoopIds) -> LoopState {
+        LoopState {
+            outcomes: Stamped::new(ids.closed),
+            indexes: Stamped::new(ids.probes),
+            ..LoopState::default()
+        }
     }
 
     /// How many times a closed loop ran (nothing stored for the stamp).
@@ -72,39 +124,29 @@ impl Replays {
         self.replays.load(Ordering::Relaxed)
     }
 
+    /// How many times a probe loop built its level index (nothing stored
+    /// for the stamp).
+    pub(crate) fn index_builds(&self) -> u64 {
+        self.index_builds.load(Ordering::Relaxed)
+    }
+
     /// Puts closed loop `id`'s outcome under `stamp` into `effect`:
     /// replayed when stored, otherwise computed by `run` into a scratch
     /// effect and stored first. Selections are ordered sets, so the union
     /// is exactly what running the loop into `effect` would have left.
-    fn apply(
+    fn replay(
         &self,
         id: usize,
         stamp: u64,
         effect: &mut RuleEffect,
         run: impl FnOnce(&mut RuleEffect) -> Result<(), PrmlError>,
     ) -> Result<(), PrmlError> {
-        let stored = self
-            .outcomes()
-            .get(id)
-            .ok_or_else(|| internal("closed loop id out of range"))?
-            .as_ref()
-            .filter(|(at, _)| *at == stamp)
-            .map(|(_, outcome)| Arc::clone(outcome));
-        let outcome = match stored {
-            Some(outcome) => {
-                self.replays.fetch_add(1, Ordering::Relaxed);
-                outcome
-            }
-            None => {
-                self.runs.fetch_add(1, Ordering::Relaxed);
-                let mut scratch = RuleEffect::new(effect.rule.clone());
-                let outcome = Arc::new(
-                    run(&mut scratch).map(|()| (scratch.selections, scratch.layer_selections)),
-                );
-                self.outcomes()[id] = Some((stamp, Arc::clone(&outcome)));
-                outcome
-            }
-        };
+        let (outcome, stored) = self.outcomes.get_or_compute(id, stamp, || {
+            let mut scratch = RuleEffect::new(effect.rule.clone());
+            run(&mut scratch).map(|()| (scratch.selections, scratch.layer_selections))
+        })?;
+        let counter = if stored { &self.replays } else { &self.runs };
+        counter.fetch_add(1, Ordering::Relaxed);
         let (selections, layer_selections) = outcome.as_ref().as_ref().map_err(Clone::clone)?;
         for (into, from) in [
             (&mut effect.selections, selections),
@@ -115,6 +157,51 @@ impl Replays {
             }
         }
         Ok(())
+    }
+
+    /// The level index of `probe`'s level in `cube`, built when none is
+    /// stored for the cube's stamp; `None` when some member's geometry is
+    /// not [`tame`].
+    fn level_index(
+        &self,
+        probe: &Probe,
+        cube: &Cube,
+    ) -> Result<Arc<Option<LevelIndex>>, PrmlError> {
+        let (index, stored) = self.indexes.get_or_compute(probe.id, cube.stamp(), || {
+            let table = &cube.dimension_table(&probe.dimension).ok()?.table;
+            let column = table.column(&geometry_column(&probe.level)).ok()?;
+            if !(0..table.len()).all(|row| column.get_geometry(row).is_none_or(tame)) {
+                return None;
+            }
+            build_level_rtree(cube, &probe.dimension, &probe.level).ok()
+        })?;
+        if !stored {
+            self.index_builds.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(index)
+    }
+}
+
+/// The largest coordinate magnitude a range probe accepts. Two geometries
+/// inside it are at most 2·10¹⁵⁰ apart on each axis, so every square, dot
+/// and cross product the distance kernel forms stays below 10³⁰¹: no
+/// distance between them overflows or comes out NaN. The interpreter
+/// fails on a NaN distance (`<` cannot order it), and the level index
+/// would never offer such a member as a candidate.
+const TAME: f64 = 1e150;
+
+/// Whether every coordinate of `geometry` is finite and within ±[`TAME`].
+fn tame(geometry: &Geometry) -> bool {
+    let coord = |c: &Coord| c.x.abs() <= TAME && c.y.abs() <= TAME;
+    match geometry {
+        Geometry::Point(point) => coord(&point.coord()),
+        Geometry::Line(line) => line.coords().iter().all(coord),
+        Geometry::Polygon(polygon) => polygon
+            .exterior()
+            .iter()
+            .chain(polygon.interiors().iter().flatten())
+            .all(coord),
+        Geometry::Collection(members) => members.iter().all(tame),
     }
 }
 
@@ -295,14 +382,14 @@ fn run_model_plan(plan: &ModelPlan, ctx: &EvalContext<'_>) -> Result<Value, Prml
     }
 }
 
-/// Runs a compiled statement block, replaying closed loops from
-/// `replays`.
+/// Runs a compiled statement block, replaying closed loops and probing
+/// level indexes through `loops`.
 pub(crate) fn run_statements(
     statements: &[CStmt],
     frame: &mut Frame,
     ctx: &mut EvalContext<'_>,
     effect: &mut RuleEffect,
-    replays: &Replays,
+    loops: &LoopState,
 ) -> Result<(), PrmlError> {
     for statement in statements {
         match statement {
@@ -322,7 +409,7 @@ pub(crate) fn run_statements(
                     )
                 })?;
                 let branch = if holds { then_branch } else { else_branch };
-                run_statements(branch, frame, ctx, effect, replays)?;
+                run_statements(branch, frame, ctx, effect, loops)?;
             }
             CStmt::Foreach {
                 bindings,
@@ -330,22 +417,30 @@ pub(crate) fn run_statements(
                 body,
                 guarded,
                 closed,
+                probe,
             } => {
                 let nest = Nest {
                     bindings,
                     body,
                     guarded: *guarded,
                     innermost_total: None,
-                    replays,
+                    loops,
                 };
+                let run =
+                    |frame: &mut Frame, ctx: &mut EvalContext<'_>, effect: &mut RuleEffect| {
+                        if let Some(probe) = probe {
+                            if run_probe(probe, frame, ctx, effect, loops)? {
+                                return Ok(());
+                            }
+                        }
+                        nest.run(sources, frame, ctx, effect)
+                    };
                 match closed {
                     Some(id) => {
                         let stamp = ctx.cube.stamp();
-                        replays.apply(*id, stamp, effect, |scratch| {
-                            nest.run(sources, frame, ctx, scratch)
-                        })?;
+                        loops.replay(*id, stamp, effect, |scratch| run(frame, ctx, scratch))?;
                     }
-                    None => nest.run(sources, frame, ctx, effect)?,
+                    None => run(frame, ctx, effect)?,
                 }
             }
             CStmt::Direct(action) => execute_action(action, ctx, effect)?,
@@ -372,6 +467,71 @@ pub(crate) fn run_statements(
     Ok(())
 }
 
+/// Runs a range-probe loop through its level index, leaving exactly the
+/// effect the nested loop would. Returns `false` when the loop must run
+/// nested instead: the level's geometry column does not resolve, `E`
+/// fails or is neither a geometry nor null, or a geometry is not
+/// [`tame`]. By then nothing has changed but a memo of an `E` that
+/// evaluated, which the nested loop would store too (a failing `E` is not
+/// stored, and raises its own error there).
+///
+/// An empty level selects nothing and pre-registers nothing. A null `E`
+/// is +∞ from every member, so it pre-registers the empty selection.
+/// Otherwise the index's candidates are refined by the exact distance,
+/// taken member first as `Distance(v.geometry, E)` takes it.
+fn run_probe(
+    probe: &Probe,
+    frame: &mut Frame,
+    ctx: &EvalContext<'_>,
+    effect: &mut RuleEffect,
+    loops: &LoopState,
+) -> Result<bool, PrmlError> {
+    let Ok(dimension) = ctx.cube.dimension_table(&probe.dimension) else {
+        return Ok(false);
+    };
+    if dimension.table.is_empty() {
+        return Ok(true);
+    }
+    if dimension
+        .table
+        .column(&geometry_column(&probe.level))
+        .is_err()
+    {
+        return Ok(false);
+    }
+    let rows = match run_prog(&probe.target, frame, ctx) {
+        Ok(Value::Null) => Vec::new(),
+        Ok(Value::Geometry(target)) if tame(&target) => {
+            let index = loops.level_index(probe, ctx.cube)?;
+            let Some(index) = index.as_ref() else {
+                return Ok(false);
+            };
+            let before = indexed_refinements();
+            let rows = members_within_distance_indexed(
+                ctx.cube,
+                &probe.dimension,
+                &probe.level,
+                index,
+                &target,
+                probe.max_distance,
+                DistanceMetric::Euclidean,
+            );
+            count_distance_calls(indexed_refinements() - before);
+            match rows {
+                Ok(rows) => rows,
+                Err(_) => return Ok(false),
+            }
+        }
+        _ => return Ok(false),
+    };
+    effect
+        .selections
+        .entry(probe.dimension.clone())
+        .or_default()
+        .extend(rows);
+    Ok(true)
+}
+
 /// One execution of a compiled `Foreach`: the cartesian product of its
 /// collections, innermost binding last.
 struct Nest<'s> {
@@ -381,7 +541,7 @@ struct Nest<'s> {
     /// Whether every innermost item's `.geometry` reads without error —
     /// the guard's runtime precondition, checked once, on first need.
     innermost_total: Option<bool>,
-    replays: &'s Replays,
+    loops: &'s LoopState,
 }
 
 impl Nest<'_> {
@@ -435,7 +595,7 @@ impl Nest<'_> {
         effect: &mut RuleEffect,
     ) -> Result<(), PrmlError> {
         let Some(binding) = self.bindings.get(depth) else {
-            return run_statements(self.body, frame, ctx, effect, self.replays);
+            return run_statements(self.body, frame, ctx, effect, self.loops);
         };
         let slot = usize::from(binding.slot);
         let (items, inner) = collections

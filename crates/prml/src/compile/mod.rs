@@ -24,7 +24,9 @@
 //! expression runs once per tuple — 60 000 times for Example 5.3's
 //! `TrainAirportCity` over 3 trains, 4 000 store-level cities and 5
 //! airports. Two compile-time moves keep it from recomputing what does not
-//! change; anything they do not recognise runs the plain nested loop.
+//! change, closed loops are replayed across firings, and Example 5.2's
+//! loop becomes an index probe; anything these do not recognise runs the
+//! plain nested loop.
 //!
 //! **Loop-invariant hoisting.** A maximal subtree that reads no binding of
 //! the innermost loop and does real work (a call or a SUS read) becomes an
@@ -91,6 +93,29 @@
 //! [`CompiledRuleSet::closed_loop_runs`] and
 //! [`CompiledRuleSet::closed_loop_replays`] count both paths.
 //!
+//! **Range probes.** Example 5.2's `5kmStores` — `Foreach s in
+//! (GeoMD.Store) If (Distance(s.geometry, E) < k) then SelectInstance(s)
+//! endIf endForeach` — would compute 4 000 distances to select the three
+//! stores near the user. A loop of exactly that shape (one binding over a
+//! level, `E` hoisted, `k` a finite constant, `<`, no `else`, nothing
+//! else in the body) is planned as a range probe and answered through a
+//! packed R-tree over the level's geometries
+//! ([`sdwp_olap::spatial::LevelIndex`]): the members whose bounding box
+//! lies in the window around `E` are refined by the exact distance, taken
+//! member first as `Distance(s.geometry, E)` takes it, and selected; an
+//! empty level selects nothing, and a null `E` pre-registers the empty
+//! selection, as the interpreter does. The index is built on first need
+//! and kept per probe loop under the cube's stamp, beside the closed-loop
+//! outcomes, so a hot swap drops it and any change to the dimension
+//! tables rebuilds it; [`CompiledRuleSet::level_index_builds`] counts the
+//! builds and [`crate::distance_calls`] the distances. Whatever the
+//! probe cannot answer exactly runs the nested loop: a geometry column
+//! that does not resolve, an `E` that fails or is neither a geometry nor
+//! null, and a coordinate of `E` or of a member that is not finite or
+//! exceeds 10¹⁵⁰ in magnitude (where a distance could come out NaN, which
+//! the interpreter refuses to compare). A closed loop of this shape still
+//! replays first; the probe is how it runs.
+//!
 //! This compiled form is what serves every event; the AST interpreter in
 //! [`crate::eval`] is the reference it is tested against
 //! (`crates/prml/tests/compiled_equivalence.rs`: compiled ≡ interpreted
@@ -114,9 +139,10 @@ use sdwp_model::Schema;
 pub struct CompiledRuleSet {
     rules: Vec<CompiledRule>,
     source: Vec<Rule>,
-    /// The stored outcomes of the set's closed loops: a recompiled (hot
-    /// swapped) set starts with none.
-    replays: exec::Replays,
+    /// The stored outcomes of the set's closed loops and the level
+    /// indexes of its probe loops: a recompiled (hot swapped) set starts
+    /// with none.
+    loops: exec::LoopState,
 }
 
 impl CompiledRuleSet {
@@ -130,16 +156,16 @@ impl CompiledRuleSet {
     pub fn compile(rules: &[Rule], schema: &Schema) -> Result<CompiledRuleSet, PrmlError> {
         let classes = check_rules(rules, schema)?;
         let effective = augmented_schema(rules, schema);
-        let mut closed_loops = 0;
+        let mut loop_ids = program::LoopIds::default();
         let compiled = rules
             .iter()
             .zip(classes)
-            .map(|(rule, class)| program::compile_rule(rule, class, &effective, &mut closed_loops))
+            .map(|(rule, class)| program::compile_rule(rule, class, &effective, &mut loop_ids))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CompiledRuleSet {
             rules: compiled,
             source: rules.to_vec(),
-            replays: exec::Replays::new(closed_loops),
+            loops: exec::LoopState::new(&loop_ids),
         })
     }
 
@@ -167,13 +193,20 @@ impl CompiledRuleSet {
     /// How many times a closed loop of this set ran: no outcome was stored
     /// for the cube's stamp (see the module docs, *Closed loops*).
     pub fn closed_loop_runs(&self) -> u64 {
-        self.replays.runs()
+        self.loops.runs()
     }
 
     /// How many times a closed loop of this set replayed the outcome
     /// stored for the cube's stamp instead of running.
     pub fn closed_loop_replays(&self) -> u64 {
-        self.replays.replays()
+        self.loops.replays()
+    }
+
+    /// How many times a probe loop of this set built its level index: no
+    /// index was stored for the cube's stamp (see the module docs, *Range
+    /// probes*).
+    pub fn level_index_builds(&self) -> u64 {
+        self.loops.index_builds()
     }
 
     /// The classification of each rule, in registration order.
@@ -213,7 +246,7 @@ impl CompiledRuleSet {
             let rule = &self.rules[index];
             let mut effect = RuleEffect::new(rule.name.clone());
             let mut frame = exec::Frame::new(rule.slot_count, rule.memo_count);
-            exec::run_statements(&rule.body, &mut frame, ctx, &mut effect, &self.replays)
+            exec::run_statements(&rule.body, &mut frame, ctx, &mut effect, &self.loops)
                 .map_err(|e| attach_rule(e, &rule.name))?;
             report.effects.push(effect);
         }
@@ -537,6 +570,25 @@ mod tests {
         use program::Op;
         let (ops, guarded) = planned_loop(EXAMPLE_5_2_5KM_STORES);
         assert!(!guarded);
+        // The loop is a range probe over the Store level within 5 of the
+        // hoisted location.
+        let [probe] = &probes(EXAMPLE_5_2_5KM_STORES)[..] else {
+            panic!("5kmStores must be planned as one range probe");
+        };
+        let probe = probe.as_ref().expect("5kmStores is a range probe");
+        assert_eq!(
+            (probe.dimension.as_str(), probe.level.as_str()),
+            ("Store", "Store")
+        );
+        assert_eq!(probe.max_distance, 5.0);
+        assert!(
+            matches!(
+                &probe.target.ops[..],
+                [Op::Memo { key_slot: None, ops: hoisted, .. }] if matches!(&hoisted[..], [Op::Sus(_)])
+            ),
+            "unexpected target: {:?}",
+            probe.target.ops
+        );
         // The SUS location reads no loop variable and the body only
         // selects: it is hoisted with no key slot — once per firing.
         assert!(
@@ -552,6 +604,78 @@ mod tests {
             ),
             "unexpected plan: {ops:?}"
         );
+    }
+
+    /// The range-probe plan of each loop of the last rule, outermost first
+    /// (compiled after Example 5.1, which adds the Airport layer).
+    fn probes(text: &str) -> Vec<Option<program::Probe>> {
+        let mut rules = parse_rules(EXAMPLE_5_1_ADD_SPATIALITY).unwrap();
+        rules.extend(parse_rules(text).unwrap());
+        let compiled = CompiledRuleSet::compile(&rules, &sales_schema()).unwrap();
+        loops(&compiled.rules().last().unwrap().body)
+            .into_iter()
+            .map(|statement| match statement {
+                program::CStmt::Foreach { probe, .. } => probe.clone(),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn only_example_5_2s_shape_is_a_range_probe() {
+        let location = "SUS.DecisionMaker.dm2session.s2location.geometry";
+        let rule = |source: &str, condition: &str, then: &str, rest: &str| {
+            format!(
+                "Rule:p When SessionStart do Foreach s in ({source}) If ({condition}) \
+                 then {then} endIf {rest}endForeach endWhen"
+            )
+        };
+        let planned = |text: &str| probes(text).iter().map(Option::is_some).collect::<Vec<_>>();
+        let shape = format!("Distance(s.geometry, {location}) < 5");
+        let select = "SelectInstance(s)";
+        // Another level of the dimension, and a probe nested in a loop
+        // whose binding its target reads.
+        assert_eq!(
+            planned(&rule("GeoMD.Store.City", &shape, select, "")),
+            [true]
+        );
+        let nested = "Rule:p When SessionStart do Foreach o in (GeoMD.Store.City) Foreach s in \
+                      (GeoMD.Store) If (Distance(s.geometry, Centroid(o.geometry)) < 5) then \
+                      SelectInstance(s) endIf endForeach endForeach endWhen";
+        assert_eq!(planned(nested), [false, true]);
+        for text in [
+            rule("GeoMD.Store", &shape.replace("<", "<="), select, ""),
+            rule("GeoMD.Store", &shape.replace("<", ">"), select, ""),
+            rule("GeoMD.Store", &shape.replace("5", "threshold"), select, ""),
+            rule(
+                "GeoMD.Store",
+                &format!("Distance({location}, s.geometry) < 5"),
+                select,
+                "",
+            ),
+            rule(
+                "GeoMD.Store",
+                &shape,
+                "SelectInstance(s) else SelectInstance(s)",
+                "",
+            ),
+            rule(
+                "GeoMD.Store",
+                &shape,
+                "SelectInstance(s) SelectInstance(s)",
+                "",
+            ),
+            rule("GeoMD.Store", &shape, select, "SelectInstance(s) "),
+            rule("GeoMD.Airport", &shape, select, ""),
+            rule(
+                "GeoMD.Store",
+                "Distance(s.geometry, s.geometry) < 5",
+                select,
+                "",
+            ),
+        ] {
+            assert_eq!(planned(&text), [false], "{text}");
+        }
     }
 
     #[test]

@@ -145,6 +145,9 @@ pub(crate) enum CStmt {
         /// one (see [`is_closed`]): its outcome is replayed while the
         /// cube's stamp stays the same.
         closed: Option<usize>,
+        /// The loop as a range probe, when it has Example 5.2's shape (see
+        /// [`range_probe`]).
+        probe: Option<Probe>,
     },
     /// A schema action (`AddLayer` / `BecomeSpatial`), executed through
     /// the interpreter's own action executor so the two paths share one
@@ -161,6 +164,33 @@ pub(crate) enum CStmt {
     },
     /// A statement the compiler proved always fails at runtime.
     Fail(String),
+}
+
+/// A loop planned as a range probe over a level index: `Foreach v in
+/// (<level>) If (Distance(v.geometry, E) < k) then SelectInstance(v)
+/// endIf endForeach`.
+#[derive(Debug, Clone)]
+pub(crate) struct Probe {
+    /// The loop's index among the rule set's probe loops: where its level
+    /// index is kept.
+    pub(crate) id: usize,
+    /// The level's dimension.
+    pub(crate) dimension: String,
+    /// The level.
+    pub(crate) level: String,
+    /// `E`: a program of one hoisted [`Op::Memo`], the one the loop body's
+    /// condition holds.
+    pub(crate) target: Prog,
+    /// `k`, finite.
+    pub(crate) max_distance: f64,
+}
+
+/// How many closed loops and probe loops a rule set has numbered so far
+/// (the next id of each).
+#[derive(Debug, Default)]
+pub(crate) struct LoopIds {
+    pub(crate) closed: usize,
+    pub(crate) probes: usize,
 }
 
 /// A rule's event specification with all matching text precomputed, so the
@@ -225,12 +255,13 @@ pub struct CompiledRule {
 }
 
 /// Lowers one type-checked rule against the effective (augmented) schema,
-/// numbering its closed loops from `closed_loops` on (and advancing it).
+/// numbering its closed and probe loops from `loop_ids` on (and advancing
+/// it).
 pub(crate) fn compile_rule(
     rule: &Rule,
     class: RuleClass,
     schema: &Schema,
-    closed_loops: &mut usize,
+    loop_ids: &mut LoopIds,
 ) -> Result<CompiledRule, PrmlError> {
     let matcher = match &rule.event {
         EventSpec::SessionStart => MatchSpec::SessionStart,
@@ -247,7 +278,7 @@ pub(crate) fn compile_rule(
         max_slots: 0,
         loops: Vec::new(),
         memo_count: 0,
-        closed_loops,
+        loop_ids,
     };
     let body = compiler.compile_statements(&rule.body)?;
     Ok(CompiledRule {
@@ -273,8 +304,8 @@ struct Compiler<'a> {
     loops: Vec<LoopScope>,
     /// Memos allocated so far (the next [`Op::Memo`] id).
     memo_count: usize,
-    /// Closed loops numbered so far in the rule set (the next id).
-    closed_loops: &'a mut usize,
+    /// Closed and probe loops numbered so far in the rule set.
+    loop_ids: &'a mut LoopIds,
 }
 
 /// The innermost loop an expression is compiled in.
@@ -376,16 +407,19 @@ impl Compiler<'_> {
                 let closed = (!bindings.is_empty()
                     && is_closed(&sources, &body, first_slot as u16))
                 .then(|| {
-                    let id = *self.closed_loops;
-                    *self.closed_loops += 1;
+                    let id = self.loop_ids.closed;
+                    self.loop_ids.closed += 1;
                     id
                 });
+                let probe = range_probe(&bindings, &sources, &body, self.loop_ids.probes);
+                self.loop_ids.probes += usize::from(probe.is_some());
                 Ok(CStmt::Foreach {
                     bindings,
                     sources,
                     body,
                     guarded,
                     closed,
+                    probe,
                 })
             }
             Statement::Action(action) => Ok(self.compile_action(action)),
@@ -730,4 +764,57 @@ fn empty_guard(body: &[CStmt], innermost: u16) -> bool {
                 && distance == "distance"
                 && k.is_finite()
         )
+}
+
+/// The range-probe plan of a compiled loop with Example 5.2's shape, as
+/// probe loop `id`: one binding `v` over a level (a pre-resolved
+/// [`ModelPlan::Level`]) and a body of exactly one else-less `If
+/// (Distance(v.geometry, E) < k) then SelectInstance(v) endIf`, with `E`
+/// hoisted and `k` a finite constant.
+///
+/// The interpreter then selects exactly the members whose geometry is
+/// strictly within `k` of `E`, which is what the level index answers. Any
+/// other shape (`<=`, `E` first, an `else`, a second statement, a
+/// parameter threshold) returns `None` and keeps the nested loop.
+fn range_probe(bindings: &[Binding], sources: &[Prog], body: &[CStmt], id: usize) -> Option<Probe> {
+    let (
+        [binding],
+        [source],
+        [CStmt::If {
+            condition,
+            then_branch,
+            else_branch,
+        }],
+    ) = (bindings, sources, body)
+    else {
+        return None;
+    };
+    let [Op::Model(ModelPlan::Level { dimension, level })] = source.ops.as_slice() else {
+        return None;
+    };
+    let [CStmt::Select { target }] = then_branch.as_slice() else {
+        return None;
+    };
+    let v = binding.slot;
+    if !else_branch.is_empty() || !matches!(target.ops.as_slice(), [Op::Slot(s)] if *s == v) {
+        return None;
+    }
+    let [geometry, memo, distance, Op::Const(Value::Number(k)), Op::Binary(BinaryOp::Lt)] =
+        condition.ops.as_slice()
+    else {
+        return None;
+    };
+    let reads_geometry = matches!(geometry, Op::SlotProps { slot, props } if *slot == v
+        && matches!(props.as_slice(), [p] if p.eq_ignore_ascii_case("geometry")));
+    let hoisted = matches!(memo, Op::Memo { .. });
+    let measures = matches!(distance, Op::Call { name, argc: 2, .. } if name == "distance");
+    (reads_geometry && hoisted && measures && k.is_finite()).then(|| Probe {
+        id,
+        dimension: dimension.clone(),
+        level: level.clone(),
+        target: Prog {
+            ops: vec![memo.clone()],
+        },
+        max_distance: *k,
+    })
 }

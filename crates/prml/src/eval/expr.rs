@@ -13,6 +13,7 @@ use std::cell::Cell;
 
 thread_local! {
     static INTERSECTION_CALLS: Cell<u64> = const { Cell::new(0) };
+    static DISTANCE_CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// How many `Intersection` calls rule evaluation has made on the calling
@@ -21,6 +22,21 @@ thread_local! {
 /// city) pair plus once per airport of each pair that intersects.
 pub fn intersection_calls() -> u64 {
     INTERSECTION_CALLS.with(Cell::get)
+}
+
+/// How many `Distance` evaluations rule evaluation has made on the calling
+/// thread so far, interpreted and compiled alike: the work count of
+/// Example 5.2's loop, which the interpreter makes once per store and the
+/// compiled range probe once per candidate of its level index (the exact
+/// distances [`sdwp_olap::spatial::members_within_distance_indexed`]
+/// refines them with).
+pub fn distance_calls() -> u64 {
+    DISTANCE_CALLS.with(Cell::get)
+}
+
+/// Adds `n` evaluations to [`distance_calls`].
+pub(crate) fn count_distance_calls(n: u64) {
+    DISTANCE_CALLS.with(|calls| calls.set(calls.get() + n));
 }
 
 /// Evaluates an expression in the given context.
@@ -476,39 +492,42 @@ pub(crate) fn call_values(
     ctx: &EvalContext<'_>,
 ) -> Result<Value, PrmlError> {
     match name {
-        "distance" => match values.len() {
-            // One argument: the length of "the corresponding segment"
-            // (paper, Example 5.3) — for a collection produced by nested
-            // Intersection calls this is the length of its shortest member
-            // (an empty collection yields +∞ so threshold conditions fail).
-            1 => {
-                let g = geometry_of(&values[0], ctx)?;
-                let length = match g.as_ref() {
-                    Geometry::Collection(members) if members.is_empty() => f64::INFINITY,
-                    Geometry::Collection(members) => members
-                        .iter()
-                        .map(measures::length)
-                        .fold(f64::INFINITY, f64::min),
-                    other => measures::length(other),
-                };
-                Ok(Value::Number(length))
-            }
-            2 => {
-                // Missing operands (e.g. the user reported no location)
-                // yield an infinite distance so threshold conditions fail
-                // gracefully instead of aborting the session.
-                if values.iter().any(Value::is_null) {
-                    return Ok(Value::Number(f64::INFINITY));
+        "distance" => {
+            count_distance_calls(1);
+            match values.len() {
+                // One argument: the length of "the corresponding segment"
+                // (paper, Example 5.3) — for a collection produced by nested
+                // Intersection calls this is the length of its shortest member
+                // (an empty collection yields +∞ so threshold conditions fail).
+                1 => {
+                    let g = geometry_of(&values[0], ctx)?;
+                    let length = match g.as_ref() {
+                        Geometry::Collection(members) if members.is_empty() => f64::INFINITY,
+                        Geometry::Collection(members) => members
+                            .iter()
+                            .map(measures::length)
+                            .fold(f64::INFINITY, f64::min),
+                        other => measures::length(other),
+                    };
+                    Ok(Value::Number(length))
                 }
-                let a = geometry_of(&values[0], ctx)?;
-                let b = geometry_of(&values[1], ctx)?;
-                Ok(Value::Number(distance::euclidean(&a, &b)))
+                2 => {
+                    // Missing operands (e.g. the user reported no location)
+                    // yield an infinite distance so threshold conditions fail
+                    // gracefully instead of aborting the session.
+                    if values.iter().any(Value::is_null) {
+                        return Ok(Value::Number(f64::INFINITY));
+                    }
+                    let a = geometry_of(&values[0], ctx)?;
+                    let b = geometry_of(&values[1], ctx)?;
+                    Ok(Value::Number(distance::euclidean(&a, &b)))
+                }
+                n => Err(PrmlError::eval(
+                    "",
+                    format!("Distance expects 1 or 2 arguments, got {n}"),
+                )),
             }
-            n => Err(PrmlError::eval(
-                "",
-                format!("Distance expects 1 or 2 arguments, got {n}"),
-            )),
-        },
+        }
         "intersection" => {
             INTERSECTION_CALLS.with(|calls| calls.set(calls.get() + 1));
             if values.len() != 2 {

@@ -49,7 +49,7 @@ pub use eval::context::{
     EvalContext, LayerSource, NoExternalLayers, RuleEffect, StaticLayerSource,
 };
 pub use eval::engine::{FireReport, RuleEngine, RuntimeEvent};
-pub use eval::expr::intersection_calls;
+pub use eval::expr::{distance_calls, intersection_calls};
 pub use eval::value::{InstanceRef, InstanceSource, Value};
 pub use metamodel::{classify_rule, MetaClass};
 pub use parser::{parse_rule, parse_rules};

@@ -33,6 +33,17 @@
 //! parameter, a read of the enclosing binding, and a `SetContent` in the
 //! body.
 //!
+//! *Range probes* — Example 5.2's `Foreach s in (<level>) If
+//! (Distance(s.geometry, E) < k) then SelectInstance(s) endIf
+//! endForeach`, which the compiled set answers through a level index —
+//! have their own property: the shape and one deviation of each kind
+//! (`<=` and `>`, a parameter `k`, an `else` branch, a second statement,
+//! `E` first), over a null, non-point, erroring or non-geometry `E` (or
+//! one with a non-finite or huge coordinate),
+//! levels with null, non-finite or exactly-`k` member geometries, a
+//! non-spatial level and an empty one, fired again after a store is
+//! added next to the user.
+//!
 //! Each stream also exercises the engine-level lifecycle: every event
 //! fires twice, so the second firing replays what the first stored, and
 //! between the two a round may add a store member or a train line to
@@ -46,12 +57,13 @@ use proptest::prelude::*;
 use sdwp_geometry::{GeometricType, LineString, Point};
 use sdwp_model::{AttributeType, DimensionBuilder, FactBuilder, Schema, SchemaBuilder};
 use sdwp_olap::{CellValue, Cube};
+use sdwp_prml::parse_rules;
 use sdwp_prml::pretty::print_expr;
 use sdwp_prml::{
     check_rules, Action, BinaryOp, CompiledRuleSet, EvalContext, EventSpec, Expr, Rule, RuleEngine,
     RuntimeEvent, Statement, StaticLayerSource, UnaryOp,
 };
-use sdwp_user::{Role, Session, SpatialSelectionInterest, UserProfile};
+use sdwp_user::{LocationContext, Role, Session, SpatialSelectionInterest, UserProfile};
 
 // ----- fixtures (the paper's sales warehouse, as in the unit tests) -----
 
@@ -918,6 +930,230 @@ proptest! {
                 // Re-publish round: a freshly compiled set must be a
                 // drop-in replacement for the one in service.
                 compiled = CompiledRuleSet::compile(&rules, &schema).unwrap();
+            }
+        }
+    }
+}
+
+// ----- range probes -----------------------------------------------------
+
+/// A store of a probe world: its point, null (`None`), or a point with a
+/// non-finite coordinate (`Some((NaN, 0))`).
+fn probe_store() -> impl Strategy<Value = Option<(f64, f64)>> {
+    let point =
+        || (-4i32..=4, -2i32..=2).prop_map(|(x, y)| Some((f64::from(x) * 2.5, f64::from(y) * 2.5)));
+    prop_oneof![
+        point(),
+        point(),
+        point(),
+        point(),
+        Just(None),
+        Just(Some((f64::NAN, 0.0))),
+    ]
+}
+
+/// The sales cube with the given stores (`Store.geometry` and
+/// `City.geometry` both at the store's point) and one day.
+fn probe_cube(stores: &[Option<(f64, f64)>]) -> Cube {
+    let mut cube = Cube::new(sales_schema());
+    for (i, store) in stores.iter().enumerate() {
+        let mut cells = vec![("Store.name", CellValue::from(format!("S{i}")))];
+        if let Some((x, y)) = *store {
+            let at = CellValue::Geometry(Point::new(x, y).into());
+            cells.extend([("Store.geometry", at.clone()), ("City.geometry", at)]);
+        }
+        cube.add_dimension_member("Store", cells).unwrap();
+    }
+    cube.add_dimension_member("Time", vec![("Day.name", CellValue::from("Mon"))])
+        .unwrap();
+    cube
+}
+
+/// What `E` is in a probe loop.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// The session location: a point, or null for a session without one.
+    Location,
+    /// `Intersection(location, location)`: a geometry collection.
+    Collection,
+    /// `Intersection(t.geometry, t.geometry)` inside `Foreach t in
+    /// (GeoMD.Train)`: lines, keyed on the train.
+    Train,
+    /// `Centroid` of a text: fails.
+    Failing,
+    /// A text: `Distance` fails on the first member with a geometry.
+    Text,
+}
+
+/// How a probe loop departs from Example 5.2's shape.
+#[derive(Debug, Clone, Copy)]
+enum ProbeDeviation {
+    /// `<=`.
+    Le,
+    /// `>`.
+    Gt,
+    /// The threshold is the designer parameter.
+    ParamK,
+    /// An `else` branch.
+    Else,
+    /// A second statement in the `then` branch.
+    SecondStatement,
+    /// `Distance(E, s.geometry)`.
+    Reversed,
+}
+
+const PROBE_DEVIATIONS: [ProbeDeviation; 6] = [
+    ProbeDeviation::Le,
+    ProbeDeviation::Gt,
+    ProbeDeviation::ParamK,
+    ProbeDeviation::Else,
+    ProbeDeviation::SecondStatement,
+    ProbeDeviation::Reversed,
+];
+
+/// A rule holding one probe loop: its text, whether the compiled set must
+/// answer it through a level index when the session has a location and
+/// every store has a finite point, and its constant threshold.
+fn probe_rule() -> impl Strategy<Value = (String, bool, f64)> {
+    let source = pick(&[
+        "GeoMD.Store",
+        "GeoMD.Store.City",
+        "MD.Sales.Store.State", // no rule makes it spatial: every geometry is null
+    ]);
+    let target = pick(&[
+        Target::Location,
+        Target::Location,
+        Target::Collection,
+        Target::Train,
+        Target::Failing,
+        Target::Text,
+    ]);
+    let k = pick(&[0.0, 2.5, 5.0, 7.5, 1e6]);
+    let deviation = 0usize..2 * PROBE_DEVIATIONS.len();
+    (source, target, k, deviation).prop_map(|(source, target, k, deviation)| {
+        let deviation = PROBE_DEVIATIONS.get(deviation).copied();
+        let e = match target {
+            Target::Location => SUS_LOCATION.to_string(),
+            Target::Collection => format!("Intersection({SUS_LOCATION}, {SUS_LOCATION})"),
+            Target::Train => "Intersection(t.geometry, t.geometry)".to_string(),
+            Target::Failing => "Centroid(SUS.DecisionMaker.name)".to_string(),
+            Target::Text => "SUS.DecisionMaker.name".to_string(),
+        };
+        let op = match deviation {
+            Some(ProbeDeviation::Le) => "<=",
+            Some(ProbeDeviation::Gt) => ">",
+            _ => "<",
+        };
+        let threshold = match deviation {
+            Some(ProbeDeviation::ParamK) => "threshold".to_string(),
+            _ => k.to_string(),
+        };
+        let distance = match deviation {
+            Some(ProbeDeviation::Reversed) => format!("Distance({e}, s.geometry)"),
+            _ => format!("Distance(s.geometry, {e})"),
+        };
+        let then = match deviation {
+            Some(ProbeDeviation::Else) => "SelectInstance(s) else SelectInstance(s)",
+            Some(ProbeDeviation::SecondStatement) => {
+                "SelectInstance(s) SetContent(SUS.DecisionMaker.theme, 'x')"
+            }
+            _ => "SelectInstance(s)",
+        };
+        let probe = format!(
+            "Foreach s in ({source}) If ({distance} {op} {threshold}) then {then} endIf endForeach"
+        );
+        let body = match target {
+            Target::Train => {
+                format!("AddLayer('Train', LINE) Foreach t in (GeoMD.Train) {probe} endForeach")
+            }
+            _ => probe,
+        };
+        let indexed = deviation.is_none()
+            && matches!(
+                target,
+                Target::Location | Target::Collection | Target::Train
+            )
+            && source != "MD.Sales.Store.State";
+        (
+            format!("Rule:probe When SessionStart do {body} endWhen"),
+            indexed,
+            k,
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A probe loop, its deviations and its edge cases leave exactly the
+    /// interpreter's effect or error, before and after a store is added
+    /// next to the user, and the Example 5.2 shape is answered through the
+    /// level index, rebuilt for the grown cube.
+    #[test]
+    fn range_probes_match_the_interpreter(
+        generated in prop::collection::vec(probe_store(), 0..7),
+        at_k in any::<bool>(),
+        location in pick(&[None, Some(0.0), Some(0.0), Some(f64::NAN), Some(1e200)]),
+        rule in probe_rule(),
+        threshold in prop_oneof![Just(None), Just(Some(5.0))],
+    ) {
+        let (text, indexed, k) = rule;
+        let mut stores = generated;
+        if at_k {
+            // A store exactly `k` from the user at the origin.
+            stores.push(Some((k, 0.0)));
+        }
+        let rules = parse_rules(&text).unwrap();
+        let compiled = CompiledRuleSet::compile(&rules, &sales_schema()).unwrap();
+        let mut engine = RuleEngine::new();
+        engine.add_rule(rules[0].clone());
+        // The user at the origin, nowhere, at a non-finite point, or far
+        // enough away that a distance could overflow.
+        let session = match location {
+            Some(x) => Session::start_at(1, "u1", LocationContext::at_point("here", x, 0.0)),
+            None => Session::start(1, "u1"),
+        };
+        let source = layers();
+        let mut cube_i = probe_cube(&stores);
+        let mut cube_c = cube_i.clone();
+        for firing in 0..2 {
+            if firing == 1 {
+                for cube in [&mut cube_i, &mut cube_c] {
+                    let near = CellValue::Geometry(Point::new(1.0, 0.5).into());
+                    cube.add_dimension_member(
+                        "Store",
+                        vec![("Store.geometry", near.clone()), ("City.geometry", near)],
+                    )
+                    .unwrap();
+                }
+            }
+            let builds = compiled.level_index_builds();
+            let mut fired = Vec::new();
+            for (cube, use_compiled) in [(&mut cube_i, false), (&mut cube_c, true)] {
+                let mut profile = manager_profile();
+                let mut ctx = EvalContext::new(cube, &mut profile)
+                    .with_session(&session)
+                    .with_layer_source(&source);
+                if let Some(t) = threshold {
+                    ctx = ctx.with_parameter("threshold", t);
+                }
+                let report = if use_compiled {
+                    compiled.fire(&RuntimeEvent::SessionStart, &mut ctx)
+                } else {
+                    engine.fire(&RuntimeEvent::SessionStart, &mut ctx)
+                };
+                drop(ctx);
+                fired.push((report.map_err(|e| e.to_string()), profile));
+            }
+            prop_assert_eq!(&fired[0], &fired[1], "firing {}: {}", firing, text);
+            prop_assert_eq!(cube_i.schema(), cube_c.schema());
+            let finite = stores.iter().flatten().all(|(x, _)| x.is_finite());
+            if indexed && location == Some(0.0) && finite && !cube_c.dimension_table("Store").unwrap().table.is_empty() {
+                prop_assert_eq!(
+                    compiled.level_index_builds(),
+                    builds + 1,
+                    "firing {}: {} builds its index for the cube", firing, text
+                );
             }
         }
     }

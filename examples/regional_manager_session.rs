@@ -6,10 +6,17 @@
 //! aggregate results — without the analysis tool issuing any spatial query
 //! itself.
 //!
+//! Each login's Store selection must equal the stores
+//! `olap::spatial::members_within_distance` finds within 5 km of the same
+//! point; the example exits non-zero when one does not.
+//!
 //! Run with: `cargo run --example regional_manager_session`
 
 use sdwp::core::PersonalizationEngine;
 use sdwp::datagen::{PaperScenario, ScenarioConfig};
+use sdwp::geometry::distance::DistanceMetric;
+use sdwp::geometry::Point;
+use sdwp::olap::spatial::members_within_distance;
 use sdwp::olap::{AttributeRef, Query};
 use sdwp::prml::corpus::{EXAMPLE_5_1_ADD_SPATIALITY, EXAMPLE_5_2_5KM_STORES};
 use sdwp::user::LocationContext;
@@ -58,6 +65,26 @@ fn main() {
                 Some(LocationContext::at_point(label, x, y)),
             )
             .expect("session starts");
+        let view = engine.session_view(session.id).expect("session view");
+        let scan = members_within_distance(
+            &engine.cube(),
+            "Store",
+            "Store",
+            &Point::new(x, y).into(),
+            5.0,
+            DistanceMetric::Euclidean,
+        )
+        .expect("the Store level is spatial");
+        if !view
+            .selected_members("Store")
+            .is_some_and(|selected| selected.iter().eq(&scan))
+        {
+            eprintln!(
+                "the login {label} selected {:?}, the 5 km scan finds {scan:?}",
+                view.selected_members("Store")
+            );
+            std::process::exit(1);
+        }
         let result = engine.query(session.id, &query).expect("query runs");
         println!("== Session from {label} ==");
         println!(

@@ -22,7 +22,7 @@ use sdwp::prml::{
     intersection_calls, parse_rules, CompiledRuleSet, EvalContext, FireReport, Rule, RuleEngine,
     RuntimeEvent,
 };
-use sdwp::user::{LocationContext, Session};
+use sdwp::user::{LocationContext, Session, UserProfile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -135,17 +135,7 @@ fn train_airport_city_selects_the_same_cities_compiled_and_interpreted() {
 /// ones replay it with none. Returns the Store members the first view
 /// keeps.
 fn relogins_replay_the_train_loop(scenario: &PaperScenario, location: Point) -> BTreeSet<usize> {
-    let engine = PersonalizationEngine::with_layer_source(
-        scenario.cube.clone(),
-        Arc::new(scenario.layer_source()),
-    );
-    let mut manager = scenario.manager.clone();
-    manager.interest_mut("AirportCity").degree = 3.0;
-    engine.register_user(manager.clone());
-    engine.set_parameter("threshold", 2.0);
-    for rule in ALL_PAPER_RULES {
-        engine.add_rules_text(rule).unwrap();
-    }
+    let (engine, manager) = manager_engine(scenario);
     let at = || LocationContext::at_point("station", location.x(), location.y());
 
     let mut logins = Vec::new();
@@ -179,7 +169,49 @@ fn relogins_replay_the_train_loop(scenario: &PaperScenario, location: Point) -> 
         .rules_with_effects
         .contains(&"TrainAirportCity".to_string()));
 
-    // The interpreter, fired once on the engine's starting state.
+    let interpreted = interpret(scenario, &manager, session);
+    assert_eq!(**view, view_of(&interpreted));
+    assert_eq!(report.rules_with_effects, rules_with_effects(&interpreted));
+    // The report counts the members the view keeps: per dimension, the
+    // conjunction of every rule's selection.
+    let mut kept: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
+    for (dimension, members) in interpreted.selection_sets() {
+        kept.entry(dimension.to_string())
+            .and_modify(|kept| kept.retain(|member| members.contains(member)))
+            .or_insert_with(|| members.clone());
+    }
+    let counts: BTreeMap<String, usize> = kept
+        .into_iter()
+        .map(|(dimension, members)| (dimension, members.len()))
+        .collect();
+    assert_eq!(report.selected_members, counts);
+    view.selected_members("Store")
+        .expect("the Train loop restricts Store")
+        .iter()
+        .copied()
+        .collect()
+}
+
+/// An engine with the paper's rules, the threshold at 2 and the manager,
+/// whose AirportCity interest is past it, registered.
+fn manager_engine(scenario: &PaperScenario) -> (PersonalizationEngine, UserProfile) {
+    let engine = PersonalizationEngine::with_layer_source(
+        scenario.cube.clone(),
+        Arc::new(scenario.layer_source()),
+    );
+    let mut manager = scenario.manager.clone();
+    manager.interest_mut("AirportCity").degree = 3.0;
+    engine.register_user(manager.clone());
+    engine.set_parameter("threshold", 2.0);
+    for rule in ALL_PAPER_RULES {
+        engine.add_rules_text(rule).unwrap();
+    }
+    (engine, manager)
+}
+
+/// The interpreter's SessionStart firing of the paper's rules for
+/// `manager`'s `session`, on the scenario's starting state.
+fn interpret(scenario: &PaperScenario, manager: &UserProfile, session: &Session) -> FireReport {
     let mut interpreter = RuleEngine::new();
     for text in ALL_PAPER_RULES {
         for rule in parse_rules(text).unwrap() {
@@ -193,22 +225,46 @@ fn relogins_replay_the_train_loop(scenario: &PaperScenario, location: Point) -> 
         .with_session(session)
         .with_layer_source(&layers)
         .with_parameter("threshold", 2.0);
-    let interpreted = interpreter
+    interpreter
         .fire(&RuntimeEvent::SessionStart, &mut ctx)
-        .unwrap();
-    assert_eq!(**view, view_of(&interpreted));
-    assert_eq!(report.rules_with_effects, rules_with_effects(&interpreted));
-    let counts: BTreeMap<String, usize> = interpreted
-        .selection_sets()
-        .into_iter()
-        .map(|(dimension, members)| (dimension.to_string(), members.len()))
-        .collect();
-    assert_eq!(report.selected_members, counts);
-    view.selected_members("Store")
-        .expect("the Train loop restricts Store")
-        .iter()
-        .copied()
-        .collect()
+        .unwrap()
+}
+
+/// 5kmStores and the moved-airport Train rule both select `Store`: the
+/// view keeps the stores both select, and the login report counts those,
+/// not the last rule's selection.
+#[test]
+fn the_login_report_counts_the_stores_both_rules_keep() {
+    let (scenario, start) = moved_airport_scenario();
+    let (engine, manager) = manager_engine(&scenario);
+    let at = LocationContext::at_point("station", start.x(), start.y());
+    let handle = engine.start_session(&manager.id, Some(at)).unwrap();
+    let session = engine.session(handle.id).unwrap();
+    let interpreted = interpret(&scenario, &manager, &session);
+    let selected = |rule: &str| &interpreted.effect_of(rule).unwrap().selections["Store"];
+    let (near, train) = (selected("5kmStores"), selected("TrainAirportCity"));
+    let both: BTreeSet<usize> = near.intersection(train).copied().collect();
+    // The Train rule fires last and selects stores 5kmStores does not.
+    assert!(!both.is_empty(), "both rules keep a store");
+    assert!(
+        both.len() < train.len(),
+        "{} near, {} by train, {} both",
+        near.len(),
+        train.len(),
+        both.len()
+    );
+    assert_eq!(handle.report.selected_members["Store"], both.len());
+    assert_eq!(
+        engine
+            .session_view(handle.id)
+            .unwrap()
+            .selected_members("Store"),
+        Some(&both)
+    );
+    assert!(handle.report.to_string().contains(&format!(
+        "selected {} member(s) of dimension 'Store'",
+        both.len()
+    )));
 }
 
 #[test]
